@@ -34,8 +34,10 @@ POLE_GUARD_REL = 1e-13
 # First-order denominator must exceed this fraction of kappa_k^3.
 DENOMINATOR_FLOOR_REL = 1e-9
 
-_BISECT_MAX = 120
-_POLISH_MAX = 40
+# Iteration cap of the safeguarded Newton loop. Bisection alone halves the
+# bracket to one ulp well within it; Newton from the first-order offset
+# stops after a handful of steps.
+_ITER_MAX = 120
 
 
 def _branch_sign(lam):
@@ -142,7 +144,15 @@ def perturbative_roots(params: ModelParams) -> ModeRoots:
 
 
 def _solve_offset(kappa_k, kappa_other, params, lam):
-    """One root offset by bracketed bisection plus damped derivative polish."""
+    """One root offset by bracket-safeguarded Newton iteration.
+
+    Brackets the root (a probe around the first-order offset, else a
+    geometric scan up from the pole guard band), then runs Newton from the
+    first-order offset, bisecting whenever a step would leave the bracket.
+    Stops when a step no longer moves d, when the residual is exactly zero,
+    or when a Newton step raises |residual|, keeping the better iterate.
+    Returns (d, residual at d); exact_roots checks the tolerance.
+    """
     sgn = _branch_sign(lam)
     g = lambda d: _residual_offset(d, kappa_k, kappa_other, params, sgn)
 
@@ -173,37 +183,36 @@ def _solve_offset(kappa_k, kappa_other, params, lam):
                 f"no sign change in ({kappa_k + scan_lo!r}, {kappa_k + cap!r}) "
                 f"for mode at kappa={kappa_k}, lambda={lam}")
 
-    for _ in range(_BISECT_MAX):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-6 * hi:
-            break
-    d = 0.5 * (lo + hi)
-
+    # Newton from the first-order offset, safeguarded by the bracket
+    # (Numerical Recipes' rtsafe). Every residual shrinks the bracket by its
+    # sign; a Newton step that would leave it becomes a bisection.
+    d = guess if lo < guess < hi else 0.5 * (lo + hi)
     g_cur = g(d)
-    for _ in range(_POLISH_MAX):
+    for _ in range(_ITER_MAX):
         if g_cur == 0.0:
             break
-        step = g_cur / _residual_offset_deriv(d, kappa_k, kappa_other, params, sgn)
-        # Damp: shrink the step until the residual actually decreases and the
-        # iterate stays inside the bracket.
-        accepted = False
-        for _damp in range(8):
-            d_new = d - step
-            if lo * 0.5 < d_new < hi * 2.0:
-                g_new = g(d_new)
-                if abs(g_new) <= abs(g_cur):
-                    d, g_cur = d_new, g_new
-                    accepted = True
-                    break
-            step *= 0.5
-        if not accepted or abs(step) <= 1e-17 * abs(d):
+        if g_cur > 0.0:
+            lo = d
+        else:
+            hi = d
+        d_new = d - g_cur / _residual_offset_deriv(d, kappa_k, kappa_other,
+                                                   params, sgn)
+        # Tested before the bracket: a sub-ulp step rounds onto d itself,
+        # which is also a bracket edge.
+        if d_new == d:
             break
+        newton = lo < d_new < hi
+        if not newton:
+            d_new = 0.5 * (lo + hi)
+            if not lo < d_new < hi:
+                break
+        g_new = g(d_new)
+        # Near the root the residual is quantized (one ulp of d moves it by
+        # about one ulp of 1), so an equal |g| is accepted and only a rise
+        # ends the iteration.
+        if newton and abs(g_new) > abs(g_cur):
+            break
+        d, g_cur = d_new, g_new
     return d, g_cur
 
 

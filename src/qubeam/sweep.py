@@ -7,8 +7,6 @@ ordered lexicographically by (omega, delta_kappa), numbers printed with 17
 significant digits, metadata confined to '#' comment lines, no timestamps.
 """
 from dataclasses import dataclass, replace
-import concurrent.futures
-import os
 
 from .dispersion import exact_roots, perturbative_roots
 from .entangle import full_report
@@ -175,19 +173,10 @@ def run_sweep(config: SweepConfig):
     """Evaluate every grid point; returns the rows in output order.
 
     Per-point failures become rows with an error status; AllRowsFailed is
-    raised only if nothing succeeds. QUBEAM_THREADS > 1 evaluates points in
-    a thread pool; results are assembled in grid order either way. Writes
-    CSV to config.out_path when set.
+    raised only if nothing succeeds. Writes CSV to config.out_path when set.
     """
-    points = [(omega, dk) for omega in config.omega_grid()
-              for dk in config.dk_grid()]
-    workers = int(os.environ.get("QUBEAM_THREADS", "1") or "1")
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda p: _evaluate_point(config, p[0], p[1]), points))
-    else:
-        rows = [_evaluate_point(config, omega, dk) for omega, dk in points]
+    rows = [_evaluate_point(config, omega, dk)
+            for omega in config.omega_grid() for dk in config.dk_grid()]
     if all(row.status != "ok" for row in rows):
         raise AllRowsFailed(f"all {len(rows)} grid points failed; "
                             f"first status: {rows[0].status}")

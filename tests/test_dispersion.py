@@ -25,6 +25,25 @@ FIG = (2500.0, 3000.0, 0.5, 0.1)
 KLAM = [(k, lam) for k in (1, 2) for lam in (1, 2)]
 
 
+def _mp_offset(p, k, lam):
+    """Root offset to 50 digits, bracketed by doubling up from the pole."""
+    with mpmath.workdps(50):
+        k1, k2, w, eps = (mpmath.mpf(x) for x in
+                          (p.kappa1, p.kappa2, p.omega, p.eps))
+        kk, ko = (k1, k2) if k == 1 else (k2, k1)
+        sign = 1 if lam == 1 else -1
+
+        def g(d):
+            return (eps / (d * (d + 2 * kk))
+                    + eps / ((kk - ko + d) * (kk + ko + d))
+                    - 1 - sign * w / (kk + d))
+
+        lo = kk * mpmath.mpf("1e-30")
+        while g(2 * lo) > 0:
+            lo *= 2
+        return mpmath.findroot(g, (lo, 2 * lo), solver="anderson")
+
+
 def first_order_reference(params, k, lam):
     # Independent arithmetic for the leading-order offset: numerator
     # eps*(2 kk^2 - S) over the cubic-in-kappa denominator.
@@ -138,22 +157,9 @@ def test_exact_versus_first_order_defect_is_second_order():
 
 
 def test_exact_roots_match_high_precision_solution(fig_params, fig_roots):
-    """Solve the dispersion equation in 60-digit arithmetic and compare."""
-    mpmath.mp.dps = 60
-    k1, k2 = mpmath.mpf(2500), mpmath.mpf(3000)
-    w, eps = mpmath.mpf("0.5"), mpmath.mpf("0.1")
-
-    def g(d, kk, ko, sign):
-        r = kk + d
-        return (eps / (d * (d + 2 * kk))
-                + eps / ((kk - ko + d) * (kk + ko + d))
-                - 1 - sign * w / r)
-
+    """Solve the dispersion equation in 50-digit arithmetic and compare."""
     for k, lam in KLAM:
-        kk, ko = (k1, k2) if k == 1 else (k2, k1)
-        sign = 1 if lam == 1 else -1
-        seed = mpmath.mpf(repr(fig_roots.offset(k, lam)))
-        d_ref = mpmath.findroot(lambda d: g(d, kk, ko, sign), seed)
+        d_ref = _mp_offset(fig_params, k, lam)
         got = fig_roots.offset(k, lam)
         assert abs(got - float(d_ref)) <= 1e-13 * float(d_ref)
 
@@ -215,23 +221,70 @@ def test_mode_roots_reject_nonpositive_roots():
                   method="perturbative")
 
 
-@given(
-    kappa1=st.floats(min_value=10.0, max_value=1e4),
-    split=st.floats(min_value=0.05, max_value=3.0),
-    omega_frac=st.floats(min_value=0.0, max_value=0.5),
-    eps_exp=st.floats(min_value=-6.0, max_value=0.0),
-)
-@settings(deadline=None, derandomize=True, max_examples=50)
-def test_solver_properties_hold_across_the_regime(kappa1, split, omega_frac,
-                                                  eps_exp):
-    """Residual tolerance, offset positivity, and branch ordering."""
-    p = make_params(kappa1, kappa1 * (1.0 + split), omega_frac * kappa1,
-                    1e-3 * kappa1 ** 2 * 10.0 ** eps_exp)
+def _evaluations_per_root(p):
+    """Residual plus derivative evaluations spent on each (k, lambda) root."""
+    from qubeam import dispersion
+
+    count = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            count[0] += 1
+            return fn(*args)
+        return wrapper
+
+    per_root = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_residual_offset", "_residual_offset_deriv"):
+            mp.setattr(dispersion, name, counted(getattr(dispersion, name)))
+        for k, lam in KLAM:
+            kk, ko = (p.kappa1, p.kappa2) if k == 1 else (p.kappa2, p.kappa1)
+            count[0] = 0
+            dispersion._solve_offset(kk, ko, p, lam)
+            per_root.append(count[0])
+    return per_root
+
+
+# The original regime: kappa2/kappa1 - 1 in 0.05..3, omega <= kappa1/2,
+# eps up to 1e-3 kappa1^2.
+_REGIME = st.builds(
+    lambda kappa1, split, omega_frac, eps_exp: (
+        kappa1, kappa1 * (1.0 + split), omega_frac * kappa1,
+        1e-3 * kappa1 ** 2 * 10.0 ** eps_exp),
+    st.floats(min_value=10.0, max_value=1e4),
+    st.floats(min_value=0.05, max_value=3.0),
+    st.floats(min_value=0.0, max_value=0.5),
+    st.floats(min_value=-6.0, max_value=0.0))
+
+# The point_mix envelope: kappa1 and dk/kappa1 log-uniform, and eps up to
+# acceptance 6's bound 0.01 (kappa1 - omega)^2 min(1, dk/kappa1).
+_ENVELOPE = st.builds(
+    lambda k_exp, dk_exp, omega_frac, eps_exp: (
+        10.0 ** k_exp, 10.0 ** k_exp * (1.0 + 10.0 ** dk_exp),
+        omega_frac * 10.0 ** k_exp,
+        10.0 ** eps_exp * 0.01 * (10.0 ** k_exp * (1.0 - omega_frac)) ** 2
+        * min(1.0, 10.0 ** dk_exp)),
+    st.floats(min_value=1.0, max_value=4.0),
+    st.floats(min_value=-3.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=0.5),
+    st.floats(min_value=-4.0, max_value=0.0))
+
+
+@given(point=st.one_of(_REGIME, _ENVELOPE))
+@settings(deadline=None, derandomize=True, max_examples=100)
+def test_solver_properties_hold_across_the_regime(point):
+    """Residual tolerance, 50-digit accuracy, work per root, and ordering."""
+    p = make_params(*point)
     ex = exact_roots(p)
     for k, lam in KLAM:
         kk = ex.kappas[k - 1]
+        got = ex.offset(k, lam)
         assert abs(ex.residuals[k - 1][lam - 1]) <= DEFAULT_REL_TOL * kk
-        assert ex.offset(k, lam) > 0.0
+        assert got > 0.0
+        with mpmath.workdps(50):
+            err = abs(mpmath.mpf(got) - _mp_offset(p, k, lam))
+        assert err <= 4 * math.ulp(got)
+    assert max(_evaluations_per_root(p)) <= 20
     for k in (1, 2):
         # the lambda = 1 branch sees the larger effective denominator
         assert ex.offset(k, 1) <= ex.offset(k, 2)

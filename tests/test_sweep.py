@@ -152,13 +152,6 @@ def test_sweep_all_failures_raise():
     assert "BracketFailure" in str(err.value)
 
 
-def test_threaded_sweep_matches_serial(monkeypatch):
-    cfg = parse_config(None, SMALL)
-    serial = run_sweep(cfg)
-    monkeypatch.setenv("QUBEAM_THREADS", "4")
-    assert run_sweep(cfg) == serial
-
-
 def test_csv_output_is_deterministic(tmp_path):
     cfg = parse_config(None, dict(SMALL, out_path=str(tmp_path / "a.csv")))
     rows = run_sweep(cfg)
