@@ -107,22 +107,13 @@ def radicand(r, params: ModelParams, lam) -> float:
     return total
 
 
-def q_norms(roots: ModeRoots, params: ModelParams) -> np.ndarray:
-    """2x2 array of the positive normalizations q[k-1][lam-1]."""
-    out = np.empty((2, 2))
-    for k in (1, 2):
-        for lam in (1, 2):
-            out[k - 1][lam - 1] = _column(roots, params, k, lam).q
-    return out
-
-
 @dataclass(frozen=True)
 class BogoliubovBlock:
     u: np.ndarray               # complex 4x4
     v: np.ndarray               # complex 4x4
     q: np.ndarray               # real 2x2
     roots: ModeRoots
-    columns: tuple | None = None  # four ColumnFactors in INDEX_ORDER
+    columns: tuple              # four ColumnFactors in INDEX_ORDER
 
 
 def build_block(roots: ModeRoots, params: ModelParams) -> BogoliubovBlock:

@@ -15,7 +15,7 @@ from .errors import ParseError, QubeamError, ValidationError
 from .params import make_params
 from .qstate import PolarizationConfig, amplitudes
 from .sweep import (
-    SweepConfig,
+    _fmt,
     parse_config,
     run_sweep,
     verify_point,
@@ -95,10 +95,6 @@ def _build_parser():
     _add_point_flags(p_verify, pol=True)
 
     return parser
-
-
-def _fmt(value):
-    return "" if value is None else format(value, ".17g")
 
 
 def _emit(lines, out_path):
@@ -197,8 +193,6 @@ def _cmd_sweep(args):
         "kappa1", "eps", "tol", "pol", "method",
         "dk_min", "dk_max", "dk_steps",
         "omega_min", "omega_max", "omega_steps")}
-    if overrides.get("method") == "pert":
-        overrides["method"] = "perturbative"
     config = parse_config(args.config, overrides)
     rows = run_sweep(config)
     write_csv(rows, config, args.out)

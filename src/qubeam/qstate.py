@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import INDEX_ORDER, BogoliubovBlock, _phase
+from .bogoliubov import BogoliubovBlock, _column, _phase
 from .dispersion import ModeRoots
 from .errors import UnsupportedConfig, ZeroNorm
 from .params import ModelParams
@@ -85,10 +85,6 @@ class TwoQubitAmplitudes:
         return self.vec.reshape(2, 2)
 
 
-def _row_index(s, lam):
-    return INDEX_ORDER.index((s, lam))
-
-
 def _pattern_vector(b_self, a_cross, config):
     """The 4-vector P*b + Q*a with the row/column phase products."""
     lam1, lam2 = config.lambda1, config.lambda2
@@ -103,12 +99,6 @@ def _pattern_vector(b_self, a_cross, config):
 
 def amplitudes(block: BogoliubovBlock, config: PolarizationConfig) -> TwoQubitAmplitudes:
     """Two-qubit amplitudes for one quasiphoton polarization configuration."""
-    if block.columns is not None:
-        return _amplitudes_from_columns(block, config)
-    return _amplitudes_from_matrix(block, config)
-
-
-def _amplitudes_from_columns(block, config):
     cols = {(c.k, c.lam): c for c in block.columns}
     c1 = cols[(1, config.lambda1)]
     c2 = cols[(2, config.lambda2)]
@@ -132,35 +122,6 @@ def _amplitudes_from_columns(block, config):
         norm_gap = self_gap - four_a_sq
     raw_norm_sq = 1.0 - norm_gap
     vec = _pattern_vector(b_self, a_cross, config)
-    return _normalize(vec, config, raw_norm_sq, norm_gap, y_gap,
-                      b_self, a_cross, self_gap)
-
-
-def _amplitudes_from_matrix(block, config):
-    # Fallback for hand-built blocks: direct u-entry products. Gap values are
-    # formed by subtraction here, so they carry ordinary float error; the
-    # deviation-first path needs the column factors.
-    u = block.u
-    lam1, lam2 = config.lambda1, config.lambda2
-    vec = np.empty(4, dtype=complex)
-    for lam in (1, 2):
-        for lam_p in (1, 2):
-            vec[2 * (lam - 1) + (lam_p - 1)] = (
-                u[_row_index(1, lam)][_row_index(1, lam1)]
-                * u[_row_index(2, lam_p)][_row_index(2, lam2)]
-                + u[_row_index(2, lam_p)][_row_index(1, lam1)]
-                * u[_row_index(1, lam)][_row_index(2, lam2)])
-    raw_norm_sq = float(np.sum(np.abs(vec) ** 2))
-    m = vec.reshape(2, 2)
-    rho = m @ m.conj().T
-    y_raw = float(np.sqrt((rho[0, 0].real - rho[1, 1].real) ** 2
-                          + 4.0 * abs(rho[0, 1]) ** 2))
-    return _normalize(vec, config, raw_norm_sq, 1.0 - raw_norm_sq,
-                      1.0 - y_raw, float("nan"), float("nan"), float("nan"))
-
-
-def _normalize(vec, config, raw_norm_sq, norm_gap, y_gap,
-               b_self, a_cross, self_gap):
     if raw_norm_sq <= 0.0 or not np.any(vec):
         raise ZeroNorm("all four amplitudes vanish; block is not a valid "
                        "photon-sector transformation")
@@ -181,34 +142,15 @@ def closed_form_ab(roots: ModeRoots, params: ModelParams,
     kappa2^2); pairing b's numerator with the crossed poles would leave
     4(a^2 + b^2) far from 1.
 
-    Pole differences are evaluated from the stored root offsets; feed
-    first-order roots to get the literal leading-order values.
+    Both products come from the per-column factors of bogoliubov._column
+    at the given roots, so a root on its pole raises PoleEvaluation and a
+    negative radicand NegativeRadicand. Feed first-order roots to get the
+    literal leading-order values, independent of the exact pipeline.
     """
     if (config.lambda1, config.lambda2) not in ((2, 1), (1, 1)):
         raise UnsupportedConfig(
             f"no closed form for config {config.code}; "
             "use the pipeline amplitudes")
-    import math
-
-    k1, k2 = roots.kappas
-
-    def pieces(k, lam):
-        kappa_k = roots.kappas[k - 1]
-        kappa_o = roots.kappas[2 - k]
-        d = roots.offset(k, lam)
-        r = kappa_k + d
-        a_self = d * (d + 2.0 * kappa_k)
-        a_cross = (kappa_k - kappa_o + d) * (kappa_k + kappa_o + d)
-        field_sign = -1.0 if lam == 1 else 1.0
-        rad = (field_sign * params.omega / (r ** 3 * params.eps)
-               + 2.0 / (a_self * a_self) + 2.0 / (a_cross * a_cross))
-        inv_q = math.sqrt(rad)
-        num_self = (r + kappa_k) / math.sqrt(r * kappa_k)
-        num_cross = (r + kappa_o) / math.sqrt(r * kappa_o)
-        return r, a_self, a_cross, inv_q, num_self, num_cross
-
-    r1, self1, cross1, invq1, ns1, nc1 = pieces(1, config.lambda1)
-    r2, self2, cross2, invq2, ns2, nc2 = pieces(2, config.lambda2)
-    a = nc1 * nc2 / (4.0 * cross1 * cross2 * invq1 * invq2)
-    b = ns1 * ns2 / (4.0 * self1 * self2 * invq1 * invq2)
-    return a, b
+    c1 = _column(roots, params, 1, config.lambda1)
+    c2 = _column(roots, params, 2, config.lambda2)
+    return c1.m_cross * c2.m_cross, c1.m_self * c2.m_self

@@ -8,11 +8,18 @@ significant digits, metadata confined to '#' comment lines, no timestamps.
 """
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .dispersion import exact_roots, perturbative_roots
-from .entangle import full_report
+from .entangle import _info_from_gap, asymptotic_info, full_report, phi_closed
 from .errors import AllRowsFailed, ParseError, QubeamError, ValidationError
 from .params import ModelParams, make_params
-from .qstate import PolarizationConfig, amplitudes, closed_form_ab
+from .qstate import (
+    PolarizationConfig,
+    _pattern_vector,
+    amplitudes,
+    closed_form_ab,
+)
 from .bogoliubov import build_block
 
 CSV_HEADER = ("omega,delta_kappa,kappa2,y,E_I,E_S,"
@@ -35,7 +42,6 @@ class SweepConfig:
     pol: PolarizationConfig = PolarizationConfig(2, 1)
     method: str = "exact"
     tol: float = 1e-12
-    out_path: str | None = None
 
     def omega_grid(self):
         return _grid(self.omega_min, self.omega_max, self.omega_steps)
@@ -66,7 +72,7 @@ def _grid(lo, hi, n):
 _FILE_KEYS = {
     "kappa1": float, "dk_min": float, "dk_max": float, "dk_steps": int,
     "omega_min": float, "omega_max": float, "omega_steps": int,
-    "eps": float, "tol": float, "pol": str, "method": str, "out_path": str,
+    "eps": float, "tol": float, "pol": str, "method": str,
 }
 
 
@@ -173,15 +179,14 @@ def run_sweep(config: SweepConfig):
     """Evaluate every grid point; returns the rows in output order.
 
     Per-point failures become rows with an error status; AllRowsFailed is
-    raised only if nothing succeeds. Writes CSV to config.out_path when set.
+    raised only if nothing succeeds. Nothing is written: the caller passes
+    the rows to write_csv / write_matrix.
     """
     rows = [_evaluate_point(config, omega, dk)
             for omega in config.omega_grid() for dk in config.dk_grid()]
     if all(row.status != "ok" for row in rows):
         raise AllRowsFailed(f"all {len(rows)} grid points failed; "
                             f"first status: {rows[0].status}")
-    if config.out_path:
-        write_csv(rows, config, config.out_path)
     return rows
 
 
@@ -281,130 +286,131 @@ _LADDER = (1.0, 0.5, 0.25)
 _RATIO_LO, _RATIO_HI = 3.5, 4.5
 
 
+def _check_root_ladder(params, pol, tol, ladder):
+    """First-order roots against the solved dispersion relation."""
+    defects = {(k, lam): [] for k in (1, 2) for lam in (1, 2)}
+    residual_ok = True
+    for lp in ladder:
+        ex = exact_roots(lp, tol)
+        pert = perturbative_roots(lp)
+        for k in (1, 2):
+            for lam in (1, 2):
+                defects[(k, lam)].append(
+                    abs(ex.offset(k, lam) - pert.offset(k, lam)))
+                if abs(ex.residuals[k - 1][lam - 1]) > tol * ex.kappas[k - 1]:
+                    residual_ok = False
+    ratios = [d[i] / d[i + 1] for d in defects.values() for i in range(2)]
+    ladder_ok = all(_RATIO_LO <= r <= _RATIO_HI for r in ratios)
+    return (ladder_ok and residual_ok,
+            f"defect ratios {['%.3f' % r for r in ratios]}, "
+            f"residuals within tol: {residual_ok}")
+
+
+def _check_state_pattern(params, pol, tol, ladder):
+    """Pipeline amplitudes against the explicit (a, b) pattern."""
+    roots = exact_roots(params, tol)
+    amps = amplitudes(build_block(roots, params), pol)
+    a, b = closed_form_ab(perturbative_roots(params), params, pol)
+    pattern = _pattern_vector(b, a, pol)
+    pattern = pattern / np.sqrt(np.sum(np.abs(pattern) ** 2))
+    defect = float(np.max(np.abs(amps.vec - pattern)))
+    bound = 50.0 * params.eps ** 2
+    return (defect <= bound,
+            f"entrywise defect {defect:.3e} (bound {bound:.3e})")
+
+
+def _closed_ladder(measure, scale):
+    """Ladder check of a pipeline measure against scale * eps * Phi."""
+    def check(params, pol, tol, ladder):
+        defs = []
+        for lp in ladder:
+            rep = full_report(lp, pol, method="exact", tol=tol)
+            phi, _ = phi_closed(lp)
+            defs.append(abs(getattr(rep, measure) - scale * lp.eps * phi))
+        phi0, _ = phi_closed(params)
+        bound = 50.0 * params.eps ** 2 * phi0
+        ratios = [defs[0] / defs[1], defs[1] / defs[2]]
+        ok = (defs[0] <= bound * scale
+              and all(_RATIO_LO <= r <= _RATIO_HI for r in ratios))
+        return (ok, f"defects {['%.3e' % d for d in defs]}, "
+                    f"ratios {['%.3f' % r for r in ratios]}")
+    return check
+
+
+def _check_info_asymptotic(params, pol, tol, ladder):
+    # Same gap argument on both sides: the asymptotic formula is the
+    # leading expansion of the exact information measure at g = eps*Phi,
+    # so feeding it the pipeline gap instead would report the O(eps^2)
+    # difference between the two gaps, not the quality of the expansion.
+    phi, _ = phi_closed(params)
+    exact_at_gap = _info_from_gap(params.eps * phi)
+    ratio = asymptotic_info(params) / exact_at_gap
+    return (abs(ratio - 1.0) <= 1e-10,
+            f"asymptotic/exact ratio deviates by {abs(ratio - 1.0):.3e} "
+            f"at shared gap {params.eps * phi:.3e}")
+
+
+def _check_zero_entanglement(params, pol, tol, ladder):
+    rep = full_report(params, pol, method="exact", tol=tol)
+    bound = 50.0 * params.eps ** 2
+    return (rep.E_I <= bound and rep.E_S <= bound,
+            f"E_I={rep.E_I:.3e}, E_S={rep.E_S:.3e} (bound {bound:.3e})")
+
+
+def _skip_pattern(params, pol):
+    if (pol.lambda1, pol.lambda2) not in ((2, 1), (1, 1)):
+        return f"no explicit pattern for {pol.code}"
+
+
+def _skip_ladder(params, pol):
+    if (pol.lambda1, pol.lambda2) != (2, 1):
+        return "closed forms apply to pol du only"
+    if not params.omega > 0.0:
+        return "omega = 0 has no ladder signal"
+
+
+def _skip_info(params, pol):
+    if _skip_ladder(params, pol):
+        return "needs pol du and omega > 0"
+
+
+def _skip_zero(params, pol):
+    if not pol.parallel:
+        return "applies to parallel polarizations"
+
+
+# (name, check, skip rule) in report order. A check returns (ok, detail); a
+# skip rule returns the reason to skip, or None to run the check.
+_CHECKS = (
+    ("root_ladder", _check_root_ladder, None),
+    ("state_pattern", _check_state_pattern, _skip_pattern),
+    ("y_closed_ladder", _closed_ladder("y_gap", 1.0), _skip_ladder),
+    ("schmidt_closed_ladder", _closed_ladder("E_S", 2.0), _skip_ladder),
+    ("info_asymptotic", _check_info_asymptotic, _skip_info),
+    ("zero_entanglement", _check_zero_entanglement, _skip_zero),
+)
+
+
 def verify_point(params: ModelParams, pol: PolarizationConfig,
                  tol: float = 1e-12) -> VerificationReport:
     """Run the internal consistency oracles at one parameter point.
 
     Ladder checks evaluate at eps, eps/2, eps/4 and require the
-    second-order defects to shrink by ~4x per halving.
+    second-order defects to shrink by ~4x per halving. A check that raises
+    a QubeamError fails with the error text as its detail.
     """
+    ladder = [replace(params, eps=params.eps * f) for f in _LADDER]
     checks = []
-    ladder_params = [replace(params, eps=params.eps * f) for f in _LADDER]
-
-    # First-order roots against the solved dispersion relation.
-    try:
-        defects = {(k, lam): [] for k in (1, 2) for lam in (1, 2)}
-        residual_ok = True
-        for lp in ladder_params:
-            ex = exact_roots(lp, tol)
-            pert = perturbative_roots(lp)
-            for k in (1, 2):
-                for lam in (1, 2):
-                    defects[(k, lam)].append(
-                        abs(ex.offset(k, lam) - pert.offset(k, lam)))
-                    if abs(ex.residuals[k - 1][lam - 1]) > tol * ex.kappas[k - 1]:
-                        residual_ok = False
-        ratios = [d[i] / d[i + 1] for d in defects.values() for i in range(2)]
-        ladder_ok = all(_RATIO_LO <= r <= _RATIO_HI for r in ratios)
-        status = "pass" if (ladder_ok and residual_ok) else "fail"
-        checks.append(VerificationCheck(
-            "root_ladder", status,
-            f"defect ratios {['%.3f' % r for r in ratios]}, "
-            f"residuals within tol: {residual_ok}"))
-    except QubeamError as exc:
-        checks.append(VerificationCheck("root_ladder", "fail", str(exc)))
-
-    # Pipeline amplitudes against the explicit (a, b) pattern.
-    if (pol.lambda1, pol.lambda2) in ((2, 1), (1, 1)):
+    for name, check, skip in _CHECKS:
+        reason = skip(params, pol) if skip else None
+        if reason:
+            checks.append(VerificationCheck(name, "skip", reason))
+            continue
         try:
-            from .qstate import _pattern_vector
-            import numpy as np
-            roots = exact_roots(params, tol)
-            amps = amplitudes(build_block(roots, params), pol)
-            a, b = closed_form_ab(perturbative_roots(params), params, pol)
-            pattern = _pattern_vector(b, a, pol)
-            pattern = pattern / np.sqrt(np.sum(np.abs(pattern) ** 2))
-            defect = float(np.max(np.abs(amps.vec - pattern)))
-            bound = 50.0 * params.eps ** 2
-            status = "pass" if defect <= bound else "fail"
-            checks.append(VerificationCheck(
-                "state_pattern", status,
-                f"entrywise defect {defect:.3e} (bound {bound:.3e})"))
+            ok, detail = check(params, pol, tol, ladder)
         except QubeamError as exc:
-            checks.append(VerificationCheck("state_pattern", "fail", str(exc)))
-    else:
-        checks.append(VerificationCheck(
-            "state_pattern", "skip", f"no explicit pattern for {pol.code}"))
-
-    antiparallel_du = (pol.lambda1, pol.lambda2) == (2, 1)
-    if antiparallel_du and params.omega > 0.0:
-        for name, attr, closed in (("y_closed_ladder", "y_gap", "phi"),
-                                   ("schmidt_closed_ladder", "E_S", "two_phi")):
-            try:
-                from .entangle import phi_closed
-                defs = []
-                for lp in ladder_params:
-                    rep = full_report(lp, pol, method="exact", tol=tol)
-                    phi, _ = phi_closed(lp)
-                    if closed == "phi":
-                        defs.append(abs(rep.y_gap - lp.eps * phi))
-                    else:
-                        defs.append(abs(rep.E_S - 2.0 * lp.eps * phi))
-                phi0, _ = phi_closed(params)
-                bound = 50.0 * params.eps ** 2 * phi0
-                ratios = [defs[0] / defs[1], defs[1] / defs[2]]
-                ok = (defs[0] <= bound * (2.0 if closed == "two_phi" else 1.0)
-                      and all(_RATIO_LO <= r <= _RATIO_HI for r in ratios))
-                checks.append(VerificationCheck(
-                    name, "pass" if ok else "fail",
-                    f"defects {['%.3e' % d for d in defs]}, "
-                    f"ratios {['%.3f' % r for r in ratios]}"))
-            except QubeamError as exc:
-                checks.append(VerificationCheck(name, "fail", str(exc)))
-    else:
-        reason = ("closed forms apply to pol du only" if not antiparallel_du
-                  else "omega = 0 has no ladder signal")
-        checks.append(VerificationCheck("y_closed_ladder", "skip", reason))
-        checks.append(VerificationCheck("schmidt_closed_ladder", "skip", reason))
-
-    if antiparallel_du and params.omega > 0.0:
-        # Same gap argument on both sides: the asymptotic formula is the
-        # leading expansion of the exact information measure at g = eps*Phi,
-        # so feeding it the pipeline gap instead would report the O(eps^2)
-        # difference between the two gaps, not the quality of the expansion.
-        try:
-            from .entangle import _info_from_gap, asymptotic_info, phi_closed
-            phi, _ = phi_closed(params)
-            exact_at_gap = _info_from_gap(params.eps * phi)
-            ratio = asymptotic_info(params) / exact_at_gap
-            ok = abs(ratio - 1.0) <= 1e-10
-            checks.append(VerificationCheck(
-                "info_asymptotic", "pass" if ok else "fail",
-                f"asymptotic/exact ratio deviates by {abs(ratio - 1.0):.3e} "
-                f"at shared gap {params.eps * phi:.3e}"))
-        except QubeamError as exc:
-            checks.append(VerificationCheck("info_asymptotic", "fail", str(exc)))
-    else:
-        checks.append(VerificationCheck(
-            "info_asymptotic", "skip",
-            "needs pol du and omega > 0"))
-
-    if pol.parallel:
-        try:
-            rep = full_report(params, pol, method="exact", tol=tol)
-            bound = 50.0 * params.eps ** 2
-            ok = rep.E_I <= bound and rep.E_S <= bound
-            checks.append(VerificationCheck(
-                "zero_entanglement", "pass" if ok else "fail",
-                f"E_I={rep.E_I:.3e}, E_S={rep.E_S:.3e} (bound {bound:.3e})"))
-        except QubeamError as exc:
-            checks.append(VerificationCheck("zero_entanglement", "fail",
-                                            str(exc)))
-    else:
-        checks.append(VerificationCheck(
-            "zero_entanglement", "skip",
-            "applies to parallel polarizations"))
-
+            ok, detail = False, str(exc)
+        checks.append(VerificationCheck(name, "pass" if ok else "fail", detail))
     return VerificationReport(params=params, pol=pol, checks=tuple(checks))
 
 

@@ -118,6 +118,19 @@ def test_sweep_flag_overrides_config_file(tmp_path, capsys):
     assert "# method=perturbative" in comments
 
 
+def test_sweep_config_out_path_is_rejected(tmp_path, capsys):
+    # Output paths come only from --out / --matrix; a config file naming
+    # out_path used to get a second copy of the CSV written there.
+    stray = tmp_path / "x.csv"
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(f"out_path = {stray}\ndk_min = 400\ndk_max = 600\n"
+                    "dk_steps = 3\nomega_max = 0.4\nomega_steps = 2\n")
+    out = tmp_path / "y.csv"
+    assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 1
+    assert "unknown key 'out_path'" in capsys.readouterr().err
+    assert not stray.exists() and not out.exists()
+
+
 def test_verify_passes_at_reference_point(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out

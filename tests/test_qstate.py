@@ -1,4 +1,6 @@
 """Two-photon amplitude vector: structure, closed forms, normalization."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from qubeam import (
     make_params,
     perturbative_roots,
 )
-from qubeam.bogoliubov import BogoliubovBlock
+from qubeam.bogoliubov import INDEX_ORDER
 from qubeam.entangle import phi_closed
 from qubeam.errors import UnsupportedConfig, ZeroNorm
 from qubeam.qstate import PolarizationConfig, _pattern_vector
@@ -138,21 +140,36 @@ def test_gap_scales_linearly_in_coupling():
 
 
 def test_matrix_fallback_agrees_with_column_path(fig_block):
-    bare = BogoliubovBlock(u=fig_block.u, v=fig_block.v, q=fig_block.q,
-                           roots=fig_block.roots, columns=None)
+    # Reference: the defining products of u entries,
+    # upsilon(lam, lam') = u[1lam,1lam1] u[2lam',2lam2] + u[2lam',1lam1] u[1lam,2lam2],
+    # with the gaps formed by plain subtraction.
+    def idx(s, lam):
+        return INDEX_ORDER.index((s, lam))
+
+    u = fig_block.u
     for code in ("du", "uu", "ud", "dd"):
         cfg = PolarizationConfig.from_code(code)
-        full = amplitudes(fig_block, cfg)
-        fallback = amplitudes(bare, cfg)
-        assert float(np.abs(full.vec - fallback.vec).max()) <= 1e-12
+        lam1, lam2 = cfg.lambda1, cfg.lambda2
+        direct = np.array([
+            u[idx(1, lam)][idx(1, lam1)] * u[idx(2, lam_p)][idx(2, lam2)]
+            + u[idx(2, lam_p)][idx(1, lam1)] * u[idx(1, lam)][idx(2, lam2)]
+            for lam in (1, 2) for lam_p in (1, 2)])
+        raw_norm_sq = float(np.sum(np.abs(direct) ** 2))
+        m = direct.reshape(2, 2)
+        rho = m @ m.conj().T
+        y_raw = float(np.sqrt((rho[0, 0].real - rho[1, 1].real) ** 2
+                              + 4.0 * abs(rho[0, 1]) ** 2))
+        amps = amplitudes(fig_block, cfg)
+        assert float(np.abs(amps.vec - direct / np.sqrt(raw_norm_sq)).max()) \
+            <= 1e-12
         # the direct products still resolve the gap to a few ulp of 1
-        assert abs(full.y_gap - fallback.y_gap) <= 1e-15
+        assert abs(amps.y_gap - (1.0 - y_raw)) <= 1e-15
 
 
-def test_zero_block_rejected(fig_roots):
-    zero = BogoliubovBlock(u=np.zeros((4, 4), dtype=complex),
-                           v=np.zeros((4, 4), dtype=complex),
-                           q=np.ones((2, 2)), roots=fig_roots, columns=None)
+def test_zero_block_rejected(fig_block):
+    cols = tuple(dataclasses.replace(c, m_self=0.0, m_cross=0.0)
+                 for c in fig_block.columns)
+    zero = dataclasses.replace(fig_block, columns=cols)
     with pytest.raises(ZeroNorm):
         amplitudes(zero, PolarizationConfig.from_code("du"))
 

@@ -30,7 +30,6 @@ def test_defaults():
     assert cfg.pol.code == "du"
     assert cfg.method == "exact"
     assert cfg.tol == 1e-12
-    assert cfg.out_path is None
 
 
 def test_grids_hit_the_endpoints():
@@ -153,9 +152,10 @@ def test_sweep_all_failures_raise():
 
 
 def test_csv_output_is_deterministic(tmp_path):
-    cfg = parse_config(None, dict(SMALL, out_path=str(tmp_path / "a.csv")))
+    cfg = parse_config(None, SMALL)
     rows = run_sweep(cfg)
-    write_csv(rows, cfg, str(tmp_path / "b.csv"))
+    write_csv(rows, cfg, str(tmp_path / "a.csv"))
+    write_csv(run_sweep(cfg), cfg, str(tmp_path / "b.csv"))
     a = (tmp_path / "a.csv").read_bytes()
     b = (tmp_path / "b.csv").read_bytes()
     assert a == b
@@ -201,14 +201,37 @@ def test_matrix_output_shapes_and_nan(tmp_path, monkeypatch):
         assert "nan" not in lines[2]
 
 
+CHECK_NAMES = ["root_ladder", "state_pattern", "y_closed_ladder",
+               "schmidt_closed_ladder", "info_asymptotic", "zero_entanglement"]
+
+# (passed, failed, skipped) per polarization config at three points: the
+# reference point, zero field, and a coupling far past any root.
+VERIFY_COUNTS = {
+    "reference": {"uu": (3, 0, 3), "ud": (1, 0, 5), "du": (5, 0, 1),
+                  "dd": (2, 0, 4)},
+    "zero_field": {"uu": (3, 0, 3), "ud": (1, 0, 5), "du": (2, 0, 4),
+                   "dd": (2, 0, 4)},
+    "broken": {"uu": (0, 3, 3), "ud": (0, 1, 5), "du": (0, 5, 1),
+               "dd": (0, 2, 4)},
+}
+
+
+def _verify_all_configs(params, expected):
+    reports = {}
+    for code, counts in expected.items():
+        rep = verify_point(params, PolarizationConfig.from_code(code))
+        assert rep.counts == counts, code
+        assert [c.name for c in rep.checks] == CHECK_NAMES
+        reports[code] = rep
+    return reports
+
+
 def test_verify_point_reference(fig_params):
-    rep = verify_point(fig_params, PolarizationConfig.from_code("du"))
-    assert rep.ok
-    assert rep.counts == (5, 0, 1)
-    by_name = {c.name: c for c in rep.checks}
+    reports = _verify_all_configs(fig_params, VERIFY_COUNTS["reference"])
+    assert all(rep.ok for rep in reports.values())
+    by_name = {c.name: c for c in reports["du"].checks}
     assert by_name["zero_entanglement"].status == "skip"
-    for name in ("root_ladder", "state_pattern", "y_closed_ladder",
-                 "schmidt_closed_ladder", "info_asymptotic"):
+    for name in CHECK_NAMES[:-1]:
         assert by_name[name].status == "pass", by_name[name].detail
 
 
@@ -222,17 +245,15 @@ def test_verify_point_parallel(fig_params):
 
 
 def test_verify_point_zero_field():
-    rep = verify_point(make_params(2500.0, 3000.0, 0.0, 0.1),
-                       PolarizationConfig.from_code("du"))
-    assert rep.ok
-    assert rep.counts == (2, 0, 4)
+    reports = _verify_all_configs(make_params(2500.0, 3000.0, 0.0, 0.1),
+                                  VERIFY_COUNTS["zero_field"])
+    assert all(rep.ok for rep in reports.values())
 
 
 def test_verify_point_detects_breakage():
-    rep = verify_point(make_params(2500.0, 3000.0, 0.5, 1e9),
-                       PolarizationConfig.from_code("du"))
-    assert not rep.ok
-    assert rep.counts[1] >= 1
+    reports = _verify_all_configs(make_params(2500.0, 3000.0, 0.5, 1e9),
+                                  VERIFY_COUNTS["broken"])
+    assert not any(rep.ok for rep in reports.values())
 
 
 def test_verify_runs_at_the_grid_corner():
