@@ -19,10 +19,11 @@ matrix entries, so chi and the analogous xi are carried explicitly.
 """
 from dataclasses import dataclass
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from .dispersion import ModeRoots
+from .dispersion import ModeRoots, _libm_pow, _pair
 from .errors import NegativeRadicand, PoleEvaluation
 from .params import ModelParams
 
@@ -75,6 +76,10 @@ def _column(roots: ModeRoots, params: ModelParams, k, lam) -> ColumnFactors:
     r = kappa_k + d
     a_self = d * (d + 2.0 * kappa_k)
     a_cross = (kappa_k - kappa_o + d) * (kappa_k + kappa_o + d)
+    if a_cross == 0.0 or r == kappa_o:
+        raise PoleEvaluation(
+            f"root r[{k}][{lam}] = {r!r} sits on the other photon's pole at "
+            f"{kappa_o!r}; the transformation is singular there")
     field_sign = -1.0 if lam == 1 else 1.0      # (-1)^lambda
     chi = (a_self * a_self / 2.0) * (field_sign * params.omega
                                      / (r ** 3 * params.eps)
@@ -93,6 +98,32 @@ def _column(roots: ModeRoots, params: ModelParams, k, lam) -> ColumnFactors:
     return ColumnFactors(k=k, lam=lam, r=r, d=d, a_self=a_self, a_cross=a_cross,
                          chi=chi, xi=xi, q=q, m_self=m_self, m_cross=m_cross,
                          w_self=w_self, w_cross=w_cross)
+
+
+def _columns(offsets, params: ModelParams, k, lam):
+    """_column's chi, xi, m_self and m_cross over a batch of points.
+
+    params holds one array entry per point and offsets maps (k, lam) to the
+    root offsets. Returns (factors, ok): a namespace of arrays, and False
+    where _column raises or a factor is not finite.
+    """
+    kappa_k, kappa_o = _pair(params, k)
+    d = offsets[(k, lam)]
+    r = kappa_k + d
+    a_self = d * (d + 2.0 * kappa_k)
+    a_cross = (kappa_k - kappa_o + d) * (kappa_k + kappa_o + d)
+    field_sign = -1.0 if lam == 1 else 1.0
+    chi = (a_self * a_self / 2.0) * (field_sign * params.omega
+                                     / (_libm_pow(r, 3) * params.eps)
+                                     + 2.0 / (a_cross * a_cross))
+    xi = d * d / (4.0 * r * kappa_k)
+    scale = np.sqrt(2.0 * (1.0 + chi))
+    m_self = (r + kappa_k) / (2.0 * np.sqrt(r * kappa_k) * scale)
+    m_cross = a_self / (2.0 * np.sqrt(r * kappa_o) * (r - kappa_o) * scale)
+    ok = (d != 0.0) & (a_cross != 0.0) & (r != kappa_o) & (chi > -1.0)
+    for x in (chi, xi, m_self, m_cross):
+        ok &= np.isfinite(x)
+    return SimpleNamespace(chi=chi, xi=xi, m_self=m_self, m_cross=m_cross), ok
 
 
 def radicand(r, params: ModelParams, lam) -> float:

@@ -14,6 +14,7 @@ lose everything below the ulp of kappa (~5e-13 here, larger than the
 root corrections we must resolve).
 """
 from dataclasses import dataclass
+from itertools import repeat
 import math
 
 import numpy as np
@@ -134,6 +135,46 @@ def _first_order_offset(kappa_k, params, lam):
     return num / den
 
 
+def _pair(params, k):
+    # (kappa_k, kappa_other) of root k
+    kappas = (params.kappa1, params.kappa2)
+    return kappas[k - 1], kappas[2 - k]
+
+
+def _libm_pow(x, n):
+    """x ** n entry by entry through libm's pow, as the scalar forms round it.
+
+    numpy's power rounds differently (its x**2 is x*x, its x**3 a vector
+    routine). An entry whose power could overflow, where Python's ** raises,
+    comes back nan, so the caller's finiteness check flags it.
+    """
+    finite = np.abs(x) < 1e100
+    powers = np.fromiter(map(math.pow, np.where(finite, x, 0.0).tolist(),
+                             repeat(float(n))), float, x.size)
+    return np.where(finite, powers, math.nan)
+
+
+def _first_order_offsets(params, k, lam):
+    """_first_order_offset for root (k, lam) over a batch of points.
+
+    params holds one array entry per point. Returns (offsets, ok); ok is
+    False where the scalar form raises SingularDenominator or an offset is
+    not finite.
+    """
+    k1, k2 = params.kappa1, params.kappa2
+    kappa_k = _pair(params, k)[0]
+    s_sq = k1 * k1 + k2 * k2
+    num = params.eps * (2.0 * kappa_k * kappa_k - s_sq)
+    den = (_branch_sign(lam) * 2.0 * params.omega
+           * (2.0 * kappa_k * kappa_k - s_sq)
+           + kappa_k * (5.0 * kappa_k * kappa_k - 3.0 * s_sq)
+           + _libm_pow(k1 * k2, 2) / kappa_k)
+    d = num / den
+    ok = ((np.abs(den) > DENOMINATOR_FLOOR_REL * _libm_pow(kappa_k, 3))
+          & np.isfinite(d))
+    return d, ok
+
+
 def perturbative_roots(params: ModelParams) -> ModeRoots:
     """First-order root offsets, exact in the eps -> 0 limit."""
     offsets = tuple(
@@ -214,6 +255,75 @@ def _solve_offset(kappa_k, kappa_other, params, lam):
             break
         d, g_cur = d_new, g_new
     return d, g_cur
+
+
+def _residual_offset_derivs(d, kappa, kappa_other, params, sgn):
+    # _residual_offset_deriv over arrays, squaring through libm as it does
+    r = kappa + d
+    self_pole = d * (d + 2.0 * kappa)
+    cross_pole = (kappa - kappa_other + d) * (kappa + kappa_other + d)
+    return (-2.0 * r * params.eps / _libm_pow(self_pole, 2)
+            - 2.0 * r * params.eps / _libm_pow(cross_pole, 2)
+            + sgn * params.omega / (r * r))
+
+
+def _take(params, index):
+    return ModelParams(params.kappa1[index], params.kappa2[index],
+                       params.omega[index], params.eps[index])
+
+
+def _solve_offsets(params, k, lam, tol):
+    """exact_roots' solve and tolerance check for root (k, lam) over a batch.
+
+    params holds one array entry per point. Every entry takes
+    _solve_offset's decisions: the guess/8..8*guess probe, Newton inside
+    the bracket, bisection when a step would leave it, and the same three
+    stop rules; only the points still iterating are computed. Returns
+    (offsets, ok). ok is False where the probe finds no bracket (the scalar
+    form then scans), where the residual misses tol*kappa_k, and where a
+    value is not finite or a derivative is zero; those points are left to
+    exact_roots.
+    """
+    sgn = _branch_sign(lam)
+    kappa_k, kappa_o = _pair(params, k)
+    g = lambda d, p: _residual_offset(d, *_pair(p, k), p, sgn)
+    guess, ok = _first_order_offsets(params, k, lam)
+    cap = 0.5 * np.minimum(kappa_k, np.abs(kappa_o - kappa_k))
+    lo, hi = guess / 8.0, 8.0 * guess
+    g_lo, g_hi = g(lo, params), g(hi, params)
+    ok &= ((0.0 < guess) & (guess < cap / 8.0) & (g_lo > 0.0) & (0.0 > g_hi)
+           & np.isfinite(g_lo) & np.isfinite(g_hi))
+    d = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
+    g_cur = g(d, params)
+    ok &= np.isfinite(g_cur)
+
+    # The iterating points, compacted: their indices, inputs and state.
+    act = np.flatnonzero(ok)
+    p = _take(params, act)
+    d_a, g_a, lo, hi = d[act], g_cur[act], lo[act], hi[act]
+    for _ in range(_ITER_MAX):
+        if not act.size:
+            break
+        pos = g_a > 0.0
+        lo = np.where(pos, d_a, lo)
+        hi = np.where(pos, hi, d_a)
+        deriv = _residual_offset_derivs(d_a, *_pair(p, k), p, sgn)
+        d_new = d_a - g_a / deriv
+        stop = (g_a == 0.0) | (d_new == d_a)
+        newton = (lo < d_new) & (d_new < hi)
+        d_new = np.where(newton, d_new, 0.5 * (lo + hi))
+        stop |= ~newton & ~((lo < d_new) & (d_new < hi))
+        g_new = g(d_new, p)
+        stop |= newton & (np.abs(g_new) > np.abs(g_a))
+        bad = ~(np.isfinite(deriv) & (deriv != 0.0) & np.isfinite(g_new))
+        go = ~(stop | bad)
+        d[act[~go]], g_cur[act[~go]] = d_a[~go], g_a[~go]
+        ok[act[bad]] = False
+        act, p = act[go], _take(p, go)
+        d_a, g_a, lo, hi = d_new[go], g_new[go], lo[go], hi[go]
+    d[act], g_cur[act] = d_a, g_a
+    ok &= ~(np.abs(g_cur) > tol * kappa_k)
+    return d, ok
 
 
 def exact_roots(params: ModelParams, tol: float = DEFAULT_REL_TOL) -> ModeRoots:

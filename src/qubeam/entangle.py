@@ -159,6 +159,34 @@ def asymptotic_info(params: ModelParams) -> float:
         - params.eps * math.log(params.eps))
 
 
+def _measures(y_gap, norm_gap):
+    """(E_I, E_S) of the raw state from its spectral and norm gaps."""
+    if y_gap < -DOMAIN_TOL:
+        raise DomainError(f"raw spectral gap {y_gap!r} below domain "
+                          "tolerance; state outside the truncation regime")
+    e_i = _info_from_gap(max(y_gap, 0.0))
+    e_s = _schmidt_from_gaps(norm_gap, y_gap)
+    if e_s < -DOMAIN_TOL:
+        raise DomainError(f"raw impurity {e_s!r} below domain tolerance")
+    return e_i, max(e_s, 0.0)
+
+
+def _closed_forms(params: ModelParams, config: PolarizationConfig):
+    """(Phi, y_closed, E_I_asymptotic, E_S_closed) for configs (2,1) and
+    (1,1); the other two have no leading-order reference and get Nones."""
+    if (config.lambda1, config.lambda2) == (2, 1):
+        phi, y_closed = phi_closed(params)
+        if params.omega == 0.0 or phi == 0.0:
+            e_i_asym = 0.0
+        else:
+            e_i_asym = asymptotic_info(params)
+        return phi, y_closed, e_i_asym, 2.0 * params.eps * phi
+    if (config.lambda1, config.lambda2) == (1, 1):
+        # Exact leading-order references: a rank-1 (product) state.
+        return None, 1.0, 0.0, 0.0
+    return None, None, None, None
+
+
 _STAGES = ("roots", "block", "amplitudes", "density", "measures")
 
 
@@ -188,33 +216,9 @@ def full_report(params: ModelParams, config: PolarizationConfig,
     block = stage("block", lambda: build_block(roots, params))
     amps = stage("amplitudes", lambda: amplitudes(block, config))
     dens = stage("density", lambda: reduced_density(amps))
-
-    def measures():
-        y_gap = amps.y_gap
-        if y_gap < -DOMAIN_TOL:
-            raise DomainError(f"raw spectral gap {y_gap!r} below domain "
-                              "tolerance; state outside the truncation regime")
-        e_i = _info_from_gap(max(y_gap, 0.0))
-        e_s = _schmidt_from_gaps(amps.norm_gap, y_gap)
-        if e_s < -DOMAIN_TOL:
-            raise DomainError(f"raw impurity {e_s!r} below domain tolerance")
-        return e_i, max(e_s, 0.0)
-
-    e_i, e_s = stage("measures", measures)
-
-    phi = y_closed = e_i_asym = e_s_closed = None
-    if (config.lambda1, config.lambda2) == (2, 1):
-        phi, y_closed = stage("measures", lambda: phi_closed(params))
-        e_s_closed = 2.0 * params.eps * phi
-        if params.omega == 0.0 or phi == 0.0:
-            e_i_asym = 0.0
-        else:
-            e_i_asym = stage("measures", lambda: asymptotic_info(params))
-    elif (config.lambda1, config.lambda2) == (1, 1):
-        # Exact leading-order references: a rank-1 (product) state.
-        y_closed = 1.0
-        e_i_asym = 0.0
-        e_s_closed = 0.0
+    e_i, e_s = stage("measures", lambda: _measures(amps.y_gap, amps.norm_gap))
+    phi, y_closed, e_i_asym, e_s_closed = stage(
+        "measures", lambda: _closed_forms(params, config))
 
     return EntanglementReport(
         config=config, method=method,

@@ -97,11 +97,9 @@ def _pattern_vector(b_self, a_cross, config):
     return vec
 
 
-def amplitudes(block: BogoliubovBlock, config: PolarizationConfig) -> TwoQubitAmplitudes:
-    """Two-qubit amplitudes for one quasiphoton polarization configuration."""
-    cols = {(c.k, c.lam): c for c in block.columns}
-    c1 = cols[(1, config.lambda1)]
-    c2 = cols[(2, config.lambda2)]
+def _gaps(c1, c2, parallel):
+    """(b_self, a_cross, self_gap, y_gap, norm_gap) from the factors of
+    columns (1, lambda1) and (2, lambda2), as floats or as arrays alike."""
     b_self = c1.m_self * c2.m_self
     a_cross = c1.m_cross * c2.m_cross
     # 1 - 4 b^2 without forming 4 b^2: with b^2 =
@@ -112,7 +110,7 @@ def amplitudes(block: BogoliubovBlock, config: PolarizationConfig) -> TwoQubitAm
     den = (1.0 + c1.chi) * (1.0 + c2.chi)
     self_gap = num / den
     four_a_sq = 4.0 * a_cross * a_cross
-    if config.parallel:
+    if parallel:
         # All the weight sits in one product state; the spectral gap of the
         # raw density matrix equals its trace.
         y_gap = self_gap - 8.0 * a_cross * b_self - four_a_sq
@@ -120,6 +118,14 @@ def amplitudes(block: BogoliubovBlock, config: PolarizationConfig) -> TwoQubitAm
     else:
         y_gap = self_gap + four_a_sq
         norm_gap = self_gap - four_a_sq
+    return b_self, a_cross, self_gap, y_gap, norm_gap
+
+
+def amplitudes(block: BogoliubovBlock, config: PolarizationConfig) -> TwoQubitAmplitudes:
+    """Two-qubit amplitudes for one quasiphoton polarization configuration."""
+    cols = {(c.k, c.lam): c for c in block.columns}
+    b_self, a_cross, self_gap, y_gap, norm_gap = _gaps(
+        cols[(1, config.lambda1)], cols[(2, config.lambda2)], config.parallel)
     raw_norm_sq = 1.0 - norm_gap
     vec = _pattern_vector(b_self, a_cross, config)
     if raw_norm_sq <= 0.0 or not np.any(vec):

@@ -10,17 +10,31 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dispersion import exact_roots, perturbative_roots
-from .entangle import _info_from_gap, asymptotic_info, full_report, phi_closed
+from .bogoliubov import INDEX_ORDER, _columns, build_block
+from .dispersion import (
+    _first_order_offsets,
+    _pair,
+    _solve_offsets,
+    exact_roots,
+    perturbative_roots,
+)
+from .entangle import (
+    _closed_forms,
+    _info_from_gap,
+    _measures,
+    asymptotic_info,
+    full_report,
+    phi_closed,
+)
 from .errors import AllRowsFailed, ParseError, QubeamError, ValidationError
 from .params import ModelParams, make_params
 from .qstate import (
     PolarizationConfig,
+    _gaps,
     _pattern_vector,
     amplitudes,
     closed_form_ab,
 )
-from .bogoliubov import build_block
 
 CSV_HEADER = ("omega,delta_kappa,kappa2,y,E_I,E_S,"
               "E_I_asymptotic,E_S_closed,raw_norm,status")
@@ -175,15 +189,75 @@ def _evaluate_point(config, omega, dk):
         status="ok")
 
 
+def _batch_gaps(params: ModelParams, config: SweepConfig):
+    """(y_gap, norm_gap, settled) arrays for a batch of points.
+
+    params holds one array entry per point; config gives the polarization,
+    the method and the tolerance. Roots, the four columns and the gaps are
+    the scalar pipeline's arithmetic in the same order, so each point gets
+    its scalar value. settled is False wherever a stage would raise or a
+    value is not finite; those points go through full_report.
+    """
+    settled = np.ones(len(params.omega), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        offsets = {}
+        for k, lam in INDEX_ORDER:
+            if config.method == "exact":
+                d, ok = _solve_offsets(params, k, lam, config.tol)
+            else:
+                d, ok = _first_order_offsets(params, k, lam)
+            settled &= ok & (_pair(params, k)[0] + d > 0.0)
+            offsets[(k, lam)] = d
+        columns = {}
+        for k, lam in INDEX_ORDER:      # all four: build_block checks each
+            columns[(k, lam)], ok = _columns(offsets, params, k, lam)
+            settled &= ok
+        pol = config.pol
+        b_self, a_cross, _, y_gap, norm_gap = _gaps(
+            columns[(1, pol.lambda1)], columns[(2, pol.lambda2)], pol.parallel)
+        # amplitudes' ZeroNorm: the entries are +-b_self +- a_cross up to
+        # unit phases, so all four vanish only where |a_cross| == |b_self|.
+        settled &= ((1.0 - norm_gap > 0.0) & (np.abs(a_cross) != np.abs(b_self))
+                    & np.isfinite(y_gap) & np.isfinite(norm_gap))
+    return y_gap, norm_gap, settled
+
+
+def _settled_row(config, omega, dk, kappa2, y_gap, norm_gap):
+    """The row of a point from its batch gaps, or None where make_params, a
+    measure or a closed form raises and the point must go through
+    full_report."""
+    try:
+        params = make_params(config.kappa1, kappa2, omega, config.eps)
+        e_i, e_s = _measures(y_gap, norm_gap)
+        _, _, e_i_asym, e_s_closed = _closed_forms(params, config.pol)
+    except QubeamError:
+        return None
+    return SweepRow(omega, dk, kappa2, 1.0 - y_gap, e_i, e_s, e_i_asym,
+                    e_s_closed, (1.0 - norm_gap) ** 0.5, "ok")
+
+
 def run_sweep(config: SweepConfig):
     """Evaluate every grid point; returns the rows in output order.
 
-    Per-point failures become rows with an error status; AllRowsFailed is
-    raised only if nothing succeeds. Nothing is written: the caller passes
-    the rows to write_csv / write_matrix.
+    The grid is evaluated as one batch of arrays (_batch_gaps); a point the
+    batch does not settle goes through full_report, so rows and error
+    statuses are those of the point-by-point pipeline. Per-point failures
+    become rows with an error status; AllRowsFailed is raised only if
+    nothing succeeds. Nothing is written: the caller passes the rows to
+    write_csv / write_matrix.
     """
-    rows = [_evaluate_point(config, omega, dk)
-            for omega in config.omega_grid() for dk in config.dk_grid()]
+    points = [(omega, dk, config.kappa1 + dk)
+              for omega in config.omega_grid() for dk in config.dk_grid()]
+    omegas, _, kappa2s = np.array(points).T
+    n = len(points)
+    params = ModelParams(np.full(n, float(config.kappa1)), kappa2s, omegas,
+                         np.full(n, float(config.eps)))
+    gaps = (a.tolist() for a in _batch_gaps(params, config))
+    rows = []
+    for (omega, dk, kappa2), y_gap, norm_gap, settled in zip(points, *gaps):
+        row = (_settled_row(config, omega, dk, kappa2, y_gap, norm_gap)
+               if settled else None)
+        rows.append(row or _evaluate_point(config, omega, dk))
     if all(row.status != "ok" for row in rows):
         raise AllRowsFailed(f"all {len(rows)} grid points failed; "
                             f"first status: {rows[0].status}")

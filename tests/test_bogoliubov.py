@@ -184,6 +184,12 @@ def test_root_on_pole_is_rejected(fig_params):
                       method="perturbative")
     with pytest.raises(PoleEvaluation):
         build_block(roots, fig_params)
+    # a root on the other photon's pole: r[1][1] = kappa2 exactly
+    roots = ModeRoots(kappas=(10.0, 60.0), offsets=((50.0, 50.0), (1.0, 1.0)),
+                      method="perturbative")
+    with pytest.raises(PoleEvaluation) as err:
+        _column(roots, make_params(10.0, 60.0, 0.0, 1000.0), 1, 1)
+    assert "other photon's pole" in str(err.value)
 
 
 def test_q_norms_helper_matches_block(fig_block):

@@ -131,6 +131,23 @@ def test_sweep_config_out_path_is_rejected(tmp_path, capsys):
     assert not stray.exists() and not out.exists()
 
 
+def test_root_on_the_other_photons_pole_is_a_computation_error(tmp_path,
+                                                                capsys):
+    # At kappa1 10, kappa2 60, omega 0, eps 1000 both first-order k = 1
+    # offsets are 50.0, so the root sits exactly on kappa2.
+    assert main(["measures", "--kappa1", "10", "--kappa2", "60", "--omega",
+                 "0", "--eps", "1000", "--method", "pert", "--pol", "uu"]) == 2
+    assert "other photon's pole" in capsys.readouterr().err
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--kappa1", "10", "--eps", "1000", "--dk-min", "1",
+                 "--dk-max", "50", "--dk-steps", "4", "--omega-max", "0.5",
+                 "--omega-steps", "3", "--method", "pert", "--pol", "uu",
+                 "--out", str(out)]) == 0
+    assert f"wrote {out}: 12 rows, 9 failed" in capsys.readouterr().err
+    data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert "0,50,60,,,,,,,error:PoleEvaluation" in data
+
+
 def test_verify_passes_at_reference_point(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out

@@ -7,6 +7,7 @@ of absolute frequencies.
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from qubeam import exact_roots, make_params, perturbative_roots, residual
 from qubeam.dispersion import DEFAULT_REL_TOL, ModeRoots
 from qubeam.errors import (
     BracketFailure,
+    ComputationError,
     NonPositive,
     PoleEvaluation,
     SingularDenominator,
@@ -289,3 +291,44 @@ def test_solver_properties_hold_across_the_regime(point):
         # the lambda = 1 branch sees the larger effective denominator
         assert ex.offset(k, 1) <= ex.offset(k, 2)
     assert ex.root(1, 1) < p.kappa2
+
+
+# The envelope with its coupling bound exceeded up to 1e4-fold: the probe
+# around the first-order offset fails to bracket, or no root remains.
+_PAST_ENVELOPE = st.builds(
+    lambda point, factor_exp: point[:3] + (point[3] * 10.0 ** factor_exp,),
+    _ENVELOPE, st.floats(min_value=0.0, max_value=4.0))
+
+
+@given(points=st.lists(st.one_of(_REGIME, _ENVELOPE, _PAST_ENVELOPE),
+                       min_size=1, max_size=6))
+@settings(deadline=None, derandomize=True, max_examples=100)
+def test_batched_offsets_match_the_scalar_solvers_or_are_flagged(points):
+    """Each unflagged batch offset equals the scalar one bit for bit, and a
+    root the scalar solver cannot return (it raises, or exact_roots rejects
+    its residual) is flagged."""
+    from qubeam import dispersion
+
+    batch = ModelParams(*(np.array(column) for column in zip(*points)))
+    for k, lam in KLAM:
+        exact, exact_ok = dispersion._solve_offsets(batch, k, lam,
+                                                   DEFAULT_REL_TOL)
+        first, first_ok = dispersion._first_order_offsets(batch, k, lam)
+        for i, point in enumerate(points):
+            p = make_params(*point)
+            kk, ko = (p.kappa1, p.kappa2) if k == 1 else (p.kappa2, p.kappa1)
+            try:
+                d, g = dispersion._solve_offset(kk, ko, p, lam)
+            except ComputationError:
+                d = None
+            if d is None or abs(g) > DEFAULT_REL_TOL * kk:
+                assert not exact_ok[i]
+            elif exact_ok[i]:
+                assert exact[i] == d
+            try:
+                want = dispersion._first_order_offset(kk, p, lam)
+            except ComputationError:
+                assert not first_ok[i]
+                continue
+            if first_ok[i]:
+                assert first[i] == want

@@ -1,10 +1,30 @@
 """Sweep configuration, grid evaluation, CSV/matrix output, verification."""
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qubeam import make_params, parse_config, run_sweep, verify, verify_point
-from qubeam.errors import AllRowsFailed, ParseError, ResonancePole, ValidationError
+import qubeam.sweep as sweep_mod
+from qubeam import (
+    amplitudes,
+    build_block,
+    exact_roots,
+    make_params,
+    parse_config,
+    perturbative_roots,
+    run_sweep,
+    verify,
+    verify_point,
+)
+from qubeam.errors import (
+    AllRowsFailed,
+    ParseError,
+    QubeamError,
+    ValidationError,
+)
+from qubeam.params import ModelParams
 from qubeam.qstate import PolarizationConfig
 from qubeam.sweep import (
     CSV_HEADER,
@@ -18,6 +38,19 @@ FIG = (2500.0, 3000.0, 0.5, 0.1)
 
 SMALL = dict(dk_min=400.0, dk_max=600.0, dk_steps=3,
              omega_min=0.0, omega_max=0.4, omega_steps=2)
+
+# Grids the batch settles whole (SMALL), hands partly to full_report (MIXED:
+# DomainError on most uu/ud points; POLE: with pert, a root on the other
+# photon's pole and DomainErrors; TIGHT: exact residuals above tol), and
+# hands whole to it (BROKEN: no root brackets, or no gap in the domain;
+# TINY: eps so small that the first-order offsets round to 0).
+MIXED = dict(kappa1=10.0, eps=1e-3, dk_min=1.0, dk_max=5.0, dk_steps=4,
+             omega_min=0.0, omega_max=0.5, omega_steps=3)
+POLE = dict(MIXED, eps=1000.0, dk_max=50.0)
+TIGHT = dict(MIXED, tol=1e-17)
+BROKEN = dict(SMALL, eps=1e9)
+TINY = dict(MIXED, kappa1=1.0, eps=5e-324, dk_min=0.05, dk_max=0.2,
+            omega_max=0.005)
 
 
 def test_defaults():
@@ -125,23 +158,22 @@ def test_sweep_rows_ordered_and_consistent():
     assert min(r.E_I for r in lit) > 1e-14
 
 
-def test_sweep_survives_single_point_failure(monkeypatch):
-    import qubeam.sweep as sweep_mod
-    real = sweep_mod.full_report
-
-    def flaky(params, pol, method="exact", tol=1e-12):
-        if params.omega == 0.0 and params.kappa2 == 2900.0:
-            raise ResonancePole("synthetic failure")
-        return real(params, pol, method=method, tol=tol)
-
-    monkeypatch.setattr(sweep_mod, "full_report", flaky)
-    rows = run_sweep(parse_config(None, SMALL))
+def test_sweep_survives_single_point_failure():
+    # Raw uu gaps fall below the domain tolerance at omega > 0 on this grid,
+    # so full_report raises DomainError there and only omega = 0 evaluates.
+    rows = run_sweep(parse_config(None, dict(MIXED, pol="uu")))
     failed = [r for r in rows if r.status != "ok"]
-    assert len(failed) == 1
-    bad = failed[0]
-    assert bad.status == "error:ResonancePole"
-    assert bad.omega == 0.0 and bad.delta_kappa == 400.0
-    assert bad.y is None and bad.E_I is None and bad.raw_norm is None
+    assert len(failed) == 8
+    for bad in failed:
+        assert bad.status == "error:DomainError"
+        assert bad.omega > 0.0
+        assert bad.y is None and bad.E_I is None and bad.raw_norm is None
+    ok = [r for r in rows if r.status == "ok"]
+    assert [r.delta_kappa for r in ok] == parse_config(None, MIXED).dk_grid()
+    for row in ok:
+        assert row.omega == 0.0
+        assert row.y is not None and row.E_I is not None
+        assert row.raw_norm == pytest.approx(1.0, abs=1e-3)
 
 
 def test_sweep_all_failures_raise():
@@ -176,29 +208,81 @@ def test_csv_output_is_deterministic(tmp_path):
     assert first[9] == "ok"
 
 
-def test_matrix_output_shapes_and_nan(tmp_path, monkeypatch):
-    import qubeam.sweep as sweep_mod
-    real = sweep_mod.full_report
-
-    def flaky(params, pol, method="exact", tol=1e-12):
-        if params.omega == 0.0 and params.kappa2 == 2900.0:
-            raise ResonancePole("synthetic failure")
-        return real(params, pol, method=method, tol=tol)
-
-    monkeypatch.setattr(sweep_mod, "full_report", flaky)
-    cfg = parse_config(None, SMALL)
+def test_matrix_output_shapes_and_nan(tmp_path):
+    cfg = parse_config(None, dict(MIXED, pol="uu"))
     rows = run_sweep(cfg)
     paths = write_matrix(rows, cfg, str(tmp_path / "surface"))
     assert set(paths) == {"EI", "ES"}
     for path in paths.values():
         lines = (tmp_path / path.split("/")[-1]).read_text().splitlines()
         head = lines[0].split()
-        assert head[0] == "3" and [float(x) for x in head[1:]] == [400.0, 500.0, 600.0]
-        assert len(lines) == 1 + 2
+        assert head[0] == "4" and [float(x) for x in head[1:]] == cfg.dk_grid()
+        assert len(lines) == 1 + 3
         for line in lines[1:]:
-            assert len(line.split()) == 4
-        assert lines[1].split()[1] == "nan"     # the doctored point
-        assert "nan" not in lines[2]
+            assert len(line.split()) == 5
+        assert "nan" not in lines[1]                        # omega = 0
+        for line in lines[2:]:                              # the failed points
+            assert line.split()[1:] == ["nan"] * 4
+
+
+@pytest.mark.parametrize("grid", [SMALL, MIXED, POLE, TIGHT, BROKEN, TINY],
+                         ids=["small", "mixed", "pole", "tight", "broken",
+                              "tiny"])
+def test_batched_sweep_matches_point_by_point(grid):
+    for pol in ("uu", "ud", "du", "dd"):
+        for method in ("exact", "pert"):
+            cfg = parse_config(None, dict(grid, pol=pol, method=method))
+            want = [sweep_mod._evaluate_point(cfg, omega, dk)
+                    for omega in cfg.omega_grid() for dk in cfg.dk_grid()]
+            if all(row.status != "ok" for row in want):
+                with pytest.raises(AllRowsFailed) as err:
+                    run_sweep(cfg)
+                assert str(err.value) == (f"all {len(want)} grid points "
+                                          f"failed; first status: "
+                                          f"{want[0].status}")
+                continue
+            got = run_sweep(cfg)
+            assert got == want, (pol, method)
+            assert repr(got) == repr(want)      # also tells -0.0 from 0.0
+
+
+# The point_mix envelope with its coupling bound exceeded up to 1e4-fold,
+# where probes fail to bracket and stages raise.
+_POINT = st.builds(
+    lambda k_exp, dk_exp, omega_frac, eps_exp: (
+        10.0 ** k_exp, 10.0 ** k_exp * (1.0 + 10.0 ** dk_exp),
+        omega_frac * 10.0 ** k_exp,
+        10.0 ** eps_exp * 0.01 * (10.0 ** k_exp * (1.0 - omega_frac)) ** 2
+        * min(1.0, 10.0 ** dk_exp)),
+    st.floats(min_value=1.0, max_value=4.0),
+    st.floats(min_value=-3.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=0.5),
+    st.floats(min_value=-4.0, max_value=4.0))
+
+
+@given(points=st.lists(_POINT, min_size=1, max_size=6))
+@settings(deadline=None, derandomize=True, max_examples=40)
+def test_batch_gaps_match_amplitudes_or_are_unsettled(points):
+    """Each settled point's gaps equal the scalar pipeline's bit for bit,
+    and a point where the scalar pipeline raises is never settled."""
+    batch = ModelParams(*(np.array(column) for column in zip(*points)))
+    for code in ("uu", "ud", "du", "dd"):
+        pol = PolarizationConfig.from_code(code)
+        for method in ("exact", "perturbative"):
+            cfg = SweepConfig(pol=pol, method=method)
+            y_gap, norm_gap, settled = sweep_mod._batch_gaps(batch, cfg)
+            for i, point in enumerate(points):
+                p = make_params(*point)
+                try:
+                    roots = (exact_roots(p, cfg.tol) if method == "exact"
+                             else perturbative_roots(p))
+                    amps = amplitudes(build_block(roots, p), pol)
+                except QubeamError:
+                    assert not settled[i]
+                    continue
+                if settled[i]:
+                    assert (y_gap[i], norm_gap[i]) == (amps.y_gap,
+                                                       amps.norm_gap)
 
 
 CHECK_NAMES = ["root_ladder", "state_pattern", "y_closed_ladder",
