@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dispersion import ModeRoots, _libm_pow, _pair
+from .dispersion import ModeRoots, _pair
 from .errors import NegativeRadicand, PoleEvaluation
 from .params import ModelParams
 
@@ -65,6 +65,23 @@ class ColumnFactors:
     w_cross: float
 
 
+def _deviations(kappa_k, kappa_o, d, params: ModelParams, lam):
+    """(r, a_self, a_cross, chi, xi) of column (k, lam) at root offset d.
+
+    Powers are products, which round alike for floats and numpy arrays, so
+    _column and _columns share this arithmetic. Floats need a_cross != 0.
+    """
+    r = kappa_k + d
+    a_self = d * (d + 2.0 * kappa_k)
+    a_cross = (kappa_k - kappa_o + d) * (kappa_k + kappa_o + d)
+    field_sign = -1.0 if lam == 1 else 1.0      # (-1)^lambda
+    chi = (a_self * a_self / 2.0) * (field_sign * params.omega
+                                     / (r * r * r * params.eps)
+                                     + 2.0 / (a_cross * a_cross))
+    xi = d * d / (4.0 * r * kappa_k)
+    return r, a_self, a_cross, chi, xi
+
+
 def _column(roots: ModeRoots, params: ModelParams, k, lam) -> ColumnFactors:
     kappa_k = roots.kappas[k - 1]
     kappa_o = roots.kappas[2 - k]
@@ -73,26 +90,21 @@ def _column(roots: ModeRoots, params: ModelParams, k, lam) -> ColumnFactors:
         raise PoleEvaluation(
             f"root r[{k}][{lam}] sits exactly on its pole; "
             "the transformation is singular there")
-    r = kappa_k + d
-    a_self = d * (d + 2.0 * kappa_k)
-    a_cross = (kappa_k - kappa_o + d) * (kappa_k + kappa_o + d)
-    if a_cross == 0.0 or r == kappa_o:
+    cross = kappa_k - kappa_o + d
+    if cross == 0.0:
         raise PoleEvaluation(
-            f"root r[{k}][{lam}] = {r!r} sits on the other photon's pole at "
-            f"{kappa_o!r}; the transformation is singular there")
-    field_sign = -1.0 if lam == 1 else 1.0      # (-1)^lambda
-    chi = (a_self * a_self / 2.0) * (field_sign * params.omega
-                                     / (r ** 3 * params.eps)
-                                     + 2.0 / (a_cross * a_cross))
-    if chi <= -1.0:
+            f"root r[{k}][{lam}] = {kappa_k + d!r} sits on the other "
+            f"photon's pole at {kappa_o!r}; the transformation is singular "
+            "there")
+    r, a_self, a_cross, chi, xi = _deviations(kappa_k, kappa_o, d, params, lam)
+    if not chi > -1.0:
         radicand = 2.0 * (1.0 + chi) / (a_self * a_self)
         raise NegativeRadicand(
             f"normalization radicand {radicand!r} <= 0 at k={k}, lambda={lam}")
-    xi = d * d / (4.0 * r * kappa_k)
     scale = math.sqrt(2.0 * (1.0 + chi))
     q = abs(a_self) / scale
     m_self = (r + kappa_k) / (2.0 * math.sqrt(r * kappa_k) * scale)
-    m_cross = a_self / (2.0 * math.sqrt(r * kappa_o) * (r - kappa_o) * scale)
+    m_cross = a_self / (2.0 * math.sqrt(r * kappa_o) * cross * scale)
     w_self = d / (2.0 * math.sqrt(r * kappa_k) * scale)
     w_cross = a_self / (2.0 * math.sqrt(r * kappa_o) * (r + kappa_o) * scale)
     return ColumnFactors(k=k, lam=lam, r=r, d=d, a_self=a_self, a_cross=a_cross,
@@ -109,18 +121,14 @@ def _columns(offsets, params: ModelParams, k, lam):
     """
     kappa_k, kappa_o = _pair(params, k)
     d = offsets[(k, lam)]
-    r = kappa_k + d
-    a_self = d * (d + 2.0 * kappa_k)
-    a_cross = (kappa_k - kappa_o + d) * (kappa_k + kappa_o + d)
-    field_sign = -1.0 if lam == 1 else 1.0
-    chi = (a_self * a_self / 2.0) * (field_sign * params.omega
-                                     / (_libm_pow(r, 3) * params.eps)
-                                     + 2.0 / (a_cross * a_cross))
-    xi = d * d / (4.0 * r * kappa_k)
+    r, a_self, _, chi, xi = _deviations(kappa_k, kappa_o, d, params, lam)
     scale = np.sqrt(2.0 * (1.0 + chi))
     m_self = (r + kappa_k) / (2.0 * np.sqrt(r * kappa_k) * scale)
-    m_cross = a_self / (2.0 * np.sqrt(r * kappa_o) * (r - kappa_o) * scale)
-    ok = (d != 0.0) & (a_cross != 0.0) & (r != kappa_o) & (chi > -1.0)
+    m_cross = a_self / (2.0 * np.sqrt(r * kappa_o) * (kappa_k - kappa_o + d)
+                        * scale)
+    # A zero cross factor (the other photon's pole) leaves chi and m_cross
+    # non-finite, so the finiteness test flags it.
+    ok = (d != 0.0) & (chi > -1.0)
     for x in (chi, xi, m_self, m_cross):
         ok &= np.isfinite(x)
     return SimpleNamespace(chi=chi, xi=xi, m_self=m_self, m_cross=m_cross), ok

@@ -14,7 +14,6 @@ lose everything below the ulp of kappa (~5e-13 here, larger than the
 root corrections we must resolve).
 """
 from dataclasses import dataclass
-from itertools import repeat
 import math
 
 import numpy as np
@@ -116,23 +115,31 @@ def _residual_offset_deriv(d, kappa, kappa_other, params, sgn):
     r = kappa + d
     self_pole = d * (d + 2.0 * kappa)
     cross_pole = (kappa - kappa_other + d) * (kappa + kappa_other + d)
-    return (-2.0 * r * params.eps / self_pole ** 2
-            - 2.0 * r * params.eps / cross_pole ** 2
+    return (-2.0 * r * params.eps / (self_pole * self_pole)
+            - 2.0 * r * params.eps / (cross_pole * cross_pole)
             + sgn * params.omega / (r * r))
 
 
-def _first_order_offset(kappa_k, params, lam):
+def _first_order_terms(kappa_k, params, lam):
+    # (numerator, denominator, denominator floor) of the first-order offset
     k1, k2 = params.kappa1, params.kappa2
     s_sq = k1 * k1 + k2 * k2
-    num = params.eps * (2.0 * kappa_k * kappa_k - s_sq)
-    den = (_branch_sign(lam) * 2.0 * params.omega * (2.0 * kappa_k * kappa_k - s_sq)
+    split = 2.0 * kappa_k * kappa_k - s_sq
+    den = (_branch_sign(lam) * 2.0 * params.omega * split
            + kappa_k * (5.0 * kappa_k * kappa_k - 3.0 * s_sq)
-           + (k1 * k2) ** 2 / kappa_k)
-    if abs(den) <= DENOMINATOR_FLOOR_REL * kappa_k ** 3:
+           + (k1 * k2) * (k1 * k2) / kappa_k)
+    return (params.eps * split, den,
+            DENOMINATOR_FLOOR_REL * kappa_k * kappa_k * kappa_k)
+
+
+def _first_order_offset(kappa_k, params, lam):
+    num, den, floor = _first_order_terms(kappa_k, params, lam)
+    if not (abs(den) > floor and math.isfinite(d := num / den)):
         raise SingularDenominator(
-            f"first-order denominator {den!r} below floor for "
-            f"mode at kappa={kappa_k}, lambda={lam}")
-    return num / den
+            f"first-order denominator {den!r} not above its floor "
+            f"{floor!r}, or offset not finite, for mode at kappa={kappa_k}, "
+            f"lambda={lam}")
+    return d
 
 
 def _pair(params, k):
@@ -141,38 +148,15 @@ def _pair(params, k):
     return kappas[k - 1], kappas[2 - k]
 
 
-def _libm_pow(x, n):
-    """x ** n entry by entry through libm's pow, as the scalar forms round it.
-
-    numpy's power rounds differently (its x**2 is x*x, its x**3 a vector
-    routine). An entry whose power could overflow, where Python's ** raises,
-    comes back nan, so the caller's finiteness check flags it.
-    """
-    finite = np.abs(x) < 1e100
-    powers = np.fromiter(map(math.pow, np.where(finite, x, 0.0).tolist(),
-                             repeat(float(n))), float, x.size)
-    return np.where(finite, powers, math.nan)
-
-
 def _first_order_offsets(params, k, lam):
     """_first_order_offset for root (k, lam) over a batch of points.
 
     params holds one array entry per point. Returns (offsets, ok); ok is
-    False where the scalar form raises SingularDenominator or an offset is
-    not finite.
+    False where the scalar form raises SingularDenominator.
     """
-    k1, k2 = params.kappa1, params.kappa2
-    kappa_k = _pair(params, k)[0]
-    s_sq = k1 * k1 + k2 * k2
-    num = params.eps * (2.0 * kappa_k * kappa_k - s_sq)
-    den = (_branch_sign(lam) * 2.0 * params.omega
-           * (2.0 * kappa_k * kappa_k - s_sq)
-           + kappa_k * (5.0 * kappa_k * kappa_k - 3.0 * s_sq)
-           + _libm_pow(k1 * k2, 2) / kappa_k)
+    num, den, floor = _first_order_terms(_pair(params, k)[0], params, lam)
     d = num / den
-    ok = ((np.abs(den) > DENOMINATOR_FLOOR_REL * _libm_pow(kappa_k, 3))
-          & np.isfinite(d))
-    return d, ok
+    return d, (abs(den) > floor) & np.isfinite(d)
 
 
 def perturbative_roots(params: ModelParams) -> ModeRoots:
@@ -257,16 +241,6 @@ def _solve_offset(kappa_k, kappa_other, params, lam):
     return d, g_cur
 
 
-def _residual_offset_derivs(d, kappa, kappa_other, params, sgn):
-    # _residual_offset_deriv over arrays, squaring through libm as it does
-    r = kappa + d
-    self_pole = d * (d + 2.0 * kappa)
-    cross_pole = (kappa - kappa_other + d) * (kappa + kappa_other + d)
-    return (-2.0 * r * params.eps / _libm_pow(self_pole, 2)
-            - 2.0 * r * params.eps / _libm_pow(cross_pole, 2)
-            + sgn * params.omega / (r * r))
-
-
 def _take(params, index):
     return ModelParams(params.kappa1[index], params.kappa2[index],
                        params.omega[index], params.eps[index])
@@ -307,7 +281,7 @@ def _solve_offsets(params, k, lam, tol):
         pos = g_a > 0.0
         lo = np.where(pos, d_a, lo)
         hi = np.where(pos, hi, d_a)
-        deriv = _residual_offset_derivs(d_a, *_pair(p, k), p, sgn)
+        deriv = _residual_offset_deriv(d_a, *_pair(p, k), p, sgn)
         d_new = d_a - g_a / deriv
         stop = (g_a == 0.0) | (d_new == d_a)
         newton = (lo < d_new) & (d_new < hi)

@@ -131,17 +131,25 @@ def phi_closed(params: ModelParams):
     validated regime and vanishes with omega.
     """
     k1, k2, w = params.kappa1, params.kappa2, params.omega
-    if (w - k1) ** 2 <= (1e-12 * k1) ** 2:
+    if abs(w - k1) <= 1e-12 * k1:
         raise ResonancePole(f"omega = {w} on the resonance pole at kappa1 = {k1}")
     num = w * (w * w * (k2 - k1) + 2.0 * w * (k2 * k2 + k1 * k1)
-               + (k2 ** 3 - k1 ** 3))
-    den = 2.0 * k1 * k2 * (w - k1) ** 2 * (w + k2) ** 2
+               + (k2 * k2 * k2 - k1 * k1 * k1))
+    den = 2.0 * k1 * k2 * ((w - k1) * (w - k1)) * ((w + k2) * (w + k2))
     phi = num / den
     eps_phi = params.eps * phi
-    if eps_phi >= 1.0:
-        raise RangeViolation(f"eps*Phi = {eps_phi!r} >= 1, outside the "
-                             "admissible range")
+    if not eps_phi < 1.0:
+        raise RangeViolation(f"eps*Phi = {eps_phi!r} is not below 1; outside "
+                             "the admissible range")
     return phi, 1.0 - eps_phi
+
+
+def _asymptotic_from_phi(phi, eps):
+    if phi <= 0.0:
+        raise DomainError(f"asymptotic form needs Phi > 0, got {phi!r} "
+                          "(route omega = 0 to E_I = 0)")
+    return (phi / (2.0 * math.log(2.0))) * (
+        eps * (1.0 - math.log(phi / 2.0)) - eps * math.log(eps))
 
 
 def asymptotic_info(params: ModelParams) -> float:
@@ -150,24 +158,20 @@ def asymptotic_info(params: ModelParams) -> float:
     (Phi / (2 ln 2)) [eps (1 - ln(Phi/2)) - eps ln eps]. Undefined at
     Phi = 0; callers route the omega = 0 case to the exact value 0.
     """
-    phi, _ = phi_closed(params)
-    if phi <= 0.0:
-        raise DomainError(f"asymptotic form needs Phi > 0, got {phi!r} "
-                          "(route omega = 0 to E_I = 0)")
-    return (phi / (2.0 * math.log(2.0))) * (
-        params.eps * (1.0 - math.log(phi / 2.0))
-        - params.eps * math.log(params.eps))
+    return _asymptotic_from_phi(phi_closed(params)[0], params.eps)
 
 
 def _measures(y_gap, norm_gap):
     """(E_I, E_S) of the raw state from its spectral and norm gaps."""
-    if y_gap < -DOMAIN_TOL:
+    if not y_gap >= -DOMAIN_TOL:
         raise DomainError(f"raw spectral gap {y_gap!r} below domain "
-                          "tolerance; state outside the truncation regime")
+                          "tolerance or not a number; state outside the "
+                          "truncation regime")
     e_i = _info_from_gap(max(y_gap, 0.0))
     e_s = _schmidt_from_gaps(norm_gap, y_gap)
-    if e_s < -DOMAIN_TOL:
-        raise DomainError(f"raw impurity {e_s!r} below domain tolerance")
+    if not e_s >= -DOMAIN_TOL:
+        raise DomainError(f"raw impurity {e_s!r} below domain tolerance or "
+                          "not a number")
     return e_i, max(e_s, 0.0)
 
 
@@ -179,7 +183,7 @@ def _closed_forms(params: ModelParams, config: PolarizationConfig):
         if params.omega == 0.0 or phi == 0.0:
             e_i_asym = 0.0
         else:
-            e_i_asym = asymptotic_info(params)
+            e_i_asym = _asymptotic_from_phi(phi, params.eps)
         return phi, y_closed, e_i_asym, 2.0 * params.eps * phi
     if (config.lambda1, config.lambda2) == (1, 1):
         # Exact leading-order references: a rank-1 (product) state.

@@ -6,10 +6,17 @@ deviations and their scaling in the coupling rather than the entries.
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from qubeam import build_block, exact_roots, identity_defect, make_params
+from qubeam import (
+    build_block,
+    exact_roots,
+    identity_defect,
+    make_params,
+    perturbative_roots,
+)
 from qubeam.bogoliubov import (
     INDEX_ORDER,
     BogoliubovBlock,
@@ -194,3 +201,39 @@ def test_root_on_pole_is_rejected(fig_params):
 
 def test_q_norms_helper_matches_block(fig_block):
     assert np.all(fig_block.q > 0.0)
+
+
+def _mp_m_cross(kappa_k, kappa_o, d, p, lam):
+    # m_cross in offset form, every operation at 50 digits
+    with mpmath.workdps(50):
+        kk, ko, d = mpmath.mpf(kappa_k), mpmath.mpf(kappa_o), mpmath.mpf(d)
+        r = kk + d
+        a_self = d * (d + 2 * kk)
+        a_cross = (kk - ko + d) * (kk + ko + d)
+        field_sign = -1 if lam == 1 else 1
+        chi = (a_self ** 2 / 2) * (field_sign * mpmath.mpf(p.omega)
+                                   / (r ** 3 * mpmath.mpf(p.eps))
+                                   + 2 / a_cross ** 2)
+        return a_self / (2 * mpmath.sqrt(r * ko) * (kk - ko + d)
+                         * mpmath.sqrt(2 * (1 + chi)))
+
+
+def test_m_cross_keeps_its_digits_for_near_degenerate_modes():
+    """m_cross divides by the offset-form cross factor kappa_k - kappa_o + d,
+    not by r - kappa_o with r already rounded, so near-degenerate modes keep
+    full precision."""
+    kappa1 = 33.8
+    split = 1.1e-3
+    worst = 0.0
+    for omega in (0.0, 1.0, 5.0, 10.0, 16.0):
+        for f in (1e-6, 1e-4, 1e-2):
+            eps = f * 0.01 * (kappa1 - omega) ** 2 * split
+            p = make_params(kappa1, kappa1 * (1.0 + split), omega, eps)
+            roots = perturbative_roots(p)
+            for k, lam in INDEX_ORDER:
+                kk, ko = roots.kappas[k - 1], roots.kappas[2 - k]
+                want = _mp_m_cross(kk, ko, roots.offset(k, lam), p, lam)
+                got = _column(roots, p, k, lam).m_cross
+                with mpmath.workdps(50):
+                    worst = max(worst, float(abs((got - want) / want)))
+    assert worst <= 1e-15

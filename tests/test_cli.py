@@ -148,6 +148,17 @@ def test_root_on_the_other_photons_pole_is_a_computation_error(tmp_path,
     assert "0,50,60,,,,,,,error:PoleEvaluation" in data
 
 
+def test_overflowing_scale_is_a_computation_error(capsys):
+    # kappa1 1e120 is a valid input; (kappa1*kappa2)^2 overflows in the
+    # first-order denominator.
+    point = ["--kappa1", "1e120", "--kappa2", "2e120", "--eps", "1e230",
+             "--pol", "du"]
+    assert main(["measures", "--omega", "0"] + point) == 2
+    assert "error: stage roots:" in capsys.readouterr().err
+    assert main(["verify", "--omega", "1e119"] + point) == 2
+    assert "0 passed, 5 failed, 1 skipped" in capsys.readouterr().out
+
+
 def test_verify_passes_at_reference_point(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out

@@ -1,11 +1,13 @@
 """Entanglement measures: exact two-qubit identities, closed forms, report."""
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
 from qubeam import (
+    entangle,
     full_report,
     info_measure,
     make_params,
@@ -22,8 +24,10 @@ from qubeam.entangle import (
 from qubeam.errors import (
     DomainError,
     NonPositive,
+    QubeamError,
     RangeViolation,
     ResonancePole,
+    ValidationError,
 )
 from qubeam.params import ModelParams
 from qubeam.qstate import PolarizationConfig, TwoQubitAmplitudes
@@ -233,3 +237,53 @@ def test_schmidt_from_gaps_consistency():
     ng, yg = 3e-13, 7e-13
     direct = _schmidt_from_gaps(ng, yg)
     assert direct == pytest.approx(ng + yg, rel=1e-3)
+
+
+def test_closed_forms_compute_phi_once(fig_params, monkeypatch):
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return phi_closed(params)
+
+    monkeypatch.setattr(entangle, "phi_closed", counted)
+    monkeypatch.setattr(entangle, "asymptotic_info", None)
+    rep = full_report(fig_params, PolarizationConfig.from_code("du"))
+    assert calls == [fig_params]
+    assert rep.E_I_asymptotic == pytest.approx(EI_ASYM_FIG, rel=1e-9)
+
+
+def test_large_scales_raise_package_errors_only():
+    """Valid points up to kappa1 ~ 1e300, where intermediate products
+    overflow: every report either succeeds with finite fields or raises a
+    QubeamError, and no RuntimeWarning is issued."""
+    outcomes = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for k_exp in range(1, 307, 6):
+            kappa1 = 10.0 ** k_exp
+            for eps_exp in (-9, -6, -3, -1):
+                for split in (1e-3, 0.5, 3.0):
+                    for omega_frac in (0.0, 0.1, 0.5):
+                        try:
+                            p = make_params(kappa1, kappa1 * (1.0 + split),
+                                            omega_frac * kappa1,
+                                            10.0 ** eps_exp * kappa1 * kappa1)
+                        except ValidationError:
+                            continue
+                        for code in ("uu", "ud", "du", "dd"):
+                            for method in ("exact", "perturbative"):
+                                try:
+                                    rep = full_report(
+                                        p, PolarizationConfig.from_code(code),
+                                        method)
+                                except QubeamError as exc:
+                                    outcomes.add(type(exc).__name__)
+                                    continue
+                                outcomes.add("ok")
+                                for value in (rep.y, rep.E_I, rep.E_S,
+                                              rep.raw_norm_sq,
+                                              rep.E_I_asymptotic,
+                                              rep.E_S_closed):
+                                    assert value is None or math.isfinite(value)
+    assert "ok" in outcomes and "SingularDenominator" in outcomes

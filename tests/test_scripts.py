@@ -1,6 +1,10 @@
 """The scripts under scripts/ run end to end on small inputs."""
+from dataclasses import replace
 import importlib.util
+import math
 from pathlib import Path
+
+from qubeam.sweep import SweepConfig, run_sweep, write_csv
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -39,3 +43,31 @@ def test_convergence_ladder_prints_rungs_and_ratios(capsys):
     assert lines[3].split()[0] == "ratio" and len(ratios) == 5
     # second-order defects shrink ~4x per halving of eps
     assert all(3.5 <= r <= 4.5 for r in ratios[:3])
+
+
+def test_diff_outputs_reports_fields_ulps_and_statuses(tmp_path, capsys):
+    script = _load("diff_outputs")
+    config = SweepConfig(dk_min=400.0, dk_max=600.0, dk_steps=3,
+                         omega_max=0.4, omega_steps=2)
+    rows = run_sweep(config)
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    write_csv(rows, config, str(old / "du.csv"))
+    write_csv(rows, config, str(old / "only_old.csv"))
+    # row 1: E_I one ulp up, E_S ten ulps down; row 2 fails
+    rows[1] = replace(rows[1], E_I=math.nextafter(rows[1].E_I, 1.0),
+                      E_S=rows[1].E_S - 10 * math.ulp(rows[1].E_S))
+    rows[2] = replace(rows[2], y=None, E_I=None, E_S=None,
+                      E_I_asymptotic=None, E_S_closed=None, raw_norm=None,
+                      status="error:DomainError")
+    write_csv(rows, config, str(new / "du.csv"))
+    assert script.main([str(old), str(old)]) == 0
+    assert capsys.readouterr().out == "du.csv: identical (6 rows)\n" \
+        "only_old.csv: identical (6 rows)\n"
+    assert script.main([str(old), str(new)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "du.csv: 2 of 6 rows changed, 1 status changes"
+    assert lines[1].startswith("  E_I: 1 fields, max 1 ulps, max rel ")
+    assert lines[2].startswith("  E_S: 1 fields, max 10 ulps, max rel ")
+    assert lines[3:] == ["  row 2: status ok -> error:DomainError"]
