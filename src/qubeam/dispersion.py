@@ -220,8 +220,15 @@ def _solve_offset(kappa_k, kappa_other, params, lam):
             lo = d
         else:
             hi = d
-        d_new = d - g_cur / _residual_offset_deriv(d, kappa_k, kappa_other,
-                                                   params, sgn)
+        try:
+            d_new = d - g_cur / _residual_offset_deriv(d, kappa_k, kappa_other,
+                                                       params, sgn)
+        except ZeroDivisionError:
+            # A square in the derivative underflowed to 0 (tiny scales), or
+            # the derivative itself is 0: the Newton step has no value.
+            raise SingularDenominator(
+                f"residual derivative has a zero denominator at offset {d!r} "
+                f"for mode at kappa={kappa_k}, lambda={lam}") from None
         # Tested before the bracket: a sub-ulp step rounds onto d itself,
         # which is also a bracket edge.
         if d_new == d:

@@ -24,7 +24,13 @@ import numpy as np
 
 from .bogoliubov import build_block
 from .dispersion import DEFAULT_REL_TOL, exact_roots, perturbative_roots
-from .errors import DomainError, QubeamError, RangeViolation, ResonancePole
+from .errors import (
+    DomainError,
+    QubeamError,
+    RangeViolation,
+    ResonancePole,
+    SingularDenominator,
+)
 from .params import ModelParams
 from .qstate import PolarizationConfig, TwoQubitAmplitudes, amplitudes
 
@@ -85,7 +91,8 @@ def _info_from_gap(gap: float) -> float:
         return 0.0
     if gap < _SERIES_CUT:
         return (gap * (1.0 - math.log(gap / 2.0))
-                - gap * gap / 4.0 - gap ** 3 / 24.0 - gap ** 4 / 96.0) / _LN4
+                - gap * gap / 4.0 - gap * gap * gap / 24.0
+                - gap * gap * gap * gap / 96.0) / _LN4
     return -(gap * math.log(gap / 2.0)
              + (2.0 - gap) * math.log1p(-gap / 2.0)) / _LN4
 
@@ -124,6 +131,14 @@ def _schmidt_from_gaps(norm_gap: float, y_gap: float) -> float:
             - (norm_gap * norm_gap + y_gap * y_gap) / 2.0)
 
 
+def _phi_terms(k1, k2, w):
+    """Numerator and denominator of Phi, for floats or arrays alike."""
+    num = w * (w * w * (k2 - k1) + 2.0 * w * (k2 * k2 + k1 * k1)
+               + (k2 * k2 * k2 - k1 * k1 * k1))
+    den = 2.0 * k1 * k2 * ((w - k1) * (w - k1)) * ((w + k2) * (w + k2))
+    return num, den
+
+
 def phi_closed(params: ModelParams):
     """Closed-form factor Phi for the (down, up) configuration.
 
@@ -133,9 +148,10 @@ def phi_closed(params: ModelParams):
     k1, k2, w = params.kappa1, params.kappa2, params.omega
     if abs(w - k1) <= 1e-12 * k1:
         raise ResonancePole(f"omega = {w} on the resonance pole at kappa1 = {k1}")
-    num = w * (w * w * (k2 - k1) + 2.0 * w * (k2 * k2 + k1 * k1)
-               + (k2 * k2 * k2 - k1 * k1 * k1))
-    den = 2.0 * k1 * k2 * ((w - k1) * (w - k1)) * ((w + k2) * (w + k2))
+    num, den = _phi_terms(k1, k2, w)
+    if not den > 0.0:
+        raise SingularDenominator(f"Phi denominator {den!r} is not positive "
+                                  f"at kappa1 = {k1}, kappa2 = {k2}")
     phi = num / den
     eps_phi = params.eps * phi
     if not eps_phi < 1.0:

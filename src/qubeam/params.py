@@ -9,6 +9,8 @@ that way, and the source figures quote a bare number.
 from dataclasses import dataclass
 import math
 
+import numpy as np
+
 from .errors import (
     DegenerateFrequencies,
     NearResonance,
@@ -75,6 +77,23 @@ def make_params(kappa1, kappa2, omega, eps,
             f"omega={omega} within the resonance margin of kappa1={kappa1} "
             f"(limit {kappa1 * (1.0 - resonance_margin)})")
     return ModelParams(kappa1, kappa2, omega, eps, unit_label)
+
+
+def _rejections(kappa1, kappa2, omega, eps):
+    """make_params' checks over arrays of points, in its order and with its
+    comparisons, at the default resonance margin: per point, 0 where
+    make_params accepts the point, else the rank of the error class it
+    raises (1 NonPositive, 2 DegenerateFrequencies, 3 ValidationError, 4
+    NearResonance)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.select(
+            [~((kappa1 > 0.0) & np.isfinite(kappa1) & (kappa2 > 0.0)
+               & np.isfinite(kappa2) & (eps > 0.0) & np.isfinite(eps))
+             | (omega < 0.0) | ~np.isfinite(omega),
+             kappa1 == kappa2,
+             kappa1 > kappa2,
+             omega >= kappa1 * (1.0 - RESONANCE_MARGIN_DEFAULT)],
+            [1, 2, 3, 4], 0)
 
 
 @dataclass(frozen=True)

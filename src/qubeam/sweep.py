@@ -7,6 +7,8 @@ ordered lexicographically by (omega, delta_kappa), numbers printed with 17
 significant digits, metadata confined to '#' comment lines, no timestamps.
 """
 from dataclasses import dataclass, replace
+import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,15 +21,17 @@ from .dispersion import (
     perturbative_roots,
 )
 from .entangle import (
-    _closed_forms,
+    DOMAIN_TOL,
+    _asymptotic_from_phi,
     _info_from_gap,
-    _measures,
+    _phi_terms,
+    _schmidt_from_gaps,
     asymptotic_info,
     full_report,
     phi_closed,
 )
 from .errors import AllRowsFailed, ParseError, QubeamError, ValidationError
-from .params import ModelParams, make_params
+from .params import ModelParams, _rejections, make_params
 from .qstate import (
     PolarizationConfig,
     _gaps,
@@ -64,8 +68,10 @@ class SweepConfig:
         return _grid(self.dk_min, self.dk_max, self.dk_steps)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One grid point's CSV columns; the value fields are None where the
+    point failed. A tuple, so the rows of a sweep are cheap to make."""
+
     omega: float
     delta_kappa: float
     kappa2: float
@@ -81,6 +87,15 @@ class SweepRow:
 def _grid(lo, hi, n):
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
+
+
+def _grid_arrays(config):
+    """omega and kappa2 of every grid point, in output order."""
+    omegas, dks = config.omega_grid(), config.dk_grid()
+    # inf and nan arise without a warning, as in Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa2 = float(config.kappa1) + np.array(dks)
+    return np.repeat(omegas, len(dks)), np.tile(kappa2, len(omegas))
 
 
 _FILE_KEYS = {
@@ -157,18 +172,25 @@ def _validate(config: SweepConfig):
         problems.append(f"tol must be > 0, got {config.tol}")
     if problems:
         raise ValidationError("; ".join(problems))
-    # Every grid point must be a valid model point (the binding cases are the
-    # corners, but the loop is cheap and unambiguous).
+    # Every grid point must be a valid model point. The grid is checked as
+    # arrays; make_params runs only at the first point of each error class,
+    # in grid order, to quote its message.
+    omega, kappa2 = _grid_arrays(config)
+    rank = _rejections(float(config.kappa1), kappa2, omega, float(config.eps))
+    omegas, dks = config.omega_grid(), config.dk_grid()
     seen = set()
-    for omega in config.omega_grid():
-        for dk in config.dk_grid():
-            try:
-                make_params(config.kappa1, config.kappa1 + dk, omega, config.eps)
-            except ValidationError as exc:
-                msg = f"grid point omega={omega}, delta_kappa={dk}: {exc}"
-                if type(exc).__name__ not in seen:
-                    seen.add(type(exc).__name__)
-                    problems.append(msg)
+    for i in np.flatnonzero(rank).tolist():
+        if rank[i] in seen:
+            continue
+        seen.add(rank[i])
+        line, column = divmod(i, len(dks))
+        point_omega, point_dk = omegas[line], dks[column]
+        try:
+            make_params(config.kappa1, config.kappa1 + point_dk, point_omega,
+                        config.eps)
+        except ValidationError as exc:
+            problems.append(f"grid point omega={point_omega}, "
+                            f"delta_kappa={point_dk}: {exc}")
     if problems:
         raise ValidationError("; ".join(problems))
 
@@ -222,42 +244,79 @@ def _batch_gaps(params: ModelParams, config: SweepConfig):
     return y_gap, norm_gap, settled
 
 
-def _settled_row(config, omega, dk, kappa2, y_gap, norm_gap):
-    """The row of a point from its batch gaps, or None where make_params, a
-    measure or a closed form raises and the point must go through
-    full_report."""
-    try:
-        params = make_params(config.kappa1, kappa2, omega, config.eps)
-        e_i, e_s = _measures(y_gap, norm_gap)
-        _, _, e_i_asym, e_s_closed = _closed_forms(params, config.pol)
-    except QubeamError:
-        return None
-    return SweepRow(omega, dk, kappa2, 1.0 - y_gap, e_i, e_s, e_i_asym,
-                    e_s_closed, (1.0 - norm_gap) ** 0.5, "ok")
+def _batch_values(params: ModelParams, config: SweepConfig):
+    """The row values of a batch of points, as lists: settled, y, E_I, E_S,
+    E_I_asymptotic, E_S_closed, raw_norm.
+
+    The + - * / parts are full_report's formulas over arrays. The logs
+    (_info_from_gap, _asymptotic_from_phi) and the square root of the raw
+    norm run per entry as in full_report, because NumPy's logs and powers
+    round differently. settled is False wherever make_params, a stage, a
+    measure or a closed form would raise; the values there are
+    placeholders.
+    """
+    y_gap, norm_gap, settled = _batch_gaps(params, config)
+    k1, k2, w, eps = params.kappa1, params.kappa2, params.omega, params.eps
+    settled &= _rejections(k1, k2, w, eps) == 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # _measures: the DomainErrors, then max(e_s, 0.0)
+        e_s = _schmidt_from_gaps(norm_gap, y_gap)
+        settled &= (y_gap >= -DOMAIN_TOL) & (e_s >= -DOMAIN_TOL)
+        e_s = np.where(0.0 > e_s, 0.0, e_s)
+        # _closed_forms
+        pol = (config.pol.lambda1, config.pol.lambda2)
+        if pol == (2, 1):
+            num, den = _phi_terms(k1, k2, w)
+            phi = num / den
+            # phi_closed's ResonancePole, SingularDenominator and
+            # RangeViolation; _asymptotic_from_phi's DomainError where
+            # omega and Phi are nonzero.
+            zero = (w == 0.0) | (phi == 0.0)
+            settled &= (~(np.abs(w - k1) <= 1e-12 * k1) & (den > 0.0)
+                        & (eps * phi < 1.0) & (zero | ~(phi <= 0.0)))
+            e_s_closed = (2.0 * eps * phi).tolist()
+            e_i_asym = [_asymptotic_from_phi(p, e) if log else 0.0
+                        for p, e, log in zip(phi.tolist(), eps.tolist(),
+                                             (settled & ~zero).tolist())]
+        elif pol == (1, 1):
+            e_i_asym = e_s_closed = [0.0] * len(w)
+        else:
+            e_i_asym = e_s_closed = [None] * len(w)
+        # _info_from_gap is 0 for a gap <= 0, so the clamp of _measures is
+        # not needed; 0.0 and 1.0 are placeholders where nothing settled.
+        e_i = [_info_from_gap(g)
+               for g in np.where(settled, y_gap, 0.0).tolist()]
+        raw_norm = [x ** 0.5 for x in
+                    np.where(settled, 1.0 - norm_gap, 1.0).tolist()]
+        return (settled.tolist(), (1.0 - y_gap).tolist(), e_i, e_s.tolist(),
+                e_i_asym, e_s_closed, raw_norm)
 
 
 def run_sweep(config: SweepConfig):
     """Evaluate every grid point; returns the rows in output order.
 
-    The grid is evaluated as one batch of arrays (_batch_gaps); a point the
-    batch does not settle goes through full_report, so rows and error
+    The grid is evaluated as one batch of arrays (_batch_values); a point
+    the batch does not settle goes through full_report, so rows and error
     statuses are those of the point-by-point pipeline. Per-point failures
     become rows with an error status; AllRowsFailed is raised only if
     nothing succeeds. Nothing is written: the caller passes the rows to
     write_csv / write_matrix.
     """
-    points = [(omega, dk, config.kappa1 + dk)
-              for omega in config.omega_grid() for dk in config.dk_grid()]
-    omegas, _, kappa2s = np.array(points).T
-    n = len(points)
-    params = ModelParams(np.full(n, float(config.kappa1)), kappa2s, omegas,
+    omega, kappa2 = _grid_arrays(config)
+    n = len(omega)
+    params = ModelParams(np.full(n, float(config.kappa1)), kappa2, omega,
                          np.full(n, float(config.eps)))
-    gaps = (a.tolist() for a in _batch_gaps(params, config))
-    rows = []
-    for (omega, dk, kappa2), y_gap, norm_gap, settled in zip(points, *gaps):
-        row = (_settled_row(config, omega, dk, kappa2, y_gap, norm_gap)
-               if settled else None)
-        rows.append(row or _evaluate_point(config, omega, dk))
+    # The rows share one float object per grid value, which keeps a sweep's
+    # memory down.
+    dks = config.dk_grid()
+    kappa2s = kappa2[:len(dks)].tolist()
+    points = ((w, d, k2) for w in config.omega_grid()
+              for d, k2 in zip(dks, kappa2s))
+    rows = [
+        SweepRow(w, d, k2, y, e_i, e_s, e_i_asym, e_s_closed, raw, "ok")
+        if settled else _evaluate_point(config, w, d)
+        for (w, d, k2), settled, y, e_i, e_s, e_i_asym, e_s_closed, raw
+        in zip(points, *_batch_values(params, config))]
     if all(row.status != "ok" for row in rows):
         raise AllRowsFailed(f"all {len(rows)} grid points failed; "
                             f"first status: {rows[0].status}")
@@ -288,17 +347,37 @@ def config_echo_lines(config: SweepConfig):
     return lines
 
 
+def _grid_text(config: SweepConfig):
+    """.17g text of the nonzero omega, delta_kappa and kappa2 grid values,
+    by value. Zeros are left out: 0.0 and -0.0 are one key but print apart."""
+    dks = config.dk_grid()
+    values = config.omega_grid() + dks + [config.kappa1 + dk for dk in dks]
+    return {value: _fmt(value) for value in values if value}
+
+
+# write_csv's line for each pattern of None among a row's six measures: a
+# number prints at .17g, a None ("%.0s") as nothing. The grid values come
+# in as text.
+_LINES = {nones: "%s,%s,%s,{},{},{},{},{},{},%s\n".format(
+              *("%.0s" if none else "%.17g" for none in nones))
+          for nones in itertools.product((False, True), repeat=6)}
+
+
 def write_csv(rows, config: SweepConfig, path: str):
-    lines = config_echo_lines(config)
-    lines.append(CSV_HEADER)
-    for row in rows:
-        lines.append(",".join([
-            _fmt(row.omega), _fmt(row.delta_kappa), _fmt(row.kappa2),
-            _fmt(row.y), _fmt(row.E_I), _fmt(row.E_S),
-            _fmt(row.E_I_asymptotic), _fmt(row.E_S_closed),
-            _fmt(row.raw_norm), row.status]))
+    grid = _grid_text(config)
+    lines = [f"{line}\n" for line in config_echo_lines(config)]
+    lines.append(f"{CSV_HEADER}\n")
+    for omega, dk, kappa2, y, e_i, e_s, asym, closed, raw_norm, status in rows:
+        template = _LINES[y is None, e_i is None, e_s is None, asym is None,
+                          closed is None, raw_norm is None]
+        lines.append(template % (
+            grid.get(omega) or _fmt(omega), grid.get(dk) or _fmt(dk),
+            grid.get(kappa2) or _fmt(kappa2), y, e_i, e_s, asym, closed,
+            raw_norm, status))
+    # Line by line: one joined text and its encoded copy would each be as
+    # large as the file.
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(lines)
 
 
 def write_matrix(rows, config: SweepConfig, base_path: str):
@@ -310,18 +389,19 @@ def write_matrix(rows, config: SweepConfig, base_path: str):
     """
     dks = config.dk_grid()
     omegas = config.omega_grid()
-    by_point = {(row.omega, row.delta_kappa): row for row in rows}
+    grid = _grid_text(config)
+    by_point = {(row.omega, row.delta_kappa): (row.E_I, row.E_S)
+                for row in rows}
     out = {}
-    for suffix, field in (("EI", "E_I"), ("ES", "E_S")):
-        lines = [" ".join([str(len(dks))] + [format(dk, ".17g") for dk in dks])]
+    for column, suffix in enumerate(("EI", "ES")):
+        lines = [" ".join([str(len(dks))]
+                          + [grid.get(dk) or _fmt(dk) for dk in dks])]
         for omega in omegas:
-            cells = [format(omega, ".17g")]
-            for dk in dks:
-                row = by_point.get((omega, dk))
-                value = getattr(row, field) if row is not None else None
-                cells.append(format(value, ".17g") if value is not None
-                             else "nan")
-            lines.append(" ".join(cells))
+            values = [by_point.get((omega, dk), (None, None))[column]
+                      for dk in dks]
+            lines.append(" ".join([grid.get(omega) or _fmt(omega)] + [
+                "nan" if value is None else "%.17g" % value
+                for value in values]))
         path = f"{base_path}_{suffix}.dat"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

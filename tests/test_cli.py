@@ -1,7 +1,12 @@
 """Command-line interface: output formats and exit codes."""
+from pathlib import Path
+import re
+
 import pytest
 
 from qubeam.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 SWEEP_SMALL = ["--dk-min", "400", "--dk-max", "600", "--dk-steps", "3",
                "--omega-max", "0.4", "--omega-steps", "2"]
@@ -157,6 +162,40 @@ def test_overflowing_scale_is_a_computation_error(capsys):
     assert "error: stage roots:" in capsys.readouterr().err
     assert main(["verify", "--omega", "1e119"] + point) == 2
     assert "0 passed, 5 failed, 1 skipped" in capsys.readouterr().out
+
+
+def test_tiny_scale_is_a_computation_error(tmp_path, capsys):
+    # At kappa1 1e-100 the squares in the residual derivative underflow to
+    # 0; at 2^-200 times the reference point Phi's denominator does.
+    assert main(["measures", "--kappa1", "1e-100", "--kappa2", "2e-100",
+                 "--omega", "0", "--eps", "1e-210", "--pol", "du"]) == 2
+    assert "error: stage roots: residual derivative has a zero denominator" \
+        in capsys.readouterr().err
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--kappa1", "1e-100", "--eps", "1e-210",
+                 "--dk-min", "1e-100", "--dk-max", "2e-100", "--omega-max",
+                 "0", "--dk-steps", "2", "--omega-steps", "2",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: all 4 grid points failed; "
+                                       "first status: "
+                                       "error:SingularDenominator\n")
+    scale = 2.0 ** -200
+    assert main(["measures", "--kappa1", repr(2500.0 * scale),
+                 "--kappa2", repr(3000.0 * scale), "--omega",
+                 repr(0.5 * scale), "--eps", repr(0.1 * scale * scale),
+                 "--pol", "du", "--method", "pert"]) == 2
+    assert "error: stage measures: Phi denominator 0.0 is not positive" \
+        in capsys.readouterr().err
+
+
+def test_readme_examples_match_the_program(capsys):
+    examples = re.findall(r"```\n\$ qubeam ([^\n]*)\n(.*?)```",
+                          README.read_text(), re.S)
+    assert [command for command, _ in examples] == ["roots",
+                                                    "measures --machine"]
+    for command, shown in examples:
+        assert main(command.split()) == 0
+        assert capsys.readouterr().out == shown, command
 
 
 def test_verify_passes_at_reference_point(capsys):

@@ -1,5 +1,4 @@
 """The scripts under scripts/ run end to end on small inputs."""
-from dataclasses import replace
 import importlib.util
 import math
 from pathlib import Path
@@ -56,11 +55,11 @@ def test_diff_outputs_reports_fields_ulps_and_statuses(tmp_path, capsys):
     write_csv(rows, config, str(old / "du.csv"))
     write_csv(rows, config, str(old / "only_old.csv"))
     # row 1: E_I one ulp up, E_S ten ulps down; row 2 fails
-    rows[1] = replace(rows[1], E_I=math.nextafter(rows[1].E_I, 1.0),
-                      E_S=rows[1].E_S - 10 * math.ulp(rows[1].E_S))
-    rows[2] = replace(rows[2], y=None, E_I=None, E_S=None,
-                      E_I_asymptotic=None, E_S_closed=None, raw_norm=None,
-                      status="error:DomainError")
+    rows[1] = rows[1]._replace(E_I=math.nextafter(rows[1].E_I, 1.0),
+                               E_S=rows[1].E_S - 10 * math.ulp(rows[1].E_S))
+    rows[2] = rows[2]._replace(y=None, E_I=None, E_S=None,
+                               E_I_asymptotic=None, E_S_closed=None,
+                               raw_norm=None, status="error:DomainError")
     write_csv(rows, config, str(new / "du.csv"))
     assert script.main([str(old), str(old)]) == 0
     assert capsys.readouterr().out == "du.csv: identical (6 rows)\n" \

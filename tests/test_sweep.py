@@ -140,6 +140,97 @@ def test_validation_rejects_resonant_grid_points():
     assert "grid point" in str(err.value)
 
 
+# Whole messages of invalid grids, as the point-by-point loop over
+# make_params wrote them: the first point of each error class, in grid order.
+GRID_ERRORS = {
+    "kappa1": ({"kappa1": -1.0},
+               "grid point omega=0.0, delta_kappa=10.0: kappa1 must be "
+               "positive and finite, got -1.0"),
+    "eps": ({"eps": math.nan},
+            "grid point omega=0.0, delta_kappa=10.0: eps must be positive "
+            "and finite, got nan"),
+    "omega": ({"omega_max": 2499.0},
+              "grid point omega=2499.0, delta_kappa=10.0: omega=2499.0 within "
+              "the resonance margin of kappa1=2500.0 (limit 2475.0)"),
+    # 0 * inf: the first omega is nan, the others inf
+    "omega_inf": ({"omega_max": math.inf},
+                  "grid point omega=nan, delta_kappa=10.0: omega must be "
+                  "nonnegative and finite, got nan"),
+    "two_classes": ({"dk_min": 1e-13, "omega_max": 2499.0},
+                    "grid point omega=0.0, delta_kappa=1e-13: kappa1 = "
+                    "kappa2 = 2500.0; the first-order root corrections divide "
+                    "by the frequency split; grid point omega=2499.0, "
+                    "delta_kappa=55.55555555555566: omega=2499.0 within the "
+                    "resonance margin of kappa1=2500.0 (limit 2475.0)"),
+}
+
+
+@pytest.mark.parametrize("case", GRID_ERRORS)
+def test_grid_validation_messages_are_unchanged(case):
+    overrides, message = GRID_ERRORS[case]
+    with pytest.raises(ValidationError) as err:
+        parse_config(None, overrides)
+    assert str(err.value) == message
+
+
+def test_settled_grid_makes_no_make_params_call(monkeypatch):
+    calls = []
+    real = sweep_mod.make_params
+    monkeypatch.setattr(sweep_mod, "make_params",
+                        lambda *args: calls.append(args) or real(*args))
+    parse_config(None)
+    assert calls == []
+    run_sweep(parse_config(None, SMALL))    # the batch settles every point
+    assert calls == []
+
+
+def _validate_point_by_point(config):
+    """The grid check as a loop: make_params at every point, the first
+    message of each error class."""
+    seen, problems = set(), []
+    for omega in config.omega_grid():
+        for dk in config.dk_grid():
+            try:
+                make_params(config.kappa1, config.kappa1 + dk, omega,
+                            config.eps)
+            except ValidationError as exc:
+                if type(exc) not in seen:
+                    seen.add(type(exc))
+                    problems.append(f"grid point omega={omega}, "
+                                    f"delta_kappa={dk}: {exc}")
+    return "; ".join(problems)
+
+
+_EDGES = st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf,
+                          5e-324, 1e-300, 1e308])
+
+
+@given(kappa1=st.one_of(st.floats(-10.0, 1e4), _EDGES),
+       eps=st.one_of(st.floats(-1.0, 10.0), _EDGES),
+       dk_min=st.one_of(st.floats(1e-15, 1e4), st.sampled_from(
+           [5e-324, 1e-13, 1e-300, 1e308, math.inf])),
+       dk_span=st.one_of(st.floats(0.0, 1e4), _EDGES),
+       omega_min=st.one_of(st.floats(0.0, 1e4), _EDGES),
+       omega_span=st.one_of(st.floats(0.0, 1e4), _EDGES),
+       steps=st.integers(2, 4))
+@settings(deadline=None, derandomize=True, max_examples=300)
+def test_grid_validation_matches_make_params_at_every_point(
+        kappa1, eps, dk_min, dk_span, omega_min, omega_span, steps):
+    config = SweepConfig(kappa1=kappa1, eps=eps, dk_min=dk_min,
+                         dk_max=dk_min + dk_span, dk_steps=steps,
+                         omega_min=omega_min, omega_max=omega_min + omega_span,
+                         omega_steps=steps + 1)
+    if not (dk_min > 0 and not config.dk_max < dk_min
+            and not omega_min < 0 and not config.omega_max < omega_min):
+        return          # rejected before the grid is looked at
+    try:
+        sweep_mod._validate(config)
+        got = ""
+    except ValidationError as exc:
+        got = str(exc)
+    assert got == _validate_point_by_point(config)
+
+
 def test_sweep_rows_ordered_and_consistent():
     cfg = parse_config(None, SMALL)
     rows = run_sweep(cfg)
@@ -244,6 +335,45 @@ def test_batched_sweep_matches_point_by_point(grid):
             got = run_sweep(cfg)
             assert got == want, (pol, method)
             assert repr(got) == repr(want)      # also tells -0.0 from 0.0
+
+
+def test_closed_form_failures_go_through_full_report():
+    # Near resonance eps*Phi reaches 1 where the roots and gaps are fine,
+    # so the rows at omega = 9.8 carry phi_closed's RangeViolation.
+    for method in ("exact", "pert"):
+        cfg = parse_config(None, dict(MIXED, eps=0.1, omega_min=9.0,
+                                      omega_max=9.8, method=method))
+        want = [sweep_mod._evaluate_point(cfg, omega, dk)
+                for omega in cfg.omega_grid() for dk in cfg.dk_grid()]
+        assert [row.status for row in want] == ["ok"] * 8 + [
+            "error:RangeViolation"] * 4
+        assert repr(run_sweep(cfg)) == repr(want)
+
+
+def test_csv_prints_negative_zero_as_such(tmp_path):
+    # Grid values are formatted once and looked up by value; -0.0 equals
+    # 0.0 as a key but prints as "-0".
+    cfg = parse_config(None, SMALL)
+    rows = run_sweep(cfg)
+    rows[0] = rows[0]._replace(omega=-0.0, E_S=-0.0)
+    write_csv(rows, cfg, str(tmp_path / "s.csv"))
+    data = [line for line in (tmp_path / "s.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    cells = data[1].split(",")
+    assert (cells[0], cells[5]) == ("-0", "-0")
+    assert data[4].startswith("0.40000000000000002,400,2900,")
+
+
+def test_unvalidated_grid_points_become_error_rows():
+    # run_sweep on a config that skipped parse_config: the points make_params
+    # rejects (here omega within the resonance margin) are error rows.
+    cfg = SweepConfig(**dict(SMALL, omega_max=2499.0, omega_steps=3))
+    want = [sweep_mod._evaluate_point(cfg, omega, dk)
+            for omega in cfg.omega_grid() for dk in cfg.dk_grid()]
+    assert [row.status for row in want] == ["ok"] * 6 + [
+        "error:NearResonance"] * 3
+    got = run_sweep(cfg)
+    assert repr(got) == repr(want)
 
 
 # The point_mix envelope with its coupling bound exceeded up to 1e4-fold,
