@@ -13,7 +13,7 @@ import os
 import sys
 
 from qubeam import parse_config, run_sweep
-from qubeam.sweep import write_csv, write_matrix
+from qubeam.sweep import write_csv
 
 
 def main(argv=None):
@@ -35,8 +35,7 @@ def main(argv=None):
         config = parse_config(args.config, overrides)
         rows = run_sweep(config)
         base = os.path.join(args.out_dir, pol)
-        write_csv(rows, config, base + ".csv")
-        paths = write_matrix(rows, config, base)
+        paths = write_csv(rows, config, base + ".csv", base)
         failed = sum(1 for r in rows if r.status != "ok")
         print(f"{pol}: {len(rows)} rows ({failed} failed) -> {base}.csv, "
               f"{paths['EI']}, {paths['ES']}", file=sys.stderr)

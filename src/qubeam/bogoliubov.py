@@ -24,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .dispersion import ModeRoots, _pair
-from .errors import NegativeRadicand, PoleEvaluation
+from .errors import NegativeRadicand, PoleEvaluation, SingularDenominator
 from .params import ModelParams
 
 # Row/column order of the 4x4 block.
@@ -96,6 +96,14 @@ def _column(roots: ModeRoots, params: ModelParams, k, lam) -> ColumnFactors:
             f"root r[{k}][{lam}] = {kappa_k + d!r} sits on the other "
             f"photon's pole at {kappa_o!r}; the transformation is singular "
             "there")
+    # chi divides by r^3 eps and a_cross^2, which underflow to 0 at tiny
+    # scales (a batch masks those points as not finite).
+    r = kappa_k + d
+    a_cross = cross * (kappa_k + kappa_o + d)
+    if not (abs(r * r * r * params.eps) > 0.0 and a_cross * a_cross > 0.0):
+        raise SingularDenominator(
+            f"normalization denominator of r[{k}][{lam}] = {r!r} underflows "
+            "to 0 or is not a number")
     r, a_self, a_cross, chi, xi = _deviations(kappa_k, kappa_o, d, params, lam)
     if not chi > -1.0:
         radicand = 2.0 * (1.0 + chi) / (a_self * a_self)

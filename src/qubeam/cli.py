@@ -6,6 +6,7 @@ eps=0.1, pol=du). Exit codes: 0 success, 1 validation or parse error,
 2 computation failure.
 """
 import argparse
+import functools
 import sys
 
 from .bogoliubov import INDEX_ORDER, build_block, identity_defect
@@ -20,7 +21,6 @@ from .sweep import (
     run_sweep,
     verify_point,
     write_csv,
-    write_matrix,
 )
 
 _POINT_DEFAULTS = dict(kappa1=2500.0, kappa2=3000.0, omega=0.5, eps=0.1)
@@ -49,6 +49,7 @@ def _add_point_flags(sub, pol=False, method=False):
                          default="exact")
 
 
+@functools.cache     # a parser keeps no state from one parse to the next
 def _build_parser():
     parser = _Parser(prog="qubeam",
                      description="Photon-pair entanglement in a magnetized "
@@ -195,9 +196,7 @@ def _cmd_sweep(args):
         "omega_min", "omega_max", "omega_steps")}
     config = parse_config(args.config, overrides)
     rows = run_sweep(config)
-    write_csv(rows, config, args.out)
-    if args.matrix:
-        write_matrix(rows, config, args.matrix)
+    write_csv(rows, config, args.out, args.matrix)
     failed = sum(1 for row in rows if row.status != "ok")
     print(f"wrote {args.out}: {len(rows)} rows, {failed} failed",
           file=sys.stderr)

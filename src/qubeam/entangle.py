@@ -218,7 +218,8 @@ def full_report(params: ModelParams, config: PolarizationConfig,
     method selects the root solver ("exact" or "perturbative"). Closed-form
     comparators are attached for configs (2,1) and (1,1); the other two have
     no leading-order reference and get None there. Upstream errors propagate
-    with the failing stage prepended to the message.
+    as the same objects, with the failing stage in their stage attribute
+    and prepended to the message.
     """
     if method not in ("exact", "perturbative"):
         raise ValueError(f"method must be 'exact' or 'perturbative', got {method!r}")
@@ -227,7 +228,9 @@ def full_report(params: ModelParams, config: PolarizationConfig,
         try:
             return fn()
         except QubeamError as exc:
-            raise type(exc)(f"stage {name}: {exc}") from exc
+            exc.stage = name
+            exc.args = (f"stage {name}: {exc}",)
+            raise
 
     if method == "exact":
         roots = stage("roots", lambda: exact_roots(params, tol))

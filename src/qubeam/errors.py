@@ -7,7 +7,10 @@ computation errors to exit code 2.
 
 
 class QubeamError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors. full_report sets stage to the
+    name of the pipeline stage that raised."""
+
+    stage = None
 
 
 # ---------------------------------------------------------------- validation

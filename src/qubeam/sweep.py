@@ -6,6 +6,7 @@ records the entanglement measures per point. Output is deterministic: rows
 ordered lexicographically by (omega, delta_kappa), numbers printed with 17
 significant digits, metadata confined to '#' comment lines, no timestamps.
 """
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 import itertools
 from typing import NamedTuple
@@ -300,7 +301,7 @@ def run_sweep(config: SweepConfig):
     statuses are those of the point-by-point pipeline. Per-point failures
     become rows with an error status; AllRowsFailed is raised only if
     nothing succeeds. Nothing is written: the caller passes the rows to
-    write_csv / write_matrix.
+    write_csv.
     """
     omega, kappa2 = _grid_arrays(config)
     n = len(omega)
@@ -355,58 +356,52 @@ def _grid_text(config: SweepConfig):
     return {value: _fmt(value) for value in values if value}
 
 
-# write_csv's line for each pattern of None among a row's six measures: a
-# number prints at .17g, a None ("%.0s") as nothing. The grid values come
-# in as text.
-_LINES = {nones: "%s,%s,%s,{},{},{},{},{},{},%s\n".format(
+# write_csv's line for each pattern of None among y, E_I_asymptotic,
+# E_S_closed and raw_norm: a number prints at .17g, a None ("%.0s") as
+# nothing. The grid values, E_I and E_S come in as text.
+_LINES = {nones: "%s,%s,%s,{},%s,%s,{},{},{},%s\n".format(
               *("%.0s" if none else "%.17g" for none in nones))
-          for nones in itertools.product((False, True), repeat=6)}
+          for nones in itertools.product((False, True), repeat=4)}
 
 
-def write_csv(rows, config: SweepConfig, path: str):
-    grid = _grid_text(config)
-    lines = [f"{line}\n" for line in config_echo_lines(config)]
-    lines.append(f"{CSV_HEADER}\n")
-    for omega, dk, kappa2, y, e_i, e_s, asym, closed, raw_norm, status in rows:
-        template = _LINES[y is None, e_i is None, e_s is None, asym is None,
-                          closed is None, raw_norm is None]
-        lines.append(template % (
-            grid.get(omega) or _fmt(omega), grid.get(dk) or _fmt(dk),
-            grid.get(kappa2) or _fmt(kappa2), y, e_i, e_s, asym, closed,
-            raw_norm, status))
-    # Line by line: one joined text and its encoded copy would each be as
-    # large as the file.
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
-
-
-def write_matrix(rows, config: SweepConfig, base_path: str):
-    """Gnuplot nonuniform-matrix surfaces BASE_EI.dat and BASE_ES.dat.
-
-    First row: N followed by the N delta_kappa values; then one row per
-    omega: omega followed by the measure per column. Failed points appear
-    as nan.
-    """
+def write_csv(rows, config: SweepConfig, path: str, matrix: str | None = None):
+    """Write run_sweep(config)'s rows to the CSV at path and, with matrix,
+    the gnuplot nonuniform-matrix surfaces MATRIX_EI.dat and MATRIX_ES.dat:
+    N and the N delta_kappa values, then per omega the omega and the measure
+    per column, nan where the point failed. One pass, one omega line of rows
+    at a time; returns {"EI": path, "ES": path}, or {} without matrix."""
     dks = config.dk_grid()
-    omegas = config.omega_grid()
     grid = _grid_text(config)
-    by_point = {(row.omega, row.delta_kappa): (row.E_I, row.E_S)
-                for row in rows}
-    out = {}
-    for column, suffix in enumerate(("EI", "ES")):
-        lines = [" ".join([str(len(dks))]
-                          + [grid.get(dk) or _fmt(dk) for dk in dks])]
-        for omega in omegas:
-            values = [by_point.get((omega, dk), (None, None))[column]
-                      for dk in dks]
-            lines.append(" ".join([grid.get(omega) or _fmt(omega)] + [
-                "nan" if value is None else "%.17g" % value
-                for value in values]))
-        path = f"{base_path}_{suffix}.dat"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        out[suffix] = path
-    return out
+    surfaces = ({suffix: f"{matrix}_{suffix}.dat" for suffix in ("EI", "ES")}
+                if matrix else {})
+    with ExitStack() as files:
+        csv, *dats = [files.enter_context(
+            open(name, "w", encoding="utf-8", newline="\n"))
+            for name in (path, *surfaces.values())]
+        csv.writelines(f"{line}\n" for line in config_echo_lines(config))
+        csv.write(f"{CSV_HEADER}\n")
+        for dat in dats:
+            dat.write(" ".join([str(len(dks))]
+                               + [grid.get(dk) or _fmt(dk) for dk in dks])
+                      + "\n")
+        for omega, start in zip(config.omega_grid(),
+                                range(0, len(rows), len(dks))):
+            lines, e_is, e_ss = [], [], []
+            for (w, dk, kappa2, y, e_i, e_s, asym, closed, raw_norm,
+                 status) in rows[start:start + len(dks)]:
+                e_i, e_s = _fmt(e_i), _fmt(e_s)
+                lines.append(_LINES[y is None, asym is None, closed is None,
+                                    raw_norm is None] % (
+                    grid.get(w) or _fmt(w), grid.get(dk) or _fmt(dk),
+                    grid.get(kappa2) or _fmt(kappa2), y, e_i, e_s, asym,
+                    closed, raw_norm, status))
+                e_is.append(e_i or "nan")
+                e_ss.append(e_s or "nan")
+            csv.writelines(lines)
+            head = grid.get(omega) or _fmt(omega)
+            for dat, cells in zip(dats, (e_is, e_ss)):
+                dat.write(f"{head} {' '.join(cells)}\n")
+    return surfaces
 
 
 # ----------------------------------------------------------------- verify

@@ -1,12 +1,16 @@
 """Command-line interface: output formats and exit codes."""
+import os
 from pathlib import Path
 import re
+import subprocess
+import sys
 
 import pytest
 
 from qubeam.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src"
 
 SWEEP_SMALL = ["--dk-min", "400", "--dk-max", "600", "--dk-steps", "3",
                "--omega-max", "0.4", "--omega-steps", "2"]
@@ -110,6 +114,38 @@ def test_sweep_writes_csv_and_matrix(tmp_path, capsys):
     assert len(data) == 7
 
 
+def test_repeated_calls_write_what_fresh_processes_write(tmp_path, capsys):
+    # main() reuses one parser per process; no call may see another's
+    # arguments.
+    argvs = [["sweep", "--pol", "uu", "--method", "pert"], ["measures"],
+             ["sweep"]]
+
+    def run(argv, out):
+        if argv[0] != "sweep":
+            return argv
+        return [*argv, "--out", f"{out}.csv", "--matrix", str(out)]
+
+    def outputs(out, stdout):
+        if not stdout:
+            return [(tmp_path / f"{out.name}{suffix}").read_bytes()
+                    for suffix in (".csv", "_EI.dat", "_ES.dat")]
+        return [stdout]
+
+    got = []
+    for i, argv in enumerate(argvs):
+        out = tmp_path / f"inproc{i}"
+        assert main(run(argv, out)) == 0
+        got.append(outputs(out, capsys.readouterr().out.encode()))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    for i, argv in enumerate(argvs):
+        out = tmp_path / f"fresh{i}"
+        proc = subprocess.run([sys.executable, "-m", "qubeam.cli",
+                               *run(argv, out)], capture_output=True,
+                              env=env, check=True)
+        assert outputs(out, proc.stdout) == got[i], argv
+
+
 def test_sweep_flag_overrides_config_file(tmp_path, capsys):
     conf = tmp_path / "sweep.conf"
     conf.write_text("eps = 0.05\ndk_min = 400\ndk_max = 600\ndk_steps = 3\n"
@@ -186,6 +222,19 @@ def test_tiny_scale_is_a_computation_error(tmp_path, capsys):
                  "--pol", "du", "--method", "pert"]) == 2
     assert "error: stage measures: Phi denominator 0.0 is not positive" \
         in capsys.readouterr().err
+    # At kappa1 1e-66, r^3 eps in the normalization underflows to 0.
+    assert main(["measures", "--kappa1", "1e-66", "--kappa2", "2e-66",
+                 "--omega", "1e-67", "--eps", "1e-135", "--method", "pert",
+                 "--pol", "du"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: stage block: normalization denominator of r[1][1] ")
+    assert main(["sweep", "--kappa1", "1e-66", "--dk-min", "1e-67",
+                 "--dk-max", "2e-66", "--omega-max", "1e-67", "--eps",
+                 "1e-135", "--method", "pert", "--dk-steps", "2",
+                 "--omega-steps", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: all 4 grid points failed; "
+                                       "first status: "
+                                       "error:SingularDenominator\n")
 
 
 def test_readme_examples_match_the_program(capsys):

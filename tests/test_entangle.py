@@ -22,8 +22,10 @@ from qubeam.entangle import (
     asymptotic_info,
 )
 from qubeam.errors import (
+    BracketFailure,
     DomainError,
     NonPositive,
+    PoleEvaluation,
     QubeamError,
     RangeViolation,
     ResonancePole,
@@ -232,6 +234,41 @@ def test_report_stage_labels_and_method(fig_params):
     assert pert.E_I == pytest.approx(exact.E_I, rel=1e-2)
 
 
+@pytest.mark.parametrize("point,code,method,kind,message", [
+    ((2500.0, 2900.0, 0.0, 1e9), "du", "exact", BracketFailure,
+     "stage roots: no sign change in (2700.0, 2700.0) for mode at "
+     "kappa=2500.0, lambda=1"),
+    ((10.0, 11.0, 0.25, 1e-3), "uu", "exact", DomainError,
+     "stage measures: raw spectral gap -2.0010587158091604e-07 below domain "
+     "tolerance or not a number; state outside the truncation regime"),
+], ids=["bracket", "domain"])
+def test_report_stage_is_set_on_the_raised_error(point, code, method, kind,
+                                                 message):
+    # Messages recorded before the stage became an attribute.
+    with pytest.raises(kind) as err:
+        full_report(make_params(*point), PolarizationConfig.from_code(code),
+                    method)
+    assert type(err.value) is kind
+    assert str(err.value) == message
+    assert err.value.stage == message.split(":")[0].removeprefix("stage ")
+
+
+def test_report_stage_reraises_the_same_object(fig_params, monkeypatch):
+    inner = PoleEvaluation("on the pole")
+    inner.detail = object()
+
+    def broken(roots, params):
+        raise inner
+
+    monkeypatch.setattr(entangle, "build_block", broken)
+    with pytest.raises(PoleEvaluation) as err:
+        full_report(fig_params, PolarizationConfig.from_code("du"))
+    assert err.value is inner and err.value.detail is inner.detail
+    assert err.value.stage == "block"
+    assert str(err.value) == "stage block: on the pole"
+    assert PoleEvaluation("x").stage is None
+
+
 def test_schmidt_from_gaps_consistency():
     # same quantity two ways: gaps form vs the normalized-state identity
     ng, yg = 3e-13, 7e-13
@@ -286,4 +323,38 @@ def test_large_scales_raise_package_errors_only():
                                               rep.E_I_asymptotic,
                                               rep.E_S_closed):
                                     assert value is None or math.isfinite(value)
+    assert "ok" in outcomes and "SingularDenominator" in outcomes
+
+
+def test_tiny_scales_raise_package_errors_only():
+    """Valid points down to kappa1 ~ 1e-304, where the normalization's
+    denominators underflow: every report either succeeds with finite
+    fields or raises a QubeamError."""
+    outcomes = set()
+    for k_exp in range(1, 305, 3):
+        kappa1 = 10.0 ** -k_exp
+        for eps_exp in (-9, -6, -3, -1):
+            for split in (1e-3, 0.5, 3.0):
+                for omega_frac in (0.0, 0.1, 0.5):
+                    try:
+                        p = make_params(kappa1, kappa1 * (1.0 + split),
+                                        omega_frac * kappa1,
+                                        10.0 ** eps_exp * kappa1 * kappa1)
+                    except ValidationError:
+                        continue
+                    for code in ("uu", "ud", "du", "dd"):
+                        for method in ("exact", "perturbative"):
+                            try:
+                                rep = full_report(
+                                    p, PolarizationConfig.from_code(code),
+                                    method)
+                            except QubeamError as exc:
+                                outcomes.add(type(exc).__name__)
+                                continue
+                            outcomes.add("ok")
+                            for value in (rep.y, rep.E_I, rep.E_S,
+                                          rep.raw_norm_sq,
+                                          rep.E_I_asymptotic,
+                                          rep.E_S_closed):
+                                assert value is None or math.isfinite(value)
     assert "ok" in outcomes and "SingularDenominator" in outcomes

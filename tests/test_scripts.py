@@ -52,7 +52,7 @@ def test_diff_outputs_reports_fields_ulps_and_statuses(tmp_path, capsys):
     old, new = tmp_path / "old", tmp_path / "new"
     old.mkdir()
     new.mkdir()
-    write_csv(rows, config, str(old / "du.csv"))
+    write_csv(rows, config, str(old / "du.csv"), str(old / "du"))
     write_csv(rows, config, str(old / "only_old.csv"))
     # row 1: E_I one ulp up, E_S ten ulps down; row 2 fails
     rows[1] = rows[1]._replace(E_I=math.nextafter(rows[1].E_I, 1.0),
@@ -60,13 +60,29 @@ def test_diff_outputs_reports_fields_ulps_and_statuses(tmp_path, capsys):
     rows[2] = rows[2]._replace(y=None, E_I=None, E_S=None,
                                E_I_asymptotic=None, E_S_closed=None,
                                raw_norm=None, status="error:DomainError")
-    write_csv(rows, config, str(new / "du.csv"))
+    write_csv(rows, config, str(new / "du.csv"), str(new / "du"))
+    # the first delta_kappa one ulp up in the E_S surface's grid line
+    surface = new / "du_ES.dat"
+    surface.write_text(surface.read_text().replace(
+        "3 400 ", f"3 {math.nextafter(400.0, 500.0)!r} ", 1))
     assert script.main([str(old), str(old)]) == 0
     assert capsys.readouterr().out == "du.csv: identical (6 rows)\n" \
+        "du_EI.dat: identical (6 cells)\n" \
+        "du_ES.dat: identical (6 cells)\n" \
         "only_old.csv: identical (6 rows)\n"
     assert script.main([str(old), str(new)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "du.csv: 2 of 6 rows changed, 1 status changes"
     assert lines[1].startswith("  E_I: 1 fields, max 1 ulps, max rel ")
     assert lines[2].startswith("  E_S: 1 fields, max 10 ulps, max rel ")
-    assert lines[3:] == ["  row 2: status ok -> error:DomainError"]
+    assert lines[3] == "  row 2: status ok -> error:DomainError"
+    # surfaces: cells by position, the failed point's cell turned nan
+    assert lines[4] == "du_EI.dat: 2 of 6 cells changed, 1 nan changes"
+    assert lines[5].startswith("  cells: 1 fields, max 1 ulps, max rel ")
+    assert lines[6].startswith("  line 1, cell 3: ")
+    assert lines[6].endswith(" -> nan")
+    assert lines[7] == "du_ES.dat: 2 of 6 cells changed, 1 nan changes"
+    assert lines[8].startswith("  grid: 1 fields, max 1 ulps, max rel ")
+    assert lines[9].startswith("  cells: 1 fields, max 10 ulps, max rel ")
+    assert lines[10].startswith("  line 1, cell 3: ")
+    assert len(lines) == 11         # only_old.csv has no counterpart

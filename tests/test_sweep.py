@@ -31,7 +31,6 @@ from qubeam.sweep import (
     SweepConfig,
     config_echo_lines,
     write_csv,
-    write_matrix,
 )
 
 FIG = (2500.0, 3000.0, 0.5, 0.1)
@@ -302,7 +301,8 @@ def test_csv_output_is_deterministic(tmp_path):
 def test_matrix_output_shapes_and_nan(tmp_path):
     cfg = parse_config(None, dict(MIXED, pol="uu"))
     rows = run_sweep(cfg)
-    paths = write_matrix(rows, cfg, str(tmp_path / "surface"))
+    paths = write_csv(rows, cfg, str(tmp_path / "s.csv"),
+                      str(tmp_path / "surface"))
     assert set(paths) == {"EI", "ES"}
     for path in paths.values():
         lines = (tmp_path / path.split("/")[-1]).read_text().splitlines()
@@ -314,6 +314,30 @@ def test_matrix_output_shapes_and_nan(tmp_path):
         assert "nan" not in lines[1]                        # omega = 0
         for line in lines[2:]:                              # the failed points
             assert line.split()[1:] == ["nan"] * 4
+
+
+@pytest.mark.parametrize("grid", [SMALL, MIXED], ids=["small", "mixed"])
+def test_surface_cells_are_the_csv_measures(grid, tmp_path):
+    for pol in ("uu", "ud", "du", "dd"):
+        for method in ("exact", "pert"):
+            cfg = parse_config(None, dict(grid, pol=pol, method=method))
+            rows = run_sweep(cfg)
+            base = tmp_path / f"{pol}_{method}"
+            paths = write_csv(rows, cfg, f"{base}.csv", str(base))
+            assert paths == {"EI": f"{base}_EI.dat", "ES": f"{base}_ES.dat"}
+            data = [line.split(",") for line in
+                    open(f"{base}.csv").read().splitlines()
+                    if not line.startswith("#")][1:]
+            for column, suffix in ((4, "EI"), (5, "ES")):
+                lines = open(paths[suffix]).read().splitlines()
+                cells = [cell for line in lines[1:]
+                         for cell in line.split()[1:]]
+                assert cells == [
+                    fields[column] if fields[9] == "ok" else "nan"
+                    for fields in data], (pol, method, suffix)
+                assert [line.split()[0] for line in lines[1:]] == [
+                    sweep_mod._fmt(omega) for omega in cfg.omega_grid()]
+    assert write_csv(rows, cfg, str(tmp_path / "alone.csv")) == {}
 
 
 @pytest.mark.parametrize("grid", [SMALL, MIXED, POLE, TIGHT, BROKEN, TINY],
