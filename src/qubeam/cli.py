@@ -7,6 +7,7 @@ eps=0.1, pol=du). Exit codes: 0 success, 1 validation or parse error,
 """
 import argparse
 import functools
+import math
 import sys
 
 from .bogoliubov import INDEX_ORDER, build_block, identity_defect
@@ -161,7 +162,7 @@ def _cmd_state(args):
              f"lambda2={amps.config.lambda2})"]
     for i, v in enumerate(amps.vec, start=1):
         lines.append(f"upsilon{i}: {v.real:+.17g} {v.imag:+.17g}i")
-    lines.append(f"raw_norm: {amps.raw_norm_sq ** 0.5:.17g}")
+    lines.append(f"raw_norm: {math.sqrt(amps.raw_norm_sq):.17g}")
     _emit(lines, None)
     return 0
 

@@ -9,6 +9,7 @@ significant digits, metadata confined to '#' comment lines, no timestamps.
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -208,7 +209,7 @@ def _evaluate_point(config, omega, dk):
     return SweepRow(
         omega=omega, delta_kappa=dk, kappa2=kappa2, y=rep.y, E_I=rep.E_I,
         E_S=rep.E_S, E_I_asymptotic=rep.E_I_asymptotic,
-        E_S_closed=rep.E_S_closed, raw_norm=rep.raw_norm_sq ** 0.5,
+        E_S_closed=rep.E_S_closed, raw_norm=math.sqrt(rep.raw_norm_sq),
         status="ok")
 
 
@@ -249,12 +250,12 @@ def _batch_values(params: ModelParams, config: SweepConfig):
     """The row values of a batch of points, as lists: settled, y, E_I, E_S,
     E_I_asymptotic, E_S_closed, raw_norm.
 
-    The + - * / parts are full_report's formulas over arrays. The logs
-    (_info_from_gap, _asymptotic_from_phi) and the square root of the raw
-    norm run per entry as in full_report, because NumPy's logs and powers
-    round differently. settled is False wherever make_params, a stage, a
-    measure or a closed form would raise; the values there are
-    placeholders.
+    The + - * / and the raw norm's square root (correctly rounded, as
+    math.sqrt) are full_report's formulas over arrays. The logs
+    (_info_from_gap, _asymptotic_from_phi) run per entry as in full_report,
+    because NumPy's logs round differently. settled is False wherever
+    make_params, a stage, a measure or a closed form would raise; the
+    values there are placeholders.
     """
     y_gap, norm_gap, settled = _batch_gaps(params, config)
     k1, k2, w, eps = params.kappa1, params.kappa2, params.omega, params.eps
@@ -287,10 +288,9 @@ def _batch_values(params: ModelParams, config: SweepConfig):
         # not needed; 0.0 and 1.0 are placeholders where nothing settled.
         e_i = [_info_from_gap(g)
                for g in np.where(settled, y_gap, 0.0).tolist()]
-        raw_norm = [x ** 0.5 for x in
-                    np.where(settled, 1.0 - norm_gap, 1.0).tolist()]
+        raw_norm = np.sqrt(np.where(settled, 1.0 - norm_gap, 1.0))
         return (settled.tolist(), (1.0 - y_gap).tolist(), e_i, e_s.tolist(),
-                e_i_asym, e_s_closed, raw_norm)
+                e_i_asym, e_s_closed, raw_norm.tolist())
 
 
 def run_sweep(config: SweepConfig):
