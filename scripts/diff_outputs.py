@@ -89,7 +89,7 @@ def _tally(stats, a, b):
 def compare_surface(old_path, new_path):
     """Per-surface summary: (changed_cells, columns, nan_changes, counts)
     where columns maps "grid" and "cells" to [fields, max_ulps, max_rel],
-    nan_changes lists (line, column, old, new) and counts are the numbers
+    nan_changes lists (line, cell, old, new) and counts are the numbers
     of measure cells."""
     old_lines = [line.split() for line in old_path.read_text().splitlines()]
     new_lines = [line.split() for line in new_path.read_text().splitlines()]

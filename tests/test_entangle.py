@@ -290,15 +290,15 @@ def test_closed_forms_compute_phi_once(fig_params, monkeypatch):
     assert rep.E_I_asymptotic == pytest.approx(EI_ASYM_FIG, rel=1e-9)
 
 
-def test_large_scales_raise_package_errors_only():
-    """Valid points up to kappa1 ~ 1e300, where intermediate products
-    overflow: every report either succeeds with finite fields or raises a
-    QubeamError, and no RuntimeWarning is issued."""
+def _reports_raise_package_errors_only(kappa1s):
+    """Over valid points at each kappa1 (4 couplings, 3 splits, 3 fields),
+    every report of each config and method either succeeds with finite
+    fields or raises a QubeamError, and no RuntimeWarning is issued.
+    Returns the outcomes seen."""
     outcomes = set()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for k_exp in range(1, 307, 6):
-            kappa1 = 10.0 ** k_exp
+        for kappa1 in kappa1s:
             for eps_exp in (-9, -6, -3, -1):
                 for split in (1e-3, 0.5, 3.0):
                     for omega_frac in (0.0, 0.1, 0.5):
@@ -323,38 +323,19 @@ def test_large_scales_raise_package_errors_only():
                                               rep.E_I_asymptotic,
                                               rep.E_S_closed):
                                     assert value is None or math.isfinite(value)
+    return outcomes
+
+
+def test_large_scales_raise_package_errors_only():
+    # Up to kappa1 ~ 1e300, where intermediate products overflow.
+    outcomes = _reports_raise_package_errors_only(
+        10.0 ** k_exp for k_exp in range(1, 307, 6))
     assert "ok" in outcomes and "SingularDenominator" in outcomes
 
 
 def test_tiny_scales_raise_package_errors_only():
-    """Valid points down to kappa1 ~ 1e-304, where the normalization's
-    denominators underflow: every report either succeeds with finite
-    fields or raises a QubeamError."""
-    outcomes = set()
-    for k_exp in range(1, 305, 3):
-        kappa1 = 10.0 ** -k_exp
-        for eps_exp in (-9, -6, -3, -1):
-            for split in (1e-3, 0.5, 3.0):
-                for omega_frac in (0.0, 0.1, 0.5):
-                    try:
-                        p = make_params(kappa1, kappa1 * (1.0 + split),
-                                        omega_frac * kappa1,
-                                        10.0 ** eps_exp * kappa1 * kappa1)
-                    except ValidationError:
-                        continue
-                    for code in ("uu", "ud", "du", "dd"):
-                        for method in ("exact", "perturbative"):
-                            try:
-                                rep = full_report(
-                                    p, PolarizationConfig.from_code(code),
-                                    method)
-                            except QubeamError as exc:
-                                outcomes.add(type(exc).__name__)
-                                continue
-                            outcomes.add("ok")
-                            for value in (rep.y, rep.E_I, rep.E_S,
-                                          rep.raw_norm_sq,
-                                          rep.E_I_asymptotic,
-                                          rep.E_S_closed):
-                                assert value is None or math.isfinite(value)
+    # Down to kappa1 ~ 1e-304, where the normalization's denominators
+    # underflow to 0.
+    outcomes = _reports_raise_package_errors_only(
+        10.0 ** -k_exp for k_exp in range(1, 305, 3))
     assert "ok" in outcomes and "SingularDenominator" in outcomes

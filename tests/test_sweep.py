@@ -1,5 +1,6 @@
 """Sweep configuration, grid evaluation, CSV/matrix output, verification."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qubeam.errors import (
     QubeamError,
     ValidationError,
 )
+from qubeam.cli import main
 from qubeam.params import ModelParams
 from qubeam.qstate import PolarizationConfig
 from qubeam.sweep import (
@@ -326,10 +328,10 @@ def test_surface_cells_are_the_csv_measures(grid, tmp_path):
             paths = write_csv(rows, cfg, f"{base}.csv", str(base))
             assert paths == {"EI": f"{base}_EI.dat", "ES": f"{base}_ES.dat"}
             data = [line.split(",") for line in
-                    open(f"{base}.csv").read().splitlines()
+                    Path(f"{base}.csv").read_text().splitlines()
                     if not line.startswith("#")][1:]
             for column, suffix in ((4, "EI"), (5, "ES")):
-                lines = open(paths[suffix]).read().splitlines()
+                lines = Path(paths[suffix]).read_text().splitlines()
                 cells = [cell for line in lines[1:]
                          for cell in line.split()[1:]]
                 assert cells == [
@@ -398,6 +400,17 @@ def test_unvalidated_grid_points_become_error_rows():
         "error:NearResonance"] * 3
     got = run_sweep(cfg)
     assert repr(got) == repr(want)
+
+
+def test_raw_norm_is_correctly_rounded(capsys):
+    # At this default uu grid point the raw norm squared is 1 - 2^-53,
+    # whose correctly rounded root is itself; x ** 0.5 (libm pow) gives 1.0.
+    cfg = SweepConfig(pol=PolarizationConfig.from_code("uu"))
+    dk = cfg.dk_grid()[39]
+    assert sweep_mod._evaluate_point(cfg, 0.0, dk).raw_norm == 1.0 - 2.0 ** -53
+    assert main(["state", "--pol", "uu", "--omega", "0",
+                 "--kappa2", repr(cfg.kappa1 + dk)]) == 0
+    assert capsys.readouterr().out.endswith("raw_norm: 0.99999999999999989\n")
 
 
 # The point_mix envelope with its coupling bound exceeded up to 1e4-fold,
