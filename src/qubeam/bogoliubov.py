@@ -20,6 +20,7 @@ matrix entries, so chi and the analogous xi are carried explicitly.
 from dataclasses import dataclass
 import math
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,25 +38,20 @@ def _phase(lam_row, lam_col):
     return -1.0j
 
 
-@dataclass(frozen=True)
-class ColumnFactors:
-    """Exact per-column quantities for column (k, lam) of the block.
+class ColumnFactors(NamedTuple):
+    """Exact per-column quantities for column (k, lam) of the block; a
+    block's columns are identified by their position in INDEX_ORDER.
 
-    a_self / a_cross are the factored pole differences r^2 - kappa^2 for the
-    column's own photon mode and the other one. chi is the relative deviation
-    of the normalization radicand from its self-pole part: radicand =
+    a_self is the factored pole difference r^2 - kappa_k^2 of the column's
+    own photon mode at its root r. chi is the relative deviation of the
+    normalization radicand from its self-pole part: radicand =
     (2/a_self^2)(1 + chi). xi = d^2/(4 r kappa) measures the deviation of the
     u self-entry from 1/sqrt(2): m_self^2 = (1 + xi) / (2 (1 + chi)).
     m_* and w_* are the signed magnitudes of the u and v entries (phases
     excluded); m_cross carries the sign of r - kappa_other.
     """
 
-    k: int
-    lam: int
-    r: float
-    d: float
     a_self: float
-    a_cross: float
     chi: float
     xi: float
     q: float
@@ -66,7 +62,7 @@ class ColumnFactors:
 
 
 def _deviations(kappa_k, kappa_o, d, params: ModelParams, lam):
-    """(r, a_self, a_cross, chi, xi) of column (k, lam) at root offset d.
+    """(r, a_self, chi, xi) of column (k, lam) at root offset d.
 
     Powers are products, which round alike for floats and numpy arrays, so
     _column and _columns share this arithmetic. Floats need a_cross != 0.
@@ -79,7 +75,7 @@ def _deviations(kappa_k, kappa_o, d, params: ModelParams, lam):
                                      / (r * r * r * params.eps)
                                      + 2.0 / (a_cross * a_cross))
     xi = d * d / (4.0 * r * kappa_k)
-    return r, a_self, a_cross, chi, xi
+    return r, a_self, chi, xi
 
 
 def _column(roots: ModeRoots, params: ModelParams, k, lam) -> ColumnFactors:
@@ -104,7 +100,7 @@ def _column(roots: ModeRoots, params: ModelParams, k, lam) -> ColumnFactors:
         raise SingularDenominator(
             f"normalization denominator of r[{k}][{lam}] = {r!r} underflows "
             "to 0 or is not a number")
-    r, a_self, a_cross, chi, xi = _deviations(kappa_k, kappa_o, d, params, lam)
+    r, a_self, chi, xi = _deviations(kappa_k, kappa_o, d, params, lam)
     if not chi > -1.0:
         radicand = 2.0 * (1.0 + chi) / (a_self * a_self)
         raise NegativeRadicand(
@@ -115,9 +111,7 @@ def _column(roots: ModeRoots, params: ModelParams, k, lam) -> ColumnFactors:
     m_cross = a_self / (2.0 * math.sqrt(r * kappa_o) * cross * scale)
     w_self = d / (2.0 * math.sqrt(r * kappa_k) * scale)
     w_cross = a_self / (2.0 * math.sqrt(r * kappa_o) * (r + kappa_o) * scale)
-    return ColumnFactors(k=k, lam=lam, r=r, d=d, a_self=a_self, a_cross=a_cross,
-                         chi=chi, xi=xi, q=q, m_self=m_self, m_cross=m_cross,
-                         w_self=w_self, w_cross=w_cross)
+    return ColumnFactors(a_self, chi, xi, q, m_self, m_cross, w_self, w_cross)
 
 
 def _columns(offsets, params: ModelParams, k, lam):
@@ -129,7 +123,7 @@ def _columns(offsets, params: ModelParams, k, lam):
     """
     kappa_k, kappa_o = _pair(params, k)
     d = offsets[(k, lam)]
-    r, a_self, _, chi, xi = _deviations(kappa_k, kappa_o, d, params, lam)
+    r, a_self, chi, xi = _deviations(kappa_k, kappa_o, d, params, lam)
     scale = np.sqrt(2.0 * (1.0 + chi))
     m_self = (r + kappa_k) / (2.0 * np.sqrt(r * kappa_k) * scale)
     m_cross = a_self / (2.0 * np.sqrt(r * kappa_o) * (kappa_k - kappa_o + d)
@@ -169,11 +163,11 @@ def build_block(roots: ModeRoots, params: ModelParams) -> BogoliubovBlock:
     u = np.zeros((4, 4), dtype=complex)
     v = np.zeros((4, 4), dtype=complex)
     q = np.empty((2, 2))
-    for j, col in enumerate(cols):
-        q[col.k - 1][col.lam - 1] = col.q
+    for j, ((k, lam), col) in enumerate(zip(INDEX_ORDER, cols)):
+        q[k - 1][lam - 1] = col.q
         for i, (s, lam_row) in enumerate(INDEX_ORDER):
-            ph = _phase(lam_row, col.lam)
-            if s == col.k:
+            ph = _phase(lam_row, lam)
+            if s == k:
                 u[i][j] = ph * col.m_self
                 v[i][j] = ph * col.w_self
             else:

@@ -3,8 +3,8 @@
 Two routes to the same physics, kept deliberately separate so each can check
 the other:
 
-* the pipeline route: roots -> block -> amplitudes -> reduced density ->
-  measures, valid for any polarization configuration;
+* the pipeline route: roots -> the four column factors -> the state's
+  gaps -> measures, valid for any polarization configuration;
 * closed forms: the field-and-frequency factor Phi with y = 1 - eps*Phi and
   E_S = 2*eps*Phi for the (down, up) configuration, and the asymptotic
   information measure, all exact only at leading order in eps.
@@ -14,15 +14,14 @@ Convention: the reported y, E_I, E_S are evaluated on the pre-normalization
 entanglement signal (the shed weight is exactly the oscillator-mode and
 same-mode leakage), and the closed forms above are leading-order statements
 about these raw quantities; the renormalized state's spectral gap differs
-from 1 only at O(eps^2). The normalized reduced density matrix is attached
-for the exact two-qubit identities.
+from 1 only at O(eps^2).
 """
 from dataclasses import dataclass
 import math
 
 import numpy as np
 
-from .bogoliubov import build_block
+from .bogoliubov import INDEX_ORDER, _column
 from .dispersion import DEFAULT_REL_TOL, exact_roots, perturbative_roots
 from .errors import (
     DomainError,
@@ -32,7 +31,7 @@ from .errors import (
     SingularDenominator,
 )
 from .params import ModelParams
-from .qstate import PolarizationConfig, TwoQubitAmplitudes, amplitudes
+from .qstate import PolarizationConfig, TwoQubitAmplitudes, _state_gaps
 
 _LN4 = math.log(4.0)
 # Measures clamp arguments this far outside their domain to the boundary;
@@ -61,7 +60,6 @@ class EntanglementReport:
     E_S: float
     raw_norm_sq: float
     norm_gap: float
-    rho: ReducedDensity         # of the renormalized state
     Phi: float | None = None
     y_closed: float | None = None
     E_I_asymptotic: float | None = None
@@ -183,6 +181,9 @@ def _measures(y_gap, norm_gap):
         raise DomainError(f"raw spectral gap {y_gap!r} below domain "
                           "tolerance or not a number; state outside the "
                           "truncation regime")
+    if not y_gap <= 1.0 + DOMAIN_TOL:       # info_measure's bound on y
+        raise DomainError(f"raw spectral gap {y_gap!r} above 1 beyond domain "
+                          "tolerance; the raw spectral parameter is negative")
     e_i = _info_from_gap(max(y_gap, 0.0))
     e_s = _schmidt_from_gaps(norm_gap, y_gap)
     if not e_s >= -DOMAIN_TOL:
@@ -207,14 +208,13 @@ def _closed_forms(params: ModelParams, config: PolarizationConfig):
     return None, None, None, None
 
 
-_STAGES = ("roots", "block", "amplitudes", "density", "measures")
-
-
 def full_report(params: ModelParams, config: PolarizationConfig,
                 method: str = "exact",
                 tol: float = DEFAULT_REL_TOL) -> EntanglementReport:
     """Run the whole pipeline for one parameter point.
 
+    The four column factors, all evaluated as in build_block, give the
+    gaps that amplitudes(build_block(roots, params), config) would hold.
     method selects the root solver ("exact" or "perturbative"). Closed-form
     comparators are attached for configs (2,1) and (1,1); the other two have
     no leading-order reference and get None there. Upstream errors propagate
@@ -223,29 +223,25 @@ def full_report(params: ModelParams, config: PolarizationConfig,
     """
     if method not in ("exact", "perturbative"):
         raise ValueError(f"method must be 'exact' or 'perturbative', got {method!r}")
-
-    def stage(name, fn):
-        try:
-            return fn()
-        except QubeamError as exc:
-            exc.stage = name
-            exc.args = (f"stage {name}: {exc}",)
-            raise
-
-    if method == "exact":
-        roots = stage("roots", lambda: exact_roots(params, tol))
-    else:
-        roots = stage("roots", lambda: perturbative_roots(params))
-    block = stage("block", lambda: build_block(roots, params))
-    amps = stage("amplitudes", lambda: amplitudes(block, config))
-    dens = stage("density", lambda: reduced_density(amps))
-    e_i, e_s = stage("measures", lambda: _measures(amps.y_gap, amps.norm_gap))
-    phi, y_closed, e_i_asym, e_s_closed = stage(
-        "measures", lambda: _closed_forms(params, config))
+    stage = "roots"
+    try:
+        roots = (exact_roots(params, tol) if method == "exact"
+                 else perturbative_roots(params))
+        stage = "block"
+        columns = [_column(roots, params, k, lam) for k, lam in INDEX_ORDER]
+        stage = "amplitudes"
+        _, _, y_gap, norm_gap = _state_gaps(columns, config)
+        stage = "measures"
+        e_i, e_s = _measures(y_gap, norm_gap)
+        phi, y_closed, e_i_asym, e_s_closed = _closed_forms(params, config)
+    except QubeamError as exc:
+        exc.stage = stage
+        exc.args = (f"stage {stage}: {exc}",)
+        raise
 
     return EntanglementReport(
         config=config, method=method,
-        y=1.0 - amps.y_gap, y_gap=amps.y_gap, E_I=e_i, E_S=e_s,
-        raw_norm_sq=amps.raw_norm_sq, norm_gap=amps.norm_gap, rho=dens,
+        y=1.0 - y_gap, y_gap=y_gap, E_I=e_i, E_S=e_s,
+        raw_norm_sq=1.0 - norm_gap, norm_gap=norm_gap,
         Phi=phi, y_closed=y_closed, E_I_asymptotic=e_i_asym,
         E_S_closed=e_s_closed)

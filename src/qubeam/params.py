@@ -142,11 +142,16 @@ def derive_couplings(inputs: PhysicalInputs):
         omega   = e * B / (np).
 
     Homogeneous in kappa0: scaling kappa0 by t scales eps_raw by t^3.
+    A kappa0 whose cube is not a finite double raises ValidationError.
     """
     inputs.validate()
     if inputs.np_momentum == 0.0:
         raise ZeroLightFront("light-front momentum (np) is zero")
-    eps_raw = FINE_STRUCTURE * inputs.kappa0 ** 3 / (8.0 * math.pi ** 3)
+    kappa0 = float(inputs.kappa0)
+    cube = kappa0 * kappa0 * kappa0
+    if not math.isfinite(cube):
+        raise ValidationError(f"kappa0 = {kappa0!r} has no finite cube")
+    eps_raw = FINE_STRUCTURE * cube / (8.0 * math.pi ** 3)
     eps = eps_raw / inputs.np_momentum
     omega = ELEMENTARY_CHARGE * inputs.B_field / inputs.np_momentum
     return eps_raw, eps, omega

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import BogoliubovBlock, _column, _phase
+from .bogoliubov import INDEX_ORDER, BogoliubovBlock, _column, _phase
 from .dispersion import ModeRoots
 from .errors import UnsupportedConfig, ZeroNorm
 from .params import ModelParams
@@ -63,9 +63,7 @@ class TwoQubitAmplitudes:
 
     vec is unit-normalized (normalized flag records that). raw_norm_sq is
     the pre-normalization norm squared, stored as 1 - norm_gap with norm_gap
-    computed deviation-first. b_self and a_cross are the two real amplitude
-    building blocks (own-mode and crossed-mode u products); self_gap is
-    1 - 4 b_self^2. y_gap is 1 minus the spectral gap of the
+    computed deviation-first. y_gap is 1 minus the spectral gap of the
     pre-normalization reduced density matrix.
     """
 
@@ -75,9 +73,6 @@ class TwoQubitAmplitudes:
     raw_norm_sq: float
     norm_gap: float
     y_gap: float
-    b_self: float
-    a_cross: float
-    self_gap: float
 
     @property
     def matrix(self) -> np.ndarray:
@@ -98,8 +93,8 @@ def _pattern_vector(b_self, a_cross, config):
 
 
 def _gaps(c1, c2, parallel):
-    """(b_self, a_cross, self_gap, y_gap, norm_gap) from the factors of
-    columns (1, lambda1) and (2, lambda2), as floats or as arrays alike."""
+    """(b_self, a_cross, y_gap, norm_gap) from the factors of columns
+    (1, lambda1) and (2, lambda2), as floats or as arrays alike."""
     b_self = c1.m_self * c2.m_self
     a_cross = c1.m_cross * c2.m_cross
     # 1 - 4 b^2 without forming 4 b^2: with b^2 =
@@ -118,23 +113,31 @@ def _gaps(c1, c2, parallel):
     else:
         y_gap = self_gap + four_a_sq
         norm_gap = self_gap - four_a_sq
-    return b_self, a_cross, self_gap, y_gap, norm_gap
+    return b_self, a_cross, y_gap, norm_gap
+
+
+def _state_gaps(columns, config: PolarizationConfig):
+    """_gaps of config's state from the four ColumnFactors in INDEX_ORDER.
+    ZeroNorm where 1 - norm_gap <= 0 or _pattern_vector is all zeros: its
+    entries are b_self + a_cross (parallel) or b_self +- a_cross up to phase."""
+    gaps = b_self, a_cross, _, norm_gap = _gaps(
+        columns[INDEX_ORDER.index((1, config.lambda1))],
+        columns[INDEX_ORDER.index((2, config.lambda2))], config.parallel)
+    if 1.0 - norm_gap <= 0.0 or (b_self + a_cross == 0.0 if config.parallel
+                                 else b_self == 0.0 == a_cross):
+        raise ZeroNorm("all four amplitudes vanish; block is not a valid "
+                       "photon-sector transformation")
+    return gaps
 
 
 def amplitudes(block: BogoliubovBlock, config: PolarizationConfig) -> TwoQubitAmplitudes:
     """Two-qubit amplitudes for one quasiphoton polarization configuration."""
-    cols = {(c.k, c.lam): c for c in block.columns}
-    b_self, a_cross, self_gap, y_gap, norm_gap = _gaps(
-        cols[(1, config.lambda1)], cols[(2, config.lambda2)], config.parallel)
+    b_self, a_cross, y_gap, norm_gap = _state_gaps(block.columns, config)
     raw_norm_sq = 1.0 - norm_gap
-    vec = _pattern_vector(b_self, a_cross, config)
-    if raw_norm_sq <= 0.0 or not np.any(vec):
-        raise ZeroNorm("all four amplitudes vanish; block is not a valid "
-                       "photon-sector transformation")
     return TwoQubitAmplitudes(
-        vec=vec / np.sqrt(raw_norm_sq), config=config, normalized=True,
-        raw_norm_sq=raw_norm_sq, norm_gap=norm_gap, y_gap=y_gap,
-        b_self=b_self, a_cross=a_cross, self_gap=self_gap)
+        vec=_pattern_vector(b_self, a_cross, config) / np.sqrt(raw_norm_sq),
+        config=config, normalized=True, raw_norm_sq=raw_norm_sq,
+        norm_gap=norm_gap, y_gap=y_gap)
 
 
 def closed_form_ab(roots: ModeRoots, params: ModelParams,

@@ -233,13 +233,13 @@ def _batch_gaps(params: ModelParams, config: SweepConfig):
             settled &= ok & (_pair(params, k)[0] + d > 0.0)
             offsets[(k, lam)] = d
         columns = {}
-        for k, lam in INDEX_ORDER:      # all four: build_block checks each
+        for k, lam in INDEX_ORDER:      # all four: full_report checks each
             columns[(k, lam)], ok = _columns(offsets, params, k, lam)
             settled &= ok
         pol = config.pol
-        b_self, a_cross, _, y_gap, norm_gap = _gaps(
+        b_self, a_cross, y_gap, norm_gap = _gaps(
             columns[(1, pol.lambda1)], columns[(2, pol.lambda2)], pol.parallel)
-        # amplitudes' ZeroNorm: the entries are +-b_self +- a_cross up to
+        # _state_gaps' ZeroNorm: the entries are +-b_self +- a_cross up to
         # unit phases, so all four vanish only where |a_cross| == |b_self|.
         settled &= ((1.0 - norm_gap > 0.0) & (np.abs(a_cross) != np.abs(b_self))
                     & np.isfinite(y_gap) & np.isfinite(norm_gap))
@@ -263,7 +263,8 @@ def _batch_values(params: ModelParams, config: SweepConfig):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # _measures: the DomainErrors, then max(e_s, 0.0)
         e_s = _schmidt_from_gaps(norm_gap, y_gap)
-        settled &= (y_gap >= -DOMAIN_TOL) & (e_s >= -DOMAIN_TOL)
+        settled &= ((y_gap >= -DOMAIN_TOL) & (y_gap <= 1.0 + DOMAIN_TOL)
+                    & (e_s >= -DOMAIN_TOL))
         e_s = np.where(0.0 > e_s, 0.0, e_s)
         # _closed_forms
         pol = (config.pol.lambda1, config.pol.lambda2)

@@ -141,9 +141,9 @@ def test_phase_structure_is_exact(fig_block):
         assert np.all(m[[1, 3], :].imag != 0.0)
     # lambda' = 2 columns flip the sign on lambda = 1 rows relative to the
     # magnitudes, lambda' = 1 columns keep it
-    for j, col in enumerate(fig_block.columns):
-        sign = 1.0 if col.lam == 1 else -1.0
-        i_self = 2 * (col.k - 1)
+    for j, ((k, lam), col) in enumerate(zip(INDEX_ORDER, fig_block.columns)):
+        sign = 1.0 if lam == 1 else -1.0
+        i_self = 2 * (k - 1)
         assert fig_block.u[i_self][j].real == sign * col.m_self
 
 

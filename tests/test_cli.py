@@ -237,6 +237,24 @@ def test_tiny_scale_is_a_computation_error(tmp_path, capsys):
                                        "error:SingularDenominator\n")
 
 
+def test_spectral_gap_above_one_is_a_computation_error(tmp_path, capsys):
+    # At this scale the raw gap reaches 1.5e62, where the information
+    # measure's log1p(-gap/2) has no value.
+    point = ["--kappa1", "1e-60", "--eps", "1e-80", "--method", "pert",
+             "--pol", "du"]
+    assert main(["measures", "--kappa2", "1.00000001e-60", "--omega", "0"]
+                + point) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: stage measures: raw spectral gap 1.5426605224886307e+62 "
+        "above 1")
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--dk-min", "1e-68", "--dk-max", "2e-68",
+                 "--dk-steps", "2", "--omega-max", "1e-70", "--omega-steps",
+                 "2", "--out", str(out)] + point) == 2
+    assert capsys.readouterr().err == ("error: all 4 grid points failed; "
+                                       "first status: error:DomainError\n")
+
+
 def test_readme_examples_match_the_program(capsys):
     examples = re.findall(r"```\n\$ qubeam ([^\n]*)\n(.*?)```",
                           README.read_text(), re.S)

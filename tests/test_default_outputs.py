@@ -7,6 +7,7 @@ in 16 rows of each uu and dd CSV and 12 of each ud and du CSV), so only the
 full 64x64 grids guard the output bytes.
 """
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -58,7 +59,7 @@ def test_default_sweep_outputs_are_unchanged(pol, method, tmp_path, capsys):
                  "--out", f"{base}.csv", "--matrix", str(base)]) == 0
     capsys.readouterr()
     paths = [f"{base}.csv", f"{base}_EI.dat", f"{base}_ES.dat"]
-    got = tuple(hashlib.sha256(open(path, "rb").read()).hexdigest()
+    got = tuple(hashlib.sha256(Path(path).read_bytes()).hexdigest()
                 for path in paths)
     assert got == DIGESTS[pol, method], (
         f"the default {pol} {method} sweep wrote different bytes. A change "

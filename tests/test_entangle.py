@@ -1,5 +1,6 @@
 """Entanglement measures: exact two-qubit identities, closed forms, report."""
 import math
+import random
 import warnings
 
 import mpmath
@@ -7,10 +8,14 @@ import numpy as np
 import pytest
 
 from qubeam import (
+    amplitudes,
+    build_block,
     entangle,
+    exact_roots,
     full_report,
     info_measure,
     make_params,
+    perturbative_roots,
     phi_closed,
     reduced_density,
     schmidt_measure,
@@ -47,7 +52,7 @@ def _amps(vec):
     v = np.asarray(vec, dtype=complex)
     return TwoQubitAmplitudes(vec=v, config=PolarizationConfig(2, 1),
                               normalized=True, raw_norm_sq=1.0, norm_gap=0.0,
-                              y_gap=0.0, b_self=0.5, a_cross=0.0, self_gap=0.0)
+                              y_gap=0.0)
 
 
 def test_reduced_density_of_known_states():
@@ -64,18 +69,19 @@ def test_reduced_density_of_known_states():
     assert schmidt_measure(product) == 0.0
 
 
-def test_reduced_density_identities_at_reference_point():
+def test_reduced_density_identities_at_reference_point(fig_block):
     for code in ("uu", "ud", "du", "dd"):
-        rep = full_report(make_params(*FIG), PolarizationConfig.from_code(code))
-        rho = rep.rho.rho
+        dens = reduced_density(
+            amplitudes(fig_block, PolarizationConfig.from_code(code)))
+        rho = dens.rho
         assert abs(np.trace(rho) - 1.0) <= 1e-14
         assert rho[0, 1] == np.conj(rho[1, 0])
-        lo, hi = rep.rho.eigs
+        lo, hi = dens.eigs
         assert lo + hi == pytest.approx(1.0, abs=1e-14)
-        assert hi - lo == pytest.approx(rep.rho.y, abs=1e-14)
+        assert hi - lo == pytest.approx(dens.y, abs=1e-14)
         # normalized-state identity between the two measures
-        assert schmidt_measure(rep.rho) == pytest.approx(
-            (1.0 - rep.rho.y ** 2) / 2.0, abs=1e-12)
+        assert schmidt_measure(dens) == pytest.approx(
+            (1.0 - dens.y ** 2) / 2.0, abs=1e-12)
 
 
 def test_info_measure_endpoints_exact():
@@ -257,16 +263,74 @@ def test_report_stage_reraises_the_same_object(fig_params, monkeypatch):
     inner = PoleEvaluation("on the pole")
     inner.detail = object()
 
-    def broken(roots, params):
+    def broken(roots, params, k, lam):
         raise inner
 
-    monkeypatch.setattr(entangle, "build_block", broken)
+    monkeypatch.setattr(entangle, "_column", broken)
     with pytest.raises(PoleEvaluation) as err:
         full_report(fig_params, PolarizationConfig.from_code("du"))
     assert err.value is inner and err.value.detail is inner.detail
     assert err.value.stage == "block"
     assert str(err.value) == "stage block: on the pole"
     assert PoleEvaluation("x").stage is None
+
+
+def _report_through_the_block(params, config, method):
+    """full_report's fields or error from the block and amplitude vector:
+    (y_gap, norm_gap, raw_norm_sq, E_I, E_S), or (type, message, stage)."""
+    stage = "roots"
+    try:
+        roots = (exact_roots(params) if method == "exact"
+                 else perturbative_roots(params))
+        stage = "block"
+        block = build_block(roots, params)
+        stage = "amplitudes"
+        amps = amplitudes(block, config)
+        stage = "measures"
+        e_i, e_s = entangle._measures(amps.y_gap, amps.norm_gap)
+        entangle._closed_forms(params, config)
+    except QubeamError as exc:
+        return type(exc), f"stage {stage}: {exc}", stage
+    return amps.y_gap, amps.norm_gap, amps.raw_norm_sq, e_i, e_s
+
+
+def test_report_equals_the_block_route_bit_for_bit():
+    # point_mix's input envelope (kappa1 10..1e4, dk/kappa1 1e-3..10, omega
+    # up to kappa1/2) with the coupling up to 100 times its bound, plus a
+    # root on the other photon's pole, an underflowing normalization and a
+    # spectral gap above 2, so that every stage raises somewhere.
+    rng = random.Random(8)
+    points = [(10.0, 60.0, 0.0, 1000.0), (1e-66, 2e-66, 1e-67, 1e-135),
+              (1e-60, 1.00000001e-60, 0.0, 1e-80)]
+    for _ in range(60):
+        kappa1 = 10.0 ** rng.uniform(1.0, 4.0)
+        dk_rel = 10.0 ** rng.uniform(-3.0, 1.0)
+        omega = rng.uniform(0.0, kappa1 / 2.0)
+        eps = (10.0 ** rng.uniform(-4.0, 2.0) * 0.01 * (kappa1 - omega)
+               * (kappa1 - omega) * min(1.0, dk_rel))
+        points.append((kappa1, kappa1 * (1.0 + dk_rel), omega, eps))
+    outcomes = set()
+    for point in points:
+        params = make_params(*point)
+        for code in ("uu", "ud", "du", "dd"):
+            config = PolarizationConfig.from_code(code)
+            for method in ("exact", "perturbative"):
+                want = _report_through_the_block(params, config, method)
+                try:
+                    rep = full_report(params, config, method)
+                except QubeamError as exc:
+                    got = type(exc), str(exc), exc.stage
+                    outcomes.add((exc.stage, type(exc).__name__))
+                else:
+                    got = (rep.y_gap, rep.norm_gap, rep.raw_norm_sq, rep.E_I,
+                           rep.E_S)
+                    outcomes.add("ok")
+                    assert rep.y == 1.0 - rep.y_gap
+                # repr tells -0.0 from 0.0 and prints every digit
+                assert repr(got) == repr(want), (params, code, method)
+    assert {"ok", ("roots", "BracketFailure"), ("block", "PoleEvaluation"),
+            ("block", "SingularDenominator"),
+            ("measures", "DomainError")} <= outcomes
 
 
 def test_schmidt_from_gaps_consistency():

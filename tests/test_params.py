@@ -112,6 +112,14 @@ def test_coupling_homogeneous_in_kappa0():
         assert got == pytest.approx(ref * t ** 3, rel=1e-12)
 
 
+@pytest.mark.parametrize("kappa0", [1e110, math.inf, math.nan])
+def test_coupling_rejects_a_kappa0_whose_cube_is_not_finite(kappa0):
+    inputs = PhysicalInputs(kappa0=kappa0, m1=1, m2=2, rho=1.0,
+                            np_momentum=1.0, B_field=1.0)
+    with pytest.raises(ValidationError, match="kappa0 = .* has no finite cube"):
+        derive_couplings(inputs)
+
+
 def test_zero_light_front_momentum():
     inputs = PhysicalInputs(kappa0=1.0, m1=1, m2=2, rho=1.0,
                             np_momentum=0.0, B_field=1.0)

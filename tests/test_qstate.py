@@ -1,5 +1,6 @@
 """Two-photon amplitude vector: structure, closed forms, normalization."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from qubeam import (
     make_params,
     perturbative_roots,
 )
-from qubeam.bogoliubov import INDEX_ORDER
+from qubeam.bogoliubov import INDEX_ORDER, ColumnFactors
 from qubeam.entangle import phi_closed
 from qubeam.errors import UnsupportedConfig, ZeroNorm
-from qubeam.qstate import PolarizationConfig, _pattern_vector
+from qubeam.qstate import PolarizationConfig, _gaps, _pattern_vector, _state_gaps
 
 FIG = (2500.0, 3000.0, 0.5, 0.1)
 
@@ -167,11 +168,47 @@ def test_matrix_fallback_agrees_with_column_path(fig_block):
 
 
 def test_zero_block_rejected(fig_block):
-    cols = tuple(dataclasses.replace(c, m_self=0.0, m_cross=0.0)
+    cols = tuple(c._replace(m_self=0.0, m_cross=0.0)
                  for c in fig_block.columns)
     zero = dataclasses.replace(fig_block, columns=cols)
     with pytest.raises(ZeroNorm):
         amplitudes(zero, PolarizationConfig.from_code("du"))
+
+
+_EDGES = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, math.inf, -math.inf, math.nan,
+          5e-324, -5e-324)
+
+
+def test_zero_norm_check_agrees_with_the_amplitude_vector():
+    # Columns (1, lam) carry b_self and a_cross as their u entries, columns
+    # (2, lam) carry 1.0, so the state's b_self and a_cross are exactly the
+    # table's values. The reference is the check on the vector itself.
+    def column(k, b, a):
+        m_self, m_cross = (b, a) if k == 1 else (1.0, 1.0)
+        return ColumnFactors(0.0, 0.0, 0.0, 0.0, m_self, m_cross, 0.0, 0.0)
+
+    vanishing = 0
+    for code in ("uu", "ud", "du", "dd"):
+        cfg = PolarizationConfig.from_code(code)
+        for b in _EDGES:
+            for a in _EDGES:
+                columns = [column(k, b, a) for k, _ in INDEX_ORDER]
+                b_self, a_cross, _, norm_gap = _gaps(
+                    columns[INDEX_ORDER.index((1, cfg.lambda1))],
+                    columns[INDEX_ORDER.index((2, cfg.lambda2))],
+                    cfg.parallel)
+                assert repr((b_self, a_cross)) == repr((b, a))
+                vector_zero = not np.any(_pattern_vector(b, a, cfg))
+                vanishing += vector_zero
+                try:
+                    _state_gaps(columns, cfg)
+                except ZeroNorm:
+                    raised = True
+                else:
+                    raised = False
+                assert raised == (1.0 - norm_gap <= 0.0 or vector_zero), (
+                    code, b, a)
+    assert vanishing > 0
 
 
 @given(

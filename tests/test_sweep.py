@@ -44,7 +44,8 @@ SMALL = dict(dk_min=400.0, dk_max=600.0, dk_steps=3,
 # DomainError on most uu/ud points; POLE: with pert, a root on the other
 # photon's pole and DomainErrors; TIGHT: exact residuals above tol), and
 # hands whole to it (BROKEN: no root brackets, or no gap in the domain;
-# TINY: eps so small that the first-order offsets round to 0).
+# TINY: eps so small that the first-order offsets round to 0; GAP: with
+# pert, ud/du raw spectral gaps just above 1, whose E_S is in the domain).
 MIXED = dict(kappa1=10.0, eps=1e-3, dk_min=1.0, dk_max=5.0, dk_steps=4,
              omega_min=0.0, omega_max=0.5, omega_steps=3)
 POLE = dict(MIXED, eps=1000.0, dk_max=50.0)
@@ -52,6 +53,8 @@ TIGHT = dict(MIXED, tol=1e-17)
 BROKEN = dict(SMALL, eps=1e9)
 TINY = dict(MIXED, kappa1=1.0, eps=5e-324, dk_min=0.05, dk_max=0.2,
             omega_max=0.005)
+GAP = dict(kappa1=1e-60, eps=1e-125, dk_min=1e-68, dk_max=2e-68, dk_steps=2,
+           omega_min=0.0, omega_max=1e-70, omega_steps=2)
 
 
 def test_defaults():
@@ -342,9 +345,10 @@ def test_surface_cells_are_the_csv_measures(grid, tmp_path):
     assert write_csv(rows, cfg, str(tmp_path / "alone.csv")) == {}
 
 
-@pytest.mark.parametrize("grid", [SMALL, MIXED, POLE, TIGHT, BROKEN, TINY],
+@pytest.mark.parametrize("grid", [SMALL, MIXED, POLE, TIGHT, BROKEN, TINY,
+                                  GAP],
                          ids=["small", "mixed", "pole", "tight", "broken",
-                              "tiny"])
+                              "tiny", "gap"])
 def test_batched_sweep_matches_point_by_point(grid):
     for pol in ("uu", "ud", "du", "dd"):
         for method in ("exact", "pert"):
