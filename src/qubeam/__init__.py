@@ -22,9 +22,9 @@ from .errors import (
     QubeamError,
     ValidationError,
 )
-from .params import ModelParams, PhysicalInputs, derive_couplings, make_params
+from .params import ModelParams, make_params
 from .qstate import PolarizationConfig, TwoQubitAmplitudes, amplitudes, closed_form_ab
-from .sweep import SweepConfig, parse_config, run_sweep, verify, verify_point
+from .sweep import SweepConfig, parse_config, run_sweep, verify_point
 
 __all__ = [
     "__version__",
@@ -33,7 +33,7 @@ __all__ = [
     "EntanglementReport", "full_report", "info_measure", "phi_closed",
     "reduced_density", "schmidt_measure",
     "ComputationError", "ParseError", "QubeamError", "ValidationError",
-    "ModelParams", "PhysicalInputs", "derive_couplings", "make_params",
+    "ModelParams", "make_params",
     "PolarizationConfig", "TwoQubitAmplitudes", "amplitudes", "closed_form_ab",
-    "SweepConfig", "parse_config", "run_sweep", "verify", "verify_point",
+    "SweepConfig", "parse_config", "run_sweep", "verify_point",
 ]

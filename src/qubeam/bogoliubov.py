@@ -153,7 +153,6 @@ class BogoliubovBlock:
     u: np.ndarray               # complex 4x4
     v: np.ndarray               # complex 4x4
     q: np.ndarray               # real 2x2
-    roots: ModeRoots
     columns: tuple              # four ColumnFactors in INDEX_ORDER
 
 
@@ -173,7 +172,7 @@ def build_block(roots: ModeRoots, params: ModelParams) -> BogoliubovBlock:
             else:
                 u[i][j] = ph * col.m_cross
                 v[i][j] = ph * col.w_cross
-    return BogoliubovBlock(u=u, v=v, q=q, roots=roots, columns=cols)
+    return BogoliubovBlock(u=u, v=v, q=q, columns=cols)
 
 
 def identity_defect(block: BogoliubovBlock):

@@ -6,6 +6,7 @@ eps=0.1, pol=du). Exit codes: 0 success, 1 validation or parse error,
 2 computation failure.
 """
 import argparse
+from dataclasses import fields
 import functools
 import math
 import sys
@@ -17,15 +18,13 @@ from .errors import ParseError, QubeamError, ValidationError
 from .params import make_params
 from .qstate import PolarizationConfig, amplitudes
 from .sweep import (
+    SweepConfig,
     _fmt,
     parse_config,
     run_sweep,
     verify_point,
     write_csv,
 )
-
-_POINT_DEFAULTS = dict(kappa1=2500.0, kappa2=3000.0, omega=0.5, eps=0.1)
-
 
 class _Parser(argparse.ArgumentParser):
     # Argument errors are user input errors: exit 1, not argparse's 2.
@@ -36,10 +35,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_point_flags(sub, pol=False, method=False):
-    sub.add_argument("--kappa1", type=float, default=_POINT_DEFAULTS["kappa1"])
-    sub.add_argument("--kappa2", type=float, default=_POINT_DEFAULTS["kappa2"])
-    sub.add_argument("--omega", type=float, default=_POINT_DEFAULTS["omega"])
-    sub.add_argument("--eps", type=float, default=_POINT_DEFAULTS["eps"])
+    sub.add_argument("--kappa1", type=float, default=2500.0)
+    sub.add_argument("--kappa2", type=float, default=3000.0)
+    sub.add_argument("--omega", type=float, default=0.5)
+    sub.add_argument("--eps", type=float, default=0.1)
     sub.add_argument("--tol", type=float, default=1e-12,
                      help="relative residual tolerance of the exact solver")
     if pol:
@@ -108,8 +107,16 @@ def _emit(lines, out_path):
         sys.stdout.write(text)
 
 
+def _point_params(args):
+    # A tol that is not > 0 (nan too) turns the exact solver's convergence
+    # check off or fails every root, so it is rejected before any stage.
+    if not args.tol > 0:
+        raise ValidationError(f"tol must be > 0, got {args.tol}")
+    return make_params(args.kappa1, args.kappa2, args.omega, args.eps)
+
+
 def _cmd_roots(args):
-    params = make_params(args.kappa1, args.kappa2, args.omega, args.eps)
+    params = _point_params(args)
     ex = exact_roots(params, args.tol)
     pert = perturbative_roots(params)
     rows = []
@@ -133,7 +140,7 @@ def _cmd_roots(args):
 
 
 def _cmd_block(args):
-    params = make_params(args.kappa1, args.kappa2, args.omega, args.eps)
+    params = _point_params(args)
     roots = (exact_roots(params, args.tol) if args.method == "exact"
              else perturbative_roots(params))
     block = build_block(roots, params)
@@ -153,7 +160,7 @@ def _cmd_block(args):
 
 
 def _cmd_state(args):
-    params = make_params(args.kappa1, args.kappa2, args.omega, args.eps)
+    params = _point_params(args)
     roots = (exact_roots(params, args.tol) if args.method == "exact"
              else perturbative_roots(params))
     amps = amplitudes(build_block(roots, params),
@@ -168,7 +175,7 @@ def _cmd_state(args):
 
 
 def _cmd_measures(args):
-    params = make_params(args.kappa1, args.kappa2, args.omega, args.eps)
+    params = _point_params(args)
     rep = full_report(params, PolarizationConfig.from_code(args.pol),
                       method="exact" if args.method == "exact" else "perturbative",
                       tol=args.tol)
@@ -191,10 +198,8 @@ def _cmd_measures(args):
 
 
 def _cmd_sweep(args):
-    overrides = {key: getattr(args, key) for key in (
-        "kappa1", "eps", "tol", "pol", "method",
-        "dk_min", "dk_max", "dk_steps",
-        "omega_min", "omega_max", "omega_steps")}
+    overrides = {field.name: getattr(args, field.name)
+                 for field in fields(SweepConfig)}
     config = parse_config(args.config, overrides)
     rows = run_sweep(config)
     write_csv(rows, config, args.out, args.matrix)
@@ -205,7 +210,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_verify(args):
-    params = make_params(args.kappa1, args.kappa2, args.omega, args.eps)
+    params = _point_params(args)
     report = verify_point(params, PolarizationConfig.from_code(args.pol),
                           tol=args.tol)
     for check in report.checks:

@@ -52,15 +52,13 @@ class ModeRoots:
     """Roots stored as offsets from their photon frequencies.
 
     offsets[k-1][lam-1] = r_{k,lam} - kappa_k. Offsets are the authoritative
-    representation; r reconstructs the absolute frequencies. residuals holds
-    the achieved dispersion residual per root (None entries for the
-    first-order method, which does not solve).
+    representation; root reconstructs an absolute frequency. residuals holds
+    the achieved dispersion residual per root (None for the first-order
+    method, which does not solve).
     """
 
     kappas: tuple
     offsets: tuple          # ((d11, d12), (d21, d22))
-    method: str             # "exact" or "perturbative"
-    tol: float | None = None
     residuals: tuple | None = None
 
     def offset(self, k, lam):
@@ -68,12 +66,6 @@ class ModeRoots:
 
     def root(self, k, lam):
         return self.kappas[k - 1] + self.offsets[k - 1][lam - 1]
-
-    @property
-    def r(self):
-        """2x2 array of absolute frequencies, rows k, columns lambda."""
-        return np.array([[self.kappas[k] + self.offsets[k][i] for i in range(2)]
-                         for k in range(2)])
 
     def __post_init__(self):
         for k in (1, 2):
@@ -164,8 +156,7 @@ def perturbative_roots(params: ModelParams) -> ModeRoots:
     offsets = tuple(
         tuple(_first_order_offset(kappa_k, params, lam) for lam in (1, 2))
         for kappa_k in (params.kappa1, params.kappa2))
-    return ModeRoots(kappas=(params.kappa1, params.kappa2), offsets=offsets,
-                     method="perturbative")
+    return ModeRoots(kappas=(params.kappa1, params.kappa2), offsets=offsets)
 
 
 def _solve_offset(kappa_k, kappa_other, params, lam):
@@ -336,5 +327,5 @@ def exact_roots(params: ModelParams, tol: float = DEFAULT_REL_TOL) -> ModeRoots:
             row_g.append(g_final)
         offsets.append(tuple(row_d))
         residuals.append(tuple(row_g))
-    return ModeRoots(kappas=kappas, offsets=tuple(offsets), method="exact",
-                     tol=tol, residuals=tuple(residuals))
+    return ModeRoots(kappas=kappas, offsets=tuple(offsets),
+                     residuals=tuple(residuals))

@@ -102,8 +102,9 @@ def info_measure(y: float) -> float:
     endpoints is taken continuously. y outside [0, 1] by more than the
     domain tolerance raises DomainError; smaller excursions clamp.
     """
-    if y > 1.0 + DOMAIN_TOL or y < -DOMAIN_TOL:
-        raise DomainError(f"spectral parameter y = {y!r} outside [0, 1]")
+    if not -DOMAIN_TOL <= y <= 1.0 + DOMAIN_TOL:
+        raise DomainError(f"spectral parameter y = {y!r} outside [0, 1] "
+                          "or not a number")
     y = min(max(y, 0.0), 1.0)
     return _info_from_gap(1.0 - y)
 

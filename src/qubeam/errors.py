@@ -31,10 +31,6 @@ class NonPositive(ValidationError):
     """A parameter that must be positive (or nonnegative) is not."""
 
 
-class ZeroLightFront(ValidationError):
-    """Light-front momentum (np) is zero; couplings are undefined."""
-
-
 class ParseError(QubeamError):
     """Malformed configuration file; message carries line/key context."""
 

@@ -61,15 +61,14 @@ class PolarizationConfig:
 class TwoQubitAmplitudes:
     """Normalized amplitude 4-vector plus the exact truncation diagnostics.
 
-    vec is unit-normalized (normalized flag records that). raw_norm_sq is
-    the pre-normalization norm squared, stored as 1 - norm_gap with norm_gap
-    computed deviation-first. y_gap is 1 minus the spectral gap of the
-    pre-normalization reduced density matrix.
+    vec is unit-normalized. raw_norm_sq is the pre-normalization norm
+    squared, stored as 1 - norm_gap with norm_gap computed deviation-first.
+    y_gap is 1 minus the spectral gap of the pre-normalization reduced
+    density matrix.
     """
 
     vec: np.ndarray
     config: PolarizationConfig
-    normalized: bool
     raw_norm_sq: float
     norm_gap: float
     y_gap: float
@@ -136,7 +135,7 @@ def amplitudes(block: BogoliubovBlock, config: PolarizationConfig) -> TwoQubitAm
     raw_norm_sq = 1.0 - norm_gap
     return TwoQubitAmplitudes(
         vec=_pattern_vector(b_self, a_cross, config) / np.sqrt(raw_norm_sq),
-        config=config, normalized=True, raw_norm_sq=raw_norm_sq,
+        config=config, raw_norm_sq=raw_norm_sq,
         norm_gap=norm_gap, y_gap=y_gap)
 
 

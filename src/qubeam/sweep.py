@@ -7,7 +7,7 @@ ordered lexicographically by (omega, delta_kappa), numbers printed with 17
 significant digits, metadata confined to '#' comment lines, no timestamps.
 """
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 import itertools
 import math
 from typing import NamedTuple
@@ -100,11 +100,10 @@ def _grid_arrays(config):
     return np.repeat(omegas, len(dks)), np.tile(kappa2, len(omegas))
 
 
-_FILE_KEYS = {
-    "kappa1": float, "dk_min": float, "dk_max": float, "dk_steps": int,
-    "omega_min": float, "omega_max": float, "omega_steps": int,
-    "eps": float, "tol": float, "pol": str, "method": str,
-}
+# A config file's keys are SweepConfig's fields; pol and method are read as
+# text and resolved by parse_config.
+_FILE_KEYS = {field.name: field.type if field.type in (int, float) else str
+              for field in fields(SweepConfig)}
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> SweepConfig:
@@ -117,23 +116,27 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Swee
     """
     values = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ParseError(f"{path}:{lineno}: expected key=value, "
-                                     f"got {raw.strip()!r}")
-                key, _, val = line.partition("=")
-                key, val = key.strip(), val.strip()
-                if key not in _FILE_KEYS:
-                    raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
-                try:
-                    values[key] = _FILE_KEYS[key](val)
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad value for "
-                                     f"{key!r}: {exc}") from exc
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ParseError(f"{path}:{lineno}: expected key=value, "
+                                 f"got {raw.strip()!r}")
+            key, _, val = line.partition("=")
+            key, val = key.strip(), val.strip()
+            if key not in _FILE_KEYS:
+                raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                values[key] = _FILE_KEYS[key](val)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: bad value for "
+                                 f"{key!r}: {exc}") from exc
     if overrides:
         for key, val in overrides.items():
             if val is not None:
@@ -330,22 +333,16 @@ def _fmt(value):
 
 
 def config_echo_lines(config: SweepConfig):
+    """The CSV's comment lines: the version, then each field of config."""
     from . import __version__
-    pairs = [
-        ("kappa1", format(config.kappa1, ".17g")),
-        ("dk_min", format(config.dk_min, ".17g")),
-        ("dk_max", format(config.dk_max, ".17g")),
-        ("dk_steps", str(config.dk_steps)),
-        ("omega_min", format(config.omega_min, ".17g")),
-        ("omega_max", format(config.omega_max, ".17g")),
-        ("omega_steps", str(config.omega_steps)),
-        ("eps", format(config.eps, ".17g")),
-        ("pol", config.pol.code),
-        ("method", config.method),
-        ("tol", format(config.tol, ".17g")),
-    ]
     lines = [f"# qubeam {__version__}"]
-    lines.extend(f"# {key}={val}" for key, val in pairs)
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if field.type is float:
+            value = format(value, ".17g")
+        elif field.type is PolarizationConfig:
+            value = value.code
+        lines.append(f"# {field.name}={value}")
     return lines
 
 
@@ -416,8 +413,6 @@ class VerificationCheck:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    params: ModelParams
-    pol: PolarizationConfig
     checks: tuple
 
     @property
@@ -426,10 +421,9 @@ class VerificationReport:
 
     @property
     def counts(self):
-        passed = sum(1 for c in self.checks if c.status == "pass")
-        failed = sum(1 for c in self.checks if c.status == "fail")
-        skipped = sum(1 for c in self.checks if c.status == "skip")
-        return passed, failed, skipped
+        """(passed, failed, skipped)."""
+        return tuple(sum(c.status == status for c in self.checks)
+                     for status in ("pass", "fail", "skip"))
 
 
 _LADDER = (1.0, 0.5, 0.25)
@@ -561,11 +555,4 @@ def verify_point(params: ModelParams, pol: PolarizationConfig,
         except QubeamError as exc:
             ok, detail = False, str(exc)
         checks.append(VerificationCheck(name, "pass" if ok else "fail", detail))
-    return VerificationReport(params=params, pol=pol, checks=tuple(checks))
-
-
-def verify(config: SweepConfig) -> VerificationReport:
-    """Consistency oracles at the config's most-structured grid corner."""
-    params = make_params(config.kappa1, config.kappa1 + config.dk_max,
-                         config.omega_max, config.eps)
-    return verify_point(params, config.pol, tol=config.tol)
+    return VerificationReport(checks=tuple(checks))

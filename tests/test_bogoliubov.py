@@ -164,11 +164,10 @@ def test_identity_defects_frozen_and_linear(fig_block):
             assert 1.7 <= hi / lo <= 2.3
 
 
-def test_identity_defect_zero_for_trivial_block(fig_roots, fig_block):
+def test_identity_defect_zero_for_trivial_block(fig_block):
     block = BogoliubovBlock(u=np.eye(4, dtype=complex),
                             v=np.zeros((4, 4), dtype=complex),
-                            q=np.ones((2, 2)), roots=fig_roots,
-                            columns=fig_block.columns)
+                            q=np.ones((2, 2)), columns=fig_block.columns)
     assert identity_defect(block) == (0.0, 0.0)
 
 
@@ -176,8 +175,7 @@ def test_negative_radicand_reports_the_column():
     # a strong field at a root pushed far from its pole drives the radicand
     # negative on the lambda = 1 branch
     roots = ModeRoots(kappas=(2500.0, 3000.0),
-                      offsets=((100.0, 100.0), (100.0, 100.0)),
-                      method="perturbative")
+                      offsets=((100.0, 100.0), (100.0, 100.0)))
     p = ModelParams(2500.0, 3000.0, 100.0, 0.1)
     with pytest.raises(NegativeRadicand) as err:
         build_block(roots, p)
@@ -187,13 +185,11 @@ def test_negative_radicand_reports_the_column():
 
 def test_root_on_pole_is_rejected(fig_params):
     roots = ModeRoots(kappas=(2500.0, 3000.0),
-                      offsets=((0.0, 1e-5), (1e-5, 1e-5)),
-                      method="perturbative")
+                      offsets=((0.0, 1e-5), (1e-5, 1e-5)))
     with pytest.raises(PoleEvaluation):
         build_block(roots, fig_params)
     # a root on the other photon's pole: r[1][1] = kappa2 exactly
-    roots = ModeRoots(kappas=(10.0, 60.0), offsets=((50.0, 50.0), (1.0, 1.0)),
-                      method="perturbative")
+    roots = ModeRoots(kappas=(10.0, 60.0), offsets=((50.0, 50.0), (1.0, 1.0)))
     with pytest.raises(PoleEvaluation) as err:
         _column(roots, make_params(10.0, 60.0, 0.0, 1000.0), 1, 1)
     assert "other photon's pole" in str(err.value)

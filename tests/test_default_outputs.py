@@ -1,10 +1,12 @@
-"""The bytes of the default sweeps, pinned by SHA-256 digest.
+"""The bytes of the default sweeps and point commands, pinned by SHA-256.
 
 The small grids of the other tests never reach the rows where a change of
 arithmetic shows only in the last digit (for example `raw_norm`, where
 `x ** 0.5` and the correctly rounded square root disagree at x = 1 - 2^-53
 in 16 rows of each uu and dd CSV and 12 of each ud and du CSV), so only the
-full 64x64 grids guard the output bytes.
+full 64x64 grids guard the output bytes. The point commands' pins cover
+the path that does not go through the batch: `full_report` and
+`verify_point` at the reference point.
 """
 import hashlib
 from pathlib import Path
@@ -67,3 +69,43 @@ def test_default_sweep_outputs_are_unchanged(pol, method, tmp_path, capsys):
         "reports how many fields moved and by how many ulps with "
         "scripts/diff_outputs.py (CSVs of the old and the new tree); the "
         "CSV's first line also carries the package version.")
+
+
+# SHA-256 of the stdout of `qubeam verify --pol P` and of
+# `qubeam measures --machine --pol P --method M` at the reference point.
+POINT_DIGESTS = {
+    ("verify", "--pol", "uu"):
+        "3729e63fcf94e7e9477ab22fc6499ad2b1314c2950ee8967bd96bcc83900baad",
+    ("verify", "--pol", "ud"):
+        "5b1980093c4f82521c871a39af16093a678ff971e468f87ee0bdb0a5f0e5e8fd",
+    ("verify", "--pol", "du"):
+        "9aa58ed6613eb7628c9730e75f97a0cba1b0a61ec151cb0af01093609d30d6f5",
+    ("verify", "--pol", "dd"):
+        "2110fee13b5e2416fde0c1542d1299ff162388687ccb3b52b62a3a3072e24c93",
+    ("measures", "--machine", "--pol", "uu", "--method", "exact"):
+        "9cc0c996370fe77291cd1efec9cfa49dc6ea03422c767e3ea20e9d90a001fdaa",
+    ("measures", "--machine", "--pol", "uu", "--method", "pert"):
+        "1190d48a40f21896a5d14ffd6ce8796b3952166d7a5782a6392f07ffe7ee0e73",
+    ("measures", "--machine", "--pol", "ud", "--method", "exact"):
+        "1068e4a612752af81e566e3c783f08ff4ca440b5ded726cbd844660867aacb4e",
+    ("measures", "--machine", "--pol", "ud", "--method", "pert"):
+        "4d24928b4cc026ae04965c290dc074753ee7a5f8e8c5793f08f3fb13845b049b",
+    ("measures", "--machine", "--pol", "du", "--method", "exact"):
+        "61c1569b24a861c166f6487ae4d5fefb0d8813e78ea5ee6a8953ee2a8944f6a0",
+    ("measures", "--machine", "--pol", "du", "--method", "pert"):
+        "fe8f6c4d92afc42c3195103b963d290c94260467a4bb486406c863e635881694",
+    ("measures", "--machine", "--pol", "dd", "--method", "exact"):
+        "f19c031611cf33cec3a078209e2fad1621faba76a7849173c4f8a85986a3ccde",
+    ("measures", "--machine", "--pol", "dd", "--method", "pert"):
+        "f01b081f53cac13ab0cda278d8f096681afe2a763ef4e5414a1e7a84a3ac940d",
+}
+
+
+@pytest.mark.parametrize("argv", POINT_DIGESTS,
+                         ids=["-".join(a for a in argv if a[0] != "-")
+                              for argv in POINT_DIGESTS])
+def test_point_command_outputs_are_unchanged(argv, capsys):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == POINT_DIGESTS[argv], (
+        f"`qubeam {' '.join(argv)}` printed different bytes:\n{out}")

@@ -51,8 +51,7 @@ EI_ASYM_FIG = 1.4470067505667856e-11
 def _amps(vec):
     v = np.asarray(vec, dtype=complex)
     return TwoQubitAmplitudes(vec=v, config=PolarizationConfig(2, 1),
-                              normalized=True, raw_norm_sq=1.0, norm_gap=0.0,
-                              y_gap=0.0)
+                              raw_norm_sq=1.0, norm_gap=0.0, y_gap=0.0)
 
 
 def test_reduced_density_of_known_states():
@@ -101,6 +100,8 @@ def test_info_measure_domain_handling():
         info_measure(1.0 + 2e-9)
     with pytest.raises(DomainError):
         info_measure(-2e-9)
+    with pytest.raises(DomainError):
+        info_measure(float("nan"))
     assert info_measure(1.0 + 5e-10) == 0.0
     assert info_measure(-5e-10) == 1.0
 

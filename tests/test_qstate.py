@@ -48,7 +48,6 @@ def test_mixed_pair_vector_structure(fig_block):
     assert v[1].real == 0.0 and v[2].real == 0.0
     for entry in v:
         assert abs(entry) == pytest.approx(0.5, abs=1e-12)
-    assert amps.normalized
     assert float(np.sum(np.abs(v) ** 2)) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -16,7 +16,6 @@ from qubeam import (
     parse_config,
     perturbative_roots,
     run_sweep,
-    verify,
     verify_point,
 )
 from qubeam.errors import (
@@ -115,6 +114,11 @@ def test_config_file_errors(tmp_path):
     with pytest.raises(ParseError) as err:
         parse_config(str(bad))
     assert "expected key=value" in str(err.value)
+
+    bad.write_bytes(b"pol = d\xe9\n")
+    with pytest.raises(ParseError) as err:
+        parse_config(str(bad))
+    assert str(bad) in str(err.value) and "not UTF-8" in str(err.value)
 
     with pytest.raises(ParseError):
         parse_config(None, {"pol": "xy"})
@@ -509,14 +513,6 @@ def test_verify_point_detects_breakage():
     reports = _verify_all_configs(make_params(2500.0, 3000.0, 0.5, 1e9),
                                   VERIFY_COUNTS["broken"])
     assert not any(rep.ok for rep in reports.values())
-
-
-def test_verify_runs_at_the_grid_corner():
-    cfg = parse_config(None, SMALL)
-    rep = verify(cfg)
-    assert rep.ok
-    assert rep.params.kappa2 == cfg.kappa1 + cfg.dk_max
-    assert rep.params.omega == cfg.omega_max
 
 
 def test_config_echo_has_no_timestamps():
