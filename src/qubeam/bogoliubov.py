@@ -107,10 +107,12 @@ def _column(roots: ModeRoots, params: ModelParams, k, lam) -> ColumnFactors:
             f"normalization radicand {radicand!r} <= 0 at k={k}, lambda={lam}")
     scale = math.sqrt(2.0 * (1.0 + chi))
     q = abs(a_self) / scale
-    m_self = (r + kappa_k) / (2.0 * math.sqrt(r * kappa_k) * scale)
-    m_cross = a_self / (2.0 * math.sqrt(r * kappa_o) * cross * scale)
-    w_self = d / (2.0 * math.sqrt(r * kappa_k) * scale)
-    w_cross = a_self / (2.0 * math.sqrt(r * kappa_o) * (r + kappa_o) * scale)
+    root_k = 2.0 * math.sqrt(r * kappa_k)
+    root_o = 2.0 * math.sqrt(r * kappa_o)
+    m_self = (r + kappa_k) / (root_k * scale)
+    m_cross = a_self / (root_o * cross * scale)
+    w_self = d / (root_k * scale)
+    w_cross = a_self / (root_o * (r + kappa_o) * scale)
     return ColumnFactors(a_self, chi, xi, q, m_self, m_cross, w_self, w_cross)
 
 

@@ -68,11 +68,11 @@ class ModeRoots:
         return self.kappas[k - 1] + self.offsets[k - 1][lam - 1]
 
     def __post_init__(self):
-        for k in (1, 2):
-            for lam in (1, 2):
-                if not (self.root(k, lam) > 0.0):
+        for k, (kappa, row) in enumerate(zip(self.kappas, self.offsets), 1):
+            for lam, d in enumerate(row, 1):
+                if not kappa + d > 0.0:
                     raise NonPositive(
-                        f"root r[{k}][{lam}] = {self.root(k, lam)} not positive")
+                        f"root r[{k}][{lam}] = {kappa + d} not positive")
 
 
 def residual(r, params: ModelParams, lam) -> float:
@@ -94,22 +94,22 @@ def residual(r, params: ModelParams, lam) -> float:
             - 1.0 - sgn * params.omega / r)
 
 
-def _residual_offset(d, kappa, kappa_other, params, sgn):
-    # residual at r = kappa + d with the pole differences kept factored
+def _residual_offset(d, kappa, kappa_other, eps, sw):
+    # residual at r = kappa + d with the pole differences kept factored;
+    # sw = (-1)^(lambda-1) * omega, an exact product formed once per root
     r = kappa + d
     self_pole = d * (d + 2.0 * kappa)
     cross_pole = (kappa - kappa_other + d) * (kappa + kappa_other + d)
-    return (params.eps / self_pole + params.eps / cross_pole
-            - 1.0 - sgn * params.omega / r)
+    return eps / self_pole + eps / cross_pole - 1.0 - sw / r
 
 
-def _residual_offset_deriv(d, kappa, kappa_other, params, sgn):
+def _residual_offset_deriv(d, kappa, kappa_other, eps, sw):
     r = kappa + d
     self_pole = d * (d + 2.0 * kappa)
     cross_pole = (kappa - kappa_other + d) * (kappa + kappa_other + d)
-    return (-2.0 * r * params.eps / (self_pole * self_pole)
-            - 2.0 * r * params.eps / (cross_pole * cross_pole)
-            + sgn * params.omega / (r * r))
+    return (-2.0 * r * eps / (self_pole * self_pole)
+            - 2.0 * r * eps / (cross_pole * cross_pole)
+            + sw / (r * r))
 
 
 def _first_order_terms(kappa_k, params, lam):
@@ -169,8 +169,7 @@ def _solve_offset(kappa_k, kappa_other, params, lam):
     or when a Newton step raises |residual|, keeping the better iterate.
     Returns (d, residual at d); exact_roots checks the tolerance.
     """
-    sgn = _branch_sign(lam)
-    g = lambda d: _residual_offset(d, kappa_k, kappa_other, params, sgn)
+    eps, sw = params.eps, _branch_sign(lam) * params.omega
 
     # Largest admissible offset: half the distance to the nearest other pole
     # (the other photon frequency, or the origin).
@@ -180,16 +179,17 @@ def _solve_offset(kappa_k, kappa_other, params, lam):
     lo = hi = None
     if 0.0 < guess < cap / 8.0:
         lo_try, hi_try = guess / 8.0, 8.0 * guess
-        if g(lo_try) > 0.0 > g(hi_try):
+        if (_residual_offset(lo_try, kappa_k, kappa_other, eps, sw) > 0.0
+                > _residual_offset(hi_try, kappa_k, kappa_other, eps, sw)):
             lo, hi = lo_try, hi_try
     if lo is None:
         # Geometric scan upward from the pole guard band.
         scan_lo = max(POLE_GUARD_REL * kappa_k, 1e-3 * abs(guess))
-        d_prev, g_prev = scan_lo, g(scan_lo)
-        d_cur = scan_lo
+        d_prev = d_cur = scan_lo
+        g_prev = _residual_offset(scan_lo, kappa_k, kappa_other, eps, sw)
         while g_prev > 0.0 and d_cur < cap:
             d_cur = min(2.0 * d_cur, cap)
-            g_cur = g(d_cur)
+            g_cur = _residual_offset(d_cur, kappa_k, kappa_other, eps, sw)
             if g_cur <= 0.0:
                 lo, hi = d_prev, d_cur
                 break
@@ -203,7 +203,7 @@ def _solve_offset(kappa_k, kappa_other, params, lam):
     # (Numerical Recipes' rtsafe). Every residual shrinks the bracket by its
     # sign; a Newton step that would leave it becomes a bisection.
     d = guess if lo < guess < hi else 0.5 * (lo + hi)
-    g_cur = g(d)
+    g_cur = _residual_offset(d, kappa_k, kappa_other, eps, sw)
     for _ in range(_ITER_MAX):
         if g_cur == 0.0:
             break
@@ -213,7 +213,7 @@ def _solve_offset(kappa_k, kappa_other, params, lam):
             hi = d
         try:
             d_new = d - g_cur / _residual_offset_deriv(d, kappa_k, kappa_other,
-                                                       params, sgn)
+                                                       eps, sw)
         except ZeroDivisionError:
             # A square in the derivative underflowed to 0 (tiny scales), or
             # the derivative itself is 0: the Newton step has no value.
@@ -229,7 +229,7 @@ def _solve_offset(kappa_k, kappa_other, params, lam):
             d_new = 0.5 * (lo + hi)
             if not lo < d_new < hi:
                 break
-        g_new = g(d_new)
+        g_new = _residual_offset(d_new, kappa_k, kappa_other, eps, sw)
         # Near the root the residual is quantized (one ulp of d moves it by
         # about one ulp of 1), so an equal |g| is accepted and only a rise
         # ends the iteration.
@@ -237,11 +237,6 @@ def _solve_offset(kappa_k, kappa_other, params, lam):
             break
         d, g_cur = d_new, g_new
     return d, g_cur
-
-
-def _take(params, index):
-    return ModelParams(params.kappa1[index], params.kappa2[index],
-                       params.omega[index], params.eps[index])
 
 
 def _solve_offsets(params, k, lam, tol):
@@ -256,22 +251,22 @@ def _solve_offsets(params, k, lam, tol):
     value is not finite or a derivative is zero; those points are left to
     exact_roots.
     """
-    sgn = _branch_sign(lam)
     kappa_k, kappa_o = _pair(params, k)
-    g = lambda d, p: _residual_offset(d, *_pair(p, k), p, sgn)
+    eps, sw = params.eps, _branch_sign(lam) * params.omega
     guess, ok = _first_order_offsets(params, k, lam)
     cap = 0.5 * np.minimum(kappa_k, np.abs(kappa_o - kappa_k))
     lo, hi = guess / 8.0, 8.0 * guess
-    g_lo, g_hi = g(lo, params), g(hi, params)
+    g_lo = _residual_offset(lo, kappa_k, kappa_o, eps, sw)
+    g_hi = _residual_offset(hi, kappa_k, kappa_o, eps, sw)
     ok &= ((0.0 < guess) & (guess < cap / 8.0) & (g_lo > 0.0) & (0.0 > g_hi)
            & np.isfinite(g_lo) & np.isfinite(g_hi))
     d = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
-    g_cur = g(d, params)
+    g_cur = _residual_offset(d, kappa_k, kappa_o, eps, sw)
     ok &= np.isfinite(g_cur)
 
     # The iterating points, compacted: their indices, inputs and state.
     act = np.flatnonzero(ok)
-    p = _take(params, act)
+    kk_a, ko_a, eps_a, sw_a = kappa_k[act], kappa_o[act], eps[act], sw[act]
     d_a, g_a, lo, hi = d[act], g_cur[act], lo[act], hi[act]
     for _ in range(_ITER_MAX):
         if not act.size:
@@ -279,19 +274,20 @@ def _solve_offsets(params, k, lam, tol):
         pos = g_a > 0.0
         lo = np.where(pos, d_a, lo)
         hi = np.where(pos, hi, d_a)
-        deriv = _residual_offset_deriv(d_a, *_pair(p, k), p, sgn)
+        deriv = _residual_offset_deriv(d_a, kk_a, ko_a, eps_a, sw_a)
         d_new = d_a - g_a / deriv
         stop = (g_a == 0.0) | (d_new == d_a)
         newton = (lo < d_new) & (d_new < hi)
         d_new = np.where(newton, d_new, 0.5 * (lo + hi))
         stop |= ~newton & ~((lo < d_new) & (d_new < hi))
-        g_new = g(d_new, p)
+        g_new = _residual_offset(d_new, kk_a, ko_a, eps_a, sw_a)
         stop |= newton & (np.abs(g_new) > np.abs(g_a))
         bad = ~(np.isfinite(deriv) & (deriv != 0.0) & np.isfinite(g_new))
         go = ~(stop | bad)
         d[act[~go]], g_cur[act[~go]] = d_a[~go], g_a[~go]
         ok[act[bad]] = False
-        act, p = act[go], _take(p, go)
+        act = act[go]
+        kk_a, ko_a, eps_a, sw_a = kk_a[go], ko_a[go], eps_a[go], sw_a[go]
         d_a, g_a, lo, hi = d_new[go], g_new[go], lo[go], hi[go]
     d[act], g_cur[act] = d_a, g_a
     ok &= ~(np.abs(g_cur) > tol * kappa_k)

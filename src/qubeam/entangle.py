@@ -18,6 +18,7 @@ from 1 only at O(eps^2).
 """
 from dataclasses import dataclass
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +51,7 @@ class ReducedDensity:
     y: float
 
 
-@dataclass(frozen=True)
-class EntanglementReport:
+class EntanglementReport(NamedTuple):
     config: PolarizationConfig
     method: str
     y: float                    # raw spectral quantity, 1 - y_gap
@@ -88,7 +88,10 @@ def _info_from_gap(gap: float) -> float:
     if gap <= 0.0:
         return 0.0
     if gap < _SERIES_CUT:
-        return (gap * (1.0 - math.log(gap / 2.0))
+        # gap / 2 rounds to 0 at the smallest subnormal gap
+        half = gap / 2.0
+        log_half = math.log(half) if half else math.log(gap) - math.log(2.0)
+        return (gap * (1.0 - log_half)
                 - gap * gap / 4.0 - gap * gap * gap / 24.0
                 - gap * gap * gap * gap / 96.0) / _LN4
     return -(gap * math.log(gap / 2.0)
@@ -163,7 +166,7 @@ def _asymptotic_from_phi(phi, eps):
     if phi <= 0.0:
         raise DomainError(f"asymptotic form needs Phi > 0, got {phi!r} "
                           "(route omega = 0 to E_I = 0)")
-    return (phi / (2.0 * math.log(2.0))) * (
+    return (phi / _LN4) * (
         eps * (1.0 - math.log(phi / 2.0)) - eps * math.log(eps))
 
 
@@ -240,9 +243,6 @@ def full_report(params: ModelParams, config: PolarizationConfig,
         exc.args = (f"stage {stage}: {exc}",)
         raise
 
-    return EntanglementReport(
-        config=config, method=method,
-        y=1.0 - y_gap, y_gap=y_gap, E_I=e_i, E_S=e_s,
-        raw_norm_sq=1.0 - norm_gap, norm_gap=norm_gap,
-        Phi=phi, y_closed=y_closed, E_I_asymptotic=e_i_asym,
-        E_S_closed=e_s_closed)
+    return EntanglementReport(config, method, 1.0 - y_gap, y_gap, e_i, e_s,
+                              1.0 - norm_gap, norm_gap, phi, y_closed,
+                              e_i_asym, e_s_closed)

@@ -488,6 +488,9 @@ def _check_info_asymptotic(params, pol, tol, ladder):
     # difference between the two gaps, not the quality of the expansion.
     phi, _ = phi_closed(params)
     exact_at_gap = _info_from_gap(params.eps * phi)
+    if not exact_at_gap > 0.0:
+        return (False, f"exact measure {exact_at_gap:.3e} at shared gap "
+                f"{params.eps * phi:.3e} is not positive; no ratio")
     ratio = asymptotic_info(params) / exact_at_gap
     return (abs(ratio - 1.0) <= 1e-10,
             f"asymptotic/exact ratio deviates by {abs(ratio - 1.0):.3e} "

@@ -273,6 +273,19 @@ def test_verify_passes_at_reference_point(capsys):
     assert "5 passed, 0 failed, 1 skipped" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--eps", "5e-324"],
+    ["--kappa1", "1", "--kappa2", "1.000001", "--omega", "0.5",
+     "--eps", "5e-324"]])
+def test_verify_with_a_subnormal_coupling_fails_its_checks(argv, capsys):
+    # eps*Phi underflows to 0 or to a gap whose half rounds to 0; both end
+    # in failed checks, not a traceback
+    assert main(["verify", *argv]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  info_asymptotic: " in out
+    assert "0 passed, 5 failed, 1 skipped" in out
+
+
 def test_verify_near_resonance_is_a_validation_error(capsys):
     code = main(["verify", "--omega", "2499"])
     assert code == 1

@@ -132,7 +132,8 @@ def test_first_order_roots_leave_a_linear_residual(fig_params):
             kk = (p.kappa1, p.kappa2)[k - 1]
             ko = (p.kappa2, p.kappa1)[k - 1]
             ladders[(k, lam)].append(_residual_offset(
-                pert.offset(k, lam), kk, ko, p, _branch_sign(lam)))
+                pert.offset(k, lam), kk, ko, p.eps,
+                _branch_sign(lam) * p.omega))
     for series in ladders.values():
         assert abs(series[0]) < 1e-6
         for hi, lo in zip(series, series[1:]):

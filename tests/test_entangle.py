@@ -1,4 +1,5 @@
 """Entanglement measures: exact two-qubit identities, closed forms, report."""
+import hashlib
 import math
 import random
 import warnings
@@ -121,6 +122,12 @@ def test_info_from_gap_continuous_at_series_cut():
     assert abs(below - at) / at <= 1e-11
     assert _info_from_gap(0.0) == 0.0
     assert _info_from_gap(-1e-300) == 0.0
+
+
+def test_info_from_gap_at_the_smallest_subnormal_gap():
+    # gap / 2 rounds to 0 there; the measure stays finite and positive
+    tiny = _info_from_gap(5e-324)
+    assert math.isfinite(tiny) and tiny > 0.0
 
 
 def test_small_gap_info_approaches_leading_term():
@@ -295,21 +302,28 @@ def _report_through_the_block(params, config, method):
     return amps.y_gap, amps.norm_gap, amps.raw_norm_sq, e_i, e_s
 
 
-def test_report_equals_the_block_route_bit_for_bit():
-    # point_mix's input envelope (kappa1 10..1e4, dk/kappa1 1e-3..10, omega
-    # up to kappa1/2) with the coupling up to 100 times its bound, plus a
-    # root on the other photon's pole, an underflowing normalization and a
-    # spectral gap above 2, so that every stage raises somewhere.
-    rng = random.Random(8)
-    points = [(10.0, 60.0, 0.0, 1000.0), (1e-66, 2e-66, 1e-67, 1e-135),
-              (1e-60, 1.00000001e-60, 0.0, 1e-80)]
-    for _ in range(60):
+def _envelope_points(seed, n):
+    """n seeded points of point_mix's input envelope (kappa1 10..1e4,
+    dk/kappa1 1e-3..10, omega up to kappa1/2) with the coupling up to 100
+    times its bound."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(n):
         kappa1 = 10.0 ** rng.uniform(1.0, 4.0)
         dk_rel = 10.0 ** rng.uniform(-3.0, 1.0)
         omega = rng.uniform(0.0, kappa1 / 2.0)
         eps = (10.0 ** rng.uniform(-4.0, 2.0) * 0.01 * (kappa1 - omega)
                * (kappa1 - omega) * min(1.0, dk_rel))
         points.append((kappa1, kappa1 * (1.0 + dk_rel), omega, eps))
+    return points
+
+
+def test_report_equals_the_block_route_bit_for_bit():
+    # The envelope plus a root on the other photon's pole, an underflowing
+    # normalization and a spectral gap above 2, so that every stage raises
+    # somewhere.
+    points = [(10.0, 60.0, 0.0, 1000.0), (1e-66, 2e-66, 1e-67, 1e-135),
+              (1e-60, 1.00000001e-60, 0.0, 1e-80)] + _envelope_points(8, 60)
     outcomes = set()
     for point in points:
         params = make_params(*point)
@@ -332,6 +346,38 @@ def test_report_equals_the_block_route_bit_for_bit():
     assert {"ok", ("roots", "BracketFailure"), ("block", "PoleEvaluation"),
             ("block", "SingularDenominator"),
             ("measures", "DomainError")} <= outcomes
+
+
+# SHA-256 of the outcomes below, recorded before the point path's
+# per-request overhead was cut; any change to a bit or an error shows here.
+POINT_PATH_DIGEST = (
+    "1931676566f7d0713667f525438555a71cf4ed77c869de104ddcf9336c98029e")
+
+
+def test_point_path_outcomes_are_pinned():
+    # 200 envelope points, each also scaled by 2^-200 and 2^200 (eps by the
+    # square, so the model is only rescaled), over all four configs and
+    # both methods. repr keeps every digit, the sign of zero, and each
+    # error's type, message and stage.
+    points = [tuple(x * f for x, f in zip(point, (s, s, s, s * s)))
+              for point in _envelope_points(10, 200)
+              for s in (1.0, 2.0 ** -200, 2.0 ** 200)]
+    digest = hashlib.sha256()
+    for point in points:
+        params = make_params(*point)
+        for code in ("uu", "ud", "du", "dd"):
+            config = PolarizationConfig.from_code(code)
+            for method in ("exact", "perturbative"):
+                try:
+                    rep = full_report(params, config, method)
+                except QubeamError as exc:
+                    got = type(exc).__name__, str(exc), exc.stage
+                else:
+                    got = (rep.y_gap, rep.norm_gap, rep.raw_norm_sq, rep.E_I,
+                           rep.E_S, rep.Phi, rep.y_closed, rep.E_I_asymptotic,
+                           rep.E_S_closed)
+                digest.update(repr(got).encode() + b"\n")
+    assert digest.hexdigest() == POINT_PATH_DIGEST
 
 
 def test_schmidt_from_gaps_consistency():

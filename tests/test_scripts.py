@@ -3,6 +3,8 @@ import importlib.util
 import math
 from pathlib import Path
 
+import pytest
+
 from qubeam.sweep import SweepConfig, run_sweep, write_csv
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -86,3 +88,37 @@ def test_diff_outputs_reports_fields_ulps_and_statuses(tmp_path, capsys):
     assert lines[9].startswith("  cells: 1 fields, max 10 ulps, max rel ")
     assert lines[10].startswith("  line 1, cell 3: ")
     assert len(lines) == 11         # only_old.csv has no counterpart
+
+
+def test_bench_pairs_verdicts_on_fixed_numbers():
+    verdict = _load("bench_pairs").verdict
+    # quartiles 99.825, 100, 100.175: the parent's IQR is 0.35
+    parent = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 100.2, 99.8, 100.1,
+              99.9]
+    v = verdict(parent, [p * 1.1 for p in parent], "higher", 0.2)
+    assert v["parent"] == pytest.approx((99.825, 100.0, 100.175))
+    assert v["wins"] == 10 and v["claim"] and v["no_regression"]
+    assert v["resolved"]
+    # every pair won, but the median gain is inside the parent's IQR
+    v = verdict(parent, [p + 0.3 for p in parent], "higher", 0.2)
+    assert v["wins"] == 10 and not v["claim"] and v["no_regression"]
+    # 9 wins of 10 is a claim, 8 is not
+    nine = [p + 5.0 for p in parent[:9]] + [parent[9] - 1.0]
+    assert verdict(parent, nine, "higher", 0.2)["claim"]
+    eight = [p + 5.0 for p in parent[:8]] + [p - 1.0 for p in parent[8:]]
+    v = verdict(parent, eight, "higher", 0.2)
+    assert v["wins"] == 8 and not v["claim"]
+    # lower is better: the bound is a fraction of the parent's median
+    v = verdict(parent, [p * 1.08 for p in parent], "lower", 0.1)
+    assert v["wins"] == 0 and not v["claim"] and v["no_regression"]
+    assert not verdict(parent, [p * 1.12 for p in parent], "lower",
+                       0.1)["no_regression"]
+    assert not verdict(parent, [p * 0.85 for p in parent], "higher",
+                       0.1)["no_regression"]
+    # a spread wider than the bound leaves the metric unresolved, unless
+    # every change run beats every parent run
+    wide = [50.0, 150.0] * 5
+    assert not verdict(wide, wide, "higher", 0.2)["resolved"]
+    assert verdict(wide, [200.0] * 10, "higher", 0.2)["resolved"]
+    with pytest.raises(ValueError):
+        verdict(parent, parent[:9], "higher", 0.2)
