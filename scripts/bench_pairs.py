@@ -22,8 +22,15 @@ failed operations, and in how many pairs the untimed envelope_raise_share
 line read the same on both sides. Exits 0 when no metric regresses and
 every run is correct, 1 otherwise, 2 when a run fails.
 
+With --json PATH it also writes the workload's pair table into PATH,
+under "workloads" -> WORKLOAD, keeping the other workloads a file already
+holds: the seeds and seconds, each checkout's git HEAD (null when the
+checkout is not the top of a git work tree), every run's metrics,
+correct/failed/attempted and envelope_raise_share line, and each metric's
+verdict.
+
     python3 scripts/bench_pairs.py PARENT CHANGE --workload point_mix \\
-        --pairs 10 --seconds 30 --seed 701
+        --pairs 10 --seconds 30 --seed 701 --json pairs.json
 """
 import argparse
 import json
@@ -87,6 +94,30 @@ def run_once(checkout, args, seed):
     return json.loads(lines[-1]), share
 
 
+def git_head(checkout):
+    """HEAD commit of checkout if it is the top of a git work tree, else None."""
+    def git(*words):
+        try:
+            proc = subprocess.run(["git", "-C", str(checkout), *words],
+                                  capture_output=True, text=True)
+        except OSError:             # no git
+            return None
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    top = git("rev-parse", "--show-toplevel")
+    if top is None or Path(top).resolve() != Path(checkout).resolve():
+        return None
+    return git("rev-parse", "HEAD")
+
+
+def write_table(path, workload, table):
+    """Put table under ["workloads"][workload] of the JSON file at path."""
+    path = Path(path)
+    data = json.loads(path.read_text()) if path.exists() else {}
+    data.setdefault("workloads", {})[workload] = table
+    path.write_text(json.dumps(data, indent=1) + "\n")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", help="checkout of the parent commit")
@@ -95,14 +126,18 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--json", metavar="PATH",
+                    help="write or merge the pair table into this file")
     args = ap.parse_args(argv)
 
     metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
     runs = {"parent": [], "change": []}
+    pairs = []
     same_share = 0
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         shares = {}
+        pair = {"seed": args.seed + i, "first": order[0]}
         for side in order:
             try:
                 result, shares[side] = run_once(getattr(args, side), args,
@@ -111,12 +146,16 @@ def main(argv=None):
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
             runs[side].append(result)
+            pair[side] = {key: result[key] for key in
+                          ("metrics", "correct", "failed", "attempted")}
+            pair[side]["envelope_raise_share"] = shares[side]
             values = ", ".join(
                 f"{m['name']}={result['metrics'][m['name']]['value']:.6g}"
                 for m in metrics)
             print(f"pair {i + 1} seed {args.seed + i} {side}: {values}",
                   flush=True)
         same_share += shares["parent"] == shares["change"]
+        pairs.append(pair)
 
     print(f"\nworkload {args.workload}: {args.pairs} pairs of "
           f"{args.seconds:g}-s runs")
@@ -130,11 +169,13 @@ def main(argv=None):
               f"{attempted} ({failed / max(attempted, 1):.4g})")
     print(f"  envelope_raise_share line equal in {same_share} of "
           f"{args.pairs} pairs")
+    verdicts = {}
     for m in metrics:
         name = m["name"]
         v = verdict([r["metrics"][name]["value"] for r in runs["parent"]],
                     [r["metrics"][name]["value"] for r in runs["change"]],
                     m["better"], m["bound"])
+        verdicts[name] = v
         print(f"{name} ({m['unit']}, {m['better']} is better, "
               f"bound {m['bound']:g})")
         for side in ("parent", "change"):
@@ -148,6 +189,15 @@ def main(argv=None):
               f"no regression {'yes' if v['no_regression'] else 'NO'}"
               f"{spread}")
         ok &= v["no_regression"]
+    if args.json:
+        write_table(args.json, args.workload, {
+            "pairs": args.pairs, "seconds": args.seconds,
+            "seeds": [pair["seed"] for pair in pairs],
+            "heads": {side: git_head(getattr(args, side))
+                      for side in ("parent", "change")},
+            "runs": pairs,
+            "envelope_raise_share_equal": same_share,
+            "verdicts": verdicts})
     return 0 if ok else 1
 
 

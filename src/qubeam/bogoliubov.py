@@ -24,12 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dispersion import ModeRoots, _pair
+from .dispersion import INDEX_ORDER, ModeRoots, _pair
 from .errors import NegativeRadicand, PoleEvaluation, SingularDenominator
 from .params import ModelParams
-
-# Row/column order of the 4x4 block.
-INDEX_ORDER = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
 def _phase(lam_row, lam_col):
@@ -79,9 +76,8 @@ def _deviations(kappa_k, kappa_o, d, params: ModelParams, lam):
 
 
 def _column(roots: ModeRoots, params: ModelParams, k, lam) -> ColumnFactors:
-    kappa_k = roots.kappas[k - 1]
-    kappa_o = roots.kappas[2 - k]
-    d = roots.offset(k, lam)
+    kappa_k, kappa_o = roots.kappas[k - 1], roots.kappas[2 - k]
+    d = roots.offsets[k - 1][lam - 1]
     if d == 0.0:
         raise PoleEvaluation(
             f"root r[{k}][{lam}] sits exactly on its pole; "

@@ -119,12 +119,10 @@ def _cmd_roots(args):
     params = _point_params(args)
     ex = exact_roots(params, args.tol)
     pert = perturbative_roots(params)
-    rows = []
-    for k in (1, 2):
-        for lam in (1, 2):
-            rows.append((k, lam, ex.root(k, lam), pert.root(k, lam),
-                         ex.residuals[k - 1][lam - 1],
-                         abs(ex.offset(k, lam) - pert.offset(k, lam))))
+    rows = [(k, lam, ex.root(k, lam), pert.root(k, lam),
+             ex.residuals[k - 1][lam - 1],
+             abs(ex.offset(k, lam) - pert.offset(k, lam)))
+            for k, lam in INDEX_ORDER]
     if args.csv:
         lines = ["k,lambda,r_exact,r_perturbative,residual,defect"]
         lines += [",".join([str(k), str(lam)] + [_fmt(x) for x in rest])
@@ -150,9 +148,8 @@ def _cmd_block(args):
             for j, (k, lc) in enumerate(INDEX_ORDER):
                 lines.append(f"{name},{s},{lr},{k},{lc},"
                              f"{_fmt(mat[i][j].real)},{_fmt(mat[i][j].imag)}")
-    for k in (1, 2):
-        for lam in (1, 2):
-            lines.append(f"q,{k},{lam},,,{_fmt(block.q[k - 1][lam - 1])},")
+    lines += [f"q,{k},{lam},,,{_fmt(block.q[k - 1][lam - 1])},"
+              for k, lam in INDEX_ORDER]
     duu, dsym = identity_defect(block)
     lines.append(f"# identity defects: uu={duu:.6e} sym={dsym:.6e}")
     _emit(lines, args.out)

@@ -13,8 +13,8 @@ keeps full precision where forming r^2 - kappa^2 from a collapsed r would
 lose everything below the ulp of kappa (~5e-13 here, larger than the
 root corrections we must resolve).
 """
-from dataclasses import dataclass
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +39,9 @@ DENOMINATOR_FLOOR_REL = 1e-9
 # stops after a handful of steps.
 _ITER_MAX = 120
 
+# Order of the four (k, lambda) roots and of the 4x4 block's rows/columns.
+INDEX_ORDER = ((1, 1), (1, 2), (2, 1), (2, 2))
+
 
 def _branch_sign(lam):
     # (-1)^(lambda-1): +1 on branch 1, -1 on branch 2
@@ -47,32 +50,40 @@ def _branch_sign(lam):
     return 1.0 if lam == 1 else -1.0
 
 
-@dataclass(frozen=True)
-class ModeRoots:
+class ModeRoots(NamedTuple("ModeRoots", [
+        ("kappas", tuple), ("offsets", tuple), ("residuals", tuple | None)])):
     """Roots stored as offsets from their photon frequencies.
 
     offsets[k-1][lam-1] = r_{k,lam} - kappa_k. Offsets are the authoritative
     representation; root reconstructs an absolute frequency. residuals holds
     the achieved dispersion residual per root (None for the first-order
-    method, which does not solve).
+    method, which does not solve). Every construction, _make and _replace
+    included, rejects a root that is not positive.
     """
 
-    kappas: tuple
-    offsets: tuple          # ((d11, d12), (d21, d22))
-    residuals: tuple | None = None
+    __slots__ = ()
+
+    def __new__(cls, kappas, offsets, residuals=None):
+        (k1, k2), ((d11, d12), (d21, d22)) = kappas, offsets    # 2x2 only
+        if not (k1 + d11 > 0.0 and k1 + d12 > 0.0
+                and k2 + d21 > 0.0 and k2 + d22 > 0.0):
+            for k, lam in INDEX_ORDER:
+                r = kappas[k - 1] + offsets[k - 1][lam - 1]
+                if not r > 0.0:
+                    raise NonPositive(f"root r[{k}][{lam}] = {r} not positive")
+        return tuple.__new__(cls, (kappas, offsets, residuals))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def offset(self, k, lam):
+        if k not in (1, 2) or lam not in (1, 2):
+            raise ValueError(f"k and lambda must be 1 or 2, got {k!r}, {lam!r}")
         return self.offsets[k - 1][lam - 1]
 
     def root(self, k, lam):
-        return self.kappas[k - 1] + self.offsets[k - 1][lam - 1]
-
-    def __post_init__(self):
-        for k, (kappa, row) in enumerate(zip(self.kappas, self.offsets), 1):
-            for lam, d in enumerate(row, 1):
-                if not kappa + d > 0.0:
-                    raise NonPositive(
-                        f"root r[{k}][{lam}] = {kappa + d} not positive")
+        return self.offset(k, lam) + self.kappas[k - 1]   # offset checks k
 
 
 def residual(r, params: ModelParams, lam) -> float:
@@ -153,10 +164,10 @@ def _first_order_offsets(params, k, lam):
 
 def perturbative_roots(params: ModelParams) -> ModeRoots:
     """First-order root offsets, exact in the eps -> 0 limit."""
-    offsets = tuple(
-        tuple(_first_order_offset(kappa_k, params, lam) for lam in (1, 2))
-        for kappa_k in (params.kappa1, params.kappa2))
-    return ModeRoots(kappas=(params.kappa1, params.kappa2), offsets=offsets)
+    k1, k2 = params.kappa1, params.kappa2
+    return ModeRoots((k1, k2), (
+        (_first_order_offset(k1, params, 1), _first_order_offset(k1, params, 2)),
+        (_first_order_offset(k2, params, 1), _first_order_offset(k2, params, 2))))
 
 
 def _solve_offset(kappa_k, kappa_other, params, lam):
@@ -294,6 +305,15 @@ def _solve_offsets(params, k, lam, tol):
     return d, ok
 
 
+def _converged(kappa_k, kappa_other, params, k, lam, tol):
+    # one (d, residual) of exact_roots, checked before the next is solved
+    d, g = _solve_offset(kappa_k, kappa_other, params, lam)
+    if abs(g) > tol * kappa_k:
+        raise NonConvergence(f"residual {g!r} above {tol!r}*kappa for "
+                             f"k={k}, lambda={lam}")
+    return d, g
+
+
 def exact_roots(params: ModelParams, tol: float = DEFAULT_REL_TOL) -> ModeRoots:
     """Solve the dispersion relation for all four (k, lambda) roots.
 
@@ -305,23 +325,11 @@ def exact_roots(params: ModelParams, tol: float = DEFAULT_REL_TOL) -> ModeRoots:
     if not (params.eps > 0.0):
         raise NonPositive("exact solver requires eps > 0; the eps = 0 "
                           "equation has no bracketed root")
-    kappas = (params.kappa1, params.kappa2)
-    offsets = []
-    residuals = []
-    for k in (1, 2):
-        kappa_k = kappas[k - 1]
-        kappa_other = kappas[2 - k]
-        row_d = []
-        row_g = []
-        for lam in (1, 2):
-            d, g_final = _solve_offset(kappa_k, kappa_other, params, lam)
-            if abs(g_final) > tol * kappa_k:
-                raise NonConvergence(
-                    f"residual {g_final!r} above {tol!r}*kappa for "
-                    f"k={k}, lambda={lam}")
-            row_d.append(d)
-            row_g.append(g_final)
-        offsets.append(tuple(row_d))
-        residuals.append(tuple(row_g))
-    return ModeRoots(kappas=kappas, offsets=tuple(offsets),
-                     residuals=tuple(residuals))
+    k1, k2 = params.kappa1, params.kappa2
+    (d11, g11), (d12, g12), (d21, g21), (d22, g22) = (
+        _converged(k1, k2, params, 1, 1, tol),
+        _converged(k1, k2, params, 1, 2, tol),
+        _converged(k2, k1, params, 2, 1, tol),
+        _converged(k2, k1, params, 2, 2, tol))
+    return ModeRoots((k1, k2), ((d11, d12), (d21, d22)),
+                     ((g11, g12), (g21, g22)))

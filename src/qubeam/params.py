@@ -49,12 +49,13 @@ def make_params(kappa1, kappa2, omega, eps) -> ModelParams:
     kappa2 = float(kappa2)
     omega = float(omega)
     eps = float(eps)
-    for name, value in (("kappa1", kappa1), ("kappa2", kappa2)):
-        if not (value > 0.0) or not math.isfinite(value):
-            raise NonPositive(f"{name} must be positive and finite, got {value!r}")
-    if not (eps > 0.0) or not math.isfinite(eps):
+    if not 0.0 < kappa1 < math.inf:
+        raise NonPositive(f"kappa1 must be positive and finite, got {kappa1!r}")
+    if not 0.0 < kappa2 < math.inf:
+        raise NonPositive(f"kappa2 must be positive and finite, got {kappa2!r}")
+    if not 0.0 < eps < math.inf:
         raise NonPositive(f"eps must be positive and finite, got {eps!r}")
-    if omega < 0.0 or not math.isfinite(omega):
+    if not 0.0 <= omega < math.inf:
         raise NonPositive(f"omega must be nonnegative and finite, got {omega!r}")
     if kappa1 == kappa2:
         raise DegenerateFrequencies(

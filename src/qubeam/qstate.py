@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import INDEX_ORDER, BogoliubovBlock, _column, _phase
+from .bogoliubov import BogoliubovBlock, _column, _phase
 from .dispersion import ModeRoots
 from .errors import UnsupportedConfig, ZeroNorm
 from .params import ModelParams
@@ -116,12 +116,12 @@ def _gaps(c1, c2, parallel):
 
 
 def _state_gaps(columns, config: PolarizationConfig):
-    """_gaps of config's state from the four ColumnFactors in INDEX_ORDER.
+    """_gaps of config's state; columns in INDEX_ORDER, read by position.
     ZeroNorm where 1 - norm_gap <= 0 or _pattern_vector is all zeros: its
     entries are b_self + a_cross (parallel) or b_self +- a_cross up to phase."""
     gaps = b_self, a_cross, _, norm_gap = _gaps(
-        columns[INDEX_ORDER.index((1, config.lambda1))],
-        columns[INDEX_ORDER.index((2, config.lambda2))], config.parallel)
+        columns[config.lambda1 - 1], columns[config.lambda2 + 1],
+        config.parallel)
     if 1.0 - norm_gap <= 0.0 or (b_self + a_cross == 0.0 if config.parallel
                                  else b_self == 0.0 == a_cross):
         raise ZeroNorm("all four amplitudes vanish; block is not a valid "

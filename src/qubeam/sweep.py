@@ -432,17 +432,15 @@ _RATIO_LO, _RATIO_HI = 3.5, 4.5
 
 def _check_root_ladder(params, pol, tol, ladder):
     """First-order roots against the solved dispersion relation."""
-    defects = {(k, lam): [] for k in (1, 2) for lam in (1, 2)}
+    defects = {kl: [] for kl in INDEX_ORDER}
     residual_ok = True
     for lp in ladder:
         ex = exact_roots(lp, tol)
         pert = perturbative_roots(lp)
-        for k in (1, 2):
-            for lam in (1, 2):
-                defects[(k, lam)].append(
-                    abs(ex.offset(k, lam) - pert.offset(k, lam)))
-                if abs(ex.residuals[k - 1][lam - 1]) > tol * ex.kappas[k - 1]:
-                    residual_ok = False
+        for k, lam in INDEX_ORDER:
+            defects[k, lam].append(abs(ex.offset(k, lam) - pert.offset(k, lam)))
+            if abs(ex.residuals[k - 1][lam - 1]) > tol * ex.kappas[k - 1]:
+                residual_ok = False
     ratios = [d[i] / d[i + 1] for d in defects.values() for i in range(2)]
     ladder_ok = all(_RATIO_LO <= r <= _RATIO_HI for r in ratios)
     return (ladder_ok and residual_ok,

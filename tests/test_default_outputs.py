@@ -5,8 +5,10 @@ arithmetic shows only in the last digit (for example `raw_norm`, where
 `x ** 0.5` and the correctly rounded square root disagree at x = 1 - 2^-53
 in 16 rows of each uu and dd CSV and 12 of each ud and du CSV), so only the
 full 64x64 grids guard the output bytes. The point commands' pins cover
-the path that does not go through the batch: `full_report` and
-`verify_point` at the reference point.
+the paths that do not go through the batch, at the reference point:
+`full_report`, `verify_point`, and the `roots`, `block` and `state`
+commands, which print `ModeRoots` and the results of `build_block` and
+`amplitudes`.
 """
 import hashlib
 from pathlib import Path
@@ -71,8 +73,10 @@ def test_default_sweep_outputs_are_unchanged(pol, method, tmp_path, capsys):
         "CSV's first line also carries the package version.")
 
 
-# SHA-256 of the stdout of `qubeam verify --pol P` and of
-# `qubeam measures --machine --pol P --method M` at the reference point.
+# SHA-256 of the stdout of `qubeam verify --pol P`, of
+# `qubeam measures --machine --pol P --method M`, of `qubeam roots` (table
+# and CSV), of `qubeam block --method M` and of
+# `qubeam state --pol P --method M` at the reference point.
 POINT_DIGESTS = {
     ("verify", "--pol", "uu"):
         "3729e63fcf94e7e9477ab22fc6499ad2b1314c2950ee8967bd96bcc83900baad",
@@ -98,11 +102,36 @@ POINT_DIGESTS = {
         "f19c031611cf33cec3a078209e2fad1621faba76a7849173c4f8a85986a3ccde",
     ("measures", "--machine", "--pol", "dd", "--method", "pert"):
         "f01b081f53cac13ab0cda278d8f096681afe2a763ef4e5414a1e7a84a3ac940d",
+    ("roots",):
+        "62fe1869be1afd59dc8915cb2e3e9b90b64ea272f2c039cbc9ee9308adab87e5",
+    ("roots", "--csv"):
+        "87035c872cece8157c70904a8c83fec2466507058a33c457d8d90ffd08fb0c28",
+    ("block", "--method", "exact"):
+        "77441fb039be5e3706d58df4a4f2bce8e5c82be24fe186b06018f1d728712e1d",
+    ("block", "--method", "pert"):
+        "ed03a10095e3793d8aef1b6a85b2613e26b9dd99d0f2c6f5c2696ca0ef80b06c",
+    ("state", "--pol", "uu", "--method", "exact"):
+        "240ec81e3142c128adb62e8317ace0d2113c32457bda0056522a286f2d0d2213",
+    ("state", "--pol", "uu", "--method", "pert"):
+        "e60b3a2053ca45d1a32c8a8cde69d92739bf7c25d20b5c9a74e49ddf2e31d0b7",
+    ("state", "--pol", "ud", "--method", "exact"):
+        "bbb027a445aeaa1b9bbd19202b373ae41596a3bd553c3233944aebfc7e3ce599",
+    ("state", "--pol", "ud", "--method", "pert"):
+        "074d0a7b5da1a5fd7c24af3adfb69f90dca7bc5d673e8453758fb363df628932",
+    ("state", "--pol", "du", "--method", "exact"):
+        "d390c1dcdb6d1aae1410103fc5c95d7b23fcbcd9b76367c9f9cb5c932f7d29d2",
+    ("state", "--pol", "du", "--method", "pert"):
+        "d390c1dcdb6d1aae1410103fc5c95d7b23fcbcd9b76367c9f9cb5c932f7d29d2",
+    ("state", "--pol", "dd", "--method", "exact"):
+        "d8b475407a713b32a042e64ed82903969acfcc3ef73b4019e607b3019bed5854",
+    ("state", "--pol", "dd", "--method", "pert"):
+        "d8b475407a713b32a042e64ed82903969acfcc3ef73b4019e607b3019bed5854",
 }
 
 
 @pytest.mark.parametrize("argv", POINT_DIGESTS,
-                         ids=["-".join(a for a in argv if a[0] != "-")
+                         ids=["-".join(a.lstrip("-") for a in argv
+                                       if a[0] != "-" or a == "--csv")
                               for argv in POINT_DIGESTS])
 def test_point_command_outputs_are_unchanged(argv, capsys):
     assert main(list(argv)) == 0

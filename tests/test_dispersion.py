@@ -220,6 +220,58 @@ def test_mode_roots_reject_nonpositive_roots():
                   offsets=((-2500.0, 0.1), (0.1, 0.1)))
 
 
+_GOOD_OFFSETS = ((1e-5, 2e-5), (3e-5, 4e-5))
+
+
+def _offsets_with(bad):
+    # _GOOD_OFFSETS with bad[(k, lam)] in place of those offsets
+    return tuple(tuple(bad.get((k, lam), _GOOD_OFFSETS[k - 1][lam - 1])
+                       for lam in (1, 2)) for k in (1, 2))
+
+
+_ROUTES = {
+    "new": lambda offsets: ModeRoots((2500.0, 3000.0), offsets),
+    "make": lambda offsets: ModeRoots._make(((2500.0, 3000.0), offsets, None)),
+    "replace": lambda offsets: ModeRoots(
+        (2500.0, 3000.0), _GOOD_OFFSETS)._replace(offsets=offsets),
+}
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+@pytest.mark.parametrize("k,lam", KLAM)
+def test_mode_roots_check_every_root_on_every_construction_route(route, k,
+                                                                 lam):
+    build = _ROUTES[route]
+    kappa = (2500.0, 3000.0)[k - 1]
+    # a root of -1 (offset -(kappa + 1)), and separately a nan offset
+    for bad, shown in ((-(kappa + 1.0), "-1.0"), (math.nan, "nan")):
+        with pytest.raises(NonPositive) as err:
+            build(_offsets_with({(k, lam): bad}))
+        assert str(err.value) == f"root r[{k}][{lam}] = {shown} not positive"
+    # with every later root bad too, the message still names this one
+    later = {kl: -1e4 for kl in KLAM[KLAM.index((k, lam)):]}
+    with pytest.raises(NonPositive) as err:
+        build(_offsets_with(later))
+    assert str(err.value).startswith(f"root r[{k}][{lam}] = ")
+    assert build(_GOOD_OFFSETS) == ModeRoots((2500.0, 3000.0), _GOOD_OFFSETS)
+
+
+def test_mode_roots_fields_repr_and_index_range(fig_roots):
+    roots = ModeRoots((2500.0, 3000.0), _GOOD_OFFSETS)
+    assert repr(roots) == ("ModeRoots(kappas=(2500.0, 3000.0), offsets="
+                           "((1e-05, 2e-05), (3e-05, 4e-05)), residuals=None)")
+    assert roots.offset(2, 1) == 3e-5 and roots.root(2, 1) == 3000.0 + 3e-5
+    with pytest.raises(AttributeError):
+        roots.offsets = _GOOD_OFFSETS
+    # k and lambda index from 1; 0 and negatives must not wrap around to the
+    # last row or column (offset(0, 1) once returned r[2][1]'s offset)
+    for k, lam in ((0, 1), (1, 0), (0, 0), (-1, 1), (1, -1), (3, 1), (1, 3)):
+        with pytest.raises(ValueError):
+            fig_roots.offset(k, lam)
+        with pytest.raises(ValueError):
+            fig_roots.root(k, lam)
+
+
 def _evaluations_per_root(p):
     """Residual plus derivative evaluations spent on each (k, lambda) root."""
     from qubeam import dispersion

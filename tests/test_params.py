@@ -52,16 +52,48 @@ def test_wrong_ordering_is_not_silently_swapped():
     assert "ordered" in str(err.value)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(kappa1=0.0), dict(kappa1=-2500.0), dict(kappa2=0.0),
     dict(eps=0.0), dict(eps=-0.1), dict(omega=-0.5),
-    dict(kappa1=float("nan")), dict(eps=float("inf")),
+    dict(kappa1=NAN), dict(eps=INF),
+    dict(kappa1=INF), dict(kappa1=-INF),
+    dict(kappa2=-3000.0), dict(kappa2=NAN), dict(kappa2=INF),
+    dict(kappa2=-INF), dict(eps=NAN), dict(eps=-INF),
+    dict(omega=NAN), dict(omega=INF), dict(omega=-INF),
 ])
 def test_nonpositive_inputs_rejected(kwargs):
     base = dict(kappa1=2500.0, kappa2=3000.0, omega=0.5, eps=0.1)
     base.update(kwargs)
-    with pytest.raises(NonPositive):
+    with pytest.raises(NonPositive) as err:
         make_params(**base)
+    (name, value), = kwargs.items()
+    sign = "nonnegative" if name == "omega" else "positive"
+    assert str(err.value) == f"{name} must be {sign} and finite, got {value!r}"
+
+
+def test_omega_zero_is_valid():
+    assert make_params(2500.0, 3000.0, 0.0, 0.1).omega == 0.0
+    assert make_params(2500.0, 3000.0, -0.0, 0.1).omega == 0.0
+
+
+@pytest.mark.parametrize("point,error,start", [
+    ((NAN, -1.0, INF, -1.0), NonPositive, "kappa1 must"),
+    ((2500.0, 0.0, -1.0, NAN), NonPositive, "kappa2 must"),
+    ((2500.0, 3000.0, -1.0, 0.0), NonPositive, "eps must"),
+    ((3000.0, 3000.0, -1.0, 0.1), NonPositive, "omega must"),
+    ((3000.0, 3000.0, 5000.0, 0.1), DegenerateFrequencies, "kappa1 = kappa2"),
+    ((3000.0, 2500.0, 5000.0, 0.1), ValidationError, "photon frequencies"),
+])
+def test_the_first_failing_check_raises(point, error, start):
+    # checks run kappa1, kappa2, eps, omega, equal and ordered frequencies,
+    # then the resonance margin; each point also fails a later check
+    with pytest.raises(ValidationError) as err:
+        make_params(*point)
+    assert type(err.value) is error
+    assert str(err.value).startswith(start)
 
 
 @given(

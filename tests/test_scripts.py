@@ -1,7 +1,11 @@
 """The scripts under scripts/ run end to end on small inputs."""
 import importlib.util
+import json
 import math
+import os
 from pathlib import Path
+import shutil
+import subprocess
 
 import pytest
 
@@ -122,3 +126,82 @@ def test_bench_pairs_verdicts_on_fixed_numbers():
     assert verdict(wide, [200.0] * 10, "higher", 0.2)["resolved"]
     with pytest.raises(ValueError):
         verdict(parent, parent[:9], "higher", 0.2)
+
+
+def test_bench_pairs_json_writes_and_merges_the_pair_table(tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+    script = _load("bench_pairs")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    calls = []
+
+    def run_once(checkout, args, seed):
+        # change is 10% faster; every run's values are known
+        side = "change" if checkout == str(change) else "parent"
+        calls.append((side, seed, args.seconds))
+        ops = 1000.0 + seed + (100.0 if side == "change" else 0.0)
+        metrics = {"setup_s": {"value": 0.1, "unit": "s"},
+                   "ops_per_s": {"value": ops, "unit": "1/s"},
+                   "peak_rss_mb": {"value": 36.0, "unit": "MB"}}
+        return ({"correct": True, "attempted": 50, "failed": 0,
+                 "metrics": metrics}, "envelope_raise_share 0.3 ratio")
+
+    monkeypatch.setattr(script, "run_once", run_once)
+    monkeypatch.setattr(script, "git_head", lambda checkout: (
+        "c0ffee" if checkout == str(change) else None))
+    out = tmp_path / "bench.json"
+    out.write_text('{"note": "kept", "workloads": {"other": {"pairs": 1}}}')
+    argv = [str(parent), str(change), "--pairs", "3", "--seconds", "2",
+            "--seed", "40", "--json", str(out)]
+    assert script.main(argv + ["--workload", "point_mix"]) == 0
+    capsys.readouterr()
+    # the first side alternates from pair to pair
+    assert calls[:4] == [("parent", 40, 2.0), ("change", 40, 2.0),
+                         ("change", 41, 2.0), ("parent", 41, 2.0)]
+    data = json.loads(out.read_text())
+    assert data["note"] == "kept" and data["workloads"]["other"] == {"pairs": 1}
+    table = data["workloads"]["point_mix"]
+    assert table["pairs"] == 3 and table["seconds"] == 2.0
+    assert table["seeds"] == [40, 41, 42]
+    assert table["heads"] == {"parent": None, "change": "c0ffee"}
+    assert [run["first"] for run in table["runs"]] == ["parent", "change",
+                                                       "parent"]
+    run = table["runs"][1]
+    assert run["seed"] == 41
+    assert run["change"]["metrics"]["ops_per_s"] == {"value": 1141.0,
+                                                     "unit": "1/s"}
+    assert (run["parent"]["correct"], run["parent"]["failed"],
+            run["parent"]["attempted"]) == (True, 0, 50)
+    assert run["parent"]["envelope_raise_share"] == (
+        "envelope_raise_share 0.3 ratio")
+    assert table["envelope_raise_share_equal"] == 3
+    ops = table["verdicts"]["ops_per_s"]
+    assert ops["wins"] == 3 and ops["claim"] and ops["no_regression"]
+    assert ops["parent"] == [1040.5, 1041.0, 1041.5]
+    assert table["verdicts"].keys() == {"setup_s", "ops_per_s", "peak_rss_mb"}
+    # a second workload is merged in beside the first
+    assert script.main(argv + ["--workload", "sweep_pert"]) == 0
+    data = json.loads(out.read_text())
+    assert data["workloads"].keys() == {"other", "point_mix", "sweep_pert"}
+
+
+def test_bench_pairs_git_head_only_at_the_top_of_a_work_tree(tmp_path):
+    git_head = _load("bench_pairs").git_head
+    assert git_head(tmp_path) is None               # no work tree
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    env = {"GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@example.com",
+           "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@example.com",
+           "PATH": os.environ.get("PATH", ""), "HOME": str(tmp_path)}
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True, env=env)
+    subprocess.run(["git", "-C", str(tmp_path), "commit", "-q",
+                    "--allow-empty", "-m", "empty"], check=True, env=env)
+    head = subprocess.run(["git", "-C", str(tmp_path), "rev-parse", "HEAD"],
+                          capture_output=True, text=True, env=env,
+                          check=True).stdout.strip()
+    assert git_head(tmp_path) == head and len(head) == 40
+    # a directory inside the work tree is not a checkout of it
+    (tmp_path / "inner").mkdir()
+    assert git_head(tmp_path / "inner") is None
