@@ -13,7 +13,7 @@ import os
 import sys
 
 from qubeam import parse_config, run_sweep
-from qubeam.sweep import write_csv
+from qubeam.sweep import failure_tally, write_csv
 
 
 def main(argv=None):
@@ -36,8 +36,7 @@ def main(argv=None):
         rows = run_sweep(config)
         base = os.path.join(args.out_dir, pol)
         paths = write_csv(rows, config, base + ".csv", base)
-        failed = sum(1 for r in rows if r.status != "ok")
-        print(f"{pol}: {len(rows)} rows ({failed} failed) -> {base}.csv, "
+        print(f"{pol}: {len(rows)} rows ({failure_tally(rows)}) -> {base}.csv, "
               f"{paths['EI']}, {paths['ES']}", file=sys.stderr)
     return 0
 

@@ -20,6 +20,7 @@ from .qstate import PolarizationConfig, amplitudes
 from .sweep import (
     SweepConfig,
     _fmt,
+    failure_tally,
     parse_config,
     run_sweep,
     verify_point,
@@ -200,8 +201,7 @@ def _cmd_sweep(args):
     config = parse_config(args.config, overrides)
     rows = run_sweep(config)
     write_csv(rows, config, args.out, args.matrix)
-    failed = sum(1 for row in rows if row.status != "ok")
-    print(f"wrote {args.out}: {len(rows)} rows, {failed} failed",
+    print(f"wrote {args.out}: {len(rows)} rows, {failure_tally(rows)}",
           file=sys.stderr)
     return 0
 

@@ -87,15 +87,39 @@ def _info_from_gap(gap: float) -> float:
     """
     if gap <= 0.0:
         return 0.0
-    if gap < _SERIES_CUT:
-        # gap / 2 rounds to 0 at the smallest subnormal gap
-        half = gap / 2.0
-        log_half = math.log(half) if half else math.log(gap) - math.log(2.0)
-        return (gap * (1.0 - log_half)
-                - gap * gap / 4.0 - gap * gap * gap / 24.0
-                - gap * gap * gap * gap / 96.0) / _LN4
-    return -(gap * math.log(gap / 2.0)
-             + (2.0 - gap) * math.log1p(-gap / 2.0)) / _LN4
+    half = gap / 2.0
+    if gap < _SERIES_CUT:   # gap / 2 rounds to 0 at the smallest subnormal gap
+        return _info_series(gap, math.log(half) if half
+                            else math.log(gap) - math.log(2.0))
+    return _info_direct(gap, math.log(half), math.log1p(-half))
+
+
+def _info_from_gaps(gap):
+    """_info_from_gap over an array of gaps, bit for bit."""
+    half = gap / 2.0
+    live, series = half > 0.0, gap < _SERIES_CUT
+    log_half = _logs(math.log, half, live)
+    e_i = np.where(series, _info_series(gap, log_half), _info_direct(
+        gap, log_half, _logs(math.log1p, -half, live & ~series)))
+    e_i[~live] = 0.0
+    for i in np.flatnonzero((gap > 0.0) & ~live).tolist():    # gap 5e-324
+        e_i[i] = _info_from_gap(gap.item(i))
+    return e_i
+
+
+# The two branches given ln(gap/2) and ln(1 - gap/2), for floats or arrays.
+def _info_series(gap, log_half):
+    return (gap * (1.0 - log_half) - gap * gap / 4.0 - gap * gap * gap / 24.0
+            - gap * gap * gap * gap / 96.0) / _LN4
+
+
+def _info_direct(gap, log_half, log1p_half):
+    return -(gap * log_half + (2.0 - gap) * log1p_half) / _LN4
+
+
+def _logs(log, x, where):
+    """math.log or math.log1p (not NumPy's) of x where `where`, else 0.0."""
+    return np.piecewise(x, [where], [lambda v: list(map(log, v.tolist())), 0.0])
 
 
 def info_measure(y: float) -> float:
@@ -166,8 +190,17 @@ def _asymptotic_from_phi(phi, eps):
     if phi <= 0.0:
         raise DomainError(f"asymptotic form needs Phi > 0, got {phi!r} "
                           "(route omega = 0 to E_I = 0)")
-    return (phi / _LN4) * (
-        eps * (1.0 - math.log(phi / 2.0)) - eps * math.log(eps))
+    return _asymptotic_terms(phi, eps, math.log(phi / 2.0), math.log(eps))
+
+
+def _asymptotic_from_phis(phi, eps, live):
+    """_asymptotic_from_phi at one float eps, bit for bit, where live."""
+    return np.where(live, _asymptotic_terms(
+        phi, eps, _logs(math.log, phi / 2.0, live), math.log(eps)), 0.0)
+
+
+def _asymptotic_terms(phi, eps, log_half_phi, log_eps):
+    return (phi / _LN4) * (eps * (1.0 - log_half_phi) - eps * log_eps)
 
 
 def asymptotic_info(params: ModelParams) -> float:

@@ -45,10 +45,11 @@ def make_params(kappa1, kappa2, omega, eps) -> ModelParams:
     ValidationError (wrong frequency ordering). Idempotent: feeding the
     fields of a valid ModelParams back in returns an equal instance.
     """
-    kappa1 = float(kappa1)
-    kappa2 = float(kappa2)
-    omega = float(omega)
-    eps = float(eps)
+    try:
+        kappa1, kappa2 = float(kappa1), float(kappa2)
+        omega, eps = float(omega), float(eps)
+    except OverflowError:
+        return make_params(*map(_inf_if_huge, (kappa1, kappa2, omega, eps)))
     if not 0.0 < kappa1 < math.inf:
         raise NonPositive(f"kappa1 must be positive and finite, got {kappa1!r}")
     if not 0.0 < kappa2 < math.inf:
@@ -71,6 +72,15 @@ def make_params(kappa1, kappa2, omega, eps) -> ModelParams:
             f"omega={omega} within the resonance margin of kappa1={kappa1} "
             f"(limit {kappa1 * (1.0 - RESONANCE_MARGIN)})")
     return ModelParams(kappa1, kappa2, omega, eps)
+
+
+def _inf_if_huge(value):
+    """+-inf for an int too large for a float, as "1e400" reads; else value."""
+    try:
+        float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+    return value
 
 
 def _rejections(kappa1, kappa2, omega, eps):

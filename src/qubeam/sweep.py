@@ -6,10 +6,12 @@ records the entanglement measures per point. Output is deterministic: rows
 ordered lexicographically by (omega, delta_kappa), numbers printed with 17
 significant digits, metadata confined to '#' comment lines, no timestamps.
 """
+import collections
 from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
 import itertools
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -24,8 +26,9 @@ from .dispersion import (
 )
 from .entangle import (
     DOMAIN_TOL,
-    _asymptotic_from_phi,
+    _asymptotic_from_phis,
     _info_from_gap,
+    _info_from_gaps,
     _phi_terms,
     _schmidt_from_gaps,
     asymptotic_info,
@@ -33,7 +36,7 @@ from .entangle import (
     phi_closed,
 )
 from .errors import AllRowsFailed, ParseError, QubeamError, ValidationError
-from .params import ModelParams, _rejections, make_params
+from .params import ModelParams, _inf_if_huge, _rejections, make_params
 from .qstate import (
     PolarizationConfig,
     _gaps,
@@ -92,12 +95,13 @@ def _grid(lo, hi, n):
 
 
 def _grid_arrays(config):
-    """omega and kappa2 of every grid point, in output order."""
+    """The omega and dk grids, and omega and kappa2 per point in order."""
     omegas, dks = config.omega_grid(), config.dk_grid()
     # inf and nan arise without a warning, as in Python floats
     with np.errstate(over="ignore", invalid="ignore"):
         kappa2 = float(config.kappa1) + np.array(dks)
-    return np.repeat(omegas, len(dks)), np.tile(kappa2, len(omegas))
+    return (omegas, dks, np.repeat(omegas, len(dks)),
+            np.tile(kappa2, len(omegas)))
 
 
 # A config file's keys are SweepConfig's fields; pol and method are read as
@@ -154,7 +158,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Swee
                              "expected exact or pert")
         values["method"] = _METHOD_ALIASES[method]
 
-    config = SweepConfig(**values)
+    config = SweepConfig(**{key: _inf_if_huge(val) if _FILE_KEYS[key] is float
+                            else val for key, val in values.items()})
     _validate(config)
     return config
 
@@ -180,9 +185,8 @@ def _validate(config: SweepConfig):
     # Every grid point must be a valid model point. The grid is checked as
     # arrays; make_params runs only at the first point of each error class,
     # in grid order, to quote its message.
-    omega, kappa2 = _grid_arrays(config)
+    omegas, dks, omega, kappa2 = _grid_arrays(config)
     rank = _rejections(float(config.kappa1), kappa2, omega, float(config.eps))
-    omegas, dks = config.omega_grid(), config.dk_grid()
     seen = set()
     for i in np.flatnonzero(rank).tolist():
         if rank[i] in seen:
@@ -209,11 +213,9 @@ def _evaluate_point(config, omega, dk):
     except QubeamError as exc:
         return SweepRow(omega, dk, kappa2, None, None, None, None, None, None,
                         f"error:{type(exc).__name__}")
-    return SweepRow(
-        omega=omega, delta_kappa=dk, kappa2=kappa2, y=rep.y, E_I=rep.E_I,
-        E_S=rep.E_S, E_I_asymptotic=rep.E_I_asymptotic,
-        E_S_closed=rep.E_S_closed, raw_norm=math.sqrt(rep.raw_norm_sq),
-        status="ok")
+    return SweepRow(omega, dk, kappa2, rep.y, rep.E_I, rep.E_S,
+                    rep.E_I_asymptotic, rep.E_S_closed,
+                    math.sqrt(rep.raw_norm_sq), "ok")
 
 
 def _batch_gaps(params: ModelParams, config: SweepConfig):
@@ -250,15 +252,11 @@ def _batch_gaps(params: ModelParams, config: SweepConfig):
 
 
 def _batch_values(params: ModelParams, config: SweepConfig):
-    """The row values of a batch of points, as lists: settled, y, E_I, E_S,
-    E_I_asymptotic, E_S_closed, raw_norm.
-
-    The + - * / and the raw norm's square root (correctly rounded, as
-    math.sqrt) are full_report's formulas over arrays. The logs
-    (_info_from_gap, _asymptotic_from_phi) run per entry as in full_report,
-    because NumPy's logs round differently. settled is False wherever
-    make_params, a stage, a measure or a closed form would raise; the
-    values there are placeholders.
+    """The settled array, then y, E_I, E_S, E_I_asymptotic, E_S_closed and
+    raw_norm as lists: full_report's formulas over arrays (np.sqrt rounds
+    correctly, as math.sqrt does), math's logs mapped per entry. settled is
+    False wherever make_params, a stage, a measure or a closed form would
+    raise; the values there are placeholders.
     """
     y_gap, norm_gap, settled = _batch_gaps(params, config)
     k1, k2, w, eps = params.kappa1, params.kappa2, params.omega, params.eps
@@ -281,19 +279,17 @@ def _batch_values(params: ModelParams, config: SweepConfig):
             settled &= (~(np.abs(w - k1) <= 1e-12 * k1) & (den > 0.0)
                         & (eps * phi < 1.0) & (zero | ~(phi <= 0.0)))
             e_s_closed = (2.0 * eps * phi).tolist()
-            e_i_asym = [_asymptotic_from_phi(p, e) if log else 0.0
-                        for p, e, log in zip(phi.tolist(), eps.tolist(),
-                                             (settled & ~zero).tolist())]
+            e_i_asym = _asymptotic_from_phis(phi, float(config.eps),
+                                             settled & ~zero).tolist()
         elif pol == (1, 1):
             e_i_asym = e_s_closed = [0.0] * len(w)
         else:
             e_i_asym = e_s_closed = [None] * len(w)
         # _info_from_gap is 0 for a gap <= 0, so the clamp of _measures is
         # not needed; 0.0 and 1.0 are placeholders where nothing settled.
-        e_i = [_info_from_gap(g)
-               for g in np.where(settled, y_gap, 0.0).tolist()]
+        e_i = _info_from_gaps(np.where(settled, y_gap, 0.0)).tolist()
         raw_norm = np.sqrt(np.where(settled, 1.0 - norm_gap, 1.0))
-        return (settled.tolist(), (1.0 - y_gap).tolist(), e_i, e_s.tolist(),
+        return (settled, (1.0 - y_gap).tolist(), e_i, e_s.tolist(),
                 e_i_asym, e_s_closed, raw_norm.tolist())
 
 
@@ -304,28 +300,34 @@ def run_sweep(config: SweepConfig):
     the batch does not settle goes through full_report, so rows and error
     statuses are those of the point-by-point pipeline. Per-point failures
     become rows with an error status; AllRowsFailed is raised only if
-    nothing succeeds. Nothing is written: the caller passes the rows to
-    write_csv.
+    nothing succeeds. The caller passes the rows to write_csv.
     """
-    omega, kappa2 = _grid_arrays(config)
+    omegas, dks, omega, kappa2 = _grid_arrays(config)
     n = len(omega)
     params = ModelParams(np.full(n, float(config.kappa1)), kappa2, omega,
                          np.full(n, float(config.eps)))
+    settled, *values = _batch_values(params, config)
     # The rows share one float object per grid value, which keeps a sweep's
-    # memory down.
-    dks = config.dk_grid()
-    kappa2s = kappa2[:len(dks)].tolist()
-    points = ((w, d, k2) for w in config.omega_grid()
-              for d, k2 in zip(dks, kappa2s))
-    rows = [
-        SweepRow(w, d, k2, y, e_i, e_s, e_i_asym, e_s_closed, raw, "ok")
-        if settled else _evaluate_point(config, w, d)
-        for (w, d, k2), settled, y, e_i, e_s, e_i_asym, e_s_closed, raw
-        in zip(points, *_batch_values(params, config))]
-    if all(row.status != "ok" for row in rows):
+    # memory down, and are made by tuple.__new__ without a Python call.
+    rows = list(map(tuple.__new__, itertools.repeat(SweepRow), zip(
+        np.repeat(np.array(omegas, dtype=object), len(dks)).tolist(),
+        dks * len(omegas), kappa2[:len(dks)].tolist() * len(omegas), *values,
+        itertools.repeat("ok", n))))
+    for i in itertools.compress(range(n), (~settled).tolist()):
+        rows[i] = _evaluate_point(config, *rows[i][:2])
+    if "ok" not in map(operator.itemgetter(-1), rows):
         raise AllRowsFailed(f"all {len(rows)} grid points failed; "
                             f"first status: {rows[0].status}")
     return rows
+
+
+def failure_tally(rows):
+    """"M failed" and, if M > 0, the count of each failed status in
+    first-seen order: "9 failed (error:DomainError 8, error:ZeroNorm 1)"."""
+    tally = collections.Counter(map(operator.attrgetter("status"), rows))
+    tally.pop("ok", None)
+    kinds = ", ".join(f"{status} {count}" for status, count in tally.items())
+    return f"{tally.total()} failed" + (f" ({kinds})" if kinds else "")
 
 
 def _fmt(value):
@@ -346,20 +348,12 @@ def config_echo_lines(config: SweepConfig):
     return lines
 
 
-def _grid_text(config: SweepConfig):
-    """.17g text of the nonzero omega, delta_kappa and kappa2 grid values,
-    by value. Zeros are left out: 0.0 and -0.0 are one key but print apart."""
-    dks = config.dk_grid()
-    values = config.omega_grid() + dks + [config.kappa1 + dk for dk in dks]
-    return {value: _fmt(value) for value in values if value}
-
-
-# write_csv's line for each pattern of None among y, E_I_asymptotic,
-# E_S_closed and raw_norm: a number prints at .17g, a None ("%.0s") as
-# nothing. The grid values, E_I and E_S come in as text.
-_LINES = {nones: "%s,%s,%s,{},%s,%s,{},{},{},%s\n".format(
-              *("%.0s" if none else "%.17g" for none in nones))
-          for nones in itertools.product((False, True), repeat=4)}
+def _texts(column, text):
+    """text of each value, or _fmt of each where text fails on one."""
+    try:
+        return list(map(text, column))
+    except (KeyError, TypeError):
+        return list(map(_fmt, column))
 
 
 def write_csv(rows, config: SweepConfig, path: str, matrix: str | None = None):
@@ -367,9 +361,12 @@ def write_csv(rows, config: SweepConfig, path: str, matrix: str | None = None):
     the gnuplot nonuniform-matrix surfaces MATRIX_EI.dat and MATRIX_ES.dat:
     N and the N delta_kappa values, then per omega the omega and the measure
     per column, nan where the point failed. One pass, one omega line of rows
-    at a time; returns {"EI": path, "ES": path}, or {} without matrix."""
+    at a time, by column; returns {"EI": path, "ES": path}, or {} without
+    matrix."""
     dks = config.dk_grid()
-    grid = _grid_text(config)
+    # The grid values print once. Not its zeros: 0.0 and -0.0 print apart.
+    grid = {value: _fmt(value) for value in config.omega_grid() + dks
+            + [config.kappa1 + dk for dk in dks] if value}
     surfaces = ({suffix: f"{matrix}_{suffix}.dat" for suffix in ("EI", "ES")}
                 if matrix else {})
     with ExitStack() as files:
@@ -379,26 +376,18 @@ def write_csv(rows, config: SweepConfig, path: str, matrix: str | None = None):
         csv.writelines(f"{line}\n" for line in config_echo_lines(config))
         csv.write(f"{CSV_HEADER}\n")
         for dat in dats:
-            dat.write(" ".join([str(len(dks))]
-                               + [grid.get(dk) or _fmt(dk) for dk in dks])
-                      + "\n")
+            dat.write(" ".join([str(len(dks)), *map(_fmt, dks)]) + "\n")
+        texts = [grid.__getitem__] * 3 + ["%.17g".__mod__] * 6
         for omega, start in zip(config.omega_grid(),
                                 range(0, len(rows), len(dks))):
-            lines, e_is, e_ss = [], [], []
-            for (w, dk, kappa2, y, e_i, e_s, asym, closed, raw_norm,
-                 status) in rows[start:start + len(dks)]:
-                e_i, e_s = _fmt(e_i), _fmt(e_s)
-                lines.append(_LINES[y is None, asym is None, closed is None,
-                                    raw_norm is None] % (
-                    grid.get(w) or _fmt(w), grid.get(dk) or _fmt(dk),
-                    grid.get(kappa2) or _fmt(kappa2), y, e_i, e_s, asym,
-                    closed, raw_norm, status))
-                e_is.append(e_i or "nan")
-                e_ss.append(e_s or "nan")
-            csv.writelines(lines)
+            *columns, status = zip(*rows[start:start + len(dks)])
+            cells = list(map(_texts, columns, texts))
+            csv.write("\n".join(map(",".join, zip(*cells, status))) + "\n")
             head = grid.get(omega) or _fmt(omega)
-            for dat, cells in zip(dats, (e_is, e_ss)):
-                dat.write(f"{head} {' '.join(cells)}\n")
+            for dat, measure in zip(dats, cells[4:6]):
+                if "" in measure:
+                    measure = [cell or "nan" for cell in measure]
+                dat.write(f"{head} {' '.join(measure)}\n")
     return surfaces
 
 

@@ -1,9 +1,13 @@
 """Entanglement measures: exact two-qubit identities, closed forms, report."""
 import hashlib
 import math
+from pathlib import Path
 import random
+import re
 import warnings
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import mpmath
 import numpy as np
 import pytest
@@ -23,7 +27,11 @@ from qubeam import (
 )
 from qubeam.entangle import (
     _SERIES_CUT,
+    DOMAIN_TOL,
+    _asymptotic_from_phi,
+    _asymptotic_from_phis,
     _info_from_gap,
+    _info_from_gaps,
     _schmidt_from_gaps,
     asymptotic_info,
 )
@@ -128,6 +136,64 @@ def test_info_from_gap_at_the_smallest_subnormal_gap():
     # gap / 2 rounds to 0 there; the measure stays finite and positive
     tiny = _info_from_gap(5e-324)
     assert math.isfinite(tiny) and tiny > 0.0
+
+
+# Gaps at the edges of _info_from_gap's branches: zeros of both signs,
+# negative gaps, the smallest subnormal (whose half rounds to 0) and its
+# neighbour, the series cut and its neighbours, and 1 +- DOMAIN_TOL.
+_GAP_EDGES = [0.0, -0.0, -5e-324, -1e-300, -DOMAIN_TOL, -1.0, 5e-324, 1e-323,
+              2.2250738585072014e-308, math.nextafter(_SERIES_CUT, 0.0),
+              _SERIES_CUT, math.nextafter(_SERIES_CUT, 1.0),
+              1.0 - DOMAIN_TOL, 1.0, 1.0 + DOMAIN_TOL]
+
+
+@given(gaps=st.lists(st.one_of(st.sampled_from(_GAP_EDGES),
+                               st.floats(-1.0, 1.0 + DOMAIN_TOL),
+                               st.floats(0.0, 1e-6),
+                               st.floats(0.0, 1e-300)),
+                     min_size=1, max_size=24))
+@settings(deadline=None, derandomize=True, max_examples=300)
+def test_batched_information_measure_is_the_scalar_one(gaps):
+    got = _info_from_gaps(np.array(gaps)).tolist()
+    assert [value.hex() for value in got] == [
+        _info_from_gap(gap).hex() for gap in gaps]
+
+
+# Phi/2 must not round to 0 (math.log(0) fails on both paths), so Phi
+# starts at 1e-323; nonpositive Phi is not live and gives 0.0.
+_PHI_EDGES = [1e-323, 2.2250738585072014e-308, 6.7502283095724485e-12, 1.0,
+              1e300]
+_EPS_EDGES = [5e-324, 1e-323, 2.2250738585072014e-308, 1e-300, 1e-17, 0.1,
+              1.0]
+
+
+@given(phis=st.lists(st.one_of(st.sampled_from(_PHI_EDGES),
+                               st.floats(1e-323, 1e10),
+                               st.sampled_from([0.0, -0.0, -1.0])),
+                     min_size=1, max_size=24),
+       eps=st.one_of(st.sampled_from(_EPS_EDGES), st.floats(5e-324, 1e-10),
+                     st.floats(5e-324, 10.0)))
+@settings(deadline=None, derandomize=True, max_examples=300)
+def test_batched_asymptotic_form_is_the_scalar_one(phis, eps):
+    live = np.array(phis) > 0.0
+    got = _asymptotic_from_phis(np.array(phis), eps, live).tolist()
+    assert [value.hex() for value in got] == [
+        _asymptotic_from_phi(phi, eps).hex() if phi > 0.0 else "0x0.0p+0"
+        for phi in phis]
+
+
+def test_package_uses_no_numpy_transcendentals():
+    # Logs are math's: np.log differed from math.log on 11 of 1e6 inputs
+    # and np.log1p on 67,711, and a batch formula must equal its scalar
+    # twin bit for bit. Powers are products, never np.power.
+    banned = re.compile(r"\b(?:np|numpy)(?:\.\w+)*\."
+                        r"(?:log|log1p|log2|log10|exp|expm1|power)\b")
+    src = Path(__file__).resolve().parent.parent / "src" / "qubeam"
+    hits = [f"{path.name}:{number}: {line.strip()}"
+            for path in sorted(src.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if banned.search(line)]
+    assert hits == []
 
 
 def test_small_gap_info_approaches_leading_term():

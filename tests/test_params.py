@@ -74,6 +74,19 @@ def test_nonpositive_inputs_rejected(kwargs):
     assert str(err.value) == f"{name} must be {sign} and finite, got {value!r}"
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["pos", "neg"])
+@pytest.mark.parametrize("name", ["kappa1", "kappa2", "omega", "eps"])
+def test_int_too_large_for_a_float_reads_as_infinite(name, sign):
+    # float(10**400) overflows; make_params reads the int as +-inf, as the
+    # command line reads "1e400", and rejects it with the same message.
+    base = dict(kappa1=2500.0, kappa2=3000.0, omega=0.5, eps=0.1)
+    with pytest.raises(NonPositive) as huge:
+        make_params(**dict(base, **{name: sign * 10**400}))
+    with pytest.raises(NonPositive) as inf:
+        make_params(**dict(base, **{name: sign * INF}))
+    assert str(huge.value) == str(inf.value)
+
+
 def test_omega_zero_is_valid():
     assert make_params(2500.0, 3000.0, 0.0, 0.1).omega == 0.0
     assert make_params(2500.0, 3000.0, -0.0, 0.1).omega == 0.0

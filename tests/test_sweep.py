@@ -1,4 +1,5 @@
 """Sweep configuration, grid evaluation, CSV/matrix output, verification."""
+import hashlib
 import math
 from pathlib import Path
 
@@ -179,6 +180,20 @@ def test_grid_validation_messages_are_unchanged(case):
     with pytest.raises(ValidationError) as err:
         parse_config(None, overrides)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["pos", "neg"])
+@pytest.mark.parametrize("key", ["kappa1", "dk_min", "dk_max", "omega_min",
+                                 "omega_max", "eps", "tol"])
+def test_config_int_too_large_for_a_float_reads_as_infinite(key, sign):
+    # float(10**400) overflows; the float keys read such an int as +-inf, as
+    # a config file or the command line reads "1e400".
+    def outcome(value):
+        try:
+            return parse_config(None, {key: value})
+        except ValidationError as exc:
+            return type(exc), str(exc)
+    assert outcome(sign * 10**400) == outcome(sign * math.inf)
 
 
 def test_settled_grid_makes_no_make_params_call(monkeypatch):
@@ -369,6 +384,82 @@ def test_batched_sweep_matches_point_by_point(grid):
             got = run_sweep(cfg)
             assert got == want, (pol, method)
             assert repr(got) == repr(want)      # also tells -0.0 from 0.0
+
+
+GRIDS = {"mixed": MIXED, "pole": POLE, "gap": GAP}
+
+# SHA-256 of the CSV and both surfaces that write_csv writes for the grids
+# with failed rows (error rows, empty cells, nan surface cells), for every
+# config of theirs whose sweep does not raise AllRowsFailed.
+FAILED_ROW_DIGESTS = {
+    ("mixed", "uu", "exact"): (
+        "4b4a000e394ab38fb482260ebb114bfad8f45f6e71428f58a22d58db739dab91",
+        "cd9657d05cb147d8f18434ca94d66c0a2f63c31926cedc7287b03cd65a84ff23",
+        "556aec69c2e648f6cf471d9ce1e315dcedbcdc298aaec59d9f086ce20f9f847f"),
+    ("mixed", "uu", "pert"): (
+        "c005066e2be14196da20b8f5073e981d809b363ebdfb293253774c516f4fb81f",
+        "e78e38e3fe8cd19d377fb8e52f8dfced2973b7dfb39b3eeaddb7bc34205f3a98",
+        "9381fe50a3969850a8e1b862a3fd3ba3941b002e248d1b0cd2016798b4fa7225"),
+    ("mixed", "ud", "exact"): (
+        "9ea94c660e0796ba32a10080f110aae2071dfc37fc0244087d2528c951016195",
+        "5b3f2125a6f26ecde5c90ddff66b3070858b068879ee3cbd79f3d2d3de9efa0c",
+        "1d282dddff95e94f523b044f1a1e0d407377c24e72efb1162292efbb40c96773"),
+    ("mixed", "ud", "pert"): (
+        "ed368471550a82c68ad7e5cb5c7674b9ac047a16e09f628afe6635e31735bf30",
+        "6c6d8014ac3cd58041b14cdbbf3788a8d22010469c667d3dd82104b04c04b600",
+        "699080c4e3f2c2e7630186c0c951e4d730080fe36c867d9f59105cea4315d0f1"),
+    ("mixed", "du", "exact"): (
+        "994481068658d3206f79f5e4c3876559267481695b57b51522e7a5fb51a58e49",
+        "ffc3fe5c38e08bb4c2ec8f2b3610e58b8a8468cd7daeb85b0b43d24bdd36c29a",
+        "2d3b3846cbf2104fee2e1203199870b30bd1e2c9ede3223a23917b4206a49c6f"),
+    ("mixed", "du", "pert"): (
+        "03e39bb708bc13574bdf7c66d47d9c75feed65f23b88abda1403f69097a24252",
+        "95117d1a1449371a23ec1ebf122f3e6335c062f40966b604d6ee6c565c3de5b7",
+        "d3146b70c3de9d03c754a019e9045bc43fe6f7fb0673737a97b24cca3c9493d9"),
+    ("mixed", "dd", "exact"): (
+        "944b747cc119b6e9fcba0f9e5b4544fd16c35f55ad14539bb3478d5aeacc314f",
+        "6b510c2f06d6880d9256d364bedefd0c3d908efc572ccb0e685fe18696094438",
+        "dd9e5a3cb0d7efea2e945dafdf94f21dc22372e2bbe0d9c8714d2549e0f4c5cb"),
+    ("mixed", "dd", "pert"): (
+        "624a56bdb93ce66db2ae09cc640697566763338037f17b4379b634d09c7db90c",
+        "faf545186e9bb30e8e16b57ff64883ab5a05c786048c127acca9c8d325d06f97",
+        "71692b567aaf416bcb1979ba559db6f49414a4ebbe7c77c0b1fda247fcfe340d"),
+    ("pole", "uu", "pert"): (
+        "1beb5dc55f05312bbcc57f99c03bc3b18c161e2a63dc69978002861a21dc6649",
+        "267295a715d3908e43ea51b51820ad687093324536c8ebbb2b9c883b1a925284",
+        "5fea73ac7e7de9ad3e22542689558f00d5e9e763fad1229d83045455236f710b"),
+    ("pole", "ud", "pert"): (
+        "cfbdd8b48d78cf18965dad2134f2206b5912a89ffe576bf020a2d5228a6460b5",
+        "ca20e107d7f733239f625614660cbdb27942bf781645b51790118f055b13233b",
+        "27cc21b59293cf19bd2a16e049bdca8662cbaa2540f353112d6fdf42e4a84e75"),
+    ("pole", "du", "pert"): (
+        "2e77b8612c279da12e365cd50aa2e1fa2b55e1b2162f053e043d68db495d5171",
+        "2b9a9511bc7227c6a3779a97e658f437944de6602f9aebfd863bd790579fb2e7",
+        "2f09ebbd82d5f41cc41abf05a2073fc5aa3c9111d5110663db00977cbc362234"),
+    ("pole", "dd", "pert"): (
+        "203ca12ea4bc74d44eff71b87c163dfc170c380c5d9d26f6c5528d938e56b431",
+        "3598744af29994c678bad3559f4f9c2a5e630c347977f79b1280ba3a4483be42",
+        "94e713e83a8250bc10fdff6ec0f9cb06b08462e400c804c8ebea0c471f3178bd"),
+    ("gap", "uu", "pert"): (
+        "8b06710fb47c375aa9a7806dfd36c9603810f9b20819970c99d31109a93a1e21",
+        "7d2a605ddcc02670bc01cc1109f8d1896c481be329163b3e4229d63319d26557",
+        "b2297e124776aea12043cf88131f054023d1942b6f07eeddecd82d553e8c88ef"),
+    ("gap", "dd", "pert"): (
+        "f579715d75e53cf93b5166c630d04c7dcf3f77e6b49d59b9139faecf762ba831",
+        "7cfdcaca00b806a9ebb953b0ce4398f68e51a53d5e3850a8016283c6ea06a47a",
+        "ec0ee9a5c9183bddf06bf57fbe6078a98dee9fc37b9bba43698f3c7f7d09142b"),
+}
+
+
+@pytest.mark.parametrize("case", FAILED_ROW_DIGESTS, ids="-".join)
+def test_sweeps_with_failed_rows_write_unchanged_bytes(case, tmp_path):
+    name, pol, method = case
+    cfg = parse_config(None, dict(GRIDS[name], pol=pol, method=method))
+    base = tmp_path / "s"
+    write_csv(run_sweep(cfg), cfg, f"{base}.csv", str(base))
+    got = tuple(hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                for path in (f"{base}.csv", f"{base}_EI.dat", f"{base}_ES.dat"))
+    assert got == FAILED_ROW_DIGESTS[case]
 
 
 def test_closed_form_failures_go_through_full_report():
