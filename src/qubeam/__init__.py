@@ -7,15 +7,8 @@ evaluates its entanglement measures over parameter sweeps.
 __version__ = "0.1.0"
 
 from .bogoliubov import BogoliubovBlock, build_block, identity_defect
-from .dispersion import ModeRoots, exact_roots, perturbative_roots, residual
-from .entangle import (
-    EntanglementReport,
-    full_report,
-    info_measure,
-    phi_closed,
-    reduced_density,
-    schmidt_measure,
-)
+from .dispersion import ModeRoots, exact_roots, perturbative_roots
+from .entangle import EntanglementReport, full_report, phi_closed
 from .errors import (
     ComputationError,
     ParseError,
@@ -29,9 +22,8 @@ from .sweep import SweepConfig, parse_config, run_sweep, verify_point
 __all__ = [
     "__version__",
     "BogoliubovBlock", "build_block", "identity_defect",
-    "ModeRoots", "exact_roots", "perturbative_roots", "residual",
-    "EntanglementReport", "full_report", "info_measure", "phi_closed",
-    "reduced_density", "schmidt_measure",
+    "ModeRoots", "exact_roots", "perturbative_roots",
+    "EntanglementReport", "full_report", "phi_closed",
     "ComputationError", "ParseError", "QubeamError", "ValidationError",
     "ModelParams", "make_params",
     "PolarizationConfig", "TwoQubitAmplitudes", "amplitudes", "closed_form_ab",

@@ -134,18 +134,6 @@ def _columns(offsets, params: ModelParams, k, lam):
     return SimpleNamespace(chi=chi, xi=xi, m_self=m_self, m_cross=m_cross), ok
 
 
-def radicand(r, params: ModelParams, lam) -> float:
-    """Normalization radicand at absolute frequency r, column branch lam.
-
-    Direct form, for diagnostics; build_block uses the offset form.
-    """
-    field_sign = -1.0 if lam == 1 else 1.0
-    total = field_sign * params.omega / (r ** 3 * params.eps)
-    for ks in (params.kappa1, params.kappa2):
-        total += 2.0 / (r * r - ks * ks) ** 2
-    return total
-
-
 @dataclass(frozen=True)
 class BogoliubovBlock:
     u: np.ndarray               # complex 4x4

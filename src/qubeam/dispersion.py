@@ -22,14 +22,13 @@ from .errors import (
     BracketFailure,
     NonConvergence,
     NonPositive,
-    PoleEvaluation,
     SingularDenominator,
 )
 from .params import ModelParams
 
 DEFAULT_REL_TOL = 1e-12
-# Relative half-width of the band around each pole where the residual is
-# considered unevaluable.
+# Relative half-width of the band around each pole that the bracket scan
+# starts above.
 POLE_GUARD_REL = 1e-13
 # First-order denominator must exceed this fraction of kappa_k^3.
 DENOMINATOR_FLOOR_REL = 1e-9
@@ -84,25 +83,6 @@ class ModeRoots(NamedTuple("ModeRoots", [
 
     def root(self, k, lam):
         return self.offset(k, lam) + self.kappas[k - 1]   # offset checks k
-
-
-def residual(r, params: ModelParams, lam) -> float:
-    """Dispersion residual at absolute frequency r on branch lam.
-
-    Zero exactly at the quasiphoton frequencies. Refuses to evaluate inside
-    the guard band around the poles r = kappa_s.
-    """
-    k1, k2 = params.kappa1, params.kappa2
-    if r <= 0.0:
-        raise PoleEvaluation(f"residual needs r > 0, got {r}")
-    for ks in (k1, k2):
-        if abs(r - ks) <= POLE_GUARD_REL * ks:
-            raise PoleEvaluation(
-                f"r = {r!r} within the guard band of the pole at {ks!r}")
-    sgn = _branch_sign(lam)
-    return (params.eps / ((r - k1) * (r + k1))
-            + params.eps / ((r - k2) * (r + k2))
-            - 1.0 - sgn * params.omega / r)
 
 
 def _residual_offset(d, kappa, kappa_other, eps, sw):

@@ -16,7 +16,6 @@ same-mode leakage), and the closed forms above are leading-order statements
 about these raw quantities; the renormalized state's spectral gap differs
 from 1 only at O(eps^2).
 """
-from dataclasses import dataclass
 import math
 from typing import NamedTuple
 
@@ -32,7 +31,7 @@ from .errors import (
     SingularDenominator,
 )
 from .params import ModelParams
-from .qstate import PolarizationConfig, TwoQubitAmplitudes, _state_gaps
+from .qstate import PolarizationConfig, _state_gaps
 
 _LN4 = math.log(4.0)
 # Measures clamp arguments this far outside their domain to the boundary;
@@ -40,15 +39,6 @@ _LN4 = math.log(4.0)
 DOMAIN_TOL = 1e-9
 # Below this gap the direct log expression is replaced by its series.
 _SERIES_CUT = 1e-6
-
-
-@dataclass(frozen=True)
-class ReducedDensity:
-    """One-photon reduced density matrix of a normalized two-qubit state."""
-
-    rho: np.ndarray
-    eigs: tuple
-    y: float
 
 
 class EntanglementReport(NamedTuple):
@@ -66,19 +56,6 @@ class EntanglementReport(NamedTuple):
     E_S_closed: float | None = None
 
 
-def reduced_density(amps: TwoQubitAmplitudes) -> ReducedDensity:
-    """Trace out the second photon.
-
-    With M[lam][lam'] = upsilon, rho = M M+; the eigenvalues are (1 -+ y)/2
-    with spectral gap y = sqrt((rho11 - rho22)^2 + 4 |rho12|^2).
-    """
-    m = amps.matrix
-    rho = m @ m.conj().T
-    y = math.sqrt((rho[0, 0].real - rho[1, 1].real) ** 2
-                  + 4.0 * abs(rho[0, 1]) ** 2)
-    return ReducedDensity(rho=rho, eigs=((1.0 - y) / 2.0, (1.0 + y) / 2.0), y=y)
-
-
 def _info_from_gap(gap: float) -> float:
     """Information measure as a function of the gap g = 1 - y, in bits.
 
@@ -87,11 +64,16 @@ def _info_from_gap(gap: float) -> float:
     """
     if gap <= 0.0:
         return 0.0
+    if gap < _SERIES_CUT:
+        return _info_series(gap, _log_half(gap))
     half = gap / 2.0
-    if gap < _SERIES_CUT:   # gap / 2 rounds to 0 at the smallest subnormal gap
-        return _info_series(gap, math.log(half) if half
-                            else math.log(gap) - math.log(2.0))
     return _info_direct(gap, math.log(half), math.log1p(-half))
+
+
+def _log_half(x):
+    # ln(x/2), also at the smallest subnormal x, where x/2 rounds to 0
+    half = x / 2.0
+    return math.log(half) if half else math.log(x) - math.log(2.0)
 
 
 def _info_from_gaps(gap):
@@ -122,37 +104,11 @@ def _logs(log, x, where):
     return np.piecewise(x, [where], [lambda v: list(map(log, v.tolist())), 0.0])
 
 
-def info_measure(y: float) -> float:
-    """Entropy-based measure from the spectral gap parameter y, in bits.
-
-    1 at y = 0 (maximal entanglement), 0 at y = 1; the x ln x limit at the
-    endpoints is taken continuously. y outside [0, 1] by more than the
-    domain tolerance raises DomainError; smaller excursions clamp.
-    """
-    if not -DOMAIN_TOL <= y <= 1.0 + DOMAIN_TOL:
-        raise DomainError(f"spectral parameter y = {y!r} outside [0, 1] "
-                          "or not a number")
-    y = min(max(y, 0.0), 1.0)
-    return _info_from_gap(1.0 - y)
-
-
-def schmidt_measure(rho: ReducedDensity) -> float:
-    """Impurity E_S = 1 - trace(rho^2).
-
-    The defining expression elsewhere reads -trace(rho^2), but every
-    evaluated consequence (the 2*eps*Phi result, the zero for parallel
-    polarizations) needs the impurity normalization, so that is what this
-    computes. 0 for product states, 1/2 at maximal mixing.
-    """
-    r = rho.rho
-    tr_sq = (abs(r[0, 0]) ** 2 + abs(r[1, 1]) ** 2
-             + 2.0 * abs(r[0, 1]) ** 2)
-    return 1.0 - float(tr_sq)
-
-
 def _schmidt_from_gaps(norm_gap: float, y_gap: float) -> float:
-    # E_S of the raw state: 1 - (T^2 + y^2)/2 with T = 1 - norm_gap,
-    # y = 1 - y_gap, expanded so no near-1 squares are formed.
+    # E_S of the raw state, the impurity 1 - tr(rho^2) (not -tr(rho^2): the
+    # results E_S = 2 eps Phi and 0 for parallel polarizations need it), as
+    # 1 - (T^2 + y^2)/2 with T = 1 - norm_gap, y = 1 - y_gap, expanded so no
+    # near-1 squares are formed.
     return (norm_gap + y_gap
             - (norm_gap * norm_gap + y_gap * y_gap) / 2.0)
 
@@ -190,13 +146,17 @@ def _asymptotic_from_phi(phi, eps):
     if phi <= 0.0:
         raise DomainError(f"asymptotic form needs Phi > 0, got {phi!r} "
                           "(route omega = 0 to E_I = 0)")
-    return _asymptotic_terms(phi, eps, math.log(phi / 2.0), math.log(eps))
+    return _asymptotic_terms(phi, eps, _log_half(phi), math.log(eps))
 
 
 def _asymptotic_from_phis(phi, eps, live):
     """_asymptotic_from_phi at one float eps, bit for bit, where live."""
-    return np.where(live, _asymptotic_terms(
-        phi, eps, _logs(math.log, phi / 2.0, live), math.log(eps)), 0.0)
+    half = phi / 2.0
+    e_i = np.where(live, _asymptotic_terms(phi, eps, _logs(
+        math.log, half, live & (half > 0.0)), math.log(eps)), 0.0)
+    for i in np.flatnonzero(live & ~(half > 0.0)).tolist():     # Phi 5e-324
+        e_i[i] = _asymptotic_from_phi(phi.item(i), eps)
+    return e_i
 
 
 def _asymptotic_terms(phi, eps, log_half_phi, log_eps):
@@ -218,7 +178,7 @@ def _measures(y_gap, norm_gap):
         raise DomainError(f"raw spectral gap {y_gap!r} below domain "
                           "tolerance or not a number; state outside the "
                           "truncation regime")
-    if not y_gap <= 1.0 + DOMAIN_TOL:       # info_measure's bound on y
+    if not y_gap <= 1.0 + DOMAIN_TOL:       # y = 1 - y_gap >= -DOMAIN_TOL
         raise DomainError(f"raw spectral gap {y_gap!r} above 1 beyond domain "
                           "tolerance; the raw spectral parameter is negative")
     e_i = _info_from_gap(max(y_gap, 0.0))

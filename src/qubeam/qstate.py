@@ -73,11 +73,6 @@ class TwoQubitAmplitudes:
     norm_gap: float
     y_gap: float
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Amplitudes as the 2x2 matrix M[lam-1][lam'-1]."""
-        return self.vec.reshape(2, 2)
-
 
 def _pattern_vector(b_self, a_cross, config):
     """The 4-vector P*b + Q*a with the row/column phase products."""

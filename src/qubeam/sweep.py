@@ -300,8 +300,12 @@ def run_sweep(config: SweepConfig):
     the batch does not settle goes through full_report, so rows and error
     statuses are those of the point-by-point pipeline. Per-point failures
     become rows with an error status; AllRowsFailed is raised only if
-    nothing succeeds. The caller passes the rows to write_csv.
+    nothing succeeds. An int too large for a float reads as +-inf, as in
+    parse_config. The caller passes the rows to write_csv.
     """
+    config = replace(config, **{key: _inf_if_huge(getattr(config, key))
+                                for key, kind in _FILE_KEYS.items()
+                                if kind is float})
     omegas, dks, omega, kappa2 = _grid_arrays(config)
     n = len(omega)
     params = ModelParams(np.full(n, float(config.kappa1)), kappa2, omega,

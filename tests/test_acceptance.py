@@ -13,7 +13,6 @@ import math
 import random
 import time
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -25,13 +24,14 @@ from qubeam import (
     make_params,
     parse_config,
     perturbative_roots,
-    reduced_density,
     run_sweep,
-    schmidt_measure,
 )
 from qubeam.entangle import _info_from_gap, asymptotic_info, phi_closed
+from qubeam.errors import QubeamError
 from qubeam.qstate import PolarizationConfig
 from qubeam.sweep import write_csv
+
+import mp_reference as mp
 
 KAPPA1, KAPPA2, OMEGA = 2500.0, 3000.0, 0.5
 EPS_LADDER = (0.1, 0.05, 0.025)
@@ -132,34 +132,22 @@ def test_acceptance_5_asymptotic_information():
 
     At eps = 1e-5 the gap eps*Phi ~ 7e-17 falls below ulp(1)/2, so the
     exact measure evaluated through 1 - eps*Phi in float64 returns exactly
-    0; the reference is therefore evaluated in 60-digit arithmetic (the
-    same binary-entropy expression), with a float cross-check on the rungs
-    via the gap-argument form, which has no representability problem.
+    0; the reference and the asymptotic expression (whose float64 form
+    rounds at ~1e-16, above the lower rungs) are therefore evaluated in
+    50-digit arithmetic, with a float cross-check on the rungs via the
+    gap-argument form, which has no representability problem.
     """
     t0 = time.perf_counter()
-    mpmath.mp.dps = 60
-
-    def exact_info_mp(gap):
-        x = gap / 2
-        return -(x * mpmath.log(x)
-                 + (1 - x) * mpmath.log1p(-x)) / mpmath.log(2)
-
-    def asym_mp(eps_mp, phi_mp):
-        # the asymptotic expression itself, in 60-digit arithmetic; the
-        # float64 function rounds at ~1e-16, above the lower rungs
-        return (phi_mp / (2 * mpmath.log(2))) * (
-            eps_mp * (1 - mpmath.log(phi_mp / 2)) - eps_mp * mpmath.log(eps_mp))
-
     deviations, cross_ok = [], True
     for eps in (1e-3, 1e-4, 1e-5):
         p = make_params(KAPPA1, KAPPA2, OMEGA, eps)
         phi, _ = phi_closed(p)
-        eps_mp, phi_mp = mpmath.mpf(repr(eps)), mpmath.mpf(repr(phi))
-        ref = exact_info_mp(eps_mp * phi_mp)
-        deviations.append(abs(float(asym_mp(eps_mp, phi_mp) / ref - 1)))
+        ref = mp.info_from_gap(mp.product(eps, phi))
+        asym = mp.asymptotic_info(phi, eps)
+        deviations.append(mp.rel_err(asym, ref))
         # the float implementations are faithful to both mp expressions
-        if (abs(asymptotic_info(p) / float(asym_mp(eps_mp, phi_mp)) - 1.0) > 1e-14
-                or abs(_info_from_gap(eps * phi) / float(ref) - 1.0) > 1e-12):
+        if (mp.rel_err(asymptotic_info(p), asym) > 1e-14
+                or mp.rel_err(_info_from_gap(eps * phi), ref) > 1e-12):
             cross_ok = False
     elapsed = time.perf_counter() - t0
     ok = (deviations[0] > deviations[1] > deviations[2]
@@ -171,10 +159,13 @@ def test_acceptance_5_asymptotic_information():
 
 
 def test_acceptance_6_two_qubit_identities():
+    """Identities of the normalized state's reduced density rho = M M+,
+    and on every 10th point the report's raw E_I and E_S against the
+    50-digit pipeline (points whose report raises are skipped)."""
     t0 = time.perf_counter()
     rng = random.Random(20260819)
     codes = ("uu", "ud", "du", "dd")
-    worst, n_points = 0.0, 1000
+    worst, worst_mp, n_points, n_mp = 0.0, 0.0, 1000, 0
     for i in range(n_points):
         kappa1 = rng.uniform(50.0, 5000.0)
         dk = kappa1 * 10.0 ** rng.uniform(-2.0, 0.5)
@@ -182,22 +173,38 @@ def test_acceptance_6_two_qubit_identities():
         eps_max = 0.01 * (kappa1 - omega) ** 2 * min(1.0, dk / kappa1)
         eps = eps_max * 10.0 ** rng.uniform(-8.0, 0.0)
         params = make_params(kappa1, kappa1 + dk, omega, eps)
-        amps = amplitudes(build_block(exact_roots(params), params),
-                          PolarizationConfig.from_code(codes[i % 4]))
-        dens = reduced_density(amps)
-        rho, M = dens.rho, amps.matrix
+        M = amplitudes(build_block(exact_roots(params), params),
+                       PolarizationConfig.from_code(codes[i % 4])
+                       ).vec.reshape(2, 2)
+        rho = M @ M.conj().T
+        y = math.sqrt((rho[0, 0].real - rho[1, 1].real) ** 2
+                      + 4.0 * abs(rho[0, 1]) ** 2)
+        impurity = 1.0 - float(np.sum(np.abs(rho) ** 2))
         det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
         worst = max(
             worst,
             abs(complex(np.trace(rho)) - 1.0),
             abs(rho[0, 1] - np.conj(rho[1, 0])),
-            abs(dens.y ** 2 + 4.0 * abs(det) ** 2 - 1.0),
-            abs(schmidt_measure(dens) - (1.0 - dens.y ** 2) / 2.0))
+            abs(y ** 2 + 4.0 * abs(det) ** 2 - 1.0),
+            abs(impurity - (1.0 - y ** 2) / 2.0))
+        if i % 10:
+            continue
+        code = codes[i // 10 % 4]      # the sampled configs cycle too
+        try:
+            rep = full_report(params, PolarizationConfig.from_code(code))
+        except QubeamError:
+            continue
+        point = (params.kappa1, params.kappa2, params.omega, params.eps)
+        ref_i, ref_s, _ = mp.mp_measures(point, code)
+        worst_mp = max(worst_mp, mp.rel_err(rep.E_I, ref_i),
+                       mp.rel_err(rep.E_S, ref_s))
+        n_mp += 1
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-10 and elapsed < 10.0
+    ok = worst <= 1e-10 and worst_mp <= 1e-13 and elapsed < 10.0
     _report(6, ok, "two-qubit identity battery",
             f"worst defect {worst:.2e} over {n_points} random points, "
-            f"{elapsed:.2f}s")
+            f"50-digit E_I/E_S worst {worst_mp:.1e} on {n_mp} of "
+            f"{n_points // 10}, {elapsed:.2f}s")
 
 
 def test_acceptance_7_figure_sweep_structure(default_sweep):

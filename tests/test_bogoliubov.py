@@ -6,7 +6,6 @@ deviations and their scaling in the coupling rather than the entries.
 """
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -21,11 +20,12 @@ from qubeam.bogoliubov import (
     INDEX_ORDER,
     BogoliubovBlock,
     _column,
-    radicand,
 )
 from qubeam.dispersion import ModeRoots
 from qubeam.errors import NegativeRadicand, PoleEvaluation
 from qubeam.params import ModelParams
+
+from mp_reference import mp_column, rel_err
 
 FIG = (2500.0, 3000.0, 0.5, 0.1)
 
@@ -49,12 +49,14 @@ def test_column_deviations_match_frozen_values(fig_params, fig_roots):
 
 
 def test_q_agrees_with_direct_radicand(fig_params, fig_roots, fig_block):
-    # the direct form evaluates r^2 - kappa^2 at absolute frequencies and
-    # keeps only ~8 of the offset's digits; agreement is correspondingly loose
+    # the direct form r^2 - kappa^2, evaluated at 50 digits at the float
+    # offsets, keeps every digit the offset form resolves
+    p = fig_params
     for k, lam in INDEX_ORDER:
-        r = fig_roots.root(k, lam)
-        direct = 1.0 / math.sqrt(radicand(r, fig_params, lam))
-        assert fig_block.q[k - 1][lam - 1] == pytest.approx(direct, rel=1e-6)
+        kk, ko = fig_roots.kappas[k - 1], fig_roots.kappas[2 - k]
+        q, _, _ = mp_column(kk, ko, fig_roots.offset(k, lam), p.omega, p.eps,
+                            lam)
+        assert rel_err(fig_block.q[k - 1][lam - 1], q) <= 1e-15
 
 
 def test_q_deviation_from_pole_limit_is_minus_half_chi(fig_params, fig_roots):
@@ -73,20 +75,6 @@ def test_q_deviation_scales_linearly_in_coupling():
         devs.append(abs(col.q * math.sqrt(2.0) / col.a_self - 1.0))
     for hi, lo in zip(devs, devs[1:]):
         assert 1.7 <= hi / lo <= 2.3
-
-
-def test_radicand_branch_difference_is_the_field_term(fig_params):
-    r = 2500.5
-    diff = radicand(r, fig_params, 1) - radicand(r, fig_params, 2)
-    expected = -2.0 * fig_params.omega / (r ** 3 * fig_params.eps)
-    assert diff == pytest.approx(expected, rel=1e-12)
-
-
-def test_zero_field_radicand_positive_and_branch_blind():
-    p = make_params(2500.0, 3000.0, 0.0, 0.1)
-    for r in (2500.5, 2700.0, 3000.4, 5000.0):
-        assert radicand(r, p, 1) > 0.0
-        assert radicand(r, p, 1) == radicand(r, p, 2)
 
 
 def test_v_to_u_entry_ratio(fig_params, fig_roots, fig_block):
@@ -199,21 +187,6 @@ def test_q_norms_helper_matches_block(fig_block):
     assert np.all(fig_block.q > 0.0)
 
 
-def _mp_m_cross(kappa_k, kappa_o, d, p, lam):
-    # m_cross in offset form, every operation at 50 digits
-    with mpmath.workdps(50):
-        kk, ko, d = mpmath.mpf(kappa_k), mpmath.mpf(kappa_o), mpmath.mpf(d)
-        r = kk + d
-        a_self = d * (d + 2 * kk)
-        a_cross = (kk - ko + d) * (kk + ko + d)
-        field_sign = -1 if lam == 1 else 1
-        chi = (a_self ** 2 / 2) * (field_sign * mpmath.mpf(p.omega)
-                                   / (r ** 3 * mpmath.mpf(p.eps))
-                                   + 2 / a_cross ** 2)
-        return a_self / (2 * mpmath.sqrt(r * ko) * (kk - ko + d)
-                         * mpmath.sqrt(2 * (1 + chi)))
-
-
 def test_m_cross_keeps_its_digits_for_near_degenerate_modes():
     """m_cross divides by the offset-form cross factor kappa_k - kappa_o + d,
     not by r - kappa_o with r already rounded, so near-degenerate modes keep
@@ -228,8 +201,8 @@ def test_m_cross_keeps_its_digits_for_near_degenerate_modes():
             roots = perturbative_roots(p)
             for k, lam in INDEX_ORDER:
                 kk, ko = roots.kappas[k - 1], roots.kappas[2 - k]
-                want = _mp_m_cross(kk, ko, roots.offset(k, lam), p, lam)
-                got = _column(roots, p, k, lam).m_cross
-                with mpmath.workdps(50):
-                    worst = max(worst, float(abs((got - want) / want)))
+                _, _, want = mp_column(kk, ko, roots.offset(k, lam), p.omega,
+                                       p.eps, lam)
+                worst = max(worst, rel_err(_column(roots, p, k, lam).m_cross,
+                                           want))
     assert worst <= 1e-15

@@ -289,6 +289,25 @@ def test_verify_with_a_subnormal_coupling_fails_its_checks(argv, capsys):
     assert "0 passed, 5 failed, 1 skipped" in out
 
 
+def test_subnormal_phi_ends_without_a_traceback(tmp_path, capsys):
+    # Phi is the smallest subnormal there, whose half rounds to 0; the
+    # asymptotic form takes log(Phi) - log(2) as the information measure
+    # takes log(gap) - log(2).
+    point = ["--kappa1", "1", "--eps", "0.001", "--pol", "du"]
+    assert main(["measures", "--kappa2", "2", "--omega", "1e-323"]
+                + point) == 0
+    assert "E_I_asymptotic  4.9406564584124654e-324\n" \
+        in capsys.readouterr().out
+    assert main(["verify", "--kappa2", "2", "--omega", "1e-323"] + point) == 2
+    assert "2 passed, 3 failed, 1 skipped" in capsys.readouterr().out
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--dk-min", "1", "--dk-max", "2", "--dk-steps", "2",
+                 "--omega-max", "1e-323", "--omega-steps", "2",
+                 "--out", str(out)] + point) == 0
+    assert capsys.readouterr().err == (f"wrote {out}: 4 rows, 2 failed "
+                                       "(error:DomainError 2)\n")
+
+
 def test_verify_near_resonance_is_a_validation_error(capsys):
     code = main(["verify", "--omega", "2499"])
     assert code == 1

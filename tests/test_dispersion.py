@@ -6,44 +6,31 @@ of absolute frequencies.
 """
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubeam import exact_roots, make_params, perturbative_roots, residual
+from qubeam import exact_roots, make_params, perturbative_roots
 from qubeam.dispersion import DEFAULT_REL_TOL, ModeRoots
 from qubeam.errors import (
     BracketFailure,
     ComputationError,
     NonPositive,
-    PoleEvaluation,
     SingularDenominator,
 )
 from qubeam.params import ModelParams
+
+from mp_reference import mp_offset
 
 FIG = (2500.0, 3000.0, 0.5, 0.1)
 KLAM = [(k, lam) for k in (1, 2) for lam in (1, 2)]
 
 
-def _mp_offset(p, k, lam):
-    """Root offset to 50 digits, bracketed by doubling up from the pole."""
-    with mpmath.workdps(50):
-        k1, k2, w, eps = (mpmath.mpf(x) for x in
-                          (p.kappa1, p.kappa2, p.omega, p.eps))
-        kk, ko = (k1, k2) if k == 1 else (k2, k1)
-        sign = 1 if lam == 1 else -1
-
-        def g(d):
-            return (eps / (d * (d + 2 * kk))
-                    + eps / ((kk - ko + d) * (kk + ko + d))
-                    - 1 - sign * w / (kk + d))
-
-        lo = kk * mpmath.mpf("1e-30")
-        while g(2 * lo) > 0:
-            lo *= 2
-        return mpmath.findroot(g, (lo, 2 * lo), solver="anderson")
+def _root_ulps(p, k, lam, got):
+    """Distance of offset got from the 50-digit root, in ulps of got."""
+    ref = mp_offset(p.kappa1, p.kappa2, p.omega, p.eps, k, lam)
+    return float(abs(ref - got)) / math.ulp(got)
 
 
 def first_order_reference(params, k, lam):
@@ -85,22 +72,6 @@ def test_zero_field_removes_the_branch_split(fig_params):
     for k in (1, 2):
         assert pert.offset(k, 1) == pert.offset(k, 2)
         assert ex.offset(k, 1) == ex.offset(k, 2)
-    # and the residual itself is branch-independent
-    for r in (2499.0, 2500.7, 3100.0):
-        assert residual(r, p, 1) == residual(r, p, 2)
-
-
-def test_residual_sign_and_poles(fig_params):
-    # just above the first pole the coupling term dominates, positive
-    assert residual(2500.0 + 1e-6, fig_params, 1) > 1.0
-    # far from both poles the -1 dominates
-    assert residual(10000.0, fig_params, 1) < -0.5
-    with pytest.raises(PoleEvaluation):
-        residual(2500.0 * (1.0 + 1e-14), fig_params, 1)
-    with pytest.raises(PoleEvaluation):
-        residual(3000.0, fig_params, 2)
-    with pytest.raises(PoleEvaluation):
-        residual(-1.0, fig_params, 1)
 
 
 def test_exact_residuals_within_tolerance(fig_params, fig_roots):
@@ -119,8 +90,7 @@ def test_first_order_roots_leave_a_linear_residual(fig_params):
 
     Measured in offset form: rounding r = kappa + d to float64 perturbs d
     by ulp(kappa)/2, which feeds a ~1e-8 error back through the self pole,
-    the same order as the signal itself. The public residual() only bounds
-    the magnitude here.
+    the same order as the signal itself.
     """
     from qubeam.dispersion import _branch_sign, _residual_offset
 
@@ -138,9 +108,6 @@ def test_first_order_roots_leave_a_linear_residual(fig_params):
         assert abs(series[0]) < 1e-6
         for hi, lo in zip(series, series[1:]):
             assert 1.9 <= hi / lo <= 2.1
-    p = make_params(*FIG)
-    pert = perturbative_roots(p)
-    assert abs(residual(pert.root(1, 2), p, 2)) < 1e-6
 
 
 def test_exact_versus_first_order_defect_is_second_order():
@@ -160,9 +127,7 @@ def test_exact_versus_first_order_defect_is_second_order():
 def test_exact_roots_match_high_precision_solution(fig_params, fig_roots):
     """Solve the dispersion equation in 50-digit arithmetic and compare."""
     for k, lam in KLAM:
-        d_ref = _mp_offset(fig_params, k, lam)
-        got = fig_roots.offset(k, lam)
-        assert abs(got - float(d_ref)) <= 1e-13 * float(d_ref)
+        assert _root_ulps(fig_params, k, lam, fig_roots.offset(k, lam)) <= 4
 
 
 def test_small_coupling_roots_stay_near_the_poles():
@@ -332,9 +297,7 @@ def test_solver_properties_hold_across_the_regime(point):
         got = ex.offset(k, lam)
         assert abs(ex.residuals[k - 1][lam - 1]) <= DEFAULT_REL_TOL * kk
         assert got > 0.0
-        with mpmath.workdps(50):
-            err = abs(mpmath.mpf(got) - _mp_offset(p, k, lam))
-        assert err <= 4 * math.ulp(got)
+        assert _root_ulps(p, k, lam, got) <= 4
     assert max(_evaluations_per_root(p)) <= 20
     for k in (1, 2):
         # the lambda = 1 branch sees the larger effective denominator

@@ -8,22 +8,19 @@ import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-import mpmath
 import numpy as np
 import pytest
 
+import qubeam
 from qubeam import (
     amplitudes,
     build_block,
     entangle,
     exact_roots,
     full_report,
-    info_measure,
     make_params,
     perturbative_roots,
     phi_closed,
-    reduced_density,
-    schmidt_measure,
 )
 from qubeam.entangle import (
     _SERIES_CUT,
@@ -46,7 +43,10 @@ from qubeam.errors import (
     ValidationError,
 )
 from qubeam.params import ModelParams
-from qubeam.qstate import PolarizationConfig, TwoQubitAmplitudes
+from qubeam.qstate import PolarizationConfig
+
+import mp_reference
+from mp_reference import info_from_gap, rel_err
 
 FIG = (2500.0, 3000.0, 0.5, 0.1)
 
@@ -57,71 +57,50 @@ ES_FIG = 1.3552872417060722e-12
 EI_ASYM_FIG = 1.4470067505667856e-11
 
 
-def _amps(vec):
-    v = np.asarray(vec, dtype=complex)
-    return TwoQubitAmplitudes(vec=v, config=PolarizationConfig(2, 1),
-                              raw_norm_sq=1.0, norm_gap=0.0, y_gap=0.0)
-
-
-def test_reduced_density_of_known_states():
-    s = 1.0 / math.sqrt(2.0)
-    bell = reduced_density(_amps([s, 0.0, 0.0, s]))
-    assert bell.y == pytest.approx(0.0, abs=1e-15)
-    assert np.allclose(bell.rho, np.eye(2) / 2.0, atol=1e-15)
-    assert bell.eigs == pytest.approx((0.5, 0.5), abs=1e-15)
-    assert schmidt_measure(bell) == pytest.approx(0.5, abs=1e-15)
-
-    product = reduced_density(_amps([1.0, 0.0, 0.0, 0.0]))
-    assert product.y == 1.0
-    assert np.allclose(product.rho, np.diag([1.0, 0.0]))
-    assert schmidt_measure(product) == 0.0
-
-
 def test_reduced_density_identities_at_reference_point(fig_block):
+    # rho = M M+ of the normalized amplitudes, with M = vec as a 2x2 matrix
     for code in ("uu", "ud", "du", "dd"):
-        dens = reduced_density(
-            amplitudes(fig_block, PolarizationConfig.from_code(code)))
-        rho = dens.rho
+        m = amplitudes(fig_block,
+                       PolarizationConfig.from_code(code)).vec.reshape(2, 2)
+        rho = m @ m.conj().T
         assert abs(np.trace(rho) - 1.0) <= 1e-14
         assert rho[0, 1] == np.conj(rho[1, 0])
-        lo, hi = dens.eigs
+        y = math.sqrt((rho[0, 0].real - rho[1, 1].real) ** 2
+                      + 4.0 * abs(rho[0, 1]) ** 2)
+        lo, hi = np.linalg.eigvalsh(rho)
         assert lo + hi == pytest.approx(1.0, abs=1e-14)
-        assert hi - lo == pytest.approx(dens.y, abs=1e-14)
+        assert hi - lo == pytest.approx(y, abs=1e-14)
         # normalized-state identity between the two measures
-        assert schmidt_measure(dens) == pytest.approx(
-            (1.0 - dens.y ** 2) / 2.0, abs=1e-12)
+        impurity = 1.0 - float(np.sum(np.abs(rho) ** 2))
+        assert impurity == pytest.approx((1.0 - y ** 2) / 2.0, abs=1e-12)
 
 
 def test_info_measure_endpoints_exact():
-    assert info_measure(1.0) == 0.0
-    assert info_measure(0.0) == 1.0
+    # (E_I, E_S) from (y_gap, norm_gap): y = 1 and y = 0
+    assert entangle._measures(0.0, 0.0) == (0.0, 0.0)
+    assert entangle._measures(1.0, 1.0) == (1.0, 1.0)
 
 
 def test_info_measure_is_the_binary_entropy():
-    y = 0.5
-    p = (1.0 - y) / 2.0
+    gap = 0.5           # y = 0.5
+    p = gap / 2.0
     expected = -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
-    assert info_measure(y) == pytest.approx(expected, rel=1e-14)
+    assert _info_from_gap(gap) == pytest.approx(expected, rel=1e-14)
 
 
 def test_info_measure_domain_handling():
-    with pytest.raises(DomainError):
-        info_measure(1.0 + 2e-9)
-    with pytest.raises(DomainError):
-        info_measure(-2e-9)
-    with pytest.raises(DomainError):
-        info_measure(float("nan"))
-    assert info_measure(1.0 + 5e-10) == 0.0
-    assert info_measure(-5e-10) == 1.0
+    for y_gap in (1.0 + 2e-9, -2e-9, float("nan")):
+        with pytest.raises(DomainError):
+            entangle._measures(y_gap, 0.0)
+    # within DOMAIN_TOL outside [0, 1] a gap is accepted: below 0 it clamps
+    # to 0, and above 1 the entropy still rounds to 1
+    assert entangle._measures(-5e-10, 0.0) == (0.0, 0.0)
+    assert entangle._measures(1.0 + 5e-10, 0.0)[0] == 1.0
 
 
 def test_info_from_gap_against_high_precision():
-    mpmath.mp.dps = 50
-    for g in np.logspace(-16.0, -0.3, 25):
-        x = mpmath.mpf(repr(float(g))) / 2
-        ref = float(-(x * mpmath.log(x)
-                      + (1 - x) * mpmath.log1p(-x)) / mpmath.log(2))
-        assert _info_from_gap(float(g)) == pytest.approx(ref, rel=1e-13)
+    for g in [*np.logspace(-16.0, -0.3, 25).tolist(), 0.5, 1.0]:
+        assert rel_err(_info_from_gap(g), info_from_gap(g)) <= 1e-14
 
 
 def test_info_from_gap_continuous_at_series_cut():
@@ -136,6 +115,14 @@ def test_info_from_gap_at_the_smallest_subnormal_gap():
     # gap / 2 rounds to 0 there; the measure stays finite and positive
     tiny = _info_from_gap(5e-324)
     assert math.isfinite(tiny) and tiny > 0.0
+
+
+def test_asymptotic_form_at_the_smallest_subnormal_phi():
+    # Phi / 2 rounds to 0 there, so ln(Phi/2) is taken as ln(Phi) - ln(2);
+    # the value is the 50-digit one, rounded into the subnormal range
+    for phi in (5e-324, 1e-323):
+        assert _asymptotic_from_phi(phi, 1e-3) == float(
+            mp_reference.asymptotic_info(phi, 1e-3))
 
 
 # Gaps at the edges of _info_from_gap's branches: zeros of both signs,
@@ -159,16 +146,16 @@ def test_batched_information_measure_is_the_scalar_one(gaps):
         _info_from_gap(gap).hex() for gap in gaps]
 
 
-# Phi/2 must not round to 0 (math.log(0) fails on both paths), so Phi
-# starts at 1e-323; nonpositive Phi is not live and gives 0.0.
-_PHI_EDGES = [1e-323, 2.2250738585072014e-308, 6.7502283095724485e-12, 1.0,
-              1e300]
+# Phi at the smallest subnormal (whose half rounds to 0) and its neighbour;
+# nonpositive Phi is not live and gives 0.0.
+_PHI_EDGES = [5e-324, 1e-323, 2.2250738585072014e-308, 6.7502283095724485e-12,
+              1.0, 1e300]
 _EPS_EDGES = [5e-324, 1e-323, 2.2250738585072014e-308, 1e-300, 1e-17, 0.1,
               1.0]
 
 
 @given(phis=st.lists(st.one_of(st.sampled_from(_PHI_EDGES),
-                               st.floats(1e-323, 1e10),
+                               st.floats(5e-324, 1e10),
                                st.sampled_from([0.0, -0.0, -1.0])),
                      min_size=1, max_size=24),
        eps=st.one_of(st.sampled_from(_EPS_EDGES), st.floats(5e-324, 1e-10),
@@ -185,15 +172,24 @@ def test_batched_asymptotic_form_is_the_scalar_one(phis, eps):
 def test_package_uses_no_numpy_transcendentals():
     # Logs are math's: np.log differed from math.log on 11 of 1e6 inputs
     # and np.log1p on 67,711, and a batch formula must equal its scalar
-    # twin bit for bit. Powers are products, never np.power.
+    # twin bit for bit. Powers are products, never np.power, and in the
+    # pipeline modules never ** (libm pow rounds some squares differently).
     banned = re.compile(r"\b(?:np|numpy)(?:\.\w+)*\."
                         r"(?:log|log1p|log2|log10|exp|expm1|power)\b")
+    pipeline = {"dispersion.py", "bogoliubov.py", "qstate.py", "entangle.py"}
     src = Path(__file__).resolve().parent.parent / "src" / "qubeam"
     hits = [f"{path.name}:{number}: {line.strip()}"
             for path in sorted(src.glob("*.py"))
             for number, line in enumerate(path.read_text().splitlines(), 1)
-            if banned.search(line)]
+            if banned.search(line) or path.name in pipeline and "**" in line]
     assert hits == []
+
+
+def test_every_exported_name_resolves():
+    namespace = {}
+    exec("from qubeam import *", namespace)
+    assert sorted(name for name in namespace if name != "__builtins__") \
+        == sorted(qubeam.__all__)
 
 
 def test_small_gap_info_approaches_leading_term():

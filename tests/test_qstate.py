@@ -56,7 +56,7 @@ def test_parallel_pair_vector_structure(fig_block):
     v = amps.vec
     assert v[1] == v[2] == -1j * v[0]
     assert v[3] == -v[0]
-    M = amps.matrix
+    M = amps.vec.reshape(2, 2)
     det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
     assert det == 0.0    # rank one, exactly: the pair is a product state
 
@@ -224,5 +224,5 @@ def test_state_always_normalized(kappa1, split, omega_frac, code):
                       PolarizationConfig.from_code(code))
     assert float(np.sum(np.abs(amps.vec) ** 2)) == pytest.approx(1.0, abs=1e-12)
     if amps.config.parallel:
-        M = amps.matrix
+        M = amps.vec.reshape(2, 2)
         assert M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0] == 0.0

@@ -45,7 +45,8 @@ SMALL = dict(dk_min=400.0, dk_max=600.0, dk_steps=3,
 # photon's pole and DomainErrors; TIGHT: exact residuals above tol), and
 # hands whole to it (BROKEN: no root brackets, or no gap in the domain;
 # TINY: eps so small that the first-order offsets round to 0; GAP: with
-# pert, ud/du raw spectral gaps just above 1, whose E_S is in the domain).
+# pert, ud/du raw spectral gaps just above 1, whose E_S is in the domain;
+# SUBNORMAL: du's Phi is the smallest subnormal, whose half rounds to 0).
 MIXED = dict(kappa1=10.0, eps=1e-3, dk_min=1.0, dk_max=5.0, dk_steps=4,
              omega_min=0.0, omega_max=0.5, omega_steps=3)
 POLE = dict(MIXED, eps=1000.0, dk_max=50.0)
@@ -55,6 +56,8 @@ TINY = dict(MIXED, kappa1=1.0, eps=5e-324, dk_min=0.05, dk_max=0.2,
             omega_max=0.005)
 GAP = dict(kappa1=1e-60, eps=1e-125, dk_min=1e-68, dk_max=2e-68, dk_steps=2,
            omega_min=0.0, omega_max=1e-70, omega_steps=2)
+SUBNORMAL = dict(kappa1=1.0, eps=1e-3, dk_min=1.0, dk_max=2.0, dk_steps=2,
+                 omega_min=0.0, omega_max=1e-323, omega_steps=2)
 
 
 def test_defaults():
@@ -365,9 +368,9 @@ def test_surface_cells_are_the_csv_measures(grid, tmp_path):
 
 
 @pytest.mark.parametrize("grid", [SMALL, MIXED, POLE, TIGHT, BROKEN, TINY,
-                                  GAP],
+                                  GAP, SUBNORMAL],
                          ids=["small", "mixed", "pole", "tight", "broken",
-                              "tiny", "gap"])
+                              "tiny", "gap", "subnormal"])
 def test_batched_sweep_matches_point_by_point(grid):
     for pol in ("uu", "ud", "du", "dd"):
         for method in ("exact", "pert"):
@@ -499,6 +502,18 @@ def test_unvalidated_grid_points_become_error_rows():
         "error:NearResonance"] * 3
     got = run_sweep(cfg)
     assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("key", ["kappa1", "eps", "omega_max", "dk_max"])
+def test_unvalidated_int_too_large_for_a_float_reads_as_infinite(key):
+    # run_sweep on a config that skipped parse_config reads such an int as
+    # +inf too, instead of raising OverflowError
+    def outcome(value):
+        with pytest.raises(AllRowsFailed) as err:
+            run_sweep(SweepConfig(**dict(SMALL, **{key: value})))
+        return str(err.value)
+    assert outcome(10**400) == outcome(math.inf) == (
+        "all 6 grid points failed; first status: error:NonPositive")
 
 
 def test_raw_norm_is_correctly_rounded(capsys):
