@@ -6,19 +6,18 @@ eps=0.1, pol=du). Exit codes: 0 success, 1 validation or parse error,
 2 computation failure.
 """
 import argparse
-from dataclasses import fields
 import functools
 import math
 import sys
 
 from .bogoliubov import INDEX_ORDER, build_block, identity_defect
-from .dispersion import exact_roots, perturbative_roots
+from .dispersion import DEFAULT_REL_TOL, exact_roots, perturbative_roots
 from .entangle import full_report
 from .errors import ParseError, QubeamError, ValidationError
 from .params import make_params
 from .qstate import PolarizationConfig, amplitudes
 from .sweep import (
-    SweepConfig,
+    _FILE_KEYS,
     _fmt,
     failure_tally,
     parse_config,
@@ -26,6 +25,9 @@ from .sweep import (
     verify_point,
     write_csv,
 )
+
+_CHOICES = {"pol": ["uu", "ud", "du", "dd"], "method": ["exact", "pert"]}
+
 
 class _Parser(argparse.ArgumentParser):
     # Argument errors are user input errors: exit 1, not argparse's 2.
@@ -40,13 +42,13 @@ def _add_point_flags(sub, pol=False, method=False):
     sub.add_argument("--kappa2", type=float, default=3000.0)
     sub.add_argument("--omega", type=float, default=0.5)
     sub.add_argument("--eps", type=float, default=0.1)
-    sub.add_argument("--tol", type=float, default=1e-12,
+    sub.add_argument("--tol", type=float, default=DEFAULT_REL_TOL,
                      help="relative residual tolerance of the exact solver")
     if pol:
-        sub.add_argument("--pol", choices=["uu", "ud", "du", "dd"],
-                         default="du", help="polarization pair, photon 1 first")
+        sub.add_argument("--pol", choices=_CHOICES["pol"], default="du",
+                         help="polarization pair, photon 1 first")
     if method:
-        sub.add_argument("--method", choices=["exact", "pert"],
+        sub.add_argument("--method", choices=_CHOICES["method"],
                          default="exact")
 
 
@@ -77,17 +79,9 @@ def _build_parser():
 
     p_sweep = subs.add_parser("sweep", help="grid sweep to CSV")
     p_sweep.add_argument("--config", help="key=value config file")
-    p_sweep.add_argument("--kappa1", type=float)
-    p_sweep.add_argument("--eps", type=float)
-    p_sweep.add_argument("--tol", type=float)
-    p_sweep.add_argument("--pol", choices=["uu", "ud", "du", "dd"])
-    p_sweep.add_argument("--method", choices=["exact", "pert"])
-    p_sweep.add_argument("--dk-min", type=float, dest="dk_min")
-    p_sweep.add_argument("--dk-max", type=float, dest="dk_max")
-    p_sweep.add_argument("--dk-steps", type=int, dest="dk_steps")
-    p_sweep.add_argument("--omega-min", type=float, dest="omega_min")
-    p_sweep.add_argument("--omega-max", type=float, dest="omega_max")
-    p_sweep.add_argument("--omega-steps", type=int, dest="omega_steps")
+    for key, kind in _FILE_KEYS.items():      # one flag per SweepConfig field
+        p_sweep.add_argument("--" + key.replace("_", "-"), dest=key,
+                             type=kind, choices=_CHOICES.get(key))
     p_sweep.add_argument("--out", default="sweep.csv",
                          help="CSV output path (default sweep.csv)")
     p_sweep.add_argument("--matrix",
@@ -196,8 +190,7 @@ def _cmd_measures(args):
 
 
 def _cmd_sweep(args):
-    overrides = {field.name: getattr(args, field.name)
-                 for field in fields(SweepConfig)}
+    overrides = {key: getattr(args, key) for key in _FILE_KEYS}
     config = parse_config(args.config, overrides)
     rows = run_sweep(config)
     write_csv(rows, config, args.out, args.matrix)

@@ -23,6 +23,7 @@ from .errors import (
     NonConvergence,
     NonPositive,
     SingularDenominator,
+    ValidationError,
 )
 from .params import ModelParams
 
@@ -298,10 +299,12 @@ def exact_roots(params: ModelParams, tol: float = DEFAULT_REL_TOL) -> ModeRoots:
     """Solve the dispersion relation for all four (k, lambda) roots.
 
     tol is relative: the returned roots satisfy
-    |residual| <= tol * kappa_k, re-checked after the solve. Rejects eps = 0,
-    where the roots merge into the poles (use perturbative_roots for the
-    limit).
+    |residual| <= tol * kappa_k, re-checked after the solve. Rejects a tol
+    that is not > 0 (nan would turn that check off), and eps = 0, where the
+    roots merge into the poles (use perturbative_roots for the limit).
     """
+    if not tol > 0:
+        raise ValidationError(f"tol must be > 0, got {tol}")
     if not (params.eps > 0.0):
         raise NonPositive("exact solver requires eps > 0; the eps = 0 "
                           "equation has no bracketed root")

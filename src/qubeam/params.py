@@ -7,8 +7,8 @@ choice; the defining relations are only dimensionally consistent that way,
 and the source figures quote a bare number. README gives omega and eps in
 terms of the field and the electron density.
 """
-from dataclasses import dataclass
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,9 +23,9 @@ from .errors import (
 RESONANCE_MARGIN = 0.01
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Validated inputs for one model point.
+class ModelParams(NamedTuple):
+    """Validated inputs for one model point (or a batch, one array entry
+    per point).
 
     Invariants (enforced by make_params, not by the constructor):
     0 < kappa1 < kappa2, omega >= 0, eps > 0, and the non-resonance guard

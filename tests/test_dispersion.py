@@ -11,13 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubeam import exact_roots, make_params, perturbative_roots
+from qubeam import (
+    PolarizationConfig,
+    exact_roots,
+    full_report,
+    make_params,
+    perturbative_roots,
+)
 from qubeam.dispersion import DEFAULT_REL_TOL, ModeRoots
 from qubeam.errors import (
     BracketFailure,
     ComputationError,
     NonPositive,
     SingularDenominator,
+    ValidationError,
 )
 from qubeam.params import ModelParams
 
@@ -161,6 +168,17 @@ def test_root_ordering_invariants(fig_roots):
 def test_zero_coupling_exact_solve_rejected():
     with pytest.raises(NonPositive):
         exact_roots(ModelParams(2500.0, 3000.0, 0.5, 0.0))
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+def test_a_tol_that_is_not_positive_is_rejected(fig_params, tol):
+    # nan would turn the convergence check off, and -1 fail every root
+    with pytest.raises(ValidationError) as err:
+        exact_roots(fig_params, tol)
+    assert str(err.value) == f"tol must be > 0, got {tol}"
+    with pytest.raises(ValidationError) as err:
+        full_report(fig_params, PolarizationConfig(2, 1), tol=tol)
+    assert str(err.value) == f"stage roots: tol must be > 0, got {tol}"
 
 
 def test_bracket_failure_reports_scanned_interval():

@@ -1,4 +1,5 @@
 """Sweep configuration, grid evaluation, CSV/matrix output, verification."""
+import dataclasses
 import hashlib
 import math
 from pathlib import Path
@@ -185,18 +186,52 @@ def test_grid_validation_messages_are_unchanged(case):
     assert str(err.value) == message
 
 
+# The routes that build a SweepConfig; each checks it the same way.
+ROUTES = {
+    "init": lambda overrides: SweepConfig(**overrides),
+    "replace": lambda overrides: dataclasses.replace(SweepConfig(),
+                                                     **overrides),
+    "parse_config": lambda overrides: parse_config(None, overrides),
+}
+
+FLOAT_KEYS = ["kappa1", "dk_min", "dk_max", "omega_min", "omega_max", "eps",
+              "tol"]
+
+
 @pytest.mark.parametrize("sign", [1, -1], ids=["pos", "neg"])
-@pytest.mark.parametrize("key", ["kappa1", "dk_min", "dk_max", "omega_min",
-                                 "omega_max", "eps", "tol"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
 def test_config_int_too_large_for_a_float_reads_as_infinite(key, sign):
-    # float(10**400) overflows; the float keys read such an int as +-inf, as
-    # a config file or the command line reads "1e400".
-    def outcome(value):
+    # float(10**400) overflows; on every route the float keys read such an
+    # int as +-inf, as a config file or the command line reads "1e400".
+    # tol = +inf is > 0, so that one config is built.
+    def outcome(build, value):
         try:
-            return parse_config(None, {key: value})
+            return build({key: value})
         except ValidationError as exc:
             return type(exc), str(exc)
-    assert outcome(sign * 10**400) == outcome(sign * math.inf)
+    want = outcome(ROUTES["parse_config"], sign * math.inf)
+    for build in ROUTES.values():
+        assert outcome(build, sign * 10**400) == want
+
+
+# Configs no route builds: each raises parse_config's ValidationError.
+INVALID = {
+    "dk_steps_1": {"dk_steps": 1}, "dk_steps_0": {"dk_steps": 0},
+    "omega_steps_0": {"omega_steps": 0}, "tol_nan": {"tol": math.nan},
+    "tol_neg": {"tol": -1.0}, "kappa1_neg": {"kappa1": -1.0},
+    "omega_max_2499": {"omega_max": 2499.0},
+    **{f"{key}_huge": {key: 10**400} for key in FLOAT_KEYS if key != "tol"},
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("case", INVALID)
+def test_every_route_rejects_an_invalid_config(case, route):
+    with pytest.raises(ValidationError) as want:
+        parse_config(None, INVALID[case])
+    with pytest.raises(ValidationError) as got:
+        ROUTES[route](INVALID[case])
+    assert str(got.value) == str(want.value)
 
 
 def test_settled_grid_makes_no_make_params_call(monkeypatch):
@@ -210,15 +245,14 @@ def test_settled_grid_makes_no_make_params_call(monkeypatch):
     assert calls == []
 
 
-def _validate_point_by_point(config):
+def _validate_point_by_point(kappa1, eps, omegas, dks):
     """The grid check as a loop: make_params at every point, the first
     message of each error class."""
     seen, problems = set(), []
-    for omega in config.omega_grid():
-        for dk in config.dk_grid():
+    for omega in omegas:
+        for dk in dks:
             try:
-                make_params(config.kappa1, config.kappa1 + dk, omega,
-                            config.eps)
+                make_params(kappa1, kappa1 + dk, omega, eps)
             except ValidationError as exc:
                 if type(exc) not in seen:
                     seen.add(type(exc))
@@ -242,19 +276,20 @@ _EDGES = st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf,
 @settings(deadline=None, derandomize=True, max_examples=300)
 def test_grid_validation_matches_make_params_at_every_point(
         kappa1, eps, dk_min, dk_span, omega_min, omega_span, steps):
-    config = SweepConfig(kappa1=kappa1, eps=eps, dk_min=dk_min,
-                         dk_max=dk_min + dk_span, dk_steps=steps,
-                         omega_min=omega_min, omega_max=omega_min + omega_span,
-                         omega_steps=steps + 1)
-    if not (dk_min > 0 and not config.dk_max < dk_min
-            and not omega_min < 0 and not config.omega_max < omega_min):
+    dk_max, omega_max = dk_min + dk_span, omega_min + omega_span
+    if not (dk_min > 0 and not dk_max < dk_min
+            and not omega_min < 0 and not omega_max < omega_min):
         return          # rejected before the grid is looked at
     try:
-        sweep_mod._validate(config)
+        SweepConfig(kappa1=kappa1, eps=eps, dk_min=dk_min, dk_max=dk_max,
+                    dk_steps=steps, omega_min=omega_min, omega_max=omega_max,
+                    omega_steps=steps + 1)
         got = ""
     except ValidationError as exc:
         got = str(exc)
-    assert got == _validate_point_by_point(config)
+    assert got == _validate_point_by_point(
+        kappa1, eps, sweep_mod._grid(omega_min, omega_max, steps + 1),
+        sweep_mod._grid(dk_min, dk_max, steps))
 
 
 def test_sweep_rows_ordered_and_consistent():
@@ -493,27 +528,29 @@ def test_csv_prints_negative_zero_as_such(tmp_path):
 
 
 def test_unvalidated_grid_points_become_error_rows():
-    # run_sweep on a config that skipped parse_config: the points make_params
-    # rejects (here omega within the resonance margin) are error rows.
-    cfg = SweepConfig(**dict(SMALL, omega_max=2499.0, omega_steps=3))
-    want = [sweep_mod._evaluate_point(cfg, omega, dk)
-            for omega in cfg.omega_grid() for dk in cfg.dk_grid()]
-    assert [row.status for row in want] == ["ok"] * 6 + [
-        "error:NearResonance"] * 3
-    got = run_sweep(cfg)
-    assert repr(got) == repr(want)
+    # No config skips the grid check: a grid with points make_params
+    # rejects (here omega within the resonance margin) is not built by any
+    # route, so run_sweep never sees them.
+    overrides = dict(SMALL, omega_max=2499.0, omega_steps=3)
+    for build in ROUTES.values():
+        with pytest.raises(ValidationError) as err:
+            build(overrides)
+        assert str(err.value) == (
+            "grid point omega=2499.0, delta_kappa=400.0: omega=2499.0 within "
+            "the resonance margin of kappa1=2500.0 (limit 2475.0)")
 
 
 @pytest.mark.parametrize("key", ["kappa1", "eps", "omega_max", "dk_max"])
 def test_unvalidated_int_too_large_for_a_float_reads_as_infinite(key):
-    # run_sweep on a config that skipped parse_config reads such an int as
-    # +inf too, instead of raising OverflowError
-    def outcome(value):
-        with pytest.raises(AllRowsFailed) as err:
-            run_sweep(SweepConfig(**dict(SMALL, **{key: value})))
+    # A SweepConfig built directly reads such an int as +inf too, and
+    # rejects it with parse_config's message, not an OverflowError.
+    def message(build, value):
+        with pytest.raises(ValidationError) as err:
+            build(dict(SMALL, **{key: value}))
         return str(err.value)
-    assert outcome(10**400) == outcome(math.inf) == (
-        "all 6 grid points failed; first status: error:NonPositive")
+    assert (message(ROUTES["init"], 10**400)
+            == message(ROUTES["init"], math.inf)
+            == message(ROUTES["parse_config"], 10**400))
 
 
 def test_raw_norm_is_correctly_rounded(capsys):
