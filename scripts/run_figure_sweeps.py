@@ -33,11 +33,11 @@ def main(argv=None):
         if args.steps:
             overrides["dk_steps"] = overrides["omega_steps"] = args.steps
         config = parse_config(args.config, overrides)
-        rows = run_sweep(config)
+        table = run_sweep(config)
         base = os.path.join(args.out_dir, pol)
-        paths = write_csv(rows, config, base + ".csv", base)
-        print(f"{pol}: {len(rows)} rows ({failure_tally(rows)}) -> {base}.csv, "
-              f"{paths['EI']}, {paths['ES']}", file=sys.stderr)
+        paths = write_csv(table, config, base + ".csv", base)
+        print(f"{pol}: {len(table.status)} rows ({failure_tally(table)}) -> "
+              f"{base}.csv, {paths['EI']}, {paths['ES']}", file=sys.stderr)
     return 0
 
 

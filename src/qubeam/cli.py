@@ -192,9 +192,9 @@ def _cmd_measures(args):
 def _cmd_sweep(args):
     overrides = {key: getattr(args, key) for key in _FILE_KEYS}
     config = parse_config(args.config, overrides)
-    rows = run_sweep(config)
-    write_csv(rows, config, args.out, args.matrix)
-    print(f"wrote {args.out}: {len(rows)} rows, {failure_tally(rows)}",
+    table = run_sweep(config)
+    write_csv(table, config, args.out, args.matrix)
+    print(f"wrote {args.out}: {len(table.status)} rows, {failure_tally(table)}",
           file=sys.stderr)
     return 0
 

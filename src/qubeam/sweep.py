@@ -11,7 +11,6 @@ from contextlib import ExitStack
 from dataclasses import dataclass, fields
 import itertools
 import math
-import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -45,9 +44,6 @@ from .qstate import (
     amplitudes,
     closed_form_ab,
 )
-
-CSV_HEADER = ("omega,delta_kappa,kappa2,y,E_I,E_S,"
-              "E_I_asymptotic,E_S_closed,raw_norm,status")
 
 _METHOD_ALIASES = {"exact": "exact", "pert": "perturbative",
                    "perturbative": "perturbative"}
@@ -85,20 +81,22 @@ class SweepConfig:
         return _grid(self.dk_min, self.dk_max, self.dk_steps)
 
 
-class SweepRow(NamedTuple):
-    """One grid point's CSV columns; the value fields are None where the
-    point failed. A tuple, so the rows of a sweep are cheap to make."""
+class SweepTable(NamedTuple):
+    """A sweep's CSV columns as lists; a failed point's values are None."""
 
-    omega: float
-    delta_kappa: float
-    kappa2: float
-    y: float | None
-    E_I: float | None
-    E_S: float | None
-    E_I_asymptotic: float | None
-    E_S_closed: float | None
-    raw_norm: float | None
-    status: str
+    omega: list
+    delta_kappa: list
+    kappa2: list
+    y: list
+    E_I: list
+    E_S: list
+    E_I_asymptotic: list
+    E_S_closed: list
+    raw_norm: list
+    status: list
+
+
+CSV_HEADER = ",".join(SweepTable._fields)
 
 
 def _grid(lo, hi, n):
@@ -173,10 +171,12 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Swee
 
 def _validate(config: SweepConfig):
     problems = []
-    if config.dk_steps < 2:
-        problems.append(f"dk_steps must be >= 2, got {config.dk_steps}")
-    if config.omega_steps < 2:
-        problems.append(f"omega_steps must be >= 2, got {config.omega_steps}")
+    for name in ("dk_steps", "omega_steps"):
+        steps = getattr(config, name)
+        if not isinstance(steps, int):
+            problems.append(f"{name} must be an integer, got {steps!r}")
+        elif steps < 2:
+            problems.append(f"{name} must be >= 2, got {steps}")
     if not config.dk_min > 0:
         problems.append(f"dk_min must be > 0, got {config.dk_min}")
     if config.dk_max < config.dk_min:
@@ -187,6 +187,11 @@ def _validate(config: SweepConfig):
         problems.append("omega_max must be >= omega_min")
     if not config.tol > 0:
         problems.append(f"tol must be > 0, got {config.tol}")
+    if config.method not in ("exact", "perturbative"):
+        problems.append(f"method must be exact or perturbative, got "
+                        f"{config.method!r}")
+    if not isinstance(config.pol, PolarizationConfig):
+        problems.append(f"pol must be a PolarizationConfig, got {config.pol!r}")
     if problems:
         raise ValidationError("; ".join(problems))
     # Every grid point must be a valid model point. The grid is checked as
@@ -218,11 +223,10 @@ def _evaluate_point(config, omega, dk):
         rep = full_report(params, config.pol, method=config.method,
                           tol=config.tol)
     except QubeamError as exc:
-        return SweepRow(omega, dk, kappa2, None, None, None, None, None, None,
-                        f"error:{type(exc).__name__}")
-    return SweepRow(omega, dk, kappa2, rep.y, rep.E_I, rep.E_S,
-                    rep.E_I_asymptotic, rep.E_S_closed,
-                    math.sqrt(rep.raw_norm_sq), "ok")
+        return (omega, dk, kappa2, None, None, None, None, None, None,
+                f"error:{type(exc).__name__}")
+    return (omega, dk, kappa2, rep.y, rep.E_I, rep.E_S, rep.E_I_asymptotic,
+            rep.E_S_closed, math.sqrt(rep.raw_norm_sq), "ok")
 
 
 def _batch_gaps(params: ModelParams, config: SweepConfig):
@@ -287,10 +291,10 @@ def _batch_values(params: ModelParams, config: SweepConfig):
             e_s_closed = (2.0 * eps * phi).tolist()
             e_i_asym = _asymptotic_from_phis(phi, float(config.eps),
                                              settled & ~zero).tolist()
-        elif pol == (1, 1):
-            e_i_asym = e_s_closed = [0.0] * len(w)
+        elif pol == (1, 1):     # two lists: run_sweep writes into each
+            e_i_asym, e_s_closed = [0.0] * len(w), [0.0] * len(w)
         else:
-            e_i_asym = e_s_closed = [None] * len(w)
+            e_i_asym, e_s_closed = [None] * len(w), [None] * len(w)
         # _info_from_gap is 0 for a gap <= 0, so the clamp of _measures is
         # not needed; 0.0 and 1.0 are placeholders where nothing settled.
         e_i = _info_from_gaps(np.where(settled, y_gap, 0.0)).tolist()
@@ -299,38 +303,39 @@ def _batch_values(params: ModelParams, config: SweepConfig):
                 e_i_asym, e_s_closed, raw_norm.tolist())
 
 
-def run_sweep(config: SweepConfig):
-    """Evaluate every grid point; returns the rows in output order.
+def run_sweep(config: SweepConfig) -> SweepTable:
+    """Evaluate every grid point; returns their SweepTable in output order.
 
     The grid is evaluated as one batch of arrays (_batch_values); a point
-    the batch does not settle goes through full_report, so rows and error
+    the batch does not settle goes through full_report, so values and error
     statuses are those of the point-by-point pipeline. Per-point failures
     become rows with an error status; AllRowsFailed is raised only if
-    nothing succeeds. The caller passes the rows to write_csv.
+    nothing succeeds. len(table.status) counts the rows; len(table) is 10.
     """
     omegas, dks, omega, kappa2 = _grid_arrays(config)
     n = len(omega)
     params = ModelParams(np.full(n, float(config.kappa1)), kappa2, omega,
                          np.full(n, float(config.eps)))
     settled, *values = _batch_values(params, config)
-    # The rows share one float object per grid value, which keeps a sweep's
-    # memory down, and are made by tuple.__new__ without a Python call.
-    rows = list(map(tuple.__new__, itertools.repeat(SweepRow), zip(
+    # The grid columns share one float object per grid value, to save memory.
+    table = SweepTable(
         np.repeat(np.array(omegas, dtype=object), len(dks)).tolist(),
         dks * len(omegas), kappa2[:len(dks)].tolist() * len(omegas), *values,
-        itertools.repeat("ok", n))))
+        ["ok"] * n)
     for i in itertools.compress(range(n), (~settled).tolist()):
-        rows[i] = _evaluate_point(config, *rows[i][:2])
-    if "ok" not in map(operator.itemgetter(-1), rows):
-        raise AllRowsFailed(f"all {len(rows)} grid points failed; "
-                            f"first status: {rows[0].status}")
-    return rows
+        point = _evaluate_point(config, table.omega[i], table.delta_kappa[i])
+        for column, value in zip(table, point):
+            column[i] = value
+    if "ok" not in table.status:
+        raise AllRowsFailed(f"all {n} grid points failed; "
+                            f"first status: {table.status[0]}")
+    return table
 
 
-def failure_tally(rows):
+def failure_tally(table: SweepTable):
     """"M failed" and, if M > 0, the count of each failed status in
     first-seen order: "9 failed (error:DomainError 8, error:ZeroNorm 1)"."""
-    tally = collections.Counter(map(operator.attrgetter("status"), rows))
+    tally = collections.Counter(table.status)
     tally.pop("ok", None)
     kinds = ", ".join(f"{status} {count}" for status, count in tally.items())
     return f"{tally.total()} failed" + (f" ({kinds})" if kinds else "")
@@ -354,20 +359,23 @@ def config_echo_lines(config: SweepConfig):
     return lines
 
 
-def _texts(column, text):
-    """text of each value, or _fmt of each where text fails on one."""
+def _texts(column, grid=None):
+    """grid's text of each value, or float.__format__'s ("%.17g" % value's
+    C routine, called more cheaply); _fmt of each where that fails on one."""
     try:
-        return list(map(text, column))
+        return list(map(float.__format__, column, itertools.repeat(".17g"))
+                    if grid is None else map(grid.__getitem__, column))
     except (KeyError, TypeError):
         return list(map(_fmt, column))
 
 
-def write_csv(rows, config: SweepConfig, path: str, matrix: str | None = None):
-    """Write run_sweep(config)'s rows to the CSV at path and, with matrix,
+def write_csv(table: SweepTable, config: SweepConfig, path: str,
+              matrix: str | None = None):
+    """Write run_sweep(config)'s table to the CSV at path and, with matrix,
     the gnuplot nonuniform-matrix surfaces MATRIX_EI.dat and MATRIX_ES.dat:
     N and the N delta_kappa values, then per omega the omega and the measure
-    per column, nan where the point failed. One pass, one omega line of rows
-    at a time, by column; returns {"EI": path, "ES": path}, or {} without
+    per column, nan where the point failed. One pass, one omega line of each
+    column at a time; returns {"EI": path, "ES": path}, or {} without
     matrix."""
     dks = config.dk_grid()
     # The grid values print once. Not its zeros: 0.0 and -0.0 print apart.
@@ -383,17 +391,15 @@ def write_csv(rows, config: SweepConfig, path: str, matrix: str | None = None):
         csv.write(f"{CSV_HEADER}\n")
         for dat in dats:
             dat.write(" ".join([str(len(dks)), *map(_fmt, dks)]) + "\n")
-        texts = [grid.__getitem__] * 3 + ["%.17g".__mod__] * 6
-        for omega, start in zip(config.omega_grid(),
-                                range(0, len(rows), len(dks))):
-            *columns, status = zip(*rows[start:start + len(dks)])
-            cells = list(map(_texts, columns, texts))
+        for start in range(0, len(table.status), len(dks)):
+            *columns, status = [column[start:start + len(dks)]
+                                for column in table]
+            cells = list(map(_texts, columns, [grid] * 3 + [None] * 6))
             csv.write("\n".join(map(",".join, zip(*cells, status))) + "\n")
-            head = grid.get(omega) or _fmt(omega)
             for dat, measure in zip(dats, cells[4:6]):
                 if "" in measure:
                     measure = [cell or "nan" for cell in measure]
-                dat.write(f"{head} {' '.join(measure)}\n")
+                dat.write(f"{cells[0][0]} {' '.join(measure)}\n")
     return surfaces
 
 

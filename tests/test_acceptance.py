@@ -47,8 +47,8 @@ def _report(n, ok, label, detail):
 def default_sweep():
     cfg = parse_config(None)
     t0 = time.perf_counter()
-    rows = run_sweep(cfg)
-    return cfg, rows, time.perf_counter() - t0
+    table = run_sweep(cfg)
+    return cfg, table, time.perf_counter() - t0
 
 
 def test_acceptance_1_root_convergence():
@@ -208,50 +208,50 @@ def test_acceptance_6_two_qubit_identities():
 
 
 def test_acceptance_7_figure_sweep_structure(default_sweep):
-    cfg, rows, elapsed = default_sweep
+    cfg, table, elapsed = default_sweep
     og, dg = cfg.omega_grid(), cfg.dk_grid()
-    by = {(r.omega, r.delta_kappa): r for r in rows}
-    all_ok = all(r.status == "ok" for r in rows)
+    by = {row[:2]: dict(zip(table._fields, row)) for row in zip(*table)}
+    all_ok = table.status == ["ok"] * len(og) * len(dg)
 
     zero_row = [by[(0.0, dk)] for dk in dg]
-    zero_ok = (max(r.E_I for r in zero_row) <= 1e-8
-               and max(r.E_S for r in zero_row) <= 1e-10)
+    zero_ok = (max(r["E_I"] for r in zero_row) <= 1e-8
+               and max(r["E_S"] for r in zero_row) <= 1e-10)
 
     omega_ok = all(
-        by[(w2, dk)].E_I >= by[(w1, dk)].E_I
-        and by[(w2, dk)].E_S >= by[(w1, dk)].E_S
+        by[(w2, dk)]["E_I"] >= by[(w1, dk)]["E_I"]
+        and by[(w2, dk)]["E_S"] >= by[(w1, dk)]["E_S"]
         for dk in dg for w1, w2 in zip(og, og[1:]))
 
     closed_ok = all(
-        by[(w, d2)].E_I_asymptotic > by[(w, d1)].E_I_asymptotic
-        and by[(w, d2)].E_S_closed > by[(w, d1)].E_S_closed
+        by[(w, d2)]["E_I_asymptotic"] > by[(w, d1)]["E_I_asymptotic"]
+        and by[(w, d2)]["E_S_closed"] > by[(w, d1)]["E_S_closed"]
         for w in og[1:] for d1, d2 in zip(dg, dg[1:]))
 
     # The pipeline values carry an O(eps^2) same-mode floor that decreases
     # in delta_kappa and outweighs the eps*Phi signal at the left edge and
     # at small omega; strict growth is asserted where the signal dominates.
     pipe_ok = all(
-        by[(w, d2)].E_I > by[(w, d1)].E_I
-        and by[(w, d2)].E_S > by[(w, d1)].E_S
+        by[(w, d2)]["E_I"] > by[(w, d1)]["E_I"]
+        and by[(w, d2)]["E_S"] > by[(w, d1)]["E_S"]
         for w in og if w >= 0.1
         for d1, d2 in zip(dg, dg[1:]) if d1 >= 500.0)
 
     ok = (all_ok and zero_ok and omega_ok and closed_ok and pipe_ok
           and elapsed < 60.0)
     _report(7, ok, "figure sweep structure",
-            f"{len(rows)} rows, zero-field row {zero_ok}, "
+            f"{len(table.status)} rows, zero-field row {zero_ok}, "
             f"omega-monotone {omega_ok}, dk-monotone closed {closed_ok} / "
             f"pipeline {pipe_ok}, {elapsed:.2f}s")
 
 
 def test_acceptance_8_deterministic_output(default_sweep, tmp_path):
-    cfg, rows, first_elapsed = default_sweep
+    cfg, table, first_elapsed = default_sweep
     t0 = time.perf_counter()
-    rows_again = run_sweep(cfg)
+    table_again = run_sweep(cfg)
     second_elapsed = time.perf_counter() - t0
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(rows, cfg, str(a))
-    write_csv(rows_again, cfg, str(b))
+    write_csv(table, cfg, str(a))
+    write_csv(table_again, cfg, str(b))
     identical = a.read_bytes() == b.read_bytes()
     ok = identical and (first_elapsed + second_elapsed) < 120.0
     _report(8, ok, "deterministic output",

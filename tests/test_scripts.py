@@ -54,19 +54,19 @@ def test_diff_outputs_reports_fields_ulps_and_statuses(tmp_path, capsys):
     script = _load("diff_outputs")
     config = SweepConfig(dk_min=400.0, dk_max=600.0, dk_steps=3,
                          omega_max=0.4, omega_steps=2)
-    rows = run_sweep(config)
+    table = run_sweep(config)
     old, new = tmp_path / "old", tmp_path / "new"
     old.mkdir()
     new.mkdir()
-    write_csv(rows, config, str(old / "du.csv"), str(old / "du"))
-    write_csv(rows, config, str(old / "only_old.csv"))
+    write_csv(table, config, str(old / "du.csv"), str(old / "du"))
+    write_csv(table, config, str(old / "only_old.csv"))
     # row 1: E_I one ulp up, E_S ten ulps down; row 2 fails
-    rows[1] = rows[1]._replace(E_I=math.nextafter(rows[1].E_I, 1.0),
-                               E_S=rows[1].E_S - 10 * math.ulp(rows[1].E_S))
-    rows[2] = rows[2]._replace(y=None, E_I=None, E_S=None,
-                               E_I_asymptotic=None, E_S_closed=None,
-                               raw_norm=None, status="error:DomainError")
-    write_csv(rows, config, str(new / "du.csv"), str(new / "du"))
+    table.E_I[1] = math.nextafter(table.E_I[1], 1.0)
+    table.E_S[1] -= 10 * math.ulp(table.E_S[1])
+    for column in table[3:9]:
+        column[2] = None
+    table.status[2] = "error:DomainError"
+    write_csv(table, config, str(new / "du.csv"), str(new / "du"))
     # the first delta_kappa one ulp up in the E_S surface's grid line
     surface = new / "du_ES.dat"
     surface.write_text(surface.read_text().replace(

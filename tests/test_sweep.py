@@ -3,10 +3,11 @@ import dataclasses
 import hashlib
 import math
 from pathlib import Path
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qubeam.sweep as sweep_mod
@@ -220,6 +221,7 @@ INVALID = {
     "omega_steps_0": {"omega_steps": 0}, "tol_nan": {"tol": math.nan},
     "tol_neg": {"tol": -1.0}, "kappa1_neg": {"kappa1": -1.0},
     "omega_max_2499": {"omega_max": 2499.0},
+    "dk_steps_2.5": {"dk_steps": 2.5}, "omega_steps_2.5": {"omega_steps": 2.5},
     **{f"{key}_huge": {key: 10**400} for key in FLOAT_KEYS if key != "tol"},
 }
 
@@ -232,6 +234,20 @@ def test_every_route_rejects_an_invalid_config(case, route):
     with pytest.raises(ValidationError) as got:
         ROUTES[route](INVALID[case])
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("route", ["init", "replace"])
+def test_direct_routes_reject_a_bad_method_or_pol(route):
+    # parse_config reads method and pol as text and raises ParseError for a
+    # bad one; a config built directly is checked with the other fields.
+    with pytest.raises(ValidationError) as err:
+        ROUTES[route]({"method": "newton", "pol": "du", "dk_steps": 1})
+    assert str(err.value) == (
+        "dk_steps must be >= 2, got 1; method must be exact or perturbative, "
+        "got 'newton'; pol must be a PolarizationConfig, got 'du'")
+    for overrides in ({"method": "newton"}, {"pol": "xy"}):
+        with pytest.raises(ParseError):
+            parse_config(None, overrides)
 
 
 def test_settled_grid_makes_no_make_params_call(monkeypatch):
@@ -294,38 +310,42 @@ def test_grid_validation_matches_make_params_at_every_point(
 
 def test_sweep_rows_ordered_and_consistent():
     cfg = parse_config(None, SMALL)
-    rows = run_sweep(cfg)
-    assert len(rows) == 6
-    keys = [(row.omega, row.delta_kappa) for row in rows]
+    table = run_sweep(cfg)
+    assert len(table) == 10
+    assert [len(column) for column in table] == [6] * 10
+    keys = list(zip(table.omega, table.delta_kappa))
     assert keys == sorted(keys)
-    for row in rows:
-        assert row.status == "ok"
-        assert row.kappa2 == cfg.kappa1 + row.delta_kappa
-        assert 0.0 < row.y <= 1.0 + 1e-9
-        assert row.raw_norm == pytest.approx(1.0, abs=1e-9)
+    assert table.status == ["ok"] * 6
+    for dk, kappa2 in zip(table.delta_kappa, table.kappa2):
+        assert kappa2 == cfg.kappa1 + dk
+    for y, raw_norm in zip(table.y, table.raw_norm):
+        assert 0.0 < y <= 1.0 + 1e-9
+        assert raw_norm == pytest.approx(1.0, abs=1e-9)
     # zero-field row carries no entanglement, the field rows do
-    zero = [r for r in rows if r.omega == 0.0]
-    lit = [r for r in rows if r.omega > 0.0]
-    assert max(r.E_I for r in zero) <= 1e-8
-    assert min(r.E_I for r in lit) > 1e-14
+    zero = [e_i for omega, e_i in zip(table.omega, table.E_I) if omega == 0.0]
+    lit = [e_i for omega, e_i in zip(table.omega, table.E_I) if omega > 0.0]
+    assert len(zero) == len(lit) == 3
+    assert max(zero) <= 1e-8
+    assert min(lit) > 1e-14
 
 
 def test_sweep_survives_single_point_failure():
     # Raw uu gaps fall below the domain tolerance at omega > 0 on this grid,
     # so full_report raises DomainError there and only omega = 0 evaluates.
-    rows = run_sweep(parse_config(None, dict(MIXED, pol="uu")))
-    failed = [r for r in rows if r.status != "ok"]
+    table = run_sweep(parse_config(None, dict(MIXED, pol="uu")))
+    rows = [dict(zip(table._fields, row)) for row in zip(*table)]
+    failed = [r for r in rows if r["status"] != "ok"]
     assert len(failed) == 8
     for bad in failed:
-        assert bad.status == "error:DomainError"
-        assert bad.omega > 0.0
-        assert bad.y is None and bad.E_I is None and bad.raw_norm is None
-    ok = [r for r in rows if r.status == "ok"]
-    assert [r.delta_kappa for r in ok] == parse_config(None, MIXED).dk_grid()
+        assert bad["status"] == "error:DomainError"
+        assert bad["omega"] > 0.0
+        assert all(bad[name] is None for name in table._fields[3:9])
+    ok = [r for r in rows if r["status"] == "ok"]
+    assert [r["delta_kappa"] for r in ok] == parse_config(None, MIXED).dk_grid()
     for row in ok:
-        assert row.omega == 0.0
-        assert row.y is not None and row.E_I is not None
-        assert row.raw_norm == pytest.approx(1.0, abs=1e-3)
+        assert row["omega"] == 0.0
+        assert row["y"] is not None and row["E_I"] is not None
+        assert row["raw_norm"] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_sweep_all_failures_raise():
@@ -337,8 +357,8 @@ def test_sweep_all_failures_raise():
 
 def test_csv_output_is_deterministic(tmp_path):
     cfg = parse_config(None, SMALL)
-    rows = run_sweep(cfg)
-    write_csv(rows, cfg, str(tmp_path / "a.csv"))
+    table = run_sweep(cfg)
+    write_csv(table, cfg, str(tmp_path / "a.csv"))
     write_csv(run_sweep(cfg), cfg, str(tmp_path / "b.csv"))
     a = (tmp_path / "a.csv").read_bytes()
     b = (tmp_path / "b.csv").read_bytes()
@@ -351,12 +371,14 @@ def test_csv_output_is_deterministic(tmp_path):
     from qubeam import __version__
     assert comments[0] == f"# qubeam {__version__}"
     assert any(l == "# pol=du" for l in comments)
-    assert data[0] == CSV_HEADER
-    assert len(data) == 1 + len(rows)
+    assert data[0] == CSV_HEADER == (
+        "omega,delta_kappa,kappa2,y,E_I,E_S,E_I_asymptotic,E_S_closed,"
+        "raw_norm,status")
+    assert len(data) == 1 + len(table.status) == 1 + 6
     first = data[1].split(",")
     assert len(first) == 10
-    assert float(first[0]) == rows[0].omega
-    assert float(first[3]) == rows[0].y      # 17g round-trips exactly
+    assert float(first[0]) == table.omega[0]
+    assert float(first[3]) == table.y[0]     # 17g round-trips exactly
     assert first[9] == "ok"
 
 
@@ -412,14 +434,14 @@ def test_batched_sweep_matches_point_by_point(grid):
             cfg = parse_config(None, dict(grid, pol=pol, method=method))
             want = [sweep_mod._evaluate_point(cfg, omega, dk)
                     for omega in cfg.omega_grid() for dk in cfg.dk_grid()]
-            if all(row.status != "ok" for row in want):
+            if all(row[-1] != "ok" for row in want):
                 with pytest.raises(AllRowsFailed) as err:
                     run_sweep(cfg)
                 assert str(err.value) == (f"all {len(want)} grid points "
                                           f"failed; first status: "
-                                          f"{want[0].status}")
+                                          f"{want[0][-1]}")
                 continue
-            got = run_sweep(cfg)
+            got = list(zip(*run_sweep(cfg)))
             assert got == want, (pol, method)
             assert repr(got) == repr(want)      # also tells -0.0 from 0.0
 
@@ -508,23 +530,47 @@ def test_closed_form_failures_go_through_full_report():
                                       omega_max=9.8, method=method))
         want = [sweep_mod._evaluate_point(cfg, omega, dk)
                 for omega in cfg.omega_grid() for dk in cfg.dk_grid()]
-        assert [row.status for row in want] == ["ok"] * 8 + [
+        assert [row[-1] for row in want] == ["ok"] * 8 + [
             "error:RangeViolation"] * 4
-        assert repr(run_sweep(cfg)) == repr(want)
+        assert repr(list(zip(*run_sweep(cfg)))) == repr(want)
 
 
 def test_csv_prints_negative_zero_as_such(tmp_path):
     # Grid values are formatted once and looked up by value; -0.0 equals
-    # 0.0 as a key but prints as "-0".
+    # 0.0 as a key but prints as "-0". Value cells print by float.__format__,
+    # and a line holding a None or an int falls back to _fmt.
     cfg = parse_config(None, SMALL)
-    rows = run_sweep(cfg)
-    rows[0] = rows[0]._replace(omega=-0.0, E_S=-0.0)
-    write_csv(rows, cfg, str(tmp_path / "s.csv"))
+    table = run_sweep(cfg)
+    table.omega[0] = table.E_S[0] = -0.0
+    odd = [math.nan, math.inf, 5e-324, None, 7, -math.inf]
+    for column, value in zip(table[3:9], odd):
+        column[1] = value
+    write_csv(table, cfg, str(tmp_path / "s.csv"))
     data = [line for line in (tmp_path / "s.csv").read_text().splitlines()
             if not line.startswith("#")]
     cells = data[1].split(",")
     assert (cells[0], cells[5]) == ("-0", "-0")
+    cells = data[2].split(",")
+    assert cells[3:9] == [sweep_mod._fmt(value) for value in odd] == [
+        "nan", "inf", "4.9406564584124654e-324", "", "7", "-inf"]
     assert data[4].startswith("0.40000000000000002,400,2900,")
+
+
+@given(st.one_of(st.floats(), st.binary(min_size=8, max_size=8).map(
+    lambda bits: struct.unpack("<d", bits)[0])))
+@example(0.0).via("zero")
+@example(-0.0).via("negative zero")
+@example(5e-324).via("smallest subnormal")
+@example(-2.225073858507201e-308).via("largest subnormal")
+@example(math.inf).via("inf")
+@example(-math.inf).via("-inf")
+@example(math.nan).via("nan")
+@example(-math.nan).via("-nan")
+@settings(deadline=None, derandomize=True, max_examples=2000)
+def test_float_format_prints_as_percent_17g(value):
+    # write_csv prints value cells by float.__format__; the CSV bytes are
+    # those of "%.17g" % value.
+    assert float.__format__(value, ".17g") == "%.17g" % value
 
 
 def test_unvalidated_grid_points_become_error_rows():
@@ -558,7 +604,7 @@ def test_raw_norm_is_correctly_rounded(capsys):
     # whose correctly rounded root is itself; x ** 0.5 (libm pow) gives 1.0.
     cfg = SweepConfig(pol=PolarizationConfig.from_code("uu"))
     dk = cfg.dk_grid()[39]
-    assert sweep_mod._evaluate_point(cfg, 0.0, dk).raw_norm == 1.0 - 2.0 ** -53
+    assert sweep_mod._evaluate_point(cfg, 0.0, dk)[8] == 1.0 - 2.0 ** -53
     assert main(["state", "--pol", "uu", "--omega", "0",
                  "--kappa2", repr(cfg.kappa1 + dk)]) == 0
     assert capsys.readouterr().out.endswith("raw_norm: 0.99999999999999989\n")
