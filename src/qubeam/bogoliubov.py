@@ -19,7 +19,6 @@ matrix entries, so chi and the analogous xi are carried explicitly.
 """
 from dataclasses import dataclass
 import math
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -58,24 +57,27 @@ class ColumnFactors(NamedTuple):
     w_cross: float
 
 
-def _deviations(kappa_k, kappa_o, d, params: ModelParams, lam):
-    """(r, a_self, chi, xi) of column (k, lam) at root offset d.
+def _deviations(kappa_k, d, r, a_cross, params: ModelParams, lam):
+    """(a_self, chi, xi) of a column at offset d, root r, cross pole a_cross.
 
     Powers are products, which round alike for floats and numpy arrays, so
-    _column and _columns share this arithmetic. Floats need a_cross != 0.
+    both column paths share this arithmetic. Floats need a_cross != 0.
     """
-    r = kappa_k + d
     a_self = d * (d + 2.0 * kappa_k)
-    a_cross = (kappa_k - kappa_o + d) * (kappa_k + kappa_o + d)
     field_sign = -1.0 if lam == 1 else 1.0      # (-1)^lambda
     chi = (a_self * a_self / 2.0) * (field_sign * params.omega
                                      / (r * r * r * params.eps)
                                      + 2.0 / (a_cross * a_cross))
     xi = d * d / (4.0 * r * kappa_k)
-    return r, a_self, chi, xi
+    return a_self, chi, xi
 
 
-def _column(roots: ModeRoots, params: ModelParams, k, lam) -> ColumnFactors:
+StateFactors = NamedTuple("StateFactors", [    # the fields _gaps reads
+    ("chi", float), ("xi", float), ("m_self", float), ("m_cross", float)])
+
+
+def _checked(roots: ModeRoots, params: ModelParams, k, lam):
+    """Checked (kappa_k, kappa_o, d, r, a_self, chi, xi) of column (k, lam)."""
     kappa_k, kappa_o = roots.kappas[k - 1], roots.kappas[2 - k]
     d = roots.offsets[k - 1][lam - 1]
     if d == 0.0:
@@ -96,42 +98,52 @@ def _column(roots: ModeRoots, params: ModelParams, k, lam) -> ColumnFactors:
         raise SingularDenominator(
             f"normalization denominator of r[{k}][{lam}] = {r!r} underflows "
             "to 0 or is not a number")
-    r, a_self, chi, xi = _deviations(kappa_k, kappa_o, d, params, lam)
+    a_self, chi, xi = _deviations(kappa_k, d, r, a_cross, params, lam)
     if not chi > -1.0:
         radicand = 2.0 * (1.0 + chi) / (a_self * a_self)
         raise NegativeRadicand(
             f"normalization radicand {radicand!r} <= 0 at k={k}, lambda={lam}")
+    return kappa_k, kappa_o, d, r, a_self, chi, xi
+
+
+def _state_factors(kappa_k, kappa_o, d, r, a_self, chi, xi, sqrt=math.sqrt):
+    # StateFactors of a checked column; np.sqrt over a batch's arrays
+    scale = sqrt(2.0 * (1.0 + chi))
+    return StateFactors(
+        chi, xi, (r + kappa_k) / (2.0 * sqrt(r * kappa_k) * scale),
+        a_self / (2.0 * sqrt(r * kappa_o) * (kappa_k - kappa_o + d) * scale))
+
+
+def _column(roots: ModeRoots, params: ModelParams, k, lam) -> ColumnFactors:
+    deviations = _checked(roots, params, k, lam)
+    kappa_k, kappa_o, d, r, a_self, chi, xi = deviations
+    _, _, m_self, m_cross = _state_factors(*deviations)
     scale = math.sqrt(2.0 * (1.0 + chi))
-    q = abs(a_self) / scale
-    root_k = 2.0 * math.sqrt(r * kappa_k)
-    root_o = 2.0 * math.sqrt(r * kappa_o)
-    m_self = (r + kappa_k) / (root_k * scale)
-    m_cross = a_self / (root_o * cross * scale)
-    w_self = d / (root_k * scale)
-    w_cross = a_self / (root_o * (r + kappa_o) * scale)
-    return ColumnFactors(a_self, chi, xi, q, m_self, m_cross, w_self, w_cross)
+    return ColumnFactors(
+        a_self, chi, xi, abs(a_self) / scale, m_self, m_cross,
+        d / (2.0 * math.sqrt(r * kappa_k) * scale),
+        a_self / (2.0 * math.sqrt(r * kappa_o) * (r + kappa_o) * scale))
 
 
 def _columns(offsets, params: ModelParams, k, lam):
-    """_column's chi, xi, m_self and m_cross over a batch of points.
+    """_state_factors of column (k, lam) over a batch of points.
 
     params holds one array entry per point and offsets maps (k, lam) to the
-    root offsets. Returns (factors, ok): a namespace of arrays, and False
-    where _column raises or a factor is not finite.
+    root offsets. Returns (factors, ok): StateFactors of arrays, and False
+    where _checked raises or a factor is not finite.
     """
     kappa_k, kappa_o = _pair(params, k)
     d = offsets[(k, lam)]
-    r, a_self, chi, xi = _deviations(kappa_k, kappa_o, d, params, lam)
-    scale = np.sqrt(2.0 * (1.0 + chi))
-    m_self = (r + kappa_k) / (2.0 * np.sqrt(r * kappa_k) * scale)
-    m_cross = a_self / (2.0 * np.sqrt(r * kappa_o) * (kappa_k - kappa_o + d)
-                        * scale)
+    r = kappa_k + d
+    a_cross = (kappa_k - kappa_o + d) * (kappa_k + kappa_o + d)
+    a_self, chi, xi = _deviations(kappa_k, d, r, a_cross, params, lam)
+    factors = _state_factors(kappa_k, kappa_o, d, r, a_self, chi, xi, np.sqrt)
     # A zero cross factor (the other photon's pole) leaves chi and m_cross
     # non-finite, so the finiteness test flags it.
     ok = (d != 0.0) & (chi > -1.0)
-    for x in (chi, xi, m_self, m_cross):
+    for x in factors:
         ok &= np.isfinite(x)
-    return SimpleNamespace(chi=chi, xi=xi, m_self=m_self, m_cross=m_cross), ok
+    return factors, ok
 
 
 @dataclass(frozen=True)
@@ -151,13 +163,10 @@ def build_block(roots: ModeRoots, params: ModelParams) -> BogoliubovBlock:
     for j, ((k, lam), col) in enumerate(zip(INDEX_ORDER, cols)):
         q[k - 1][lam - 1] = col.q
         for i, (s, lam_row) in enumerate(INDEX_ORDER):
+            m, w = ((col.m_self, col.w_self) if s == k
+                    else (col.m_cross, col.w_cross))
             ph = _phase(lam_row, lam)
-            if s == k:
-                u[i][j] = ph * col.m_self
-                v[i][j] = ph * col.w_self
-            else:
-                u[i][j] = ph * col.m_cross
-                v[i][j] = ph * col.w_cross
+            u[i][j], v[i][j] = ph * m, ph * w
     return BogoliubovBlock(u=u, v=v, q=q, columns=cols)
 
 

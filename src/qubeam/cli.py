@@ -103,10 +103,11 @@ def _emit(lines, out_path):
 
 
 def _point_params(args):
-    # A tol that is not > 0 (nan too) turns the exact solver's convergence
-    # check off or fails every root, so it is rejected before any stage.
-    if not args.tol > 0:
-        raise ValidationError(f"tol must be > 0, got {args.tol}")
+    # A tol that is not positive and finite (nan, inf) turns the exact
+    # solver's convergence check off or fails every root: rejected first.
+    if not 0.0 < args.tol < math.inf:
+        raise ValidationError(
+            f"tol must be positive and finite, got {args.tol}")
     return make_params(args.kappa1, args.kappa2, args.omega, args.eps)
 
 

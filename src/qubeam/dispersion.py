@@ -104,20 +104,19 @@ def _residual_offset_deriv(d, kappa, kappa_other, eps, sw):
             + sw / (r * r))
 
 
-def _first_order_terms(kappa_k, params, lam):
-    # (numerator, denominator, denominator floor) of the first-order offset
+def _first_order_terms(kappa_k, params):
+    # (numerator, (branch-1, branch-2) denominators, floor) of mode k's offsets
     k1, k2 = params.kappa1, params.kappa2
     s_sq = k1 * k1 + k2 * k2
     split = 2.0 * kappa_k * kappa_k - s_sq
-    den = (_branch_sign(lam) * 2.0 * params.omega * split
-           + kappa_k * (5.0 * kappa_k * kappa_k - 3.0 * s_sq)
-           + (k1 * k2) * (k1 * k2) / kappa_k)
-    return (params.eps * split, den,
+    field = 2.0 * params.omega * split      # +-field, an exact sign flip
+    rest = kappa_k * (5.0 * kappa_k * kappa_k - 3.0 * s_sq)
+    pole = (k1 * k2) * (k1 * k2) / kappa_k
+    return (params.eps * split, ((field + rest) + pole, (-field + rest) + pole),
             DENOMINATOR_FLOOR_REL * kappa_k * kappa_k * kappa_k)
 
 
-def _first_order_offset(kappa_k, params, lam):
-    num, den, floor = _first_order_terms(kappa_k, params, lam)
+def _first_order_offset(num, den, floor, kappa_k, lam):
     if not (abs(den) > floor and math.isfinite(d := num / den)):
         raise SingularDenominator(
             f"first-order denominator {den!r} not above its floor "
@@ -138,25 +137,27 @@ def _first_order_offsets(params, k, lam):
     params holds one array entry per point. Returns (offsets, ok); ok is
     False where the scalar form raises SingularDenominator.
     """
-    num, den, floor = _first_order_terms(_pair(params, k)[0], params, lam)
-    d = num / den
-    return d, (abs(den) > floor) & np.isfinite(d)
+    num, dens, floor = _first_order_terms(_pair(params, k)[0], params)
+    d = num / dens[lam - 1]
+    return d, (abs(dens[lam - 1]) > floor) & np.isfinite(d)
 
 
 def perturbative_roots(params: ModelParams) -> ModeRoots:
     """First-order root offsets, exact in the eps -> 0 limit."""
-    k1, k2 = params.kappa1, params.kappa2
-    return ModeRoots((k1, k2), (
-        (_first_order_offset(k1, params, 1), _first_order_offset(k1, params, 2)),
-        (_first_order_offset(k2, params, 1), _first_order_offset(k2, params, 2))))
+    offsets = []
+    for kappa_k in (params.kappa1, params.kappa2):
+        num, (den_1, den_2), floor = _first_order_terms(kappa_k, params)
+        offsets.append((_first_order_offset(num, den_1, floor, kappa_k, 1),
+                        _first_order_offset(num, den_2, floor, kappa_k, 2)))
+    return ModeRoots((params.kappa1, params.kappa2), tuple(offsets))
 
 
-def _solve_offset(kappa_k, kappa_other, params, lam):
+def _solve_offset(kappa_k, kappa_other, params, lam, guess):
     """One root offset by bracket-safeguarded Newton iteration.
 
-    Brackets the root (a probe around the first-order offset, else a
-    geometric scan up from the pole guard band), then runs Newton from the
-    first-order offset, bisecting whenever a step would leave the bracket.
+    Brackets the root (a probe around guess, the first-order offset, else a
+    geometric scan up from the pole guard band), then runs Newton from
+    guess, bisecting whenever a step would leave the bracket.
     Stops when a step no longer moves d, when the residual is exactly zero,
     or when a Newton step raises |residual|, keeping the better iterate.
     Returns (d, residual at d); exact_roots checks the tolerance.
@@ -166,7 +167,6 @@ def _solve_offset(kappa_k, kappa_other, params, lam):
     # Largest admissible offset: half the distance to the nearest other pole
     # (the other photon frequency, or the origin).
     cap = 0.5 * min(kappa_k, abs(kappa_other - kappa_k))
-    guess = _first_order_offset(kappa_k, params, lam)
 
     lo = hi = None
     if 0.0 < guess < cap / 8.0:
@@ -286,33 +286,30 @@ def _solve_offsets(params, k, lam, tol):
     return d, ok
 
 
-def _converged(kappa_k, kappa_other, params, k, lam, tol):
-    # one (d, residual) of exact_roots, checked before the next is solved
-    d, g = _solve_offset(kappa_k, kappa_other, params, lam)
-    if abs(g) > tol * kappa_k:
-        raise NonConvergence(f"residual {g!r} above {tol!r}*kappa for "
-                             f"k={k}, lambda={lam}")
-    return d, g
-
-
 def exact_roots(params: ModelParams, tol: float = DEFAULT_REL_TOL) -> ModeRoots:
     """Solve the dispersion relation for all four (k, lambda) roots.
 
-    tol is relative: the returned roots satisfy
-    |residual| <= tol * kappa_k, re-checked after the solve. Rejects a tol
-    that is not > 0 (nan would turn that check off), and eps = 0, where the
-    roots merge into the poles (use perturbative_roots for the limit).
+    tol is relative: the returned roots satisfy |residual| <= tol * kappa_k,
+    re-checked after the solve. Rejects a tol that is not positive and finite
+    (nan or inf would turn that check off), and eps = 0, where the roots merge
+    into the poles (use perturbative_roots for the limit).
     """
-    if not tol > 0:
-        raise ValidationError(f"tol must be > 0, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
     if not (params.eps > 0.0):
         raise NonPositive("exact solver requires eps > 0; the eps = 0 "
                           "equation has no bracketed root")
     k1, k2 = params.kappa1, params.kappa2
-    (d11, g11), (d12, g12), (d21, g21), (d22, g22) = (
-        _converged(k1, k2, params, 1, 1, tol),
-        _converged(k1, k2, params, 1, 2, tol),
-        _converged(k2, k1, params, 2, 1, tol),
-        _converged(k2, k1, params, 2, 2, tol))
+    solved = []     # in INDEX_ORDER, each root checked before the next
+    for k, kappa_k, kappa_o in ((1, k1, k2), (2, k2, k1)):
+        num, dens, floor = _first_order_terms(kappa_k, params)
+        for lam in (1, 2):
+            guess = _first_order_offset(num, dens[lam - 1], floor, kappa_k, lam)
+            d, g = _solve_offset(kappa_k, kappa_o, params, lam, guess)
+            if abs(g) > tol * kappa_k:
+                raise NonConvergence(f"residual {g!r} above {tol!r}*kappa "
+                                     f"for k={k}, lambda={lam}")
+            solved.append((d, g))
+    (d11, g11), (d12, g12), (d21, g21), (d22, g22) = solved
     return ModeRoots((k1, k2), ((d11, d12), (d21, d22)),
                      ((g11, g12), (g21, g22)))

@@ -3,8 +3,8 @@
 Two routes to the same physics, kept deliberately separate so each can check
 the other:
 
-* the pipeline route: roots -> the four column factors -> the state's
-  gaps -> measures, valid for any polarization configuration;
+* the pipeline route: roots -> checks of all four columns -> factors of
+  the two the state reads -> gaps -> measures, for any configuration;
 * closed forms: the field-and-frequency factor Phi with y = 1 - eps*Phi and
   E_S = 2*eps*Phi for the (down, up) configuration, and the asymptotic
   information measure, all exact only at leading order in eps.
@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bogoliubov import INDEX_ORDER, _column
+from .bogoliubov import INDEX_ORDER, _checked, _state_factors
 from .dispersion import DEFAULT_REL_TOL, exact_roots, perturbative_roots
 from .errors import (
     DomainError,
@@ -210,8 +210,8 @@ def full_report(params: ModelParams, config: PolarizationConfig,
                 tol: float = DEFAULT_REL_TOL) -> EntanglementReport:
     """Run the whole pipeline for one parameter point.
 
-    The four column factors, all evaluated as in build_block, give the
-    gaps that amplitudes(build_block(roots, params), config) would hold.
+    Each column is checked as build_block checks it, read or not; the two
+    read give the gaps amplitudes(build_block(roots, params), config) holds.
     method selects the root solver ("exact" or "perturbative"). Closed-form
     comparators are attached for configs (2,1) and (1,1); the other two have
     no leading-order reference and get None there. Upstream errors propagate
@@ -225,7 +225,9 @@ def full_report(params: ModelParams, config: PolarizationConfig,
         roots = (exact_roots(params, tol) if method == "exact"
                  else perturbative_roots(params))
         stage = "block"
-        columns = [_column(roots, params, k, lam) for k, lam in INDEX_ORDER]
+        columns = [_checked(roots, params, k, lam) for k, lam in INDEX_ORDER]
+        for i in (config.lambda1 - 1, config.lambda2 + 1):  # _state_gaps reads
+            columns[i] = _state_factors(*columns[i])
         stage = "amplitudes"
         _, _, y_gap, norm_gap = _state_gaps(columns, config)
         stage = "measures"

@@ -185,8 +185,9 @@ def _validate(config: SweepConfig):
         problems.append(f"omega_min must be >= 0, got {config.omega_min}")
     if config.omega_max < config.omega_min:
         problems.append("omega_max must be >= omega_min")
-    if not config.tol > 0:
-        problems.append(f"tol must be > 0, got {config.tol}")
+    if not 0.0 < config.tol < math.inf:
+        problems.append(
+            f"tol must be positive and finite, got {config.tol}")
     if config.method not in ("exact", "perturbative"):
         problems.append(f"method must be exact or perturbative, got "
                         f"{config.method!r}")

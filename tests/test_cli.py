@@ -338,17 +338,18 @@ def test_exit_code_config_problems(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8")
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 @pytest.mark.parametrize("command", [
     ["roots"], ["block"], ["state"], ["measures"], ["verify"]])
 def test_point_commands_reject_a_tol_that_is_not_positive(command, tol,
                                                            capsys):
-    # nan would switch the exact solver's convergence check off and -1
-    # would fail every root; both are input errors, as in qubeam sweep.
+    # nan or inf would switch the exact solver's convergence check off and
+    # -1 would fail every root; all are input errors, as in qubeam sweep.
     assert main(command + ["--tol", tol]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: tol must be > 0, got {float(tol)}\n"
+    assert err == ("error: tol must be positive and finite, got "
+                   f"{float(tol)}\n")
 
 
 def test_exit_code_unwritable_output(capsys):

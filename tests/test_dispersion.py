@@ -170,15 +170,16 @@ def test_zero_coupling_exact_solve_rejected():
         exact_roots(ModelParams(2500.0, 3000.0, 0.5, 0.0))
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
 def test_a_tol_that_is_not_positive_is_rejected(fig_params, tol):
-    # nan would turn the convergence check off, and -1 fail every root
+    # nan or inf would turn the convergence check off, and -1 fail every root
     with pytest.raises(ValidationError) as err:
         exact_roots(fig_params, tol)
-    assert str(err.value) == f"tol must be > 0, got {tol}"
+    assert str(err.value) == f"tol must be positive and finite, got {tol}"
     with pytest.raises(ValidationError) as err:
         full_report(fig_params, PolarizationConfig(2, 1), tol=tol)
-    assert str(err.value) == f"stage roots: tol must be > 0, got {tol}"
+    assert str(err.value) == ("stage roots: tol must be positive and finite, "
+                              f"got {tol}")
 
 
 def test_bracket_failure_reports_scanned_interval():
@@ -273,8 +274,11 @@ def _evaluations_per_root(p):
             mp.setattr(dispersion, name, counted(getattr(dispersion, name)))
         for k, lam in KLAM:
             kk, ko = (p.kappa1, p.kappa2) if k == 1 else (p.kappa2, p.kappa1)
+            num, dens, floor = dispersion._first_order_terms(kk, p)
+            guess = dispersion._first_order_offset(num, dens[lam - 1], floor,
+                                                   kk, lam)
             count[0] = 0
-            dispersion._solve_offset(kk, ko, p, lam)
+            dispersion._solve_offset(kk, ko, p, lam, guess)
             per_root.append(count[0])
     return per_root
 
@@ -347,8 +351,11 @@ def test_batched_offsets_match_the_scalar_solvers_or_are_flagged(points):
         for i, point in enumerate(points):
             p = make_params(*point)
             kk, ko = (p.kappa1, p.kappa2) if k == 1 else (p.kappa2, p.kappa1)
+            num, dens, floor = dispersion._first_order_terms(kk, p)
             try:
-                d, g = dispersion._solve_offset(kk, ko, p, lam)
+                guess = dispersion._first_order_offset(num, dens[lam - 1],
+                                                       floor, kk, lam)
+                d, g = dispersion._solve_offset(kk, ko, p, lam, guess)
             except ComputationError:
                 d = None
             if d is None or abs(g) > DEFAULT_REL_TOL * kk:
@@ -356,7 +363,8 @@ def test_batched_offsets_match_the_scalar_solvers_or_are_flagged(points):
             elif exact_ok[i]:
                 assert exact[i] == d
             try:
-                want = dispersion._first_order_offset(kk, p, lam)
+                want = dispersion._first_order_offset(num, dens[lam - 1],
+                                                      floor, kk, lam)
             except ComputationError:
                 assert not first_ok[i]
                 continue

@@ -22,6 +22,8 @@ from qubeam import (
     perturbative_roots,
     phi_closed,
 )
+from qubeam.bogoliubov import INDEX_ORDER, _column
+from qubeam.dispersion import ModeRoots
 from qubeam.entangle import (
     _SERIES_CUT,
     DOMAIN_TOL,
@@ -43,7 +45,7 @@ from qubeam.errors import (
     ValidationError,
 )
 from qubeam.params import ModelParams
-from qubeam.qstate import PolarizationConfig
+from qubeam.qstate import PolarizationConfig, _state_gaps
 
 import mp_reference
 from mp_reference import info_from_gap, rel_err
@@ -337,13 +339,34 @@ def test_report_stage_reraises_the_same_object(fig_params, monkeypatch):
     def broken(roots, params, k, lam):
         raise inner
 
-    monkeypatch.setattr(entangle, "_column", broken)
+    monkeypatch.setattr(entangle, "_checked", broken)
     with pytest.raises(PoleEvaluation) as err:
         full_report(fig_params, PolarizationConfig.from_code("du"))
     assert err.value is inner and err.value.detail is inner.detail
     assert err.value.stage == "block"
     assert str(err.value) == "stage block: on the pole"
     assert PoleEvaluation("x").stage is None
+
+
+@pytest.mark.parametrize("k,lam", INDEX_ORDER)
+def test_every_column_is_checked_whether_the_state_reads_it_or_not(
+        fig_params, fig_roots, monkeypatch, k, lam):
+    # A root on its pole marks an invalid regime even in a column that the
+    # config's state does not read, so the report fails at the block stage.
+    offsets = [list(row) for row in fig_roots.offsets]
+    offsets[k - 1][lam - 1] = 0.0
+    on_pole = ModeRoots(fig_roots.kappas, tuple(map(tuple, offsets)))
+    monkeypatch.setattr(entangle, "exact_roots", lambda params, tol: on_pole)
+    monkeypatch.setattr(entangle, "perturbative_roots", lambda params: on_pole)
+    for code in ("uu", "ud", "du", "dd"):
+        for method in ("exact", "perturbative"):
+            with pytest.raises(PoleEvaluation) as err:
+                full_report(fig_params, PolarizationConfig.from_code(code),
+                            method)
+            assert err.value.stage == "block"
+            assert str(err.value) == (
+                f"stage block: root r[{k}][{lam}] sits exactly on its pole; "
+                "the transformation is singular there")
 
 
 def _report_through_the_block(params, config, method):
@@ -441,6 +464,54 @@ def test_point_path_outcomes_are_pinned():
                            rep.E_S_closed)
                 digest.update(repr(got).encode() + b"\n")
     assert digest.hexdigest() == POINT_PATH_DIGEST
+
+
+def _stages_without_closed_forms(params, config, method):
+    """full_report's stages up to the measures: (offsets, y_gap, norm_gap,
+    E_I, E_S), or the (type, stage) of the error raised."""
+    stage = "roots"
+    try:
+        roots = (exact_roots(params) if method == "exact"
+                 else perturbative_roots(params))
+        stage = "block"
+        columns = [_column(roots, params, k, lam) for k, lam in INDEX_ORDER]
+        stage = "amplitudes"
+        _, _, y_gap, norm_gap = _state_gaps(columns, config)
+        stage = "measures"
+        e_i, e_s = entangle._measures(y_gap, norm_gap)
+    except QubeamError as exc:
+        return type(exc), stage
+    return roots.offsets, y_gap, norm_gap, e_i, e_s
+
+
+def test_reversing_the_field_mirrors_both_polarizations_bit_for_bit():
+    # omega enters only as (-1)^(lambda-1) * omega, an exact product, so
+    # (omega, lambda1, lambda2) and (-omega, 3-lambda1, 3-lambda2) are the
+    # same state with each mode's two roots swapped. Where one side raises,
+    # the other raises the same type at the same stage; the text may name
+    # the other branch's root, since roots are solved in INDEX_ORDER.
+    evaluated = raised = 0
+    for point in _envelope_points(16, 300):
+        for s in (1.0, 2.0 ** -60, 2.0 ** 60):
+            k1, k2, omega, eps = (x * f for x, f in
+                                  zip(point, (s, s, s, s * s)))
+            params = ModelParams(k1, k2, omega, eps)
+            mirror = ModelParams(k1, k2, -omega, eps)
+            for l1, l2 in INDEX_ORDER:
+                config = PolarizationConfig(l1, l2)
+                flipped = PolarizationConfig(3 - l1, 3 - l2)
+                for method in ("exact", "perturbative"):
+                    got = _stages_without_closed_forms(params, config, method)
+                    want = _stages_without_closed_forms(mirror, flipped,
+                                                        method)
+                    if len(want) == 5:
+                        (d11, d12), (d21, d22) = want[0]
+                        want = ((d12, d11), (d22, d21)), *want[1:]
+                        evaluated += 1
+                    else:
+                        raised += 1
+                    assert repr(got) == repr(want), (point, s, config, method)
+    assert evaluated > 1000 and raised > 1000
 
 
 def test_schmidt_from_gaps_consistency():

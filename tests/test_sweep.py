@@ -203,8 +203,8 @@ FLOAT_KEYS = ["kappa1", "dk_min", "dk_max", "omega_min", "omega_max", "eps",
 @pytest.mark.parametrize("key", FLOAT_KEYS)
 def test_config_int_too_large_for_a_float_reads_as_infinite(key, sign):
     # float(10**400) overflows; on every route the float keys read such an
-    # int as +-inf, as a config file or the command line reads "1e400".
-    # tol = +inf is > 0, so that one config is built.
+    # int as +-inf, as a config file or the command line reads "1e400",
+    # and every route then rejects the config with the same message.
     def outcome(build, value):
         try:
             return build({key: value})
@@ -215,6 +215,19 @@ def test_config_int_too_large_for_a_float_reads_as_infinite(key, sign):
         assert outcome(build, sign * 10**400) == want
 
 
+@pytest.mark.parametrize("method", ["exact", "perturbative"])
+def test_zero_field_line_is_the_same_for_mirrored_configs(method):
+    # At omega = 0 reversing the field changes nothing, so du equals ud and
+    # uu equals dd there in every value column but the closed forms.
+    n = SweepConfig().dk_steps
+    for a, b in (("du", "ud"), ("uu", "dd")):
+        ta, tb = (run_sweep(SweepConfig(pol=PolarizationConfig.from_code(c),
+                                        method=method)) for c in (a, b))
+        assert ta.omega[:n] == [0.0] * n and ta.omega[n] > 0.0
+        for name in ("y", "E_I", "E_S", "raw_norm", "status"):
+            assert repr(getattr(ta, name)[:n]) == repr(getattr(tb, name)[:n])
+
+
 # Configs no route builds: each raises parse_config's ValidationError.
 INVALID = {
     "dk_steps_1": {"dk_steps": 1}, "dk_steps_0": {"dk_steps": 0},
@@ -222,7 +235,7 @@ INVALID = {
     "tol_neg": {"tol": -1.0}, "kappa1_neg": {"kappa1": -1.0},
     "omega_max_2499": {"omega_max": 2499.0},
     "dk_steps_2.5": {"dk_steps": 2.5}, "omega_steps_2.5": {"omega_steps": 2.5},
-    **{f"{key}_huge": {key: 10**400} for key in FLOAT_KEYS if key != "tol"},
+    **{f"{key}_huge": {key: 10**400} for key in FLOAT_KEYS},
 }
 
 
