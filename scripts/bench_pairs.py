@@ -7,8 +7,9 @@ Runs perfbench/run.py --trace 0 in PARENT and in CHANGE, one workload,
 run's last output line is its JSON result.
 
 For every end-to-end metric listed in BENCHMARK.json (read, never
-written), prints each side's median and quartiles and the number of pairs
-CHANGE won, then two verdicts:
+written), prints each side's median and quartiles, its medians over the
+runs it made first and second in a pair (the order effect), and the number
+of pairs CHANGE won, then two verdicts:
 
 * claim: CHANGE won at least 9 in 10 of the pairs, and its median is
   better than the parent's by more than the parent's interquartile range;
@@ -51,6 +52,15 @@ def quartiles(values):
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def order_medians(values, first):
+    """(median of the runs made first in their pair, median of those made
+    second); first[i] tells whether values[i] ran first. None for an order
+    no run had."""
+    return tuple(statistics.median(ran) if ran else None for ran in (
+        [v for v, f in zip(values, first) if f],
+        [v for v, f in zip(values, first) if not f]))
 
 
 def verdict(parent, change, better, bound):
@@ -180,8 +190,13 @@ def main(argv=None):
               f"bound {m['bound']:g})")
         for side in ("parent", "change"):
             q1, med, q3 = v[side]
+            by_order = order_medians(
+                [r["metrics"][name]["value"] for r in runs[side]],
+                [pair["first"] == side for pair in pairs])
+            first, second = ("-" if m is None else f"{m:.6g}"
+                             for m in by_order)
             print(f"  {side:<6}  median {med:.6g}  quartiles {q1:.6g} .. "
-                  f"{q3:.6g}")
+                  f"{q3:.6g}  ran first {first}, second {second}")
         spread = "" if v["resolved"] else " (unresolved: spread above bound)"
         print(f"  change won {v['wins']} of {args.pairs} pairs; median "
               f"{v['change'][1] / v['parent'][1] - 1.0:+.2%}; "

@@ -38,21 +38,21 @@ class ColumnFactors(NamedTuple):
     """Exact per-column quantities for column (k, lam) of the block; a
     block's columns are identified by their position in INDEX_ORDER.
 
-    a_self is the factored pole difference r^2 - kappa_k^2 of the column's
-    own photon mode at its root r. chi is the relative deviation of the
+    The first four are _state_factors'. chi is the relative deviation of the
     normalization radicand from its self-pole part: radicand =
     (2/a_self^2)(1 + chi). xi = d^2/(4 r kappa) measures the deviation of the
     u self-entry from 1/sqrt(2): m_self^2 = (1 + xi) / (2 (1 + chi)).
     m_* and w_* are the signed magnitudes of the u and v entries (phases
-    excluded); m_cross carries the sign of r - kappa_other.
+    excluded); m_cross carries the sign of r - kappa_other. a_self is the
+    factored pole difference r^2 - kappa_k^2 of the own mode at root r.
     """
 
-    a_self: float
     chi: float
     xi: float
-    q: float
     m_self: float
     m_cross: float
+    a_self: float
+    q: float
     w_self: float
     w_cross: float
 
@@ -72,68 +72,65 @@ def _deviations(kappa_k, d, r, a_cross, params: ModelParams, lam):
     return a_self, chi, xi
 
 
-StateFactors = NamedTuple("StateFactors", [    # the fields _gaps reads
-    ("chi", float), ("xi", float), ("m_self", float), ("m_cross", float)])
-
-
-def _checked(roots: ModeRoots, params: ModelParams, k, lam):
-    """Checked (kappa_k, kappa_o, d, r, a_self, chi, xi) of column (k, lam)."""
-    kappa_k, kappa_o = roots.kappas[k - 1], roots.kappas[2 - k]
-    d = roots.offsets[k - 1][lam - 1]
-    if d == 0.0:
-        raise PoleEvaluation(
-            f"root r[{k}][{lam}] sits exactly on its pole; "
-            "the transformation is singular there")
-    cross = kappa_k - kappa_o + d
-    if cross == 0.0:
-        raise PoleEvaluation(
-            f"root r[{k}][{lam}] = {kappa_k + d!r} sits on the other "
-            f"photon's pole at {kappa_o!r}; the transformation is singular "
-            "there")
-    # chi divides by r^3 eps and a_cross^2, which underflow to 0 at tiny
-    # scales (a batch masks those points as not finite).
-    r = kappa_k + d
-    a_cross = cross * (kappa_k + kappa_o + d)
-    if not (abs(r * r * r * params.eps) > 0.0 and a_cross * a_cross > 0.0):
-        raise SingularDenominator(
-            f"normalization denominator of r[{k}][{lam}] = {r!r} underflows "
-            "to 0 or is not a number")
-    a_self, chi, xi = _deviations(kappa_k, d, r, a_cross, params, lam)
-    if not chi > -1.0:
-        radicand = 2.0 * (1.0 + chi) / (a_self * a_self)
-        raise NegativeRadicand(
-            f"normalization radicand {radicand!r} <= 0 at k={k}, lambda={lam}")
-    return kappa_k, kappa_o, d, r, a_self, chi, xi
+def _checked(roots: ModeRoots, params: ModelParams, columns=INDEX_ORDER):
+    """Checked (kappa_k, kappa_o, d, r, a_self, chi, xi) of each column
+    (k, lam) in columns, in turn; a failing one raises before the next."""
+    kappas, offsets, _ = roots
+    checked = []
+    for k, lam in columns:
+        kappa_k, kappa_o = kappas[k - 1], kappas[2 - k]
+        d = offsets[k - 1][lam - 1]
+        if d == 0.0:
+            raise PoleEvaluation(
+                f"root r[{k}][{lam}] sits exactly on its pole; "
+                "the transformation is singular there")
+        cross = kappa_k - kappa_o + d
+        if cross == 0.0:
+            raise PoleEvaluation(f"root r[{k}][{lam}] = {kappa_k + d!r} sits "
+                                 f"on the other photon's pole at {kappa_o!r}; "
+                                 "the transformation is singular there")
+        # chi divides by r^3 eps and a_cross^2, which underflow to 0 at tiny
+        # scales (a batch masks those points as not finite).
+        r = kappa_k + d
+        a_cross = cross * (kappa_k + kappa_o + d)
+        if not (abs(r * r * r * params.eps) > 0.0 and a_cross * a_cross > 0.0):
+            raise SingularDenominator(
+                f"normalization denominator of r[{k}][{lam}] = {r!r} "
+                "underflows to 0 or is not a number")
+        a_self, chi, xi = _deviations(kappa_k, d, r, a_cross, params, lam)
+        if not chi > -1.0:
+            radicand = 2.0 * (1.0 + chi) / (a_self * a_self)
+            raise NegativeRadicand(f"normalization radicand {radicand!r} <= 0 "
+                                   f"at k={k}, lambda={lam}")
+        checked.append((kappa_k, kappa_o, d, r, a_self, chi, xi))
+    return checked
 
 
 def _state_factors(kappa_k, kappa_o, d, r, a_self, chi, xi, sqrt=math.sqrt):
-    # StateFactors of a checked column; np.sqrt over a batch's arrays
+    # (chi, xi, m_self, m_cross), read by _gaps; np.sqrt over a batch's arrays
     scale = sqrt(2.0 * (1.0 + chi))
-    return StateFactors(
-        chi, xi, (r + kappa_k) / (2.0 * sqrt(r * kappa_k) * scale),
-        a_self / (2.0 * sqrt(r * kappa_o) * (kappa_k - kappa_o + d) * scale))
+    return (chi, xi, (r + kappa_k) / (2.0 * sqrt(r * kappa_k) * scale),
+            a_self / (2.0 * sqrt(r * kappa_o) * (kappa_k - kappa_o + d) * scale))
 
 
 def _column(roots: ModeRoots, params: ModelParams, k, lam) -> ColumnFactors:
-    deviations = _checked(roots, params, k, lam)
-    kappa_k, kappa_o, d, r, a_self, chi, xi = deviations
-    _, _, m_self, m_cross = _state_factors(*deviations)
+    (checked,) = _checked(roots, params, ((k, lam),))
+    kappa_k, kappa_o, d, r, a_self, chi, xi = checked
     scale = math.sqrt(2.0 * (1.0 + chi))
     return ColumnFactors(
-        a_self, chi, xi, abs(a_self) / scale, m_self, m_cross,
+        *_state_factors(*checked), a_self, abs(a_self) / scale,
         d / (2.0 * math.sqrt(r * kappa_k) * scale),
         a_self / (2.0 * math.sqrt(r * kappa_o) * (r + kappa_o) * scale))
 
 
-def _columns(offsets, params: ModelParams, k, lam):
+def _columns(d, params: ModelParams, k, lam):
     """_state_factors of column (k, lam) over a batch of points.
 
-    params holds one array entry per point and offsets maps (k, lam) to the
-    root offsets. Returns (factors, ok): StateFactors of arrays, and False
-    where _checked raises or a factor is not finite.
+    params holds one array entry per point and d the column's root offsets.
+    Returns (factors, ok): the four factors as arrays, and False where
+    _checked raises or a factor is not finite.
     """
     kappa_k, kappa_o = _pair(params, k)
-    d = offsets[(k, lam)]
     r = kappa_k + d
     a_cross = (kappa_k - kappa_o + d) * (kappa_k + kappa_o + d)
     a_self, chi, xi = _deviations(kappa_k, d, r, a_cross, params, lam)

@@ -95,13 +95,19 @@ def _residual_offset(d, kappa, kappa_other, eps, sw):
     return eps / self_pole + eps / cross_pole - 1.0 - sw / r
 
 
-def _residual_offset_deriv(d, kappa, kappa_other, eps, sw):
+def _dispersion(d, kappa, kappa_other, eps, sw):
+    # (residual, slope) from one set of poles, rtsafe's funcd; a float slope
+    # whose squares underflow is 0.0, failing only a step that uses it
     r = kappa + d
     self_pole = d * (d + 2.0 * kappa)
     cross_pole = (kappa - kappa_other + d) * (kappa + kappa_other + d)
-    return (-2.0 * r * eps / (self_pole * self_pole)
-            - 2.0 * r * eps / (cross_pole * cross_pole)
-            + sw / (r * r))
+    g = eps / self_pole + eps / cross_pole - 1.0 - sw / r
+    try:
+        return g, (-2.0 * r * eps / (self_pole * self_pole)
+                   - 2.0 * r * eps / (cross_pole * cross_pole)
+                   + sw / (r * r))
+    except ZeroDivisionError:
+        return g, 0.0
 
 
 def _first_order_terms(kappa_k, params):
@@ -155,12 +161,12 @@ def perturbative_roots(params: ModelParams) -> ModeRoots:
 def _solve_offset(kappa_k, kappa_other, params, lam, guess):
     """One root offset by bracket-safeguarded Newton iteration.
 
-    Brackets the root (a probe around guess, the first-order offset, else a
-    geometric scan up from the pole guard band), then runs Newton from
-    guess, bisecting whenever a step would leave the bracket.
-    Stops when a step no longer moves d, when the residual is exactly zero,
-    or when a Newton step raises |residual|, keeping the better iterate.
-    Returns (d, residual at d); exact_roots checks the tolerance.
+    Brackets the root with _residual_offset (a probe around guess, the
+    first-order offset, else a geometric scan up from the pole guard band),
+    then runs Newton from guess, one _dispersion call per step, bisecting
+    whenever a step would leave the bracket. Stops when a step no longer
+    moves d, when the residual is exactly zero, or when a Newton step raises
+    |residual|, keeping the better iterate. Returns (d, residual at d).
     """
     eps, sw = params.eps, _branch_sign(lam) * params.omega
 
@@ -195,7 +201,7 @@ def _solve_offset(kappa_k, kappa_other, params, lam, guess):
     # (Numerical Recipes' rtsafe). Every residual shrinks the bracket by its
     # sign; a Newton step that would leave it becomes a bisection.
     d = guess if lo < guess < hi else 0.5 * (lo + hi)
-    g_cur = _residual_offset(d, kappa_k, kappa_other, eps, sw)
+    g_cur, slope = _dispersion(d, kappa_k, kappa_other, eps, sw)
     for _ in range(_ITER_MAX):
         if g_cur == 0.0:
             break
@@ -204,11 +210,10 @@ def _solve_offset(kappa_k, kappa_other, params, lam, guess):
         else:
             hi = d
         try:
-            d_new = d - g_cur / _residual_offset_deriv(d, kappa_k, kappa_other,
-                                                       eps, sw)
+            d_new = d - g_cur / slope
         except ZeroDivisionError:
-            # A square in the derivative underflowed to 0 (tiny scales), or
-            # the derivative itself is 0: the Newton step has no value.
+            # The slope is 0, or its squares underflowed to 0 at tiny scales
+            # (_dispersion's 0.0): the Newton step has no value.
             raise SingularDenominator(
                 f"residual derivative has a zero denominator at offset {d!r} "
                 f"for mode at kappa={kappa_k}, lambda={lam}") from None
@@ -221,13 +226,13 @@ def _solve_offset(kappa_k, kappa_other, params, lam, guess):
             d_new = 0.5 * (lo + hi)
             if not lo < d_new < hi:
                 break
-        g_new = _residual_offset(d_new, kappa_k, kappa_other, eps, sw)
+        g_new, slope_new = _dispersion(d_new, kappa_k, kappa_other, eps, sw)
         # Near the root the residual is quantized (one ulp of d moves it by
         # about one ulp of 1), so an equal |g| is accepted and only a rise
         # ends the iteration.
         if newton and abs(g_new) > abs(g_cur):
             break
-        d, g_cur = d_new, g_new
+        d, g_cur, slope = d_new, g_new, slope_new
     return d, g_cur
 
 
@@ -240,7 +245,7 @@ def _solve_offsets(params, k, lam, tol):
     stop rules; only the points still iterating are computed. Returns
     (offsets, ok). ok is False where the probe finds no bracket (the scalar
     form then scans), where the residual misses tol*kappa_k, and where a
-    value is not finite or a derivative is zero; those points are left to
+    value is not finite or a slope is zero; those points are left to
     exact_roots.
     """
     kappa_k, kappa_o = _pair(params, k)
@@ -253,34 +258,33 @@ def _solve_offsets(params, k, lam, tol):
     ok &= ((0.0 < guess) & (guess < cap / 8.0) & (g_lo > 0.0) & (0.0 > g_hi)
            & np.isfinite(g_lo) & np.isfinite(g_hi))
     d = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
-    g_cur = _residual_offset(d, kappa_k, kappa_o, eps, sw)
+    g_cur, slope = _dispersion(d, kappa_k, kappa_o, eps, sw)
     ok &= np.isfinite(g_cur)
 
     # The iterating points, compacted: their indices, inputs and state.
     act = np.flatnonzero(ok)
     kk_a, ko_a, eps_a, sw_a = kappa_k[act], kappa_o[act], eps[act], sw[act]
-    d_a, g_a, lo, hi = d[act], g_cur[act], lo[act], hi[act]
+    d_a, g_a, s_a, lo, hi = d[act], g_cur[act], slope[act], lo[act], hi[act]
     for _ in range(_ITER_MAX):
         if not act.size:
             break
         pos = g_a > 0.0
         lo = np.where(pos, d_a, lo)
         hi = np.where(pos, hi, d_a)
-        deriv = _residual_offset_deriv(d_a, kk_a, ko_a, eps_a, sw_a)
-        d_new = d_a - g_a / deriv
+        d_new = d_a - g_a / s_a
         stop = (g_a == 0.0) | (d_new == d_a)
         newton = (lo < d_new) & (d_new < hi)
         d_new = np.where(newton, d_new, 0.5 * (lo + hi))
         stop |= ~newton & ~((lo < d_new) & (d_new < hi))
-        g_new = _residual_offset(d_new, kk_a, ko_a, eps_a, sw_a)
+        g_new, s_new = _dispersion(d_new, kk_a, ko_a, eps_a, sw_a)
         stop |= newton & (np.abs(g_new) > np.abs(g_a))
-        bad = ~(np.isfinite(deriv) & (deriv != 0.0) & np.isfinite(g_new))
+        bad = ~(np.isfinite(s_a) & (s_a != 0.0) & np.isfinite(g_new))
         go = ~(stop | bad)
         d[act[~go]], g_cur[act[~go]] = d_a[~go], g_a[~go]
         ok[act[bad]] = False
         act = act[go]
         kk_a, ko_a, eps_a, sw_a = kk_a[go], ko_a[go], eps_a[go], sw_a[go]
-        d_a, g_a, lo, hi = d_new[go], g_new[go], lo[go], hi[go]
+        d_a, g_a, s_a, lo, hi = d_new[go], g_new[go], s_new[go], lo[go], hi[go]
     d[act], g_cur[act] = d_a, g_a
     ok &= ~(np.abs(g_cur) > tol * kappa_k)
     return d, ok

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bogoliubov import INDEX_ORDER, _checked, _state_factors
+from .bogoliubov import _checked, _state_factors
 from .dispersion import DEFAULT_REL_TOL, exact_roots, perturbative_roots
 from .errors import (
     DomainError,
@@ -194,10 +194,8 @@ def _closed_forms(params: ModelParams, config: PolarizationConfig):
     (1,1); the other two have no leading-order reference and get Nones."""
     if (config.lambda1, config.lambda2) == (2, 1):
         phi, y_closed = phi_closed(params)
-        if params.omega == 0.0 or phi == 0.0:
-            e_i_asym = 0.0
-        else:
-            e_i_asym = _asymptotic_from_phi(phi, params.eps)
+        e_i_asym = (0.0 if params.omega == 0.0 or phi == 0.0
+                    else _asymptotic_from_phi(phi, params.eps))
         return phi, y_closed, e_i_asym, 2.0 * params.eps * phi
     if (config.lambda1, config.lambda2) == (1, 1):
         # Exact leading-order references: a rank-1 (product) state.
@@ -225,7 +223,7 @@ def full_report(params: ModelParams, config: PolarizationConfig,
         roots = (exact_roots(params, tol) if method == "exact"
                  else perturbative_roots(params))
         stage = "block"
-        columns = [_checked(roots, params, k, lam) for k, lam in INDEX_ORDER]
+        columns = _checked(roots, params)
         for i in (config.lambda1 - 1, config.lambda2 + 1):  # _state_gaps reads
             columns[i] = _state_factors(*columns[i])
         stage = "amplitudes"

@@ -42,14 +42,15 @@ def make_params(kappa1, kappa2, omega, eps) -> ModelParams:
     """Validate raw numbers into ModelParams.
 
     Raises NonPositive, DegenerateFrequencies, NearResonance, or a plain
-    ValidationError (wrong frequency ordering). Idempotent: feeding the
-    fields of a valid ModelParams back in returns an equal instance.
+    ValidationError (not a number, or wrong frequency ordering). Idempotent:
+    feeding the fields of a valid ModelParams back in returns an equal one.
     """
     try:
         kappa1, kappa2 = float(kappa1), float(kappa2)
         omega, eps = float(omega), float(eps)
-    except OverflowError:
-        return make_params(*map(_inf_if_huge, (kappa1, kappa2, omega, eps)))
+    except (OverflowError, TypeError, ValueError):
+        return make_params(*map(_inf_if_huge, (kappa1, kappa2, omega, eps),
+                                ModelParams._fields))
     if not 0.0 < kappa1 < math.inf:
         raise NonPositive(f"kappa1 must be positive and finite, got {kappa1!r}")
     if not 0.0 < kappa2 < math.inf:
@@ -74,12 +75,17 @@ def make_params(kappa1, kappa2, omega, eps) -> ModelParams:
     return ModelParams(kappa1, kappa2, omega, eps)
 
 
-def _inf_if_huge(value):
-    """+-inf for an int too large for a float, as "1e400" reads; else value."""
+def _inf_if_huge(value, name=None):
+    """+-inf for an int too large for a float, as "1e400" reads; else value.
+    Given the field's name, a value float() rejects raises ValidationError."""
     try:
         float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+    except (TypeError, ValueError):
+        if name:
+            raise ValidationError(
+                f"{name} must be a number, got {value!r}") from None
     return value
 
 

@@ -87,23 +87,21 @@ def _pattern_vector(b_self, a_cross, config):
 
 
 def _gaps(c1, c2, parallel):
-    """(b_self, a_cross, y_gap, norm_gap) from the factors of columns
-    (1, lambda1) and (2, lambda2), as floats or as arrays alike."""
-    b_self = c1.m_self * c2.m_self
-    a_cross = c1.m_cross * c2.m_cross
+    """(b_self, a_cross, y_gap, norm_gap) from the leading (chi, xi, m_self,
+    m_cross) of columns (1, lambda1) and (2, lambda2), floats or arrays."""
+    chi1, xi1, m_self1, m_cross1 = c1[:4]
+    chi2, xi2, m_self2, m_cross2 = c2[:4]
+    b_self, a_cross = m_self1 * m_self2, m_cross1 * m_cross2
     # 1 - 4 b^2 without forming 4 b^2: with b^2 =
     # (1+xi1)(1+xi2) / (4 (1+chi1)(1+chi2)) the gap reduces to a ratio of
     # sums of the small deviations.
-    num = (c1.chi + c2.chi + c1.chi * c2.chi
-           - c1.xi - c2.xi - c1.xi * c2.xi)
-    den = (1.0 + c1.chi) * (1.0 + c2.chi)
-    self_gap = num / den
+    self_gap = ((chi1 + chi2 + chi1 * chi2 - xi1 - xi2 - xi1 * xi2)
+                / ((1.0 + chi1) * (1.0 + chi2)))
     four_a_sq = 4.0 * a_cross * a_cross
     if parallel:
         # All the weight sits in one product state; the spectral gap of the
         # raw density matrix equals its trace.
-        y_gap = self_gap - 8.0 * a_cross * b_self - four_a_sq
-        norm_gap = y_gap
+        y_gap = norm_gap = self_gap - 8.0 * a_cross * b_self - four_a_sq
     else:
         y_gap = self_gap + four_a_sq
         norm_gap = self_gap - four_a_sq

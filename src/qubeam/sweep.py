@@ -150,10 +150,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Swee
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad value for "
                                  f"{key!r}: {exc}") from exc
-    if overrides:
-        for key, val in overrides.items():
-            if val is not None:
-                values[key] = val
+    values.update({key: val for key, val in (overrides or {}).items()
+                   if val is not None})
 
     if "pol" in values and not isinstance(values["pol"], PolarizationConfig):
         try:
@@ -170,24 +168,28 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Swee
 
 
 def _validate(config: SweepConfig):
-    problems = []
+    problems = [f"{key} must be a number, got {value!r}" for key, kind in
+                _FILE_KEYS.items() if kind is float and not isinstance(
+                    value := getattr(config, key), (int, float))]
+    numbers = not problems      # the value checks need every float a number
     for name in ("dk_steps", "omega_steps"):
         steps = getattr(config, name)
         if not isinstance(steps, int):
             problems.append(f"{name} must be an integer, got {steps!r}")
         elif steps < 2:
             problems.append(f"{name} must be >= 2, got {steps}")
-    if not config.dk_min > 0:
-        problems.append(f"dk_min must be > 0, got {config.dk_min}")
-    if config.dk_max < config.dk_min:
-        problems.append("dk_max must be >= dk_min")
-    if config.omega_min < 0:
-        problems.append(f"omega_min must be >= 0, got {config.omega_min}")
-    if config.omega_max < config.omega_min:
-        problems.append("omega_max must be >= omega_min")
-    if not 0.0 < config.tol < math.inf:
-        problems.append(
-            f"tol must be positive and finite, got {config.tol}")
+    if numbers:
+        if not config.dk_min > 0:
+            problems.append(f"dk_min must be > 0, got {config.dk_min}")
+        if config.dk_max < config.dk_min:
+            problems.append("dk_max must be >= dk_min")
+        if config.omega_min < 0:
+            problems.append(f"omega_min must be >= 0, got {config.omega_min}")
+        if config.omega_max < config.omega_min:
+            problems.append("omega_max must be >= omega_min")
+        if not 0.0 < config.tol < math.inf:
+            problems.append(
+                f"tol must be positive and finite, got {config.tol}")
     if config.method not in ("exact", "perturbative"):
         problems.append(f"method must be exact or perturbative, got "
                         f"{config.method!r}")
@@ -200,11 +202,9 @@ def _validate(config: SweepConfig):
     # in grid order, to quote its message.
     omegas, dks, omega, kappa2 = _grid_arrays(config)
     rank = _rejections(float(config.kappa1), kappa2, omega, float(config.eps))
-    seen = set()
-    for i in np.flatnonzero(rank).tolist():
-        if rank[i] in seen:
-            continue
-        seen.add(rank[i])
+    rejected = np.flatnonzero(rank)
+    _, firsts = np.unique(rank[rejected], return_index=True)
+    for i in sorted(rejected[firsts].tolist()):
         line, column = divmod(i, len(dks))
         point_omega, point_dk = omegas[line], dks[column]
         try:
@@ -241,17 +241,14 @@ def _batch_gaps(params: ModelParams, config: SweepConfig):
     """
     settled = np.ones(len(params.omega), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        offsets = {}
-        for k, lam in INDEX_ORDER:
+        columns = {}
+        for k, lam in INDEX_ORDER:      # all four: full_report checks each
             if config.method == "exact":
                 d, ok = _solve_offsets(params, k, lam, config.tol)
             else:
                 d, ok = _first_order_offsets(params, k, lam)
             settled &= ok & (_pair(params, k)[0] + d > 0.0)
-            offsets[(k, lam)] = d
-        columns = {}
-        for k, lam in INDEX_ORDER:      # all four: full_report checks each
-            columns[(k, lam)], ok = _columns(offsets, params, k, lam)
+            columns[(k, lam)], ok = _columns(d, params, k, lam)
             settled &= ok
         pol = config.pol
         b_self, a_cross, y_gap, norm_gap = _gaps(

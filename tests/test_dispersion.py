@@ -22,6 +22,7 @@ from qubeam.dispersion import DEFAULT_REL_TOL, ModeRoots
 from qubeam.errors import (
     BracketFailure,
     ComputationError,
+    NonConvergence,
     NonPositive,
     SingularDenominator,
     ValidationError,
@@ -257,30 +258,66 @@ def test_mode_roots_fields_repr_and_index_range(fig_roots):
 
 
 def _evaluations_per_root(p):
-    """Residual plus derivative evaluations spent on each (k, lambda) root."""
+    """Residual plus slope evaluations spent on each (k, lambda) root: a
+    _residual_offset call is one, a _dispersion call one of each. Asserts
+    that the residual alone runs only in the bracket, before Newton."""
     from qubeam import dispersion
 
-    count = [0]
+    calls = []
 
     def counted(fn):
         def wrapper(*args):
-            count[0] += 1
+            calls.append(fn.__name__)
             return fn(*args)
         return wrapper
 
     per_root = []
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_residual_offset", "_residual_offset_deriv"):
+        for name in ("_residual_offset", "_dispersion"):
             mp.setattr(dispersion, name, counted(getattr(dispersion, name)))
         for k, lam in KLAM:
             kk, ko = (p.kappa1, p.kappa2) if k == 1 else (p.kappa2, p.kappa1)
             num, dens, floor = dispersion._first_order_terms(kk, p)
             guess = dispersion._first_order_offset(num, dens[lam - 1], floor,
                                                    kk, lam)
-            count[0] = 0
+            calls.clear()
             dispersion._solve_offset(kk, ko, p, lam, guess)
-            per_root.append(count[0])
+            probes = calls.count("_residual_offset")
+            assert probes >= 2 and calls.count("_dispersion") >= 1
+            assert "_dispersion" not in calls[:probes]
+            per_root.append(probes + 2 * calls.count("_dispersion"))
     return per_root
+
+
+def test_an_underflowed_slope_fails_only_a_newton_step_that_uses_it():
+    # About 2^-274 times an envelope point: the squares in the slope at the
+    # first Newton iterate underflow to 0. |residual| has risen there, so
+    # the loop stops at the guess without stepping from that iterate, and
+    # exact_roots rejects the guess's residual. A step that does use a zero
+    # slope raises SingularDenominator (test_tiny_scale_is_a_computation_error
+    # in test_cli.py).
+    from qubeam import dispersion
+
+    p = ModelParams(7.495809915797975e-81, 8.51430823159308e-81,
+                    1.791634686408228e-81, 1.970308506118531e-162)
+    num, dens, floor = dispersion._first_order_terms(p.kappa1, p)
+    guess = dispersion._first_order_offset(num, dens[0], floor, p.kappa1, 1)
+    solve, evaluated = dispersion._dispersion, []
+
+    def recorded(*args):
+        evaluated.append(solve(*args))
+        return evaluated[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dispersion, "_dispersion", recorded)
+        d, g = dispersion._solve_offset(p.kappa1, p.kappa2, p, 1, guess)
+    assert (d, g) == (guess, evaluated[0][0])
+    assert [slope == 0.0 for _, slope in evaluated] == [False, True]
+    assert abs(evaluated[1][0]) > abs(g)
+    with pytest.raises(NonConvergence) as err:
+        exact_roots(p)
+    assert str(err.value) == (f"residual {g!r} above 1e-12*kappa for k=1, "
+                              "lambda=1")
 
 
 # The original regime: kappa2/kappa1 - 1 in 0.05..3, omega <= kappa1/2,

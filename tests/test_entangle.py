@@ -336,7 +336,7 @@ def test_report_stage_reraises_the_same_object(fig_params, monkeypatch):
     inner = PoleEvaluation("on the pole")
     inner.detail = object()
 
-    def broken(roots, params, k, lam):
+    def broken(roots, params):
         raise inner
 
     monkeypatch.setattr(entangle, "_checked", broken)

@@ -87,6 +87,28 @@ def test_int_too_large_for_a_float_reads_as_infinite(name, sign):
     assert str(huge.value) == str(inf.value)
 
 
+@pytest.mark.parametrize("value", [None, "abc", 1j, [1.0]])
+@pytest.mark.parametrize("name", ["kappa1", "kappa2", "omega", "eps"])
+def test_a_value_that_is_not_a_number_is_a_validation_error(name, value):
+    # float() raises TypeError or ValueError there; make_params names the
+    # field, also when another field is an int too large for a float
+    base = dict(kappa1=2500.0, kappa2=3000.0, omega=0.5, eps=0.1)
+    for other in (base, dict(base, eps=10**400) if name != "eps"
+                  else dict(base, kappa1=10**400)):
+        with pytest.raises(ValidationError) as err:
+            make_params(**dict(other, **{name: value}))
+        assert type(err.value) is ValidationError
+        assert str(err.value) == f"{name} must be a number, got {value!r}"
+
+
+def test_the_first_field_that_is_not_a_number_is_named():
+    with pytest.raises(ValidationError) as err:
+        make_params(2500.0, None, "abc", None)
+    assert str(err.value) == "kappa2 must be a number, got None"
+    # text that float() reads is a number, as before
+    assert make_params("2500", "3000", "0.5", "0.1") == make_params(*FIG)
+
+
 def test_omega_zero_is_valid():
     assert make_params(2500.0, 3000.0, 0.0, 0.1).omega == 0.0
     assert make_params(2500.0, 3000.0, -0.0, 0.1).omega == 0.0

@@ -184,7 +184,7 @@ def test_zero_norm_check_agrees_with_the_amplitude_vector():
     # table's values. The reference is the check on the vector itself.
     def column(k, b, a):
         m_self, m_cross = (b, a) if k == 1 else (1.0, 1.0)
-        return ColumnFactors(0.0, 0.0, 0.0, 0.0, m_self, m_cross, 0.0, 0.0)
+        return ColumnFactors(0.0, 0.0, m_self, m_cross, 0.0, 0.0, 0.0, 0.0)
 
     vanishing = 0
     for code in ("uu", "ud", "du", "dd"):

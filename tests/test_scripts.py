@@ -187,6 +187,37 @@ def test_bench_pairs_json_writes_and_merges_the_pair_table(tmp_path,
     assert data["workloads"].keys() == {"other", "point_mix", "sweep_pert"}
 
 
+def test_bench_pairs_prints_the_medians_by_run_order(tmp_path, monkeypatch,
+                                                    capsys):
+    script = _load("bench_pairs")
+    assert script.order_medians([1.0, 5.0, 2.0, 7.0],
+                                [True, False, True, False]) == (1.5, 6.0)
+    assert script.order_medians([3.0], [True]) == (3.0, None)
+    seen = set()
+
+    def run_once(checkout, args, seed):
+        # the run made second in its pair is 10% faster, on both sides
+        ops = 1100.0 if seed in seen else 1000.0 + seed
+        seen.add(seed)
+        metrics = {"setup_s": {"value": 0.1, "unit": "s"},
+                   "ops_per_s": {"value": ops, "unit": "1/s"},
+                   "peak_rss_mb": {"value": 36.0, "unit": "MB"}}
+        return ({"correct": True, "attempted": 50, "failed": 0,
+                 "metrics": metrics}, "envelope_raise_share 0.3 ratio")
+
+    monkeypatch.setattr(script, "run_once", run_once)
+    assert script.main([str(tmp_path), str(tmp_path), "--workload",
+                        "point_mix", "--pairs", "3", "--seed", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    ops = out.index("ops_per_s (1/s, higher is better, bound 0.2)")
+    # the parent ran first at seeds 1 and 3, the change at seed 2
+    assert out[ops + 1] == ("  parent  median 1003  quartiles 1002 .. 1051.5"
+                            "  ran first 1002, second 1100")
+    assert out[ops + 2] == ("  change  median 1100  quartiles 1051 .. 1100"
+                            "  ran first 1002, second 1100")
+    assert out[ops + 3].startswith("  change won 2 of 3 pairs;")
+
+
 def test_bench_pairs_git_head_only_at_the_top_of_a_work_tree(tmp_path):
     git_head = _load("bench_pairs").git_head
     assert git_head(tmp_path) is None               # no work tree

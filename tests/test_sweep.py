@@ -236,6 +236,9 @@ INVALID = {
     "omega_max_2499": {"omega_max": 2499.0},
     "dk_steps_2.5": {"dk_steps": 2.5}, "omega_steps_2.5": {"omega_steps": 2.5},
     **{f"{key}_huge": {key: 10**400} for key in FLOAT_KEYS},
+    # text that float() would read as the default value
+    **{f"{key}_str": {key: str(getattr(SweepConfig(), key))}
+       for key in FLOAT_KEYS},
 }
 
 
@@ -261,6 +264,21 @@ def test_direct_routes_reject_a_bad_method_or_pol(route):
     for overrides in ({"method": "newton"}, {"pol": "xy"}):
         with pytest.raises(ParseError):
             parse_config(None, overrides)
+
+
+@pytest.mark.parametrize("value", [None, "abc", 1j])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_a_float_field_that_is_not_a_number_is_rejected(key, value):
+    # parse_config reads an override of None as a flag not given, so only
+    # the direct routes can carry None; "abc" and 1j reach every route.
+    message = f"{key} must be a number, got {value!r}"
+    for route, build in ROUTES.items():
+        if route == "parse_config" and value is None:
+            assert build({key: value}) == SweepConfig()
+            continue
+        with pytest.raises(ValidationError) as err:
+            build({key: value, "dk_steps": 1})
+        assert str(err.value) == f"{message}; dk_steps must be >= 2, got 1"
 
 
 def test_settled_grid_makes_no_make_params_call(monkeypatch):
