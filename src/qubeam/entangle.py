@@ -194,8 +194,10 @@ def _closed_forms(params: ModelParams, config: PolarizationConfig):
     (1,1); the other two have no leading-order reference and get Nones."""
     if (config.lambda1, config.lambda2) == (2, 1):
         phi, y_closed = phi_closed(params)
-        e_i_asym = (0.0 if params.omega == 0.0 or phi == 0.0
-                    else _asymptotic_from_phi(phi, params.eps))
+        if params.omega == 0.0 or phi == 0.0:
+            e_i_asym = 0.0
+        else:
+            e_i_asym = _asymptotic_from_phi(phi, params.eps)
         return phi, y_closed, e_i_asym, 2.0 * params.eps * phi
     if (config.lambda1, config.lambda2) == (1, 1):
         # Exact leading-order references: a rank-1 (product) state.

@@ -95,13 +95,15 @@ def _gaps(c1, c2, parallel):
     # 1 - 4 b^2 without forming 4 b^2: with b^2 =
     # (1+xi1)(1+xi2) / (4 (1+chi1)(1+chi2)) the gap reduces to a ratio of
     # sums of the small deviations.
-    self_gap = ((chi1 + chi2 + chi1 * chi2 - xi1 - xi2 - xi1 * xi2)
-                / ((1.0 + chi1) * (1.0 + chi2)))
+    num = chi1 + chi2 + chi1 * chi2 - xi1 - xi2 - xi1 * xi2
+    den = (1.0 + chi1) * (1.0 + chi2)
+    self_gap = num / den
     four_a_sq = 4.0 * a_cross * a_cross
     if parallel:
         # All the weight sits in one product state; the spectral gap of the
         # raw density matrix equals its trace.
-        y_gap = norm_gap = self_gap - 8.0 * a_cross * b_self - four_a_sq
+        y_gap = self_gap - 8.0 * a_cross * b_self - four_a_sq
+        norm_gap = y_gap
     else:
         y_gap = self_gap + four_a_sq
         norm_gap = self_gap - four_a_sq

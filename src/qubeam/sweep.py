@@ -150,8 +150,10 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Swee
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad value for "
                                  f"{key!r}: {exc}") from exc
-    values.update({key: val for key, val in (overrides or {}).items()
-                   if val is not None})
+    if overrides:
+        for key, val in overrides.items():
+            if val is not None:
+                values[key] = val
 
     if "pol" in values and not isinstance(values["pol"], PolarizationConfig):
         try:
@@ -202,9 +204,11 @@ def _validate(config: SweepConfig):
     # in grid order, to quote its message.
     omegas, dks, omega, kappa2 = _grid_arrays(config)
     rank = _rejections(float(config.kappa1), kappa2, omega, float(config.eps))
-    rejected = np.flatnonzero(rank)
-    _, firsts = np.unique(rank[rejected], return_index=True)
-    for i in sorted(rejected[firsts].tolist()):
+    seen = set()
+    for i in np.flatnonzero(rank).tolist():
+        if rank[i] in seen:
+            continue
+        seen.add(rank[i])
         line, column = divmod(i, len(dks))
         point_omega, point_dk = omegas[line], dks[column]
         try:

@@ -302,10 +302,10 @@ def test_an_underflowed_slope_fails_only_a_newton_step_that_uses_it():
                     1.791634686408228e-81, 1.970308506118531e-162)
     num, dens, floor = dispersion._first_order_terms(p.kappa1, p)
     guess = dispersion._first_order_offset(num, dens[0], floor, p.kappa1, 1)
-    solve, evaluated = dispersion._dispersion, []
+    real, evaluated = dispersion._dispersion, []
 
     def recorded(*args):
-        evaluated.append(solve(*args))
+        evaluated.append(real(*args))
         return evaluated[-1]
 
     with pytest.MonkeyPatch.context() as mp:
