@@ -38,10 +38,10 @@ class ColumnFactors(NamedTuple):
     """Exact per-column quantities for column (k, lam) of the block; a
     block's columns are identified by their position in INDEX_ORDER.
 
-    The first four are _state_factors'. chi is the relative deviation of the
-    normalization radicand from its self-pole part: radicand =
-    (2/a_self^2)(1 + chi). xi = d^2/(4 r kappa) measures the deviation of the
-    u self-entry from 1/sqrt(2): m_self^2 = (1 + xi) / (2 (1 + chi)).
+    Its first four fields are _state_factors' tuple. chi is the relative
+    deviation of the normalization radicand from its self-pole part,
+    radicand = (2/a_self^2)(1 + chi); xi = d^2/(4 r kappa) measures that of
+    the u self-entry from 1/sqrt(2): m_self^2 = (1 + xi) / (2 (1 + chi)).
     m_* and w_* are the signed magnitudes of the u and v entries (phases
     excluded); m_cross carries the sign of r - kappa_other. a_self is the
     factored pole difference r^2 - kappa_k^2 of the own mode at root r.
