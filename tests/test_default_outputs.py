@@ -138,3 +138,38 @@ def test_point_command_outputs_are_unchanged(argv, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == POINT_DIGESTS[argv], (
         f"`qubeam {' '.join(argv)}` printed different bytes:\n{out}")
+
+
+# SHA-256 of the stdout of `qubeam verify --pol P` and its exit code, at the
+# zero-field point (--omega 0) and at a coupling far past any root
+# (--eps 1e9), where every check that runs fails.
+VERIFY_DIGESTS = {
+    ("--omega", "0", "uu"): (
+        0, "51fdb78144bb9611b65fe428b20d42dc22a87625344b374e0fb011ffc712404c"),
+    ("--omega", "0", "ud"): (
+        0, "5b1980093c4f82521c871a39af16093a678ff971e468f87ee0bdb0a5f0e5e8fd"),
+    ("--omega", "0", "du"): (
+        0, "fe671922cefe2a79fd7136c2a9b5392e5f86afc38cbe68e69a1d392ff4b83104"),
+    ("--omega", "0", "dd"): (
+        0, "e36101afc65a57b6f4d87a3e09071a4d613647f56a4effc67c298fdbf54fea1b"),
+    ("--eps", "1e9", "uu"): (
+        2, "361c267465aca4c5268c36294f122fa4d10554a371e93835ebef2c128784d458"),
+    ("--eps", "1e9", "ud"): (
+        2, "cff2e30717946e741540868784ae7cebd5e2ca06b12ec1c0c88f2259a6bf77cf"),
+    ("--eps", "1e9", "du"): (
+        2, "f4887c39c03f9af70574e886be6ffe9b3086c32d5b90cd7e3567d04f622510f1"),
+    ("--eps", "1e9", "dd"): (
+        2, "a14275d0a97f35fe1d7f1c72d45e7ca6a61413ff9a111c981f387b5e5402ac0e"),
+}
+
+
+@pytest.mark.parametrize("case", VERIFY_DIGESTS,
+                         ids=["".join(case).lstrip("-") for case in VERIFY_DIGESTS])
+def test_verify_outputs_are_unchanged_off_the_reference_point(case, capsys):
+    flag, value, pol = case
+    code, digest = VERIFY_DIGESTS[case]
+    assert main(["verify", "--pol", pol, flag, value]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, (
+        f"`qubeam verify --pol {pol} {flag} {value}` printed different "
+        f"bytes:\n{out}")
