@@ -21,9 +21,7 @@ from dataclasses import dataclass
 import math
 from typing import NamedTuple
 
-import numpy as np
-
-from .dispersion import INDEX_ORDER, ModeRoots, _pair
+from .dispersion import INDEX_ORDER, ModeRoots
 from .errors import NegativeRadicand, PoleEvaluation, SingularDenominator
 from .params import ModelParams
 
@@ -123,36 +121,17 @@ def _column(roots: ModeRoots, params: ModelParams, k, lam) -> ColumnFactors:
         a_self / (2.0 * math.sqrt(r * kappa_o) * (r + kappa_o) * scale))
 
 
-def _columns(d, params: ModelParams, k, lam):
-    """_state_factors of column (k, lam) over a batch of points.
-
-    params holds one array entry per point and d the column's root offsets.
-    Returns (factors, ok): the four factors as arrays, and False where
-    _checked raises or a factor is not finite.
-    """
-    kappa_k, kappa_o = _pair(params, k)
-    r = kappa_k + d
-    a_cross = (kappa_k - kappa_o + d) * (kappa_k + kappa_o + d)
-    a_self, chi, xi = _deviations(kappa_k, d, r, a_cross, params, lam)
-    factors = _state_factors(kappa_k, kappa_o, d, r, a_self, chi, xi, np.sqrt)
-    # A zero cross factor (the other photon's pole) leaves chi and m_cross
-    # non-finite, so the finiteness test flags it.
-    ok = (d != 0.0) & (chi > -1.0)
-    for x in factors:
-        ok &= np.isfinite(x)
-    return factors, ok
-
-
 @dataclass(frozen=True)
 class BogoliubovBlock:
-    u: np.ndarray               # complex 4x4
-    v: np.ndarray               # complex 4x4
-    q: np.ndarray               # real 2x2
+    u: "numpy.ndarray"          # complex 4x4
+    v: "numpy.ndarray"          # complex 4x4
+    q: "numpy.ndarray"          # real 2x2
     columns: tuple              # four ColumnFactors in INDEX_ORDER
 
 
 def build_block(roots: ModeRoots, params: ModelParams) -> BogoliubovBlock:
     """Assemble the photon-sector u, v matrices and normalizations."""
+    import numpy as np
     cols = tuple(_column(roots, params, k, lam) for (k, lam) in INDEX_ORDER)
     u = np.zeros((4, 4), dtype=complex)
     v = np.zeros((4, 4), dtype=complex)
@@ -174,6 +153,7 @@ def identity_defect(block: BogoliubovBlock):
     Both vanish only for the full transformation including the oscillator
     mode; on the photon block they are O(eps) diagnostics.
     """
+    import numpy as np
     u, v = block.u, block.v
     duu = u @ u.conj().T - v @ v.conj().T - np.eye(4)
     dsym = v @ u.T - u @ v.T

@@ -14,7 +14,7 @@ from .bogoliubov import INDEX_ORDER, build_block, identity_defect
 from .dispersion import DEFAULT_REL_TOL, exact_roots, perturbative_roots
 from .entangle import full_report
 from .errors import ParseError, QubeamError, ValidationError
-from .params import make_params
+from .params import _check_tol, make_params
 from .qstate import PolarizationConfig, amplitudes
 from .sweep import (
     _FILE_KEYS,
@@ -103,11 +103,7 @@ def _emit(lines, out_path):
 
 
 def _point_params(args):
-    # A tol that is not positive and finite (nan, inf) turns the exact
-    # solver's convergence check off or fails every root: rejected first.
-    if not 0.0 < args.tol < math.inf:
-        raise ValidationError(
-            f"tol must be positive and finite, got {args.tol}")
+    _check_tol(args.tol)        # rejected before the point
     return make_params(args.kappa1, args.kappa2, args.omega, args.eps)
 
 
@@ -191,7 +187,9 @@ def _cmd_measures(args):
 
 
 def _cmd_sweep(args):
-    overrides = {key: getattr(args, key) for key in _FILE_KEYS}
+    # None is a flag not given
+    overrides = {key: value for key in _FILE_KEYS
+                 if (value := getattr(args, key)) is not None}
     config = parse_config(args.config, overrides)
     table = run_sweep(config)
     write_csv(table, config, args.out, args.matrix)

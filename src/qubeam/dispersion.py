@@ -16,16 +16,13 @@ root corrections we must resolve).
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import (
     BracketFailure,
     NonConvergence,
     NonPositive,
     SingularDenominator,
-    ValidationError,
 )
-from .params import ModelParams
+from .params import ModelParams, _check_tol
 
 DEFAULT_REL_TOL = 1e-12
 # Relative half-width of the band around each pole that the bracket scan
@@ -131,23 +128,6 @@ def _first_order_offset(num, den, floor, kappa_k, lam):
     return d
 
 
-def _pair(params, k):
-    # (kappa_k, kappa_other) of root k
-    kappas = (params.kappa1, params.kappa2)
-    return kappas[k - 1], kappas[2 - k]
-
-
-def _first_order_offsets(params, k, lam):
-    """_first_order_offset for root (k, lam) over a batch of points.
-
-    params holds one array entry per point. Returns (offsets, ok); ok is
-    False where the scalar form raises SingularDenominator.
-    """
-    num, dens, floor = _first_order_terms(_pair(params, k)[0], params)
-    d = num / dens[lam - 1]
-    return d, (abs(dens[lam - 1]) > floor) & np.isfinite(d)
-
-
 def perturbative_roots(params: ModelParams) -> ModeRoots:
     """First-order root offsets, exact in the eps -> 0 limit."""
     offsets = []
@@ -236,60 +216,6 @@ def _solve_offset(kappa_k, kappa_other, params, lam, guess):
     return d, g_cur
 
 
-def _solve_offsets(params, k, lam, tol):
-    """exact_roots' solve and tolerance check for root (k, lam) over a batch.
-
-    params holds one array entry per point. Every entry takes
-    _solve_offset's decisions: the guess/8..8*guess probe, Newton inside
-    the bracket, bisection when a step would leave it, and the same three
-    stop rules; only the points still iterating are computed. Returns
-    (offsets, ok). ok is False where the probe finds no bracket (the scalar
-    form then scans), where the residual misses tol*kappa_k, and where a
-    value is not finite or a slope is zero; those points are left to
-    exact_roots.
-    """
-    kappa_k, kappa_o = _pair(params, k)
-    eps, sw = params.eps, _branch_sign(lam) * params.omega
-    guess, ok = _first_order_offsets(params, k, lam)
-    cap = 0.5 * np.minimum(kappa_k, np.abs(kappa_o - kappa_k))
-    lo, hi = guess / 8.0, 8.0 * guess
-    g_lo = _residual_offset(lo, kappa_k, kappa_o, eps, sw)
-    g_hi = _residual_offset(hi, kappa_k, kappa_o, eps, sw)
-    ok &= ((0.0 < guess) & (guess < cap / 8.0) & (g_lo > 0.0) & (0.0 > g_hi)
-           & np.isfinite(g_lo) & np.isfinite(g_hi))
-    d = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
-    g_cur, slope = _dispersion(d, kappa_k, kappa_o, eps, sw)
-    ok &= np.isfinite(g_cur)
-
-    # The iterating points, compacted: their indices, inputs and state.
-    act = np.flatnonzero(ok)
-    kk_a, ko_a, eps_a, sw_a = kappa_k[act], kappa_o[act], eps[act], sw[act]
-    d_a, g_a, s_a, lo, hi = d[act], g_cur[act], slope[act], lo[act], hi[act]
-    for _ in range(_ITER_MAX):
-        if not act.size:
-            break
-        pos = g_a > 0.0
-        lo = np.where(pos, d_a, lo)
-        hi = np.where(pos, hi, d_a)
-        d_new = d_a - g_a / s_a
-        stop = (g_a == 0.0) | (d_new == d_a)
-        newton = (lo < d_new) & (d_new < hi)
-        d_new = np.where(newton, d_new, 0.5 * (lo + hi))
-        stop |= ~newton & ~((lo < d_new) & (d_new < hi))
-        g_new, s_new = _dispersion(d_new, kk_a, ko_a, eps_a, sw_a)
-        stop |= newton & (np.abs(g_new) > np.abs(g_a))
-        bad = ~(np.isfinite(s_a) & (s_a != 0.0) & np.isfinite(g_new))
-        go = ~(stop | bad)
-        d[act[~go]], g_cur[act[~go]] = d_a[~go], g_a[~go]
-        ok[act[bad]] = False
-        act = act[go]
-        kk_a, ko_a, eps_a, sw_a = kk_a[go], ko_a[go], eps_a[go], sw_a[go]
-        d_a, g_a, s_a, lo, hi = d_new[go], g_new[go], s_new[go], lo[go], hi[go]
-    d[act], g_cur[act] = d_a, g_a
-    ok &= ~(np.abs(g_cur) > tol * kappa_k)
-    return d, ok
-
-
 def exact_roots(params: ModelParams, tol: float = DEFAULT_REL_TOL) -> ModeRoots:
     """Solve the dispersion relation for all four (k, lambda) roots.
 
@@ -298,8 +224,7 @@ def exact_roots(params: ModelParams, tol: float = DEFAULT_REL_TOL) -> ModeRoots:
     (nan or inf would turn that check off), and eps = 0, where the roots merge
     into the poles (use perturbative_roots for the limit).
     """
-    if not 0.0 < tol < math.inf:
-        raise ValidationError(f"tol must be positive and finite, got {tol}")
+    _check_tol(tol)
     if not (params.eps > 0.0):
         raise NonPositive("exact solver requires eps > 0; the eps = 0 "
                           "equation has no bracketed root")

@@ -19,8 +19,6 @@ from 1 only at O(eps^2).
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .bogoliubov import _checked, _state_factors
 from .dispersion import DEFAULT_REL_TOL, exact_roots, perturbative_roots
 from .errors import (
@@ -76,19 +74,6 @@ def _log_half(x):
     return math.log(half) if half else math.log(x) - math.log(2.0)
 
 
-def _info_from_gaps(gap):
-    """_info_from_gap over an array of gaps, bit for bit."""
-    half = gap / 2.0
-    live, series = half > 0.0, gap < _SERIES_CUT
-    log_half = _logs(math.log, half, live)
-    e_i = np.where(series, _info_series(gap, log_half), _info_direct(
-        gap, log_half, _logs(math.log1p, -half, live & ~series)))
-    e_i[~live] = 0.0
-    for i in np.flatnonzero((gap > 0.0) & ~live).tolist():    # gap 5e-324
-        e_i[i] = _info_from_gap(gap.item(i))
-    return e_i
-
-
 # The two branches given ln(gap/2) and ln(1 - gap/2), for floats or arrays.
 def _info_series(gap, log_half):
     return (gap * (1.0 - log_half) - gap * gap / 4.0 - gap * gap * gap / 24.0
@@ -97,11 +82,6 @@ def _info_series(gap, log_half):
 
 def _info_direct(gap, log_half, log1p_half):
     return -(gap * log_half + (2.0 - gap) * log1p_half) / _LN4
-
-
-def _logs(log, x, where):
-    """math.log or math.log1p (not NumPy's) of x where `where`, else 0.0."""
-    return np.piecewise(x, [where], [lambda v: list(map(log, v.tolist())), 0.0])
 
 
 def _schmidt_from_gaps(norm_gap: float, y_gap: float) -> float:
@@ -147,16 +127,6 @@ def _asymptotic_from_phi(phi, eps):
         raise DomainError(f"asymptotic form needs Phi > 0, got {phi!r} "
                           "(route omega = 0 to E_I = 0)")
     return _asymptotic_terms(phi, eps, _log_half(phi), math.log(eps))
-
-
-def _asymptotic_from_phis(phi, eps, live):
-    """_asymptotic_from_phi at one float eps, bit for bit, where live."""
-    half = phi / 2.0
-    e_i = np.where(live, _asymptotic_terms(phi, eps, _logs(
-        math.log, half, live & (half > 0.0)), math.log(eps)), 0.0)
-    for i in np.flatnonzero(live & ~(half > 0.0)).tolist():     # Phi 5e-324
-        e_i[i] = _asymptotic_from_phi(phi.item(i), eps)
-    return e_i
 
 
 def _asymptotic_terms(phi, eps, log_half_phi, log_eps):

@@ -8,9 +8,8 @@ and the source figures quote a bare number. README gives omega and eps in
 terms of the field and the electron density.
 """
 import math
+import numbers
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import (
     DegenerateFrequencies,
@@ -89,17 +88,11 @@ def _inf_if_huge(value, name=None):
     return value
 
 
-def _rejections(kappa1, kappa2, omega, eps):
-    """make_params' checks over arrays of points, in its order and with its
-    comparisons: per point, 0 where make_params accepts the point, else the
-    rank of the error class it raises (1 NonPositive, 2
-    DegenerateFrequencies, 3 ValidationError, 4 NearResonance)."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        return np.select(
-            [~((kappa1 > 0.0) & np.isfinite(kappa1) & (kappa2 > 0.0)
-               & np.isfinite(kappa2) & (eps > 0.0) & np.isfinite(eps))
-             | (omega < 0.0) | ~np.isfinite(omega),
-             kappa1 == kappa2,
-             kappa1 > kappa2,
-             omega >= kappa1 * (1.0 - RESONANCE_MARGIN)],
-            [1, 2, 3, 4], 0)
+def _check_tol(tol):
+    """Reject an exact-solver tolerance that is not a positive, finite
+    number: nan or inf would turn the residual check off, and a tol <= 0
+    fail every root."""
+    if not isinstance(tol, numbers.Real):
+        raise ValidationError(f"tol must be a number, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be positive and finite, got {tol}")

@@ -17,8 +17,6 @@ collapsed floats.
 """
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bogoliubov import BogoliubovBlock, _column, _phase
 from .dispersion import ModeRoots
 from .errors import UnsupportedConfig, ZeroNorm
@@ -67,7 +65,7 @@ class TwoQubitAmplitudes:
     density matrix.
     """
 
-    vec: np.ndarray
+    vec: "numpy.ndarray"
     config: PolarizationConfig
     raw_norm_sq: float
     norm_gap: float
@@ -75,15 +73,12 @@ class TwoQubitAmplitudes:
 
 
 def _pattern_vector(b_self, a_cross, config):
-    """The 4-vector P*b + Q*a with the row/column phase products."""
+    """The 4-vector P*b + Q*a with the row/column phase products, as four
+    complex numbers; each is real or imaginary, since P and Q are."""
     lam1, lam2 = config.lambda1, config.lambda2
-    vec = np.empty(4, dtype=complex)
-    for lam in (1, 2):
-        for lam_p in (1, 2):
-            p = _phase(lam, lam1) * _phase(lam_p, lam2)
-            q = _phase(lam_p, lam1) * _phase(lam, lam2)
-            vec[2 * (lam - 1) + (lam_p - 1)] = p * b_self + q * a_cross
-    return vec
+    return tuple(complex(_phase(lam, lam1) * _phase(lam_p, lam2) * b_self
+                         + _phase(lam_p, lam1) * _phase(lam, lam2) * a_cross)
+                 for lam in (1, 2) for lam_p in (1, 2))
 
 
 def _gaps(c1, c2, parallel):
@@ -126,10 +121,12 @@ def _state_gaps(columns, config: PolarizationConfig):
 
 def amplitudes(block: BogoliubovBlock, config: PolarizationConfig) -> TwoQubitAmplitudes:
     """Two-qubit amplitudes for one quasiphoton polarization configuration."""
+    import numpy as np
     b_self, a_cross, y_gap, norm_gap = _state_gaps(block.columns, config)
     raw_norm_sq = 1.0 - norm_gap
     return TwoQubitAmplitudes(
-        vec=_pattern_vector(b_self, a_cross, config) / np.sqrt(raw_norm_sq),
+        vec=np.array(_pattern_vector(b_self, a_cross, config))
+        / np.sqrt(raw_norm_sq),
         config=config, raw_norm_sq=raw_norm_sq,
         norm_gap=norm_gap, y_gap=y_gap)
 

@@ -13,35 +13,15 @@ import itertools
 import math
 from typing import NamedTuple
 
-import numpy as np
-
-from .bogoliubov import INDEX_ORDER, _columns, build_block
-from .dispersion import (
-    DEFAULT_REL_TOL,
-    _first_order_offsets,
-    _pair,
-    _solve_offsets,
-    exact_roots,
-    perturbative_roots,
-)
-from .entangle import (
-    DOMAIN_TOL,
-    _asymptotic_from_phis,
-    _info_from_gap,
-    _info_from_gaps,
-    _phi_terms,
-    _schmidt_from_gaps,
-    asymptotic_info,
-    full_report,
-    phi_closed,
-)
+from .bogoliubov import INDEX_ORDER, _column
+from .dispersion import DEFAULT_REL_TOL, exact_roots, perturbative_roots
+from .entangle import _info_from_gap, asymptotic_info, full_report, phi_closed
 from .errors import AllRowsFailed, ParseError, QubeamError, ValidationError
-from .params import ModelParams, _inf_if_huge, _rejections, make_params
+from .params import ModelParams, _check_tol, _inf_if_huge, make_params
 from .qstate import (
     PolarizationConfig,
-    _gaps,
     _pattern_vector,
-    amplitudes,
+    _state_gaps,
     closed_form_ab,
 )
 
@@ -104,16 +84,6 @@ def _grid(lo, hi, n):
     return [lo + i * step for i in range(n)]
 
 
-def _grid_arrays(config):
-    """The omega and dk grids, and omega and kappa2 per point in order."""
-    omegas, dks = config.omega_grid(), config.dk_grid()
-    # inf and nan arise without a warning, as in Python floats
-    with np.errstate(over="ignore", invalid="ignore"):
-        kappa2 = float(config.kappa1) + np.array(dks)
-    return (omegas, dks, np.repeat(omegas, len(dks)),
-            np.tile(kappa2, len(omegas)))
-
-
 # The config file keys and `qubeam sweep` flags are SweepConfig's fields;
 # pol and method are read as text and resolved by parse_config.
 _FILE_KEYS = {field.name: field.type if field.type in (int, float) else str
@@ -124,8 +94,9 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Swee
     """Build a SweepConfig from an optional key=value file plus overrides.
 
     File format: one 'key = value' per line, '#' starts a comment, blank
-    lines ignored. Overrides (typically CLI flags) win over file keys.
-    Raises ParseError with line context, or SweepConfig's ValidationError.
+    lines ignored. Overrides win over file keys; pol may be given as its
+    code or as a PolarizationConfig. Raises ParseError with line context,
+    or SweepConfig's ValidationError.
     """
     values = {}
     if path is not None:
@@ -150,12 +121,9 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Swee
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad value for "
                                  f"{key!r}: {exc}") from exc
-    if overrides:
-        for key, val in overrides.items():
-            if val is not None:
-                values[key] = val
+    values.update(overrides or {})
 
-    if "pol" in values and not isinstance(values["pol"], PolarizationConfig):
+    if isinstance(values.get("pol"), str):
         try:
             values["pol"] = PolarizationConfig.from_code(values["pol"])
         except ValueError as exc:
@@ -189,9 +157,10 @@ def _validate(config: SweepConfig):
             problems.append(f"omega_min must be >= 0, got {config.omega_min}")
         if config.omega_max < config.omega_min:
             problems.append("omega_max must be >= omega_min")
-        if not 0.0 < config.tol < math.inf:
-            problems.append(
-                f"tol must be positive and finite, got {config.tol}")
+        try:
+            _check_tol(config.tol)
+        except ValidationError as exc:
+            problems.append(str(exc))
     if config.method not in ("exact", "perturbative"):
         problems.append(f"method must be exact or perturbative, got "
                         f"{config.method!r}")
@@ -202,13 +171,9 @@ def _validate(config: SweepConfig):
     # Every grid point must be a valid model point. The grid is checked as
     # arrays; make_params runs only at the first point of each error class,
     # in grid order, to quote its message.
-    omegas, dks, omega, kappa2 = _grid_arrays(config)
-    rank = _rejections(float(config.kappa1), kappa2, omega, float(config.eps))
-    seen = set()
-    for i in np.flatnonzero(rank).tolist():
-        if rank[i] in seen:
-            continue
-        seen.add(rank[i])
+    from .batch import _first_rejections
+    omegas, dks = config.omega_grid(), config.dk_grid()
+    for i in _first_rejections(config):
         line, column = divmod(i, len(dks))
         point_omega, point_dk = omegas[line], dks[column]
         try:
@@ -234,97 +199,20 @@ def _evaluate_point(config, omega, dk):
             rep.E_S_closed, math.sqrt(rep.raw_norm_sq), "ok")
 
 
-def _batch_gaps(params: ModelParams, config: SweepConfig):
-    """(y_gap, norm_gap, settled) arrays for a batch of points.
-
-    params holds one array entry per point; config gives the polarization,
-    the method and the tolerance. Roots, the four columns and the gaps are
-    the scalar pipeline's arithmetic in the same order, so each point gets
-    its scalar value. settled is False wherever a stage would raise or a
-    value is not finite; those points go through full_report.
-    """
-    settled = np.ones(len(params.omega), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        columns = {}
-        for k, lam in INDEX_ORDER:      # all four: full_report checks each
-            if config.method == "exact":
-                d, ok = _solve_offsets(params, k, lam, config.tol)
-            else:
-                d, ok = _first_order_offsets(params, k, lam)
-            settled &= ok & (_pair(params, k)[0] + d > 0.0)
-            columns[(k, lam)], ok = _columns(d, params, k, lam)
-            settled &= ok
-        pol = config.pol
-        b_self, a_cross, y_gap, norm_gap = _gaps(
-            columns[(1, pol.lambda1)], columns[(2, pol.lambda2)], pol.parallel)
-        # _state_gaps' ZeroNorm: the entries are +-b_self +- a_cross up to
-        # unit phases, so all four vanish only where |a_cross| == |b_self|.
-        settled &= ((1.0 - norm_gap > 0.0) & (np.abs(a_cross) != np.abs(b_self))
-                    & np.isfinite(y_gap) & np.isfinite(norm_gap))
-    return y_gap, norm_gap, settled
-
-
-def _batch_values(params: ModelParams, config: SweepConfig):
-    """The settled array, then y, E_I, E_S, E_I_asymptotic, E_S_closed and
-    raw_norm as lists: full_report's formulas over arrays (np.sqrt rounds
-    correctly, as math.sqrt does), math's logs mapped per entry, at the
-    points of a checked grid. settled is False wherever a stage, a measure
-    or a closed form would raise; the values there are placeholders.
-    """
-    y_gap, norm_gap, settled = _batch_gaps(params, config)
-    k1, k2, w, eps = params.kappa1, params.kappa2, params.omega, params.eps
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # _measures: the DomainErrors, then max(e_s, 0.0)
-        e_s = _schmidt_from_gaps(norm_gap, y_gap)
-        settled &= ((y_gap >= -DOMAIN_TOL) & (y_gap <= 1.0 + DOMAIN_TOL)
-                    & (e_s >= -DOMAIN_TOL))
-        e_s = np.where(0.0 > e_s, 0.0, e_s)
-        # _closed_forms
-        pol = (config.pol.lambda1, config.pol.lambda2)
-        if pol == (2, 1):
-            num, den = _phi_terms(k1, k2, w)
-            phi = num / den
-            # phi_closed's SingularDenominator and RangeViolation (omega is
-            # off its ResonancePole on a checked grid); _asymptotic_from_phi's
-            # DomainError where omega and Phi are nonzero.
-            zero = (w == 0.0) | (phi == 0.0)
-            settled &= ((den > 0.0) & (eps * phi < 1.0)
-                        & (zero | ~(phi <= 0.0)))
-            e_s_closed = (2.0 * eps * phi).tolist()
-            e_i_asym = _asymptotic_from_phis(phi, float(config.eps),
-                                             settled & ~zero).tolist()
-        elif pol == (1, 1):     # two lists: run_sweep writes into each
-            e_i_asym, e_s_closed = [0.0] * len(w), [0.0] * len(w)
-        else:
-            e_i_asym, e_s_closed = [None] * len(w), [None] * len(w)
-        # _info_from_gap is 0 for a gap <= 0, so the clamp of _measures is
-        # not needed; 0.0 and 1.0 are placeholders where nothing settled.
-        e_i = _info_from_gaps(np.where(settled, y_gap, 0.0)).tolist()
-        raw_norm = np.sqrt(np.where(settled, 1.0 - norm_gap, 1.0))
-        return (settled, (1.0 - y_gap).tolist(), e_i, e_s.tolist(),
-                e_i_asym, e_s_closed, raw_norm.tolist())
-
-
 def run_sweep(config: SweepConfig) -> SweepTable:
     """Evaluate every grid point; returns their SweepTable in output order.
 
-    The grid is evaluated as one batch of arrays (_batch_values); a point
-    the batch does not settle goes through full_report, so values and error
-    statuses are those of the point-by-point pipeline. Per-point failures
-    become rows with an error status; AllRowsFailed is raised only if
-    nothing succeeds. len(table.status) counts the rows; len(table) is 10.
+    The grid is evaluated as one batch of arrays (batch._batch_values); a
+    point the batch does not settle goes through full_report, so values and
+    error statuses are those of the point-by-point pipeline. Per-point
+    failures become rows with an error status; AllRowsFailed is raised only
+    if nothing succeeds. len(table.status) counts the rows; len(table) is 10.
     """
-    omegas, dks, omega, kappa2 = _grid_arrays(config)
-    n = len(omega)
-    params = ModelParams(np.full(n, float(config.kappa1)), kappa2, omega,
-                         np.full(n, float(config.eps)))
-    settled, *values = _batch_values(params, config)
-    # The grid columns share one float object per grid value, to save memory.
-    table = SweepTable(
-        np.repeat(np.array(omegas, dtype=object), len(dks)).tolist(),
-        dks * len(omegas), kappa2[:len(dks)].tolist() * len(omegas), *values,
-        ["ok"] * n)
-    for i in itertools.compress(range(n), (~settled).tolist()):
+    from .batch import _batch_values
+    unsettled, *columns = _batch_values(config)
+    n = len(columns[0])
+    table = SweepTable(*columns, ["ok"] * n)
+    for i in unsettled:
         point = _evaluate_point(config, table.omega[i], table.delta_kappa[i])
         for column, value in zip(table, point):
             column[i] = value
@@ -452,15 +340,27 @@ def _check_root_ladder(params, pol, tol, ladder):
             "residuals within tol: True")
 
 
+def _normalized(vec, norm_sq):
+    # vec / sqrt(norm_sq) as NumPy divides a complex by a real: times the
+    # reciprocal, and times inf at a zero norm (x/0 is inf, or nan at x = 0)
+    scale = math.sqrt(norm_sq)
+    return [z * (1.0 / scale if scale else math.inf) for z in vec]
+
+
 def _check_state_pattern(params, pol, tol, ladder):
-    """Pipeline amplitudes against the explicit (a, b) pattern."""
+    """Pipeline amplitudes against the explicit (a, b) pattern, both
+    normalized. The state is _state_gaps over the four columns, which is
+    all amplitudes(build_block(roots, params), pol) reads."""
     roots = exact_roots(params, tol)
-    amps = amplitudes(build_block(roots, params), pol)
+    columns = [_column(roots, params, k, lam) for k, lam in INDEX_ORDER]
+    b_self, a_cross, _, norm_gap = _state_gaps(columns, pol)
+    amps = _normalized(_pattern_vector(b_self, a_cross, pol), 1.0 - norm_gap)
     a, b = closed_form_ab(perturbative_roots(params), params, pol)
     pattern = _pattern_vector(b, a, pol)
-    size = np.abs(pattern)
-    pattern = pattern / np.sqrt(np.sum(size * size))
-    defect = float(np.max(np.abs(amps.vec - pattern)))
+    pattern = _normalized(pattern, sum([abs(z) * abs(z) for z in pattern]))
+    # A nan entry is the defect, as with np.max, so the check fails.
+    defect = max([abs(x - y) for x, y in zip(amps, pattern)],
+                 key=lambda d: (math.isnan(d), d))
     bound = 50.0 * (params.eps * params.eps)
     return (defect <= bound,
             f"entrywise defect {defect:.3e} (bound {bound:.3e})")
@@ -546,8 +446,10 @@ def verify_point(params: ModelParams, pol: PolarizationConfig,
 
     Ladder checks evaluate at eps, eps/2, eps/4 and require the
     second-order defects to shrink by ~4x per halving. A check that raises
-    a QubeamError fails with the error text as its detail.
+    a QubeamError fails with the error text as its detail. A tol that is
+    not a positive, finite number raises ValidationError before any check.
     """
+    _check_tol(tol)
     ladder = [params._replace(eps=params.eps * f) for f in _LADDER]
     checks = []
     for name, check, skip in _CHECKS:

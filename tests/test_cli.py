@@ -364,3 +364,50 @@ def test_argparse_errors_exit_one(capsys):
             main(argv)
         assert err.value.code == 1
         capsys.readouterr()
+
+
+# Point work in a fresh interpreter: the test modules import NumPy, so only
+# a new process shows what the package itself loads.
+_POINT_WORK = """
+import sys
+import qubeam, qubeam.cli
+from qubeam import PolarizationConfig, full_report, make_params, verify_point
+params = make_params(2500.0, 3000.0, 0.5, 0.1)
+pols = [PolarizationConfig.from_code(code) for code in ("uu", "ud", "du", "dd")]
+for pol in pols:
+    for method in ("exact", "perturbative"):
+        full_report(params, pol, method)
+for pol in pols:
+    assert verify_point(params, pol).ok
+for command in ("roots", "measures", "verify"):
+    assert qubeam.cli.main([command]) == 0
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "numpy")
+assert not loaded, loaded
+"""
+
+_ARRAY_WORK = """
+import sys
+import qubeam.cli
+for argv in (["sweep", "--out", sys.argv[1], *sys.argv[2:]], ["block"],
+             ["state"]):
+    assert qubeam.cli.main(argv) == 0, argv
+assert "numpy" in sys.modules
+"""
+
+
+def _fresh_python(code, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_point_work_loads_no_numpy_and_array_work_still_runs(tmp_path):
+    proc = _fresh_python(_POINT_WORK)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("5 passed, 0 failed, 1 skipped\n")
+    out = tmp_path / "s.csv"
+    proc = _fresh_python(_ARRAY_WORK, str(out), *SWEEP_SMALL)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"wrote {out}: 6 rows, 0 failed\n"
+    assert "u,1,1,1,1," in proc.stdout and "raw_norm: " in proc.stdout

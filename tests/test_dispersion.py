@@ -378,13 +378,13 @@ def test_batched_offsets_match_the_scalar_solvers_or_are_flagged(points):
     """Each unflagged batch offset equals the scalar one bit for bit, and a
     root the scalar solver cannot return (it raises, or exact_roots rejects
     its residual) is flagged."""
-    from qubeam import dispersion
+    from qubeam import batch as batch_mod, dispersion
 
     batch = ModelParams(*(np.array(column) for column in zip(*points)))
     for k, lam in KLAM:
-        exact, exact_ok = dispersion._solve_offsets(batch, k, lam,
-                                                   DEFAULT_REL_TOL)
-        first, first_ok = dispersion._first_order_offsets(batch, k, lam)
+        exact, exact_ok = batch_mod._solve_offsets(batch, k, lam,
+                                                  DEFAULT_REL_TOL)
+        first, first_ok = batch_mod._first_order_offsets(batch, k, lam)
         for i, point in enumerate(points):
             p = make_params(*point)
             kk, ko = (p.kappa1, p.kappa2) if k == 1 else (p.kappa2, p.kappa1)

@@ -22,15 +22,14 @@ from qubeam import (
     perturbative_roots,
     phi_closed,
 )
+from qubeam.batch import _asymptotic_from_phis, _info_from_gaps
 from qubeam.bogoliubov import INDEX_ORDER, _column
 from qubeam.dispersion import ModeRoots
 from qubeam.entangle import (
     _SERIES_CUT,
     DOMAIN_TOL,
     _asymptotic_from_phi,
-    _asymptotic_from_phis,
     _info_from_gap,
-    _info_from_gaps,
     _schmidt_from_gaps,
     asymptotic_info,
 )

@@ -1,8 +1,10 @@
 """Sweep configuration, grid evaluation, CSV/matrix output, verification."""
+import collections
 import dataclasses
 import hashlib
 import math
 from pathlib import Path
+import random
 import struct
 
 import numpy as np
@@ -10,11 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qubeam.batch as batch_mod
+from qubeam.bogoliubov import INDEX_ORDER, _column
 import qubeam.sweep as sweep_mod
 from qubeam import (
     amplitudes,
     build_block,
+    closed_form_ab,
     exact_roots,
+    full_report,
     make_params,
     parse_config,
     perturbative_roots,
@@ -29,6 +35,8 @@ from qubeam.errors import (
 )
 from qubeam.cli import main
 from qubeam.params import ModelParams
+import qubeam.qstate as qstate_mod
+from qubeam.dispersion import DEFAULT_REL_TOL
 from qubeam.qstate import PolarizationConfig
 from qubeam.sweep import (
     CSV_HEADER,
@@ -132,12 +140,19 @@ def test_config_file_errors(tmp_path):
         parse_config(None, {"method": "newton"})
 
 
-def test_overrides_win_and_none_is_skipped(tmp_path):
+def test_overrides_win_and_a_flag_not_given_keeps_the_file_key(tmp_path):
     path = tmp_path / "sweep.conf"
     path.write_text("eps = 0.05\nkappa1 = 1200\n")
-    cfg = parse_config(str(path), {"eps": 0.2, "kappa1": None})
-    assert cfg.eps == 0.2
-    assert cfg.kappa1 == 1200.0
+    cfg = parse_config(str(path), {"eps": 0.2})
+    assert (cfg.eps, cfg.kappa1) == (0.2, 1200.0)
+    # `qubeam sweep` passes on only the flags given, so the file's kappa1
+    # stands without --kappa1.
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", str(path), "--eps", "0.2",
+                 "--dk-steps", "2", "--omega-steps", "2",
+                 "--out", str(out)]) == 0
+    echo = out.read_text().splitlines()[:12]
+    assert "# eps=0.20000000000000001" in echo and "# kappa1=1200" in echo
 
 
 def test_validation_collects_every_problem():
@@ -266,16 +281,48 @@ def test_direct_routes_reject_a_bad_method_or_pol(route):
             parse_config(None, overrides)
 
 
+@pytest.mark.parametrize("value", [5, None, 2.5, ("d", "u"), b"du"])
+def test_a_pol_that_is_neither_text_nor_a_config_is_rejected(value):
+    # parse_config reads text as a code and hands anything else to the
+    # config's own check, as the direct routes do.
+    for route, build in ROUTES.items():
+        with pytest.raises(ValidationError) as err:
+            build({"pol": value})
+        assert str(err.value) == (
+            f"pol must be a PolarizationConfig, got {value!r}"), route
+    assert parse_config(None, {"pol": PolarizationConfig(1, 2)}).pol.code == "ud"
+
+
+@pytest.mark.parametrize("tol,message", [
+    (math.nan, "tol must be positive and finite, got nan"),
+    (0.0, "tol must be positive and finite, got 0.0"),
+    ("1e-12", "tol must be a number, got '1e-12'"),
+    (None, "tol must be a number, got None"),
+])
+def test_a_bad_tol_is_rejected_up_front_on_every_route(tol, message):
+    params, pol = make_params(*FIG), PolarizationConfig(2, 1)
+    with pytest.raises(ValidationError) as err:
+        exact_roots(params, tol)
+    assert str(err.value) == message
+    with pytest.raises(ValidationError) as err:
+        full_report(params, pol, tol=tol)
+    assert (str(err.value), err.value.stage) == (f"stage roots: {message}",
+                                                 "roots")
+    # verify_point's checks turn a QubeamError into a failed check, so a
+    # raise means no check ran.
+    with pytest.raises(ValidationError) as err:
+        verify_point(params, pol, tol=tol)
+    assert str(err.value) == message
+    with pytest.raises(ValidationError) as err:
+        parse_config(None, {"tol": tol})
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("value", [None, "abc", 1j])
 @pytest.mark.parametrize("key", FLOAT_KEYS)
 def test_a_float_field_that_is_not_a_number_is_rejected(key, value):
-    # parse_config reads an override of None as a flag not given, so only
-    # the direct routes can carry None; "abc" and 1j reach every route.
     message = f"{key} must be a number, got {value!r}"
     for route, build in ROUTES.items():
-        if route == "parse_config" and value is None:
-            assert build({key: value}) == SweepConfig()
-            continue
         with pytest.raises(ValidationError) as err:
             build({key: value, "dk_steps": 1})
         assert str(err.value) == f"{message}; dk_steps must be >= 2, got 1"
@@ -665,7 +712,7 @@ def test_batch_gaps_match_amplitudes_or_are_unsettled(points):
         pol = PolarizationConfig.from_code(code)
         for method in ("exact", "perturbative"):
             cfg = SweepConfig(pol=pol, method=method)
-            y_gap, norm_gap, settled = sweep_mod._batch_gaps(batch, cfg)
+            y_gap, norm_gap, settled = batch_mod._batch_gaps(batch, cfg)
             for i, point in enumerate(points):
                 p = make_params(*point)
                 try:
@@ -733,6 +780,94 @@ def test_verify_point_detects_breakage():
     reports = _verify_all_configs(make_params(2500.0, 3000.0, 0.5, 1e9),
                                   VERIFY_COUNTS["broken"])
     assert not any(rep.ok for rep in reports.values())
+
+
+def _state_pattern_with_numpy(params, pol, pattern_vector):
+    """The state_pattern check as written over the 4x4 block and NumPy
+    arrays: (ok, detail), or the text of the QubeamError it raises."""
+    try:
+        amps = amplitudes(build_block(exact_roots(params), params), pol)
+        a, b = closed_form_ab(perturbative_roots(params), params, pol)
+    except QubeamError as exc:
+        return False, str(exc)
+    pattern = np.array(pattern_vector(b, a, pol))
+    with np.errstate(all="ignore"):
+        size = np.abs(pattern)
+        pattern = pattern / np.sqrt(np.sum(size * size))
+        defect = float(np.max(np.abs(amps.vec - pattern)))
+    bound = 50.0 * (params.eps * params.eps)
+    return (defect <= bound,
+            f"entrywise defect {defect:.3e} (bound {bound:.3e})")
+
+
+def _state_pattern(params, pol):
+    try:
+        return sweep_mod._check_state_pattern(params, pol, DEFAULT_REL_TOL,
+                                              None)
+    except QubeamError as exc:
+        return False, str(exc)
+
+
+def _envelope_points(seed, n):
+    """n seeded points of point_mix's input envelope (kappa1 10..1e4,
+    dk/kappa1 1e-3..10, omega up to kappa1/2) with the coupling up to 100
+    times its bound."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(n):
+        kappa1 = 10.0 ** rng.uniform(1.0, 4.0)
+        dk_rel = 10.0 ** rng.uniform(-3.0, 1.0)
+        omega = rng.uniform(0.0, kappa1 / 2.0)
+        eps = (10.0 ** rng.uniform(-4.0, 2.0) * 0.01 * (kappa1 - omega)
+               * (kappa1 - omega) * min(1.0, dk_rel))
+        points.append((kappa1, kappa1 * (1.0 + dk_rel), omega, eps))
+    return points
+
+
+def test_state_pattern_check_matches_the_numpy_expression():
+    # Seeded envelope points at scales 1 and 2^+-40 (eps by the square),
+    # plus a tiny coupling, a coupling past any root, a root on the other
+    # photon's pole and underflowing normalizations, for both configs the
+    # check runs on: the verdict and the detail text agree exactly.
+    points = [(2500.0, 3000.0, 0.5, 1e-12), (2500.0, 3000.0, 0.5, 1e9),
+              (10.0, 60.0, 0.0, 1000.0), (1e-66, 2e-66, 1e-67, 1e-135),
+              (1e-60, 1.00000001e-60, 0.0, 1e-80)] + _envelope_points(18, 120)
+    outcomes = collections.Counter()
+    for point in points:
+        for t in (1.0, 2.0 ** -40, 2.0 ** 40):
+            params = make_params(point[0] * t, point[1] * t, point[2] * t,
+                                 point[3] * t * t)
+            for code in ("du", "uu"):
+                pol = PolarizationConfig.from_code(code)
+                want = _state_pattern_with_numpy(params, pol,
+                                                 qstate_mod._pattern_vector)
+                assert _state_pattern(params, pol) == want
+                outcomes["defect" in want[1], want[0]] += 1
+    # passes, failed bounds and raised stages all occur
+    assert set(outcomes) == {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_a_nan_state_entry_fails_state_pattern_as_with_numpy(position,
+                                                            monkeypatch):
+    params, pol = make_params(*FIG), PolarizationConfig(2, 1)
+    columns = [_column(exact_roots(params), params, k, lam)
+               for k, lam in INDEX_ORDER]
+    state = qstate_mod._state_gaps(columns, pol)[:2]
+    assert state != closed_form_ab(perturbative_roots(params), params, pol)[::-1]
+    original = qstate_mod._pattern_vector
+
+    def nan_in_state(b_self, a_cross, config):
+        vec = list(original(b_self, a_cross, config))
+        if (b_self, a_cross) == state:
+            vec[position] = complex(math.nan, 0.0)
+        return tuple(vec)
+
+    monkeypatch.setattr(qstate_mod, "_pattern_vector", nan_in_state)
+    monkeypatch.setattr(sweep_mod, "_pattern_vector", nan_in_state)
+    want = _state_pattern_with_numpy(params, pol, original)
+    assert want == (False, "entrywise defect nan (bound 5.000e-01)")
+    assert _state_pattern(params, pol) == want
 
 
 def test_config_echo_has_no_timestamps():
