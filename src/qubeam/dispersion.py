@@ -220,9 +220,9 @@ def exact_roots(params: ModelParams, tol: float = DEFAULT_REL_TOL) -> ModeRoots:
     """Solve the dispersion relation for all four (k, lambda) roots.
 
     tol is relative: the returned roots satisfy |residual| <= tol * kappa_k,
-    re-checked after the solve. Rejects a tol that is not positive and finite
-    (nan or inf would turn that check off), and eps = 0, where the roots merge
-    into the poles (use perturbative_roots for the limit).
+    re-checked after the solve. Rejects a tol that is not a positive, finite
+    number (nan or inf would turn that check off), and eps = 0, where the
+    roots merge into the poles (use perturbative_roots for the limit).
     """
     _check_tol(tol)
     if not (params.eps > 0.0):

@@ -74,7 +74,8 @@ class TwoQubitAmplitudes:
 
 def _pattern_vector(b_self, a_cross, config):
     """The 4-vector P*b + Q*a with the row/column phase products, as four
-    complex numbers; each is real or imaginary, since P and Q are."""
+    complex numbers. An entry's P and Q are both real or both imaginary,
+    so the entry is too."""
     lam1, lam2 = config.lambda1, config.lambda2
     return tuple(complex(_phase(lam, lam1) * _phase(lam_p, lam2) * b_self
                          + _phase(lam_p, lam1) * _phase(lam, lam2) * a_cross)

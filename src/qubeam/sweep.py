@@ -5,6 +5,7 @@ frequency omega and the frequency split delta_kappa = kappa2 - kappa1, and
 records the entanglement measures per point. Output is deterministic: rows
 ordered lexicographically by (omega, delta_kappa), numbers printed with 17
 significant digits, metadata confined to '#' comment lines, no timestamps.
+The grid is evaluated as arrays in batch, imported when a sweep runs.
 """
 import collections
 from contextlib import ExitStack

@@ -8,7 +8,8 @@ full 64x64 grids guard the output bytes. The point commands' pins cover
 the paths that do not go through the batch, at the reference point:
 `full_report`, `verify_point`, and the `roots`, `block` and `state`
 commands, which print `ModeRoots` and the results of `build_block` and
-`amplitudes`.
+`amplitudes`. `verify` is also pinned at zero field and at a coupling
+past any root, where its checks skip or fail.
 """
 import hashlib
 from pathlib import Path

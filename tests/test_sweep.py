@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import math
 from pathlib import Path
-import random
 import struct
 
 import numpy as np
@@ -44,6 +43,8 @@ from qubeam.sweep import (
     config_echo_lines,
     write_csv,
 )
+
+from test_entangle import _envelope_points
 
 FIG = (2500.0, 3000.0, 0.5, 0.1)
 
@@ -806,22 +807,6 @@ def _state_pattern(params, pol):
                                               None)
     except QubeamError as exc:
         return False, str(exc)
-
-
-def _envelope_points(seed, n):
-    """n seeded points of point_mix's input envelope (kappa1 10..1e4,
-    dk/kappa1 1e-3..10, omega up to kappa1/2) with the coupling up to 100
-    times its bound."""
-    rng = random.Random(seed)
-    points = []
-    for _ in range(n):
-        kappa1 = 10.0 ** rng.uniform(1.0, 4.0)
-        dk_rel = 10.0 ** rng.uniform(-3.0, 1.0)
-        omega = rng.uniform(0.0, kappa1 / 2.0)
-        eps = (10.0 ** rng.uniform(-4.0, 2.0) * 0.01 * (kappa1 - omega)
-               * (kappa1 - omega) * min(1.0, dk_rel))
-        points.append((kappa1, kappa1 * (1.0 + dk_rel), omega, eps))
-    return points
 
 
 def test_state_pattern_check_matches_the_numpy_expression():
