@@ -17,7 +17,8 @@ from .errors import (
 )
 from .params import ModelParams, make_params
 from .qstate import PolarizationConfig, TwoQubitAmplitudes, amplitudes, closed_form_ab
-from .sweep import SweepConfig, parse_config, run_sweep, verify_point
+from .sweep import SweepConfig, parse_config, run_sweep
+from .verify import verify_point
 
 __all__ = [
     "__version__",

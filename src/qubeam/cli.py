@@ -10,21 +10,15 @@ import functools
 import math
 import sys
 
-from .bogoliubov import INDEX_ORDER, build_block, identity_defect
+from .bogoliubov import INDEX_ORDER, _column, build_block, identity_defect
 from .dispersion import DEFAULT_REL_TOL, exact_roots, perturbative_roots
 from .entangle import full_report
 from .errors import ParseError, QubeamError, ValidationError
 from .params import _check_tol, make_params
-from .qstate import PolarizationConfig, amplitudes
-from .sweep import (
-    _FILE_KEYS,
-    _fmt,
-    failure_tally,
-    parse_config,
-    run_sweep,
-    verify_point,
-    write_csv,
-)
+from .qstate import PolarizationConfig, _normalized_state
+from .sweep import (_FILE_KEYS, _fmt, failure_tally, parse_config, run_sweep,
+                    write_csv)
+from .verify import verify_point
 
 _CHOICES = {"pol": ["uu", "ud", "du", "dd"], "method": ["exact", "pert"]}
 
@@ -152,13 +146,14 @@ def _cmd_state(args):
     params = _point_params(args)
     roots = (exact_roots(params, args.tol) if args.method == "exact"
              else perturbative_roots(params))
-    amps = amplitudes(build_block(roots, params),
-                      PolarizationConfig.from_code(args.pol))
-    lines = [f"config: {amps.config.code}  (lambda1={amps.config.lambda1}, "
-             f"lambda2={amps.config.lambda2})"]
-    for i, v in enumerate(amps.vec, start=1):
+    pol = PolarizationConfig.from_code(args.pol)
+    vec, _, norm_gap = _normalized_state(
+        [_column(roots, params, k, lam) for k, lam in INDEX_ORDER], pol)
+    lines = [f"config: {pol.code}  (lambda1={pol.lambda1}, "
+             f"lambda2={pol.lambda2})"]
+    for i, v in enumerate(vec, start=1):
         lines.append(f"upsilon{i}: {v.real:+.17g} {v.imag:+.17g}i")
-    lines.append(f"raw_norm: {math.sqrt(amps.raw_norm_sq):.17g}")
+    lines.append(f"raw_norm: {math.sqrt(1.0 - norm_gap):.17g}")
     _emit(lines, None)
     return 0
 

@@ -16,6 +16,7 @@ are assembled from the chi/xi column deviations, never by subtracting
 collapsed floats.
 """
 from dataclasses import dataclass
+import math
 
 from .bogoliubov import BogoliubovBlock, _column, _phase
 from .dispersion import ModeRoots
@@ -120,16 +121,27 @@ def _state_gaps(columns, config: PolarizationConfig):
     return gaps
 
 
+def _normalized(vec, norm_sq):
+    # vec / sqrt(norm_sq) as NumPy divides a complex by a real: times the
+    # reciprocal, and times inf at a zero norm (x/0 is inf, or nan at x = 0)
+    scale = math.sqrt(norm_sq)
+    return [z * (1.0 / scale if scale else math.inf) for z in vec]
+
+
+def _normalized_state(columns, config: PolarizationConfig):
+    """(vec, y_gap, norm_gap): config's unit 4-vector, four complex numbers,
+    and its gaps; columns in INDEX_ORDER. The raw norm is sqrt(1 - norm_gap)."""
+    b_self, a_cross, y_gap, norm_gap = _state_gaps(columns, config)
+    return (_normalized(_pattern_vector(b_self, a_cross, config),
+                        1.0 - norm_gap), y_gap, norm_gap)
+
+
 def amplitudes(block: BogoliubovBlock, config: PolarizationConfig) -> TwoQubitAmplitudes:
     """Two-qubit amplitudes for one quasiphoton polarization configuration."""
     import numpy as np
-    b_self, a_cross, y_gap, norm_gap = _state_gaps(block.columns, config)
-    raw_norm_sq = 1.0 - norm_gap
-    return TwoQubitAmplitudes(
-        vec=np.array(_pattern_vector(b_self, a_cross, config))
-        / np.sqrt(raw_norm_sq),
-        config=config, raw_norm_sq=raw_norm_sq,
-        norm_gap=norm_gap, y_gap=y_gap)
+    vec, y_gap, norm_gap = _normalized_state(block.columns, config)
+    return TwoQubitAmplitudes(vec=np.array(vec), config=config, y_gap=y_gap,
+                              raw_norm_sq=1.0 - norm_gap, norm_gap=norm_gap)
 
 
 def closed_form_ab(roots: ModeRoots, params: ModelParams,

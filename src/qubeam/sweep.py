@@ -1,4 +1,4 @@
-"""Parameter sweeps over (omega, delta_kappa), CSV emission, verification.
+"""Parameter sweeps over (omega, delta_kappa) and their CSV emission.
 
 A sweep fixes kappa1 and eps, walks a rectangular grid in the cyclotron
 frequency omega and the frequency split delta_kappa = kappa2 - kappa1, and
@@ -14,17 +14,11 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .bogoliubov import INDEX_ORDER, _column
-from .dispersion import DEFAULT_REL_TOL, exact_roots, perturbative_roots
-from .entangle import _info_from_gap, asymptotic_info, full_report, phi_closed
+from .dispersion import DEFAULT_REL_TOL
+from .entangle import full_report
 from .errors import AllRowsFailed, ParseError, QubeamError, ValidationError
-from .params import ModelParams, _check_tol, _inf_if_huge, make_params
-from .qstate import (
-    PolarizationConfig,
-    _pattern_vector,
-    _state_gaps,
-    closed_form_ab,
-)
+from .params import _check_tol, _inf_if_huge, make_params
+from .qstate import PolarizationConfig
 
 _METHOD_ALIASES = {"exact": "exact", "pert": "perturbative",
                    "perturbative": "perturbative"}
@@ -95,9 +89,9 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Swee
     """Build a SweepConfig from an optional key=value file plus overrides.
 
     File format: one 'key = value' per line, '#' starts a comment, blank
-    lines ignored. Overrides win over file keys; pol may be given as its
-    code or as a PolarizationConfig. Raises ParseError with line context,
-    or SweepConfig's ValidationError.
+    lines ignored. Overrides win over file keys; a pol or method given as
+    text is resolved here, and any other value reaches SweepConfig's check.
+    Raises ParseError with line context, or SweepConfig's ValidationError.
     """
     values = {}
     if path is not None:
@@ -129,8 +123,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Swee
             values["pol"] = PolarizationConfig.from_code(values["pol"])
         except ValueError as exc:
             raise ParseError(f"bad pol value: {exc}") from exc
-    if "method" in values:
-        method = str(values["method"]).lower()
+    if isinstance(values.get("method"), str):
+        method = values["method"].lower()
         if method not in _METHOD_ALIASES:
             raise ParseError(f"bad method {values['method']!r}: "
                              "expected exact or pert")
@@ -293,174 +287,3 @@ def write_csv(table: SweepTable, config: SweepConfig, path: str,
                 dat.write(f"{cells[0][0]} {' '.join(measure)}\n")
     return surfaces
 
-
-# ----------------------------------------------------------------- verify
-
-@dataclass(frozen=True)
-class VerificationCheck:
-    name: str
-    status: str          # "pass" | "fail" | "skip"
-    detail: str
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple
-
-    @property
-    def ok(self):
-        return all(c.status != "fail" for c in self.checks)
-
-    @property
-    def counts(self):
-        """(passed, failed, skipped)."""
-        return tuple(sum(c.status == status for c in self.checks)
-                     for status in ("pass", "fail", "skip"))
-
-
-_LADDER = (1.0, 0.5, 0.25)
-
-
-def _quartered(ratios):
-    # A second-order defect shrinks ~4x per halving of eps.
-    return all(3.5 <= r <= 4.5 for r in ratios)
-
-
-def _check_root_ladder(params, pol, tol, ladder):
-    """First-order roots against the solved dispersion relation; exact_roots
-    raises NonConvergence where a residual misses tol."""
-    defects = {kl: [] for kl in INDEX_ORDER}
-    for lp in ladder:
-        ex = exact_roots(lp, tol)
-        pert = perturbative_roots(lp)
-        for k, lam in INDEX_ORDER:
-            defects[k, lam].append(abs(ex.offset(k, lam) - pert.offset(k, lam)))
-    ratios = [d[i] / d[i + 1] for d in defects.values() for i in range(2)]
-    return (_quartered(ratios),
-            f"defect ratios {['%.3f' % r for r in ratios]}, "
-            "residuals within tol: True")
-
-
-def _normalized(vec, norm_sq):
-    # vec / sqrt(norm_sq) as NumPy divides a complex by a real: times the
-    # reciprocal, and times inf at a zero norm (x/0 is inf, or nan at x = 0)
-    scale = math.sqrt(norm_sq)
-    return [z * (1.0 / scale if scale else math.inf) for z in vec]
-
-
-def _check_state_pattern(params, pol, tol, ladder):
-    """Pipeline amplitudes against the explicit (a, b) pattern, both
-    normalized. The state is _state_gaps over the four columns, which is
-    all amplitudes(build_block(roots, params), pol) reads."""
-    roots = exact_roots(params, tol)
-    columns = [_column(roots, params, k, lam) for k, lam in INDEX_ORDER]
-    b_self, a_cross, _, norm_gap = _state_gaps(columns, pol)
-    amps = _normalized(_pattern_vector(b_self, a_cross, pol), 1.0 - norm_gap)
-    a, b = closed_form_ab(perturbative_roots(params), params, pol)
-    pattern = _pattern_vector(b, a, pol)
-    pattern = _normalized(pattern, sum([abs(z) * abs(z) for z in pattern]))
-    # A nan entry is the defect, as with np.max, so the check fails.
-    defect = max([abs(x - y) for x, y in zip(amps, pattern)],
-                 key=lambda d: (math.isnan(d), d))
-    bound = 50.0 * (params.eps * params.eps)
-    return (defect <= bound,
-            f"entrywise defect {defect:.3e} (bound {bound:.3e})")
-
-
-def _closed_ladder(measure, scale):
-    """Ladder check of a pipeline measure against scale * eps * Phi."""
-    def check(params, pol, tol, ladder):
-        defs = []
-        for lp in ladder:
-            rep = full_report(lp, pol, method="exact", tol=tol)
-            phi, _ = phi_closed(lp)
-            defs.append(abs(getattr(rep, measure) - scale * lp.eps * phi))
-        phi0, _ = phi_closed(params)
-        bound = 50.0 * (params.eps * params.eps) * phi0
-        ratios = [defs[0] / defs[1], defs[1] / defs[2]]
-        ok = defs[0] <= bound * scale and _quartered(ratios)
-        return (ok, f"defects {['%.3e' % d for d in defs]}, "
-                    f"ratios {['%.3f' % r for r in ratios]}")
-    return check
-
-
-def _check_info_asymptotic(params, pol, tol, ladder):
-    # Same gap argument on both sides: the asymptotic formula is the
-    # leading expansion of the exact information measure at g = eps*Phi,
-    # so feeding it the pipeline gap instead would report the O(eps^2)
-    # difference between the two gaps, not the quality of the expansion.
-    phi, _ = phi_closed(params)
-    exact_at_gap = _info_from_gap(params.eps * phi)
-    if not exact_at_gap > 0.0:
-        return (False, f"exact measure {exact_at_gap:.3e} at shared gap "
-                f"{params.eps * phi:.3e} is not positive; no ratio")
-    ratio = asymptotic_info(params) / exact_at_gap
-    return (abs(ratio - 1.0) <= 1e-10,
-            f"asymptotic/exact ratio deviates by {abs(ratio - 1.0):.3e} "
-            f"at shared gap {params.eps * phi:.3e}")
-
-
-def _check_zero_entanglement(params, pol, tol, ladder):
-    rep = full_report(params, pol, method="exact", tol=tol)
-    bound = 50.0 * (params.eps * params.eps)
-    return (rep.E_I <= bound and rep.E_S <= bound,
-            f"E_I={rep.E_I:.3e}, E_S={rep.E_S:.3e} (bound {bound:.3e})")
-
-
-def _skip_pattern(params, pol):
-    if (pol.lambda1, pol.lambda2) not in ((2, 1), (1, 1)):
-        return f"no explicit pattern for {pol.code}"
-
-
-def _skip_ladder(params, pol):
-    if (pol.lambda1, pol.lambda2) != (2, 1):
-        return "closed forms apply to pol du only"
-    if not params.omega > 0.0:
-        return "omega = 0 has no ladder signal"
-
-
-def _skip_info(params, pol):
-    if _skip_ladder(params, pol):
-        return "needs pol du and omega > 0"
-
-
-def _skip_zero(params, pol):
-    if not pol.parallel:
-        return "applies to parallel polarizations"
-
-
-# (name, check, skip rule) in report order. A check returns (ok, detail); a
-# skip rule returns the reason to skip, or None to run the check.
-_CHECKS = (
-    ("root_ladder", _check_root_ladder, None),
-    ("state_pattern", _check_state_pattern, _skip_pattern),
-    ("y_closed_ladder", _closed_ladder("y_gap", 1.0), _skip_ladder),
-    ("schmidt_closed_ladder", _closed_ladder("E_S", 2.0), _skip_ladder),
-    ("info_asymptotic", _check_info_asymptotic, _skip_info),
-    ("zero_entanglement", _check_zero_entanglement, _skip_zero),
-)
-
-
-def verify_point(params: ModelParams, pol: PolarizationConfig,
-                 tol: float = DEFAULT_REL_TOL) -> VerificationReport:
-    """Run the internal consistency oracles at one parameter point.
-
-    Ladder checks evaluate at eps, eps/2, eps/4 and require the
-    second-order defects to shrink by ~4x per halving. A check that raises
-    a QubeamError fails with the error text as its detail. A tol that is
-    not a positive, finite number raises ValidationError before any check.
-    """
-    _check_tol(tol)
-    ladder = [params._replace(eps=params.eps * f) for f in _LADDER]
-    checks = []
-    for name, check, skip in _CHECKS:
-        reason = skip(params, pol) if skip else None
-        if reason:
-            checks.append(VerificationCheck(name, "skip", reason))
-            continue
-        try:
-            ok, detail = check(params, pol, tol, ladder)
-        except QubeamError as exc:
-            ok, detail = False, str(exc)
-        checks.append(VerificationCheck(name, "pass" if ok else "fail", detail))
-    return VerificationReport(checks=tuple(checks))

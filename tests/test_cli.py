@@ -379,7 +379,7 @@ for pol in pols:
         full_report(params, pol, method)
 for pol in pols:
     assert verify_point(params, pol).ok
-for command in ("roots", "measures", "verify"):
+for command in ("roots", "state", "measures", "verify"):
     assert qubeam.cli.main([command]) == 0
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "numpy")
 assert not loaded, loaded
@@ -388,8 +388,7 @@ assert not loaded, loaded
 _ARRAY_WORK = """
 import sys
 import qubeam.cli
-for argv in (["sweep", "--out", sys.argv[1], *sys.argv[2:]], ["block"],
-             ["state"]):
+for argv in (["sweep", "--out", sys.argv[1], *sys.argv[2:]], ["block"]):
     assert qubeam.cli.main(argv) == 0, argv
 assert "numpy" in sys.modules
 """
@@ -405,9 +404,10 @@ def _fresh_python(code, *args):
 def test_point_work_loads_no_numpy_and_array_work_still_runs(tmp_path):
     proc = _fresh_python(_POINT_WORK)
     assert proc.returncode == 0, proc.stderr
+    assert "raw_norm: " in proc.stdout
     assert proc.stdout.endswith("5 passed, 0 failed, 1 skipped\n")
     out = tmp_path / "s.csv"
     proc = _fresh_python(_ARRAY_WORK, str(out), *SWEEP_SMALL)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == f"wrote {out}: 6 rows, 0 failed\n"
-    assert "u,1,1,1,1," in proc.stdout and "raw_norm: " in proc.stdout
+    assert "u,1,1,1,1," in proc.stdout

@@ -220,9 +220,13 @@ def test_zero_norm_check_agrees_with_the_amplitude_vector():
 def test_state_always_normalized(kappa1, split, omega_frac, code):
     p = make_params(kappa1, kappa1 * (1.0 + split), omega_frac * kappa1,
                     1e-3 * kappa1 ** 2)
-    amps = amplitudes(build_block(exact_roots(p), p),
-                      PolarizationConfig.from_code(code))
+    block = build_block(exact_roots(p), p)
+    amps = amplitudes(block, PolarizationConfig.from_code(code))
     assert float(np.sum(np.abs(amps.vec) ** 2)) == pytest.approx(1.0, abs=1e-12)
+    # the vector is NumPy's division of the raw one, bit for bit
+    b_self, a_cross, _, norm_gap = _state_gaps(block.columns, amps.config)
+    raw = np.array(_pattern_vector(b_self, a_cross, amps.config))
+    assert amps.vec.tobytes() == (raw / np.sqrt(1.0 - norm_gap)).tobytes()
     if amps.config.parallel:
         M = amps.vec.reshape(2, 2)
         assert M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0] == 0.0

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import qubeam.batch as batch_mod
 from qubeam.bogoliubov import INDEX_ORDER, _column
 import qubeam.sweep as sweep_mod
+import qubeam.verify as verify_mod
 from qubeam import (
     amplitudes,
     build_block,
@@ -285,12 +286,13 @@ def test_direct_routes_reject_a_bad_method_or_pol(route):
 @pytest.mark.parametrize("value", [5, None, 2.5, ("d", "u"), b"du"])
 def test_a_pol_that_is_neither_text_nor_a_config_is_rejected(value):
     # parse_config reads text as a code and hands anything else to the
-    # config's own check, as the direct routes do.
-    for route, build in ROUTES.items():
-        with pytest.raises(ValidationError) as err:
-            build({"pol": value})
-        assert str(err.value) == (
-            f"pol must be a PolarizationConfig, got {value!r}"), route
+    # config's own check, as the direct routes do; method is held the same.
+    for field, message in (("pol", "pol must be a PolarizationConfig"),
+                           ("method", "method must be exact or perturbative")):
+        for route, build in ROUTES.items():
+            with pytest.raises(ValidationError) as err:
+                build({field: value})
+            assert str(err.value) == f"{message}, got {value!r}", route
     assert parse_config(None, {"pol": PolarizationConfig(1, 2)}).pol.code == "ud"
 
 
@@ -731,8 +733,8 @@ def test_batch_gaps_match_amplitudes_or_are_unsettled(points):
 CHECK_NAMES = ["root_ladder", "state_pattern", "y_closed_ladder",
                "schmidt_closed_ladder", "info_asymptotic", "zero_entanglement"]
 
-# (passed, failed, skipped) per polarization config at three points: the
-# reference point, zero field, and a coupling far past any root.
+# (passed, failed, skipped) per polarization config at four points: the
+# reference point, zero field, a coupling far past any root, and eps 1e-9.
 VERIFY_COUNTS = {
     "reference": {"uu": (3, 0, 3), "ud": (1, 0, 5), "du": (5, 0, 1),
                   "dd": (2, 0, 4)},
@@ -740,6 +742,8 @@ VERIFY_COUNTS = {
                    "dd": (2, 0, 4)},
     "broken": {"uu": (0, 3, 3), "ud": (0, 1, 5), "du": (0, 5, 1),
                "dd": (0, 2, 4)},
+    "tiny": {"uu": (1, 2, 3), "ud": (0, 1, 5), "du": (3, 2, 1),
+             "dd": (1, 1, 4)},
 }
 
 
@@ -777,25 +781,56 @@ def test_verify_point_zero_field():
     assert all(rep.ok for rep in reports.values())
 
 
-def test_verify_point_detects_breakage():
-    reports = _verify_all_configs(make_params(2500.0, 3000.0, 0.5, 1e9),
-                                  VERIFY_COUNTS["broken"])
-    assert not any(rep.ok for rep in reports.values())
+def test_verify_point_detects_breakage(capsys):
+    # A coupling far past any root, and one so small that exact and
+    # first-order values agree to the bit on some ladder rungs.
+    for eps, case in (("1e9", "broken"), ("1e-9", "tiny")):
+        reports = _verify_all_configs(
+            make_params(2500.0, 3000.0, 0.5, float(eps)), VERIFY_COUNTS[case])
+        assert not any(rep.ok for rep in reports.values())
+        for code, (passed, failed, skipped) in VERIFY_COUNTS[case].items():
+            assert main(["verify", "--eps", eps, "--pol", code]) == 2
+            assert capsys.readouterr().out.endswith(
+                f"{passed} passed, {failed} failed, {skipped} skipped\n")
+
+
+def test_verify_point_reports_a_zero_defect_on_a_ladder():
+    # At a coupling scaled by 1e-9 a defect on a ladder rung can be exactly
+    # 0.0, in the root ladder or in a closed-form ladder (the last point);
+    # its ratio reads inf and the check fails instead of raising.
+    points = [(*point[:3], point[3] * 1e-9)
+              for point in _envelope_points(7, 40)]
+    points.append((756.2743600973859, 1155.6081695365501, 185.02037243492484,
+                   1.7765298219737055e-10))
+    zero_ratios = collections.Counter()
+    for point in points:
+        params = make_params(*point)
+        for code in ("uu", "ud", "du", "dd"):
+            rep = verify_point(params, PolarizationConfig.from_code(code))
+            for check in rep.checks:
+                if "'inf'" in check.detail:
+                    assert check.status == "fail"
+                    zero_ratios[check.name] += 1
+    assert {"root_ladder", "y_closed_ladder"} <= set(zero_ratios)
 
 
 def _state_pattern_with_numpy(params, pol, pattern_vector):
     """The state_pattern check as written over the 4x4 block and NumPy
     arrays: (ok, detail), or the text of the QubeamError it raises."""
     try:
-        amps = amplitudes(build_block(exact_roots(params), params), pol)
+        block = build_block(exact_roots(params), params)
+        b_self, a_cross, _, norm_gap = qstate_mod._state_gaps(block.columns,
+                                                              pol)
         a, b = closed_form_ab(perturbative_roots(params), params, pol)
     except QubeamError as exc:
         return False, str(exc)
     pattern = np.array(pattern_vector(b, a, pol))
     with np.errstate(all="ignore"):
+        amps = (np.array(qstate_mod._pattern_vector(b_self, a_cross, pol))
+                / np.sqrt(1.0 - norm_gap))
         size = np.abs(pattern)
         pattern = pattern / np.sqrt(np.sum(size * size))
-        defect = float(np.max(np.abs(amps.vec - pattern)))
+        defect = float(np.max(np.abs(amps - pattern)))
     bound = 50.0 * (params.eps * params.eps)
     return (defect <= bound,
             f"entrywise defect {defect:.3e} (bound {bound:.3e})")
@@ -803,8 +838,8 @@ def _state_pattern_with_numpy(params, pol, pattern_vector):
 
 def _state_pattern(params, pol):
     try:
-        return sweep_mod._check_state_pattern(params, pol, DEFAULT_REL_TOL,
-                                              None)
+        return verify_mod._check_state_pattern(params, pol, DEFAULT_REL_TOL,
+                                               None)
     except QubeamError as exc:
         return False, str(exc)
 
@@ -849,7 +884,7 @@ def test_a_nan_state_entry_fails_state_pattern_as_with_numpy(position,
         return tuple(vec)
 
     monkeypatch.setattr(qstate_mod, "_pattern_vector", nan_in_state)
-    monkeypatch.setattr(sweep_mod, "_pattern_vector", nan_in_state)
+    monkeypatch.setattr(verify_mod, "_pattern_vector", nan_in_state)
     want = _state_pattern_with_numpy(params, pol, original)
     assert want == (False, "entrywise defect nan (bound 5.000e-01)")
     assert _state_pattern(params, pol) == want
