@@ -58,7 +58,8 @@ def _check_root_ladder(params, pol, tol, ladder):
         pert = perturbative_roots(lp)
         for k, lam in INDEX_ORDER:
             defects[k, lam].append(abs(ex.offset(k, lam) - pert.offset(k, lam)))
-    ratios = [_ratio(d[i], d[i + 1]) for d in defects.values() for i in range(2)]
+    ratios = [_ratio(d[i], d[i + 1])
+              for d in defects.values() for i in range(2)]
     return (_quartered(ratios),
             f"defect ratios {['%.3f' % r for r in ratios]}, "
             "residuals within tol: True")

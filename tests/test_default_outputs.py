@@ -7,9 +7,9 @@ in 16 rows of each uu and dd CSV and 12 of each ud and du CSV), so only the
 full 64x64 grids guard the output bytes. The point commands' pins cover
 the paths that do not go through the batch, at the reference point:
 `full_report`, `verify_point`, and the `roots`, `block` and `state`
-commands, which print `ModeRoots` and the results of `build_block` and
-`amplitudes`. `verify` is also pinned at zero field and at a coupling
-past any root, where its checks skip or fail.
+commands, which print `ModeRoots`, the result of `build_block` and the
+normalized state that `amplitudes` also holds. `verify` is also pinned at
+zero field and at a coupling past any root, where its checks skip or fail.
 """
 import hashlib
 from pathlib import Path
