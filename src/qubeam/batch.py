@@ -12,27 +12,12 @@ import numpy as np
 from .bogoliubov import INDEX_ORDER, _deviations, _state_factors
 from .dispersion import (_ITER_MAX, _branch_sign, _dispersion,
                          _first_order_terms, _residual_offset)
-from .entangle import (DOMAIN_TOL, _SERIES_CUT, _asymptotic_from_phi,
-                       _asymptotic_terms, _info_direct, _info_from_gap,
-                       _info_series, _phi_terms, _schmidt_from_gaps)
-from .params import RESONANCE_MARGIN, ModelParams
-from .qstate import _gaps
-
-
-def _rejections(kappa1, kappa2, omega, eps):
-    """make_params' checks over arrays of points, in its order and with its
-    comparisons: per point, 0 where make_params accepts the point, else the
-    rank of the error class it raises (1 NonPositive, 2
-    DegenerateFrequencies, 3 ValidationError, 4 NearResonance)."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        return np.select(
-            [~((kappa1 > 0.0) & np.isfinite(kappa1) & (kappa2 > 0.0)
-               & np.isfinite(kappa2) & (eps > 0.0) & np.isfinite(eps))
-             | (omega < 0.0) | ~np.isfinite(omega),
-             kappa1 == kappa2,
-             kappa1 > kappa2,
-             omega >= kappa1 * (1.0 - RESONANCE_MARGIN)],
-            [1, 2, 3, 4], 0)
+from .entangle import (_SERIES_CUT, _asymptotic_from_phi, _asymptotic_terms,
+                       _closed_verdicts, _info_direct, _info_from_gap,
+                       _info_series, _measure_verdicts, _phi_terms,
+                       _schmidt_from_gaps)
+from .params import _PARAMS_RULES, ModelParams, _params_verdicts
+from .qstate import _gaps, _norm_verdicts
 
 
 def _pair(params, k):
@@ -162,9 +147,14 @@ def _first_rejections(config):
     """The grid index of the first point of each error class that
     make_params raises on config's grid, in grid order."""
     _, _, omega, kappa2 = _grid_arrays(config)
-    rank = _rejections(float(config.kappa1), kappa2, omega, float(config.eps))
+    ok = _params_verdicts(float(config.kappa1), kappa2, omega,
+                          float(config.eps))
+    # per point, the first row of its first failing row's class, or -1
+    classes = [error for error, _ in _PARAMS_RULES]
+    rank = np.select([np.logical_not(row) for row in ok],
+                     [classes.index(error) for error in classes], -1)
     ranks, first = np.unique(rank, return_index=True)
-    return sorted(first[ranks > 0].tolist())
+    return sorted(first[ranks >= 0].tolist())
 
 
 def _batch_gaps(params: ModelParams, config):
@@ -190,10 +180,9 @@ def _batch_gaps(params: ModelParams, config):
         pol = config.pol
         b_self, a_cross, y_gap, norm_gap = _gaps(
             columns[(1, pol.lambda1)], columns[(2, pol.lambda2)], pol.parallel)
-        # _state_gaps' ZeroNorm: the entries are +-b_self +- a_cross up to
-        # unit phases, so all four vanish only where |a_cross| == |b_self|.
-        settled &= ((1.0 - norm_gap > 0.0) & (np.abs(a_cross) != np.abs(b_self))
-                    & np.isfinite(y_gap) & np.isfinite(norm_gap))
+        settled &= (np.logical_and.reduce(
+            _norm_verdicts(b_self, a_cross, norm_gap, pol.parallel))
+            & np.isfinite(y_gap) & np.isfinite(norm_gap))
     return y_gap, norm_gap, settled
 
 
@@ -213,31 +202,26 @@ def _batch_values(config):
     y_gap, norm_gap, settled = _batch_gaps(params, config)
     k1, k2, w, eps = params
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # _measures: the DomainErrors, then max(e_s, 0.0)
+        # _measures: its rules, then its clamp of e_s
         e_s = _schmidt_from_gaps(norm_gap, y_gap)
-        settled &= ((y_gap >= -DOMAIN_TOL) & (y_gap <= 1.0 + DOMAIN_TOL)
-                    & (e_s >= -DOMAIN_TOL))
+        settled &= np.logical_and.reduce(_measure_verdicts(y_gap, e_s))
         e_s = np.where(0.0 > e_s, 0.0, e_s)
         # _closed_forms
         pol = (config.pol.lambda1, config.pol.lambda2)
         if pol == (2, 1):
             num, den = _phi_terms(k1, k2, w)
             phi = num / den
-            # phi_closed's SingularDenominator and RangeViolation (omega is
-            # off its ResonancePole on a checked grid); _asymptotic_from_phi's
-            # DomainError where omega and Phi are nonzero.
-            zero = (w == 0.0) | (phi == 0.0)
-            settled &= ((den > 0.0) & (eps * phi < 1.0)
-                        & (zero | ~(phi <= 0.0)))
+            settled &= np.logical_and.reduce(
+                _closed_verdicts(k1, w, den, eps * phi, phi, True))
             e_s_closed = (2.0 * eps * phi).tolist()
             e_i_asym = _asymptotic_from_phis(phi, float(config.eps),
-                                             settled & ~zero).tolist()
+                                             settled & (phi != 0.0)).tolist()
         elif pol == (1, 1):     # two lists: run_sweep writes into each
             e_i_asym, e_s_closed = [0.0] * n, [0.0] * n
         else:
             e_i_asym, e_s_closed = [None] * n, [None] * n
-        # _info_from_gap is 0 for a gap <= 0, so the clamp of _measures is
-        # not needed; 0.0 and 1.0 are placeholders where nothing settled.
+        # _info_from_gap is 0 for a gap <= 0, as _measures relies on; 0.0
+        # and 1.0 are placeholders where nothing settled.
         e_i = _info_from_gaps(np.where(settled, y_gap, 0.0)).tolist()
         raw_norm = np.sqrt(np.where(settled, 1.0 - norm_gap, 1.0))
         # The grid columns share one float object per grid value, to save

@@ -42,8 +42,6 @@ INDEX_ORDER = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 def _branch_sign(lam):
     # (-1)^(lambda-1): +1 on branch 1, -1 on branch 2
-    if lam not in (1, 2):
-        raise ValueError(f"lambda must be 1 or 2, got {lam!r}")
     return 1.0 if lam == 1 else -1.0
 
 

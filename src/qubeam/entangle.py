@@ -27,6 +27,7 @@ from .errors import (
     RangeViolation,
     ResonancePole,
     SingularDenominator,
+    _raise_first,
 )
 from .params import ModelParams
 from .qstate import PolarizationConfig, _state_gaps
@@ -101,31 +102,50 @@ def _phi_terms(k1, k2, w):
     return num, den
 
 
+# phi_closed's rules, then the asymptotic form's, which Phi = 0 passes
+# where routed: omega = 0 gives Phi = 0, and the exact E_I = 0.
+_CLOSED_RULES = (
+    (ResonancePole, "omega = {w} on the resonance pole at kappa1 = {k1}"),
+    (SingularDenominator, "Phi denominator {den!r} is not positive at "
+     "kappa1 = {k1}, kappa2 = {k2}"),
+    (RangeViolation, "eps*Phi = {eps_phi!r} is not below 1; outside the "
+     "admissible range"),
+    (DomainError, "asymptotic form needs Phi > 0, got {phi!r} (route "
+     "omega = 0 to E_I = 0)"),
+)
+
+
+def _closed_verdicts(k1, w, den, eps_phi, phi, routed):
+    """Each _CLOSED_RULES row's accept verdict, for floats or arrays."""
+    return (abs(w - k1) > 1e-12 * k1, den > 0.0, eps_phi < 1.0,
+            (phi > 0.0) | routed & (phi == 0.0))
+
+
+def _checked_phi(params: ModelParams, routed):
+    # (Phi, 1 - eps*Phi) once _CLOSED_RULES accept them
+    k1, k2, w, eps = params
+    num, den = _phi_terms(k1, k2, w)
+    phi = num / den if den else math.nan    # a zero den fails its own row
+    eps_phi = eps * phi
+    ok = _closed_verdicts(k1, w, den, eps_phi, phi, routed)
+    if not all(ok):
+        _raise_first(_CLOSED_RULES, ok, k1=k1, k2=k2, w=w, den=den,
+                     eps_phi=eps_phi, phi=phi)
+    return phi, 1.0 - eps_phi
+
+
 def phi_closed(params: ModelParams):
     """Closed-form factor Phi for the (down, up) configuration.
 
     Returns (Phi, y_closed) with y_closed = 1 - eps*Phi. Phi >= 0 in the
-    validated regime and vanishes with omega.
+    validated regime and vanishes with omega; a negative Phi raises
+    DomainError.
     """
-    k1, k2, w = params.kappa1, params.kappa2, params.omega
-    if abs(w - k1) <= 1e-12 * k1:
-        raise ResonancePole(f"omega = {w} on the resonance pole at kappa1 = {k1}")
-    num, den = _phi_terms(k1, k2, w)
-    if not den > 0.0:
-        raise SingularDenominator(f"Phi denominator {den!r} is not positive "
-                                  f"at kappa1 = {k1}, kappa2 = {k2}")
-    phi = num / den
-    eps_phi = params.eps * phi
-    if not eps_phi < 1.0:
-        raise RangeViolation(f"eps*Phi = {eps_phi!r} is not below 1; outside "
-                             "the admissible range")
-    return phi, 1.0 - eps_phi
+    return _checked_phi(params, True)
 
 
 def _asymptotic_from_phi(phi, eps):
-    if phi <= 0.0:
-        raise DomainError(f"asymptotic form needs Phi > 0, got {phi!r} "
-                          "(route omega = 0 to E_I = 0)")
+    # at Phi > 0, which _CLOSED_RULES and the callers' routing see to
     return _asymptotic_terms(phi, eps, _log_half(phi), math.log(eps))
 
 
@@ -137,26 +157,38 @@ def asymptotic_info(params: ModelParams) -> float:
     """Small-eps information measure for (down, up), in bits.
 
     (Phi / (2 ln 2)) [eps (1 - ln(Phi/2)) - eps ln eps]. Undefined at
-    Phi = 0; callers route the omega = 0 case to the exact value 0.
+    Phi = 0, where it raises DomainError; callers route the omega = 0 case
+    to the exact value 0.
     """
-    return _asymptotic_from_phi(phi_closed(params)[0], params.eps)
+    return _asymptotic_from_phi(_checked_phi(params, False)[0], params.eps)
+
+
+# _measures' rules; the spectral gap's run before _info_from_gap, which
+# raises ValueError for a gap above 2.
+_MEASURE_RULES = (
+    (DomainError, "raw spectral gap {y_gap!r} below domain tolerance or not "
+     "a number; state outside the truncation regime"),
+    (DomainError, "raw spectral gap {y_gap!r} above 1 beyond domain "
+     "tolerance; the raw spectral parameter is negative"),
+    (DomainError, "raw impurity {e_s!r} below domain tolerance or not a "
+     "number"),
+)
+
+
+def _measure_verdicts(y_gap, e_s):
+    """Each _MEASURE_RULES row's accept verdict, for floats or arrays."""
+    return (y_gap >= -DOMAIN_TOL, y_gap <= 1.0 + DOMAIN_TOL,  # y >= -TOL
+            e_s >= -DOMAIN_TOL)
 
 
 def _measures(y_gap, norm_gap):
     """(E_I, E_S) of the raw state from its spectral and norm gaps."""
-    if not y_gap >= -DOMAIN_TOL:
-        raise DomainError(f"raw spectral gap {y_gap!r} below domain "
-                          "tolerance or not a number; state outside the "
-                          "truncation regime")
-    if not y_gap <= 1.0 + DOMAIN_TOL:       # y = 1 - y_gap >= -DOMAIN_TOL
-        raise DomainError(f"raw spectral gap {y_gap!r} above 1 beyond domain "
-                          "tolerance; the raw spectral parameter is negative")
-    e_i = _info_from_gap(max(y_gap, 0.0))
     e_s = _schmidt_from_gaps(norm_gap, y_gap)
-    if not e_s >= -DOMAIN_TOL:
-        raise DomainError(f"raw impurity {e_s!r} below domain tolerance or "
-                          "not a number")
-    return e_i, max(e_s, 0.0)
+    ok = _measure_verdicts(y_gap, e_s)
+    if not all(ok):
+        _raise_first(_MEASURE_RULES, ok, y_gap=y_gap, e_s=e_s)
+    # _info_from_gap is 0 at a gap <= 0; E_S is clamped as max(e_s, 0.0) is
+    return _info_from_gap(y_gap), 0.0 if 0.0 > e_s else e_s
 
 
 def _closed_forms(params: ModelParams, config: PolarizationConfig):
@@ -164,10 +196,7 @@ def _closed_forms(params: ModelParams, config: PolarizationConfig):
     (1,1); the other two have no leading-order reference and get Nones."""
     if (config.lambda1, config.lambda2) == (2, 1):
         phi, y_closed = phi_closed(params)
-        if params.omega == 0.0 or phi == 0.0:
-            e_i_asym = 0.0
-        else:
-            e_i_asym = _asymptotic_from_phi(phi, params.eps)
+        e_i_asym = _asymptotic_from_phi(phi, params.eps) if phi else 0.0
         return phi, y_closed, e_i_asym, 2.0 * params.eps * phi
     if (config.lambda1, config.lambda2) == (1, 1):
         # Exact leading-order references: a rank-1 (product) state.

@@ -84,3 +84,13 @@ class RangeViolation(ComputationError):
 
 class AllRowsFailed(ComputationError):
     """Every grid point of a sweep failed; nothing to write."""
+
+
+def _raise_first(rules, verdicts, **values):
+    """Raise the first (error class, message) row of a stage's rules whose
+    accept verdict is False. A stage's verdict function is comparisons
+    joined by & and |: bools for floats and masks for arrays, which the
+    batch ANDs."""
+    for (error, message), ok in zip(rules, verdicts):
+        if not ok:
+            raise error(message.format(**values))

@@ -16,10 +16,37 @@ from .errors import (
     NearResonance,
     NonPositive,
     ValidationError,
+    _raise_first,
 )
 
 # Fraction of kappa1 that omega must stay below: omega < kappa1*(1 - margin).
 RESONANCE_MARGIN = 0.01
+
+
+# make_params' rules in the order it checks them. No silent swap of an
+# unordered pair: polarization labels are bound to the photon index.
+_PARAMS_RULES = (
+    (NonPositive, "kappa1 must be positive and finite, got {kappa1!r}"),
+    (NonPositive, "kappa2 must be positive and finite, got {kappa2!r}"),
+    (NonPositive, "eps must be positive and finite, got {eps!r}"),
+    (NonPositive, "omega must be nonnegative and finite, got {omega!r}"),
+    (DegenerateFrequencies, "kappa1 = kappa2 = {kappa1}; the first-order "
+     "root corrections divide by the frequency split"),
+    (ValidationError, "photon frequencies must be ordered kappa1 < kappa2, "
+     "got kappa1={kappa1}, kappa2={kappa2}"),
+    (NearResonance, "omega={omega} within the resonance margin of "
+     "kappa1={kappa1} (limit {limit})"),
+)
+
+
+def _params_verdicts(kappa1, kappa2, omega, eps):
+    """Each _PARAMS_RULES row's accept verdict, for floats or arrays."""
+    return ((0.0 < kappa1) & (kappa1 < math.inf),
+            (0.0 < kappa2) & (kappa2 < math.inf),
+            (0.0 < eps) & (eps < math.inf),
+            (0.0 <= omega) & (omega < math.inf),
+            kappa1 != kappa2, kappa1 <= kappa2,
+            omega < kappa1 * (1.0 - RESONANCE_MARGIN))
 
 
 class ModelParams(NamedTuple):
@@ -50,27 +77,11 @@ def make_params(kappa1, kappa2, omega, eps) -> ModelParams:
     except (OverflowError, TypeError, ValueError):
         return make_params(*map(_inf_if_huge, (kappa1, kappa2, omega, eps),
                                 ModelParams._fields))
-    if not 0.0 < kappa1 < math.inf:
-        raise NonPositive(f"kappa1 must be positive and finite, got {kappa1!r}")
-    if not 0.0 < kappa2 < math.inf:
-        raise NonPositive(f"kappa2 must be positive and finite, got {kappa2!r}")
-    if not 0.0 < eps < math.inf:
-        raise NonPositive(f"eps must be positive and finite, got {eps!r}")
-    if not 0.0 <= omega < math.inf:
-        raise NonPositive(f"omega must be nonnegative and finite, got {omega!r}")
-    if kappa1 == kappa2:
-        raise DegenerateFrequencies(
-            f"kappa1 = kappa2 = {kappa1}; the first-order root corrections "
-            "divide by the frequency split")
-    if kappa1 > kappa2:
-        # No silent swap: polarization labels are bound to the photon index.
-        raise ValidationError(
-            f"photon frequencies must be ordered kappa1 < kappa2, "
-            f"got kappa1={kappa1}, kappa2={kappa2}")
-    if omega >= kappa1 * (1.0 - RESONANCE_MARGIN):
-        raise NearResonance(
-            f"omega={omega} within the resonance margin of kappa1={kappa1} "
-            f"(limit {kappa1 * (1.0 - RESONANCE_MARGIN)})")
+    ok = _params_verdicts(kappa1, kappa2, omega, eps)
+    if not all(ok):
+        _raise_first(_PARAMS_RULES, ok, kappa1=kappa1, kappa2=kappa2,
+                     omega=omega, eps=eps,
+                     limit=kappa1 * (1.0 - RESONANCE_MARGIN))
     return ModelParams(kappa1, kappa2, omega, eps)
 
 

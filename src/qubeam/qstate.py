@@ -20,7 +20,7 @@ import math
 
 from .bogoliubov import BogoliubovBlock, _column, _phase
 from .dispersion import ModeRoots
-from .errors import UnsupportedConfig, ZeroNorm
+from .errors import UnsupportedConfig, ZeroNorm, _raise_first
 from .params import ModelParams
 
 _CODE_TO_LAMBDA = {"u": 1, "d": 2}
@@ -107,17 +107,28 @@ def _gaps(c1, c2, parallel):
     return b_self, a_cross, y_gap, norm_gap
 
 
+# _state_gaps' rule: a positive raw norm and a _pattern_vector not all
+# zeros, whose entries are b_self + a_cross (parallel) or b_self +- a_cross.
+_NORM_RULES = ((ZeroNorm, "all four amplitudes vanish; block is not a "
+                "valid photon-sector transformation"),)
+
+
+def _norm_verdicts(b_self, a_cross, norm_gap, parallel):
+    """The _NORM_RULES row's accept verdict, for floats or arrays."""
+    nonzero = ((b_self + a_cross != 0.0) if parallel
+               else (b_self != 0.0) | (a_cross != 0.0))
+    return ((1.0 - norm_gap > 0.0) & nonzero,)
+
+
 def _state_gaps(columns, config: PolarizationConfig):
     """_gaps of config's state; columns in INDEX_ORDER, read by position.
-    ZeroNorm where 1 - norm_gap <= 0 or _pattern_vector is all zeros: its
-    entries are b_self + a_cross (parallel) or b_self +- a_cross up to phase."""
+    Raises ZeroNorm where _NORM_RULES rejects the state."""
+    parallel = config.parallel
     gaps = b_self, a_cross, _, norm_gap = _gaps(
-        columns[config.lambda1 - 1], columns[config.lambda2 + 1],
-        config.parallel)
-    if 1.0 - norm_gap <= 0.0 or (b_self + a_cross == 0.0 if config.parallel
-                                 else b_self == 0.0 == a_cross):
-        raise ZeroNorm("all four amplitudes vanish; block is not a valid "
-                       "photon-sector transformation")
+        columns[config.lambda1 - 1], columns[config.lambda2 + 1], parallel)
+    ok = _norm_verdicts(b_self, a_cross, norm_gap, parallel)
+    if not all(ok):
+        _raise_first(_NORM_RULES, ok)
     return gaps
 
 

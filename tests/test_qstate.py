@@ -205,7 +205,7 @@ def test_zero_norm_check_agrees_with_the_amplitude_vector():
                     raised = True
                 else:
                     raised = False
-                assert raised == (1.0 - norm_gap <= 0.0 or vector_zero), (
+                assert raised == (not 1.0 - norm_gap > 0.0 or vector_zero), (
                     code, b, a)
     assert vanishing > 0
 

@@ -1,0 +1,151 @@
+"""Each stage's rule table against its two readers: the verdicts over arrays
+(what the batch ANDs) equal the verdicts over floats entry by entry, and
+the point path raises its first failing row's error with unchanged text."""
+import hashlib
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from qubeam import entangle, params, qstate
+from qubeam.bogoliubov import INDEX_ORDER, ColumnFactors
+from qubeam.entangle import DOMAIN_TOL, _phi_terms
+from qubeam.errors import QubeamError
+from qubeam.params import RESONANCE_MARGIN, ModelParams
+from qubeam.qstate import PolarizationConfig, _gaps
+
+_EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1.0,
+          -1.0, 1e308]
+_LIMIT = 1.0 * (1.0 - RESONANCE_MARGIN)     # NearResonance's at kappa1 = 1
+_GAPS = _EDGES + [-DOMAIN_TOL, 1.0 + DOMAIN_TOL]
+# Phi at (1, 2, 0.5) and the coupling that puts eps*Phi at 1; omega at
+# kappa1 = 1 on both sides of ResonancePole's band.
+_PHI = _phi_terms(1.0, 2.0, 0.5)[0] / _phi_terms(1.0, 2.0, 0.5)[1]
+_OMEGAS = _EDGES + [0.5, 1.0 - 1e-12, 1.0 - 2e-12]
+_COUPLINGS = _EDGES + [1.0 / _PHI, math.nextafter(1.0 / _PHI, 0.0)]
+_KAPPA2S = [2.0, 0.5, math.inf, math.nan]
+
+
+def _columns(xi, b_self, a_cross):
+    # Columns (1, lam) carry xi, b_self and a_cross, columns (2, lam) the
+    # identity, so the state's norm_gap is -xi -+ its a_cross terms.
+    one = ColumnFactors(0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    mine = ColumnFactors(0.0, xi, b_self, a_cross, 0.0, 0.0, 0.0, 0.0)
+    return [mine if k == 1 else one for k, _ in INDEX_ORDER]
+
+
+def _state(code, xi, b_self, a_cross):
+    return qstate._state_gaps(_columns(xi, b_self, a_cross),
+                              PolarizationConfig.from_code(code))
+
+
+def _nan_norm(code, xi, b_self, a_cross):
+    cfg = PolarizationConfig.from_code(code)
+    columns = _columns(xi, b_self, a_cross)
+    return math.isnan(_gaps(columns[cfg.lambda1 - 1], columns[cfg.lambda2 + 1],
+                            cfg.parallel)[3])
+
+
+def _nan_pole(k1, k2, w, eps):
+    return math.isnan(abs(w - k1))
+
+
+def _negative_phi(k1, k2, w, eps):
+    num, den = _phi_terms(k1, k2, w)
+    return _nan_pole(k1, k2, w, eps) or den > 0.0 and num / den < 0.0
+
+
+# Per stage: the module, its verdict function and rule table; the inputs
+# the verdicts are fed, and the extra arguments; and the point paths with
+# their inputs and the cases whose outcome the tables changed on purpose
+# (since 5f92945 a nan norm_gap fails ZeroNorm's positive-norm rule, a nan
+# distance to the resonance pole fails ResonancePole, and phi_closed
+# rejects a negative Phi with the asymptotic form's DomainError).
+STAGES = {
+    "params": (params, "_params_verdicts", "_PARAMS_RULES",
+               [_EDGES + [_LIMIT]] * 4, [()],
+               [(params.make_params, [_EDGES + [_LIMIT]] * 4, None)]),
+    "norm": (qstate, "_norm_verdicts", "_NORM_RULES",
+             [_EDGES] * 3, [(False,), (True,)],
+             [(_state, [["uu", "ud", "du", "dd"]] + [_EDGES] * 3,
+               _nan_norm)]),
+    "measures": (entangle, "_measure_verdicts", "_MEASURE_RULES",
+                 [_GAPS] * 2, [()],
+                 [(entangle._measures, [_GAPS] * 2, None)]),
+    "closed": (entangle, "_closed_verdicts", "_CLOSED_RULES",
+               [_EDGES, _OMEGAS, _EDGES, _EDGES, _EDGES],
+               [(False,), (True,)],
+               [(lambda *p: entangle.phi_closed(ModelParams(*p)),
+                 [_EDGES, _KAPPA2S, _OMEGAS, _COUPLINGS],
+                 _negative_phi),
+                # math.log(eps) needs eps > 0, which make_params sees to
+                (lambda *p: entangle.asymptotic_info(ModelParams(*p)),
+                 [_EDGES, _KAPPA2S, _OMEGAS, [c for c in _COUPLINGS if c > 0]],
+                 _nan_pole)]),
+}
+
+# SHA-256 of the point paths' outcomes (error class and message, or "ok")
+# at 5f92945, over every case that did not change on purpose.
+OUTCOME_DIGESTS = {
+    "params":
+        "af6746bd5ea3f409d452f35b3ced659887b08459c2ab08535256dd5e38483896",
+    "norm":
+        "275172d3db56685b7b82fa3abec73a80507966c883eef620f14c7d24a62885a1",
+    "measures":
+        "19f2c021165a202a418bffda9e63dd83a319d7996ba410aeede56ee01959bd45",
+    "closed":
+        "08933aa28a2c0502ece9a970eb83042e60d96d5a14c85964006d4127c1710a32",
+}
+
+
+def _outcome(point_path, case):
+    try:
+        point_path(*case)
+    except QubeamError as exc:
+        return type(exc), f"{type(exc).__name__}: {exc}"
+    return None, "ok"
+
+
+def _outcome_digest(stage):
+    """The digest of the stage's unchanged outcomes; uses only names that
+    exist at 5f92945, so it can be recorded there."""
+    digest = hashlib.sha256()
+    for point_path, inputs, changed in STAGES[stage][5]:
+        for case in itertools.product(*inputs):
+            if not (changed and changed(*case)):
+                digest.update(_outcome(point_path, case)[1].encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_rule_tables_serve_arrays_floats_and_the_point_path(stage,
+                                                            monkeypatch):
+    module, verdicts_name, rules_name, inputs, extras, points = STAGES[stage]
+    verdicts, rules = getattr(module, verdicts_name), getattr(module,
+                                                              rules_name)
+    cases = list(itertools.product(*inputs))
+    columns = [np.array(column) for column in zip(*cases)]
+    for extra in extras:
+        with np.errstate(invalid="ignore", over="ignore"):
+            masks = verdicts(*columns, *extra)
+        assert len(masks) == len(rules)
+        got = [tuple(row) for row in np.array(masks).T.tolist()]
+        assert got == [tuple(map(bool, verdicts(*case, *extra)))
+                       for case in cases]
+        assert all(len(set(row)) == 2 for row in zip(*got))   # each rule bites
+
+    seen = []
+    monkeypatch.setattr(module, verdicts_name,
+                        lambda *a: seen.append(verdicts(*a)) or seen[-1])
+    raised = set()
+    for point_path, point_inputs, _ in points:
+        for case in itertools.product(*point_inputs):
+            seen.clear()
+            error, _ = _outcome(point_path, case)
+            failing = [row for row, ok in zip(rules, seen[-1]) if not ok]
+            assert error is (failing[0][0] if failing else None), case
+            raised.add(error)
+    assert {error for error, _ in rules} <= raised
+    monkeypatch.undo()
+    assert _outcome_digest(stage) == OUTCOME_DIGESTS[stage]
