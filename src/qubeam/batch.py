@@ -214,6 +214,7 @@ def _batch_values(config):
             settled &= np.logical_and.reduce(
                 _closed_verdicts(k1, w, den, eps * phi, phi, True))
             e_s_closed = (2.0 * eps * phi).tolist()
+            # Phi = 0, omega = 0 included, is E_I = 0 as in _closed_forms
             e_i_asym = _asymptotic_from_phis(phi, float(config.eps),
                                              settled & (phi != 0.0)).tolist()
         elif pol == (1, 1):     # two lists: run_sweep writes into each

@@ -187,7 +187,7 @@ def _measures(y_gap, norm_gap):
     ok = _measure_verdicts(y_gap, e_s)
     if not all(ok):
         _raise_first(_MEASURE_RULES, ok, y_gap=y_gap, e_s=e_s)
-    # _info_from_gap is 0 at a gap <= 0; E_S is clamped as max(e_s, 0.0) is
+    # _info_from_gap is 0 for a gap <= 0; E_S is max(e_s, 0.0), bit for bit
     return _info_from_gap(y_gap), 0.0 if 0.0 > e_s else e_s
 
 
@@ -196,6 +196,7 @@ def _closed_forms(params: ModelParams, config: PolarizationConfig):
     (1,1); the other two have no leading-order reference and get Nones."""
     if (config.lambda1, config.lambda2) == (2, 1):
         phi, y_closed = phi_closed(params)
+        # omega = 0 gives Phi = 0, where E_I is exactly 0
         e_i_asym = _asymptotic_from_phi(phi, params.eps) if phi else 0.0
         return phi, y_closed, e_i_asym, 2.0 * params.eps * phi
     if (config.lambda1, config.lambda2) == (1, 1):
