@@ -212,7 +212,7 @@ def _batch_values(config):
             num, den = _phi_terms(k1, k2, w)
             phi = num / den
             settled &= np.logical_and.reduce(
-                _closed_verdicts(k1, w, den, eps * phi, phi, True))
+                _closed_verdicts(k1, w, den, eps, phi, True))
             e_s_closed = (2.0 * eps * phi).tolist()
             # Phi = 0, omega = 0 included, is E_I = 0 as in _closed_forms
             e_i_asym = _asymptotic_from_phis(phi, float(config.eps),

@@ -103,7 +103,9 @@ def _phi_terms(k1, k2, w):
 
 
 # phi_closed's rules, then the asymptotic form's, which Phi = 0 passes
-# where routed: omega = 0 gives Phi = 0, and the exact E_I = 0.
+# where routed: omega = 0 gives Phi = 0, and the exact E_I = 0. The last
+# row guards the form's log(eps): phi_closed takes no log and skips it, so
+# full_report, which reads Phi from phi_closed, checks it before its log.
 _CLOSED_RULES = (
     (ResonancePole, "omega = {w} on the resonance pole at kappa1 = {k1}"),
     (SingularDenominator, "Phi denominator {den!r} is not positive at "
@@ -112,25 +114,27 @@ _CLOSED_RULES = (
      "admissible range"),
     (DomainError, "asymptotic form needs Phi > 0, got {phi!r} (route "
      "omega = 0 to E_I = 0)"),
+    (DomainError, "asymptotic form needs eps > 0, got {eps!r}"),
 )
 
 
-def _closed_verdicts(k1, w, den, eps_phi, phi, routed):
-    """Each _CLOSED_RULES row's accept verdict, for floats or arrays."""
-    return (abs(w - k1) > 1e-12 * k1, den > 0.0, eps_phi < 1.0,
-            (phi > 0.0) | routed & (phi == 0.0))
+def _closed_verdicts(k1, w, den, eps, phi, routed, logs=True):
+    """Each _CLOSED_RULES row's accept verdict, for floats or arrays;
+    without logs, eps's row accepts."""
+    return (abs(w - k1) > 1e-12 * k1, den > 0.0, eps * phi < 1.0,
+            (phi > 0.0) | routed & (phi == 0.0), (eps > 0.0) | (not logs))
 
 
-def _checked_phi(params: ModelParams, routed):
+def _checked_phi(params: ModelParams, routed, logs):
     # (Phi, 1 - eps*Phi) once _CLOSED_RULES accept them
     k1, k2, w, eps = params
     num, den = _phi_terms(k1, k2, w)
     phi = num / den if den else math.nan    # a zero den fails its own row
     eps_phi = eps * phi
-    ok = _closed_verdicts(k1, w, den, eps_phi, phi, routed)
+    ok = _closed_verdicts(k1, w, den, eps, phi, routed, logs)
     if not all(ok):
         _raise_first(_CLOSED_RULES, ok, k1=k1, k2=k2, w=w, den=den,
-                     eps_phi=eps_phi, phi=phi)
+                     eps_phi=eps_phi, phi=phi, eps=eps)
     return phi, 1.0 - eps_phi
 
 
@@ -139,13 +143,14 @@ def phi_closed(params: ModelParams):
 
     Returns (Phi, y_closed) with y_closed = 1 - eps*Phi. Phi >= 0 in the
     validated regime and vanishes with omega; a negative Phi raises
-    DomainError.
+    DomainError. It takes no log, so any eps passes.
     """
-    return _checked_phi(params, True)
+    return _checked_phi(params, True, False)
 
 
 def _asymptotic_from_phi(phi, eps):
-    # at Phi > 0, which _CLOSED_RULES and the callers' routing see to
+    # at Phi > 0 and eps > 0, which _CLOSED_RULES and the callers' routing
+    # see to
     return _asymptotic_terms(phi, eps, _log_half(phi), math.log(eps))
 
 
@@ -157,10 +162,11 @@ def asymptotic_info(params: ModelParams) -> float:
     """Small-eps information measure for (down, up), in bits.
 
     (Phi / (2 ln 2)) [eps (1 - ln(Phi/2)) - eps ln eps]. Undefined at
-    Phi = 0, where it raises DomainError; callers route the omega = 0 case
-    to the exact value 0.
+    Phi = 0 and at eps <= 0, where it raises DomainError; callers route the
+    omega = 0 case to the exact value 0.
     """
-    return _asymptotic_from_phi(_checked_phi(params, False)[0], params.eps)
+    return _asymptotic_from_phi(_checked_phi(params, False, True)[0],
+                                params.eps)
 
 
 # _measures' rules; the spectral gap's run before _info_from_gap, which
@@ -196,6 +202,8 @@ def _closed_forms(params: ModelParams, config: PolarizationConfig):
     (1,1); the other two have no leading-order reference and get Nones."""
     if (config.lambda1, config.lambda2) == (2, 1):
         phi, y_closed = phi_closed(params)
+        if not params.eps > 0.0:        # the row phi_closed skips
+            _raise_first(_CLOSED_RULES[-1:], (False,), eps=params.eps)
         # omega = 0 gives Phi = 0, where E_I is exactly 0
         e_i_asym = _asymptotic_from_phi(phi, params.eps) if phi else 0.0
         return phi, y_closed, e_i_asym, 2.0 * params.eps * phi

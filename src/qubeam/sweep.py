@@ -12,6 +12,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, fields
 import itertools
 import math
+import operator
 from typing import NamedTuple
 
 from .dispersion import DEFAULT_REL_TOL
@@ -244,13 +245,17 @@ def config_echo_lines(config: SweepConfig):
     return lines
 
 
-def _texts(column, grid=None):
-    """grid's text of each value, or float.__format__'s ("%.17g" % value's
-    C routine, called more cheaply); _fmt of each where that fails on one."""
+def _texts(column):
+    """Each value's text: a line of one repeated object (such as a closed
+    form's [0.0] * n, or [None] * n) prints it once; other lines print by
+    float.__format__ ("%.17g" % value's C routine, called more cheaply),
+    or by _fmt of each where a value is not a float."""
+    first = column[0]
+    if all(map(operator.is_, column, itertools.repeat(first))):
+        return [_fmt(first)] * len(column)
     try:
-        return list(map(float.__format__, column, itertools.repeat(".17g"))
-                    if grid is None else map(grid.__getitem__, column))
-    except (KeyError, TypeError):
+        return list(map(float.__format__, column, itertools.repeat(".17g")))
+    except TypeError:
         return list(map(_fmt, column))
 
 
@@ -259,13 +264,17 @@ def write_csv(table: SweepTable, config: SweepConfig, path: str,
     """Write run_sweep(config)'s table to the CSV at path and, with matrix,
     the gnuplot nonuniform-matrix surfaces MATRIX_EI.dat and MATRIX_ES.dat:
     N and the N delta_kappa values, then per omega the omega and the measure
-    per column, nan where the point failed. One pass, one omega line of each
-    column at a time; returns {"EI": path, "ES": path}, or {} without
-    matrix."""
+    per column, nan where the point failed. The grid cells are config's
+    grid values, formatted once per sweep; the value and status cells are
+    the table's. One pass, one omega line of each column at a time; returns
+    {"EI": path, "ES": path}, or {} without matrix."""
     dks = config.dk_grid()
-    # The grid values print once. Not its zeros: 0.0 and -0.0 print apart.
-    grid = {value: _fmt(value) for value in config.omega_grid() + dks
-            + [config.kappa1 + dk for dk in dks] if value}
+    n = len(dks)
+    # A line is n rows of 17 slots: the omega text, ",", the row's
+    # "delta_kappa,kappa2," text, then y, E_I, E_S, E_I_asymptotic,
+    # E_S_closed and raw_norm each followed by ",", and the status and "\n".
+    rows = (["", ",", ""] + ["", ","] * 6 + ["", "\n"]) * n
+    rows[2::17] = [f"{_fmt(dk)},{_fmt(config.kappa1 + dk)}," for dk in dks]
     surfaces = ({suffix: f"{matrix}_{suffix}.dat" for suffix in ("EI", "ES")}
                 if matrix else {})
     with ExitStack() as files:
@@ -275,15 +284,18 @@ def write_csv(table: SweepTable, config: SweepConfig, path: str,
         csv.writelines(f"{line}\n" for line in config_echo_lines(config))
         csv.write(f"{CSV_HEADER}\n")
         for dat in dats:
-            dat.write(" ".join([str(len(dks)), *map(_fmt, dks)]) + "\n")
-        for start in range(0, len(table.status), len(dks)):
-            *columns, status = [column[start:start + len(dks)]
-                                for column in table]
-            cells = list(map(_texts, columns, [grid] * 3 + [None] * 6))
-            csv.write("\n".join(map(",".join, zip(*cells, status))) + "\n")
-            for dat, measure in zip(dats, cells[4:6]):
+            dat.write(" ".join([str(n), *map(_fmt, dks)]) + "\n")
+        for start, omega in zip(range(0, len(table.status), n),
+                                map(_fmt, config.omega_grid())):
+            stop = start + n
+            rows[0::17] = [omega] * n
+            for slot, column in zip(range(3, 15, 2), table[3:9]):
+                rows[slot::17] = _texts(column[start:stop])
+            rows[15::17] = table.status[start:stop]
+            csv.write("".join(rows))
+            for dat, slot in zip(dats, (5, 7)):
+                measure = rows[slot::17]
                 if "" in measure:
                     measure = [cell or "nan" for cell in measure]
-                dat.write(f"{cells[0][0]} {' '.join(measure)}\n")
+                dat.write(f"{omega} {' '.join(measure)}\n")
     return surfaces
-

@@ -149,3 +149,31 @@ def test_rule_tables_serve_arrays_floats_and_the_point_path(stage,
     assert {error for error, _ in rules} <= raised
     monkeypatch.undo()
     assert _outcome_digest(stage) == OUTCOME_DIGESTS[stage]
+
+
+
+@pytest.mark.parametrize("eps", [-1.0, -1e-3])
+def test_asymptotic_form_rejects_a_coupling_that_is_not_positive(eps):
+    # log(eps) needs eps > 0: the last _CLOSED_RULES row raises its
+    # DomainError first, on asymptotic_info and on full_report's du route,
+    # where math.log used to raise ValueError; the batch reads the same
+    # verdict, and phi_closed, which takes no log, still returns.
+    message = f"asymptotic form needs eps > 0, got {eps!r}"
+    for point in [(1.0, 2.0, 0.5), (2500.0, 2510.0, 0.25)]:
+        params = ModelParams(*point, eps)
+        with pytest.raises(entangle.DomainError) as err:
+            entangle.asymptotic_info(params)
+        assert str(err.value) == message
+        num, den = _phi_terms(*point)
+        assert entangle.phi_closed(params) == (num / den,
+                                               1.0 - eps * (num / den))
+    with pytest.raises(entangle.DomainError) as err:
+        entangle.full_report(params, PolarizationConfig.from_code("du"),
+                             method="perturbative")
+    assert (err.value.stage, str(err.value)) == ("measures",
+                                                 f"stage measures: {message}")
+    num, den = _phi_terms(*point)
+    verdicts = entangle._closed_verdicts(*point[::2], den, np.array(
+        [eps, -eps]), num / den, True)
+    assert [np.broadcast_to(row, 2).tolist() for row in verdicts] == [
+        [True, True]] * 4 + [[False, True]]

@@ -617,24 +617,32 @@ def test_closed_form_failures_go_through_full_report():
 
 
 def test_csv_prints_negative_zero_as_such(tmp_path):
-    # Grid values are formatted once and looked up by value; -0.0 equals
-    # 0.0 as a key but prints as "-0". Value cells print by float.__format__,
-    # and a line holding a None or an int falls back to _fmt.
+    # The grid cells are config's grid values, which hold no -0.0; a value
+    # cell prints by float.__format__, a line holding a None or an int falls
+    # back to _fmt, and a line of one repeated object prints it once. That
+    # test is on identity, so separate 0.0 and -0.0 objects print apart.
     cfg = parse_config(None, SMALL)
     table = run_sweep(cfg)
     table.omega[0] = table.E_S[0] = -0.0
     odd = [math.nan, math.inf, 5e-324, None, 7, -math.inf]
     for column, value in zip(table[3:9], odd):
         column[1] = value
+    repeated = [[-0.0] * 3, [None] * 3, [math.nan] * 3, [-0.0, 0.0, 0.0]]
+    for column, line in zip(table[3:7], repeated):
+        column[3:6] = line
     write_csv(table, cfg, str(tmp_path / "s.csv"))
     data = [line for line in (tmp_path / "s.csv").read_text().splitlines()
             if not line.startswith("#")]
     cells = data[1].split(",")
-    assert (cells[0], cells[5]) == ("-0", "-0")
+    assert (cells[0], cells[5]) == ("0", "-0")
     cells = data[2].split(",")
     assert cells[3:9] == [sweep_mod._fmt(value) for value in odd] == [
         "nan", "inf", "4.9406564584124654e-324", "", "7", "-inf"]
     assert data[4].startswith("0.40000000000000002,400,2900,")
+    for column, line in enumerate(repeated, start=3):
+        assert [row.split(",")[column] for row in data[4:7]] == [
+            sweep_mod._fmt(value) for value in line]
+    assert [row.split(",")[6] for row in data[4:7]] == ["-0", "0", "0"]
 
 
 @given(st.one_of(st.floats(), st.binary(min_size=8, max_size=8).map(
