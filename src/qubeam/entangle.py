@@ -118,20 +118,20 @@ _CLOSED_RULES = (
 )
 
 
-def _closed_verdicts(k1, w, den, eps, phi, routed, logs=True):
-    """Each _CLOSED_RULES row's accept verdict, for floats or arrays;
-    without logs, eps's row accepts."""
+def _closed_verdicts(k1, w, den, eps, phi, routed, logless=False):
+    """Each _CLOSED_RULES row's accept verdict, for floats or arrays; on a
+    logless route (phi_closed's), eps's row accepts."""
     return (abs(w - k1) > 1e-12 * k1, den > 0.0, eps * phi < 1.0,
-            (phi > 0.0) | routed & (phi == 0.0), (eps > 0.0) | (not logs))
+            (phi > 0.0) | routed & (phi == 0.0), (eps > 0.0) | logless)
 
 
-def _checked_phi(params: ModelParams, routed, logs):
+def _checked_phi(params: ModelParams, routed, logless):
     # (Phi, 1 - eps*Phi) once _CLOSED_RULES accept them
     k1, k2, w, eps = params
     num, den = _phi_terms(k1, k2, w)
     phi = num / den if den else math.nan    # a zero den fails its own row
     eps_phi = eps * phi
-    ok = _closed_verdicts(k1, w, den, eps, phi, routed, logs)
+    ok = _closed_verdicts(k1, w, den, eps, phi, routed, logless)
     if not all(ok):
         _raise_first(_CLOSED_RULES, ok, k1=k1, k2=k2, w=w, den=den,
                      eps_phi=eps_phi, phi=phi, eps=eps)
@@ -145,12 +145,11 @@ def phi_closed(params: ModelParams):
     validated regime and vanishes with omega; a negative Phi raises
     DomainError. It takes no log, so any eps passes.
     """
-    return _checked_phi(params, True, False)
+    return _checked_phi(params, True, True)
 
 
 def _asymptotic_from_phi(phi, eps):
-    # at Phi > 0 and eps > 0, which _CLOSED_RULES and the callers' routing
-    # see to
+    # at Phi > 0 and eps > 0, which _CLOSED_RULES and the callers see to
     return _asymptotic_terms(phi, eps, _log_half(phi), math.log(eps))
 
 
@@ -165,7 +164,7 @@ def asymptotic_info(params: ModelParams) -> float:
     Phi = 0 and at eps <= 0, where it raises DomainError; callers route the
     omega = 0 case to the exact value 0.
     """
-    return _asymptotic_from_phi(_checked_phi(params, False, True)[0],
+    return _asymptotic_from_phi(_checked_phi(params, False, False)[0],
                                 params.eps)
 
 
