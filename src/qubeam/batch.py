@@ -212,9 +212,9 @@ def _batch_values(config):
             num, den = _phi_terms(k1, k2, w)
             phi = num / den
             settled &= np.logical_and.reduce(
-                _closed_verdicts(k1, w, den, eps, phi, True))
+                _closed_verdicts(k1, w, den, eps, phi))
             e_s_closed = (2.0 * eps * phi).tolist()
-            # Phi = 0, omega = 0 included, is E_I = 0 as in _closed_forms
+            # Phi = 0 (omega = 0) is E_I = 0, as in _asymptotic_from_phi
             e_i_asym = _asymptotic_from_phis(phi, float(config.eps),
                                              settled & (phi != 0.0)).tolist()
         elif pol == (1, 1):     # two lists: run_sweep writes into each

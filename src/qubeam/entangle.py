@@ -102,55 +102,49 @@ def _phi_terms(k1, k2, w):
     return num, den
 
 
-# phi_closed's rules, then the asymptotic form's, which Phi = 0 passes
-# where routed: omega = 0 gives Phi = 0, and the exact E_I = 0. The last
-# row guards the form's log(eps): phi_closed takes no log and skips it, so
-# full_report, which reads Phi from phi_closed, checks it before its log.
+# The closed forms' rules, every caller's: Phi's own, then the asymptotic
+# form's. omega = 0 gives Phi = 0, where the exact E_I is 0; the last row
+# guards the form's log(eps).
 _CLOSED_RULES = (
     (ResonancePole, "omega = {w} on the resonance pole at kappa1 = {k1}"),
     (SingularDenominator, "Phi denominator {den!r} is not positive at "
      "kappa1 = {k1}, kappa2 = {k2}"),
     (RangeViolation, "eps*Phi = {eps_phi!r} is not below 1; outside the "
      "admissible range"),
-    (DomainError, "asymptotic form needs Phi > 0, got {phi!r} (route "
-     "omega = 0 to E_I = 0)"),
+    (DomainError, "closed forms need Phi >= 0, got {phi!r}"),
     (DomainError, "asymptotic form needs eps > 0, got {eps!r}"),
 )
 
 
-def _closed_verdicts(k1, w, den, eps, phi, routed, logless=False):
-    """Each _CLOSED_RULES row's accept verdict, for floats or arrays; on a
-    logless route (phi_closed's), eps's row accepts."""
+def _closed_verdicts(k1, w, den, eps, phi):
+    """Each _CLOSED_RULES row's accept verdict, for floats or arrays."""
     return (abs(w - k1) > 1e-12 * k1, den > 0.0, eps * phi < 1.0,
-            (phi > 0.0) | routed & (phi == 0.0), (eps > 0.0) | logless)
-
-
-def _checked_phi(params: ModelParams, routed, logless):
-    # (Phi, 1 - eps*Phi) once _CLOSED_RULES accept them
-    k1, k2, w, eps = params
-    num, den = _phi_terms(k1, k2, w)
-    phi = num / den if den else math.nan    # a zero den fails its own row
-    eps_phi = eps * phi
-    ok = _closed_verdicts(k1, w, den, eps, phi, routed, logless)
-    if not all(ok):
-        _raise_first(_CLOSED_RULES, ok, k1=k1, k2=k2, w=w, den=den,
-                     eps_phi=eps_phi, phi=phi, eps=eps)
-    return phi, 1.0 - eps_phi
+            phi >= 0.0, eps > 0.0)
 
 
 def phi_closed(params: ModelParams):
     """Closed-form factor Phi for the (down, up) configuration.
 
     Returns (Phi, y_closed) with y_closed = 1 - eps*Phi. Phi >= 0 in the
-    validated regime and vanishes with omega; a negative Phi raises
-    DomainError. It takes no log, so any eps passes.
+    validated regime and vanishes with omega. Every _CLOSED_RULES row
+    applies: a negative Phi or an eps <= 0 raises DomainError.
     """
-    return _checked_phi(params, True, True)
+    k1, k2, w, eps = params
+    num, den = _phi_terms(k1, k2, w)
+    phi = num / den if den else math.nan    # a zero den fails its own row
+    eps_phi = eps * phi
+    ok = _closed_verdicts(k1, w, den, eps, phi)
+    if not all(ok):
+        _raise_first(_CLOSED_RULES, ok, k1=k1, k2=k2, w=w, den=den,
+                     eps_phi=eps_phi, phi=phi, eps=eps)
+    return phi, 1.0 - eps_phi
 
 
 def _asymptotic_from_phi(phi, eps):
-    # at Phi > 0 and eps > 0, which _CLOSED_RULES and the callers see to
-    return _asymptotic_terms(phi, eps, _log_half(phi), math.log(eps))
+    # at Phi >= 0 and eps > 0, which _CLOSED_RULES see to; Phi = 0
+    # (omega = 0) is E_I = 0
+    return _asymptotic_terms(phi, eps, _log_half(phi),
+                             math.log(eps)) if phi else 0.0
 
 
 def _asymptotic_terms(phi, eps, log_half_phi, log_eps):
@@ -160,12 +154,11 @@ def _asymptotic_terms(phi, eps, log_half_phi, log_eps):
 def asymptotic_info(params: ModelParams) -> float:
     """Small-eps information measure for (down, up), in bits.
 
-    (Phi / (2 ln 2)) [eps (1 - ln(Phi/2)) - eps ln eps]. Undefined at
-    Phi = 0 and at eps <= 0, where it raises DomainError; callers route the
-    omega = 0 case to the exact value 0.
+    (Phi / (2 ln 2)) [eps (1 - ln(Phi/2)) - eps ln eps], and 0 at Phi = 0
+    (omega = 0), the exact value. phi_closed's rules apply: a negative Phi
+    or an eps <= 0 raises DomainError.
     """
-    return _asymptotic_from_phi(_checked_phi(params, False, False)[0],
-                                params.eps)
+    return _asymptotic_from_phi(phi_closed(params)[0], params.eps)
 
 
 # _measures' rules; the spectral gap's run before _info_from_gap, which
@@ -201,11 +194,8 @@ def _closed_forms(params: ModelParams, config: PolarizationConfig):
     (1,1); the other two have no leading-order reference and get Nones."""
     if (config.lambda1, config.lambda2) == (2, 1):
         phi, y_closed = phi_closed(params)
-        if not params.eps > 0.0:        # the row phi_closed skips
-            _raise_first(_CLOSED_RULES[-1:], (False,), eps=params.eps)
-        # omega = 0 gives Phi = 0, where E_I is exactly 0
-        e_i_asym = _asymptotic_from_phi(phi, params.eps) if phi else 0.0
-        return phi, y_closed, e_i_asym, 2.0 * params.eps * phi
+        return (phi, y_closed, _asymptotic_from_phi(phi, params.eps),
+                2.0 * params.eps * phi)
     if (config.lambda1, config.lambda2) == (1, 1):
         # Exact leading-order references: a rank-1 (product) state.
         return None, 1.0, 0.0, 0.0

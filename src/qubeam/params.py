@@ -73,7 +73,7 @@ def make_params(kappa1, kappa2, omega, eps) -> ModelParams:
     """
     try:
         kappa1, kappa2 = float(kappa1), float(kappa2)
-        omega, eps = float(omega), float(eps)
+        omega, eps = float(omega) + 0.0, float(eps)     # -0.0 reads as 0.0
     except (OverflowError, TypeError, ValueError):
         return make_params(*map(_inf_if_huge, (kappa1, kappa2, omega, eps),
                                 ModelParams._fields))

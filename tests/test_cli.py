@@ -93,6 +93,17 @@ def test_measures_empty_fields_for_unsupported_config(capsys):
     assert float(pairs["E_I"]) == pytest.approx(5.186564e-11, rel=1e-3)
 
 
+@pytest.mark.parametrize("method", ["exact", "pert"])
+@pytest.mark.parametrize("pol", ["uu", "ud", "du", "dd"])
+def test_a_negative_zero_field_reads_as_zero(pol, method, capsys):
+    outputs = []
+    for omega in ("-0.0", "0"):
+        main(["measures", "--machine", "--omega", omega, "--pol", pol,
+              "--method", method])
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+
+
 def test_measures_aligned_format(capsys):
     assert main(["measures"]) == 0
     out = capsys.readouterr().out

@@ -238,8 +238,10 @@ def test_asymptotic_info_forms_agree(fig_params):
     assert val == pytest.approx(g * (1.0 - math.log(g / 2.0)) / math.log(4.0),
                                 rel=1e-13)
     assert val == pytest.approx(EI_ASYM_FIG, rel=1e-9)
-    with pytest.raises(DomainError):
-        asymptotic_info(make_params(2500.0, 3000.0, 0.0, 0.1))
+    # omega = 0 gives Phi = 0, where both routes give the exact E_I = 0
+    zero_field = make_params(2500.0, 3000.0, 0.0, 0.1)
+    assert asymptotic_info(zero_field) == full_report(
+        zero_field, PolarizationConfig.from_code("du")).E_I_asymptotic == 0.0
 
 
 def test_report_frozen_values(fig_params):

@@ -2,6 +2,7 @@
 (what the batch ANDs) equal the verdicts over floats entry by entry, and
 the point path raises its first failing row's error with unchanged text."""
 import hashlib
+import inspect
 import itertools
 import math
 
@@ -56,12 +57,23 @@ def _negative_phi(k1, k2, w, eps):
     return _nan_pole(k1, k2, w, eps) or den > 0.0 and num / den < 0.0
 
 
+def _phi_closed_changed(k1, k2, w, eps):
+    return _negative_phi(k1, k2, w, eps) or not eps > 0.0
+
+
+def _asymptotic_changed(k1, k2, w, eps):
+    num, den = _phi_terms(k1, k2, w)
+    return _negative_phi(k1, k2, w, eps) or den > 0.0 and num / den == 0.0
+
+
 # Per stage: the module, its verdict function and rule table; the inputs
 # the verdicts are fed, and the extra arguments; and the point paths with
 # their inputs and the cases whose outcome the tables changed on purpose
-# (since 5f92945 a nan norm_gap fails ZeroNorm's positive-norm rule, a nan
-# distance to the resonance pole fails ResonancePole, and phi_closed
-# rejects a negative Phi with the asymptotic form's DomainError).
+# (since 5f92945 a nan norm_gap fails ZeroNorm's positive-norm rule and a
+# nan distance to the resonance pole fails ResonancePole; since 9a9bc43
+# both closed forms read one rule set: a negative Phi raises "Phi >= 0"'s
+# DomainError, phi_closed applies the eps row, and asymptotic_info gives 0
+# at Phi = 0).
 STAGES = {
     "params": (params, "_params_verdicts", "_PARAMS_RULES",
                [_EDGES + [_LIMIT]] * 4, [()],
@@ -75,18 +87,19 @@ STAGES = {
                  [(entangle._measures, [_GAPS] * 2, None)]),
     "closed": (entangle, "_closed_verdicts", "_CLOSED_RULES",
                [_EDGES, _OMEGAS, _EDGES, _EDGES, _EDGES],
-               [(False,), (True,)],
+               [()],
                [(lambda *p: entangle.phi_closed(ModelParams(*p)),
                  [_EDGES, _KAPPA2S, _OMEGAS, _COUPLINGS],
-                 _negative_phi),
-                # math.log(eps) needs eps > 0, which make_params sees to
+                 _phi_closed_changed),
+                # positive couplings, the ones make_params accepts
                 (lambda *p: entangle.asymptotic_info(ModelParams(*p)),
                  [_EDGES, _KAPPA2S, _OMEGAS, [c for c in _COUPLINGS if c > 0]],
-                 _nan_pole)]),
+                 _asymptotic_changed)]),
 }
 
 # SHA-256 of the point paths' outcomes (error class and message, or "ok")
-# at 5f92945, over every case that did not change on purpose.
+# at 5f92945 (the closed stage's at 9a9bc43), over every case that did not
+# change on purpose.
 OUTCOME_DIGESTS = {
     "params":
         "af6746bd5ea3f409d452f35b3ced659887b08459c2ab08535256dd5e38483896",
@@ -95,7 +108,7 @@ OUTCOME_DIGESTS = {
     "measures":
         "19f2c021165a202a418bffda9e63dd83a319d7996ba410aeede56ee01959bd45",
     "closed":
-        "08933aa28a2c0502ece9a970eb83042e60d96d5a14c85964006d4127c1710a32",
+        "743a1dc3b23f6481dcf22712e108c5c74aedaf43a6248b61662fe17d972e7dc5",
 }
 
 
@@ -109,7 +122,7 @@ def _outcome(point_path, case):
 
 def _outcome_digest(stage):
     """The digest of the stage's unchanged outcomes; uses only names that
-    exist at 5f92945, so it can be recorded there."""
+    exist at 5f92945 and 9a9bc43, so it can be recorded there."""
     digest = hashlib.sha256()
     for point_path, inputs, changed in STAGES[stage][5]:
         for case in itertools.product(*inputs):
@@ -155,18 +168,16 @@ def test_rule_tables_serve_arrays_floats_and_the_point_path(stage,
 @pytest.mark.parametrize("eps", [-1.0, -1e-3])
 def test_asymptotic_form_rejects_a_coupling_that_is_not_positive(eps):
     # log(eps) needs eps > 0: the last _CLOSED_RULES row raises its
-    # DomainError first, on asymptotic_info and on full_report's du route,
-    # where math.log used to raise ValueError; the batch reads the same
-    # verdict, and phi_closed, which takes no log, still returns.
+    # DomainError first, on phi_closed, asymptotic_info and full_report's
+    # du route, where math.log used to raise ValueError; the batch reads
+    # the same verdict.
     message = f"asymptotic form needs eps > 0, got {eps!r}"
     for point in [(1.0, 2.0, 0.5), (2500.0, 2510.0, 0.25)]:
         params = ModelParams(*point, eps)
-        with pytest.raises(entangle.DomainError) as err:
-            entangle.asymptotic_info(params)
-        assert str(err.value) == message
-        num, den = _phi_terms(*point)
-        assert entangle.phi_closed(params) == (num / den,
-                                               1.0 - eps * (num / den))
+        for closed_form in (entangle.phi_closed, entangle.asymptotic_info):
+            with pytest.raises(entangle.DomainError) as err:
+                closed_form(params)
+            assert str(err.value) == message
     with pytest.raises(entangle.DomainError) as err:
         entangle.full_report(params, PolarizationConfig.from_code("du"),
                              method="perturbative")
@@ -174,6 +185,37 @@ def test_asymptotic_form_rejects_a_coupling_that_is_not_positive(eps):
                                                  f"stage measures: {message}")
     num, den = _phi_terms(*point)
     verdicts = entangle._closed_verdicts(*point[::2], den, np.array(
-        [eps, -eps]), num / den, True)
+        [eps, -eps]), num / den)
     assert [np.broadcast_to(row, 2).tolist() for row in verdicts] == [
         [True, True]] * 4 + [[False, True]]
+
+
+@pytest.mark.parametrize("eps", [-math.inf, -1.0, -1e-3, -0.0, 0.0])
+def test_every_closed_form_route_rejects_a_coupling_that_is_not_positive(
+        eps):
+    # One rule set: phi_closed, asymptotic_info and full_report's du closed
+    # forms raise the eps row's DomainError alike. full_report reaches
+    # them through _closed_forms with either method, but at these
+    # couplings its roots or block stage mostly rejects first, so the
+    # route is called directly. The batch's verdicts reject every point.
+    message = f"asymptotic form needs eps > 0, got {eps!r}"
+    du = PolarizationConfig.from_code("du")
+    points = [(1.0, 2.0, 0.5), (2500.0, 2510.0, 0.25), (2500.0, 3000.0, 0.5)]
+    for point in points:
+        params = ModelParams(*point, eps)
+        for route in (entangle.phi_closed, entangle.asymptotic_info,
+                      lambda p: entangle._closed_forms(p, du)):
+            with pytest.raises(entangle.DomainError) as err:
+                route(params)
+            assert str(err.value) == message
+    k1, k2, w = np.array(points).T
+    num, den = _phi_terms(k1, k2, w)
+    verdicts = entangle._closed_verdicts(k1, w, den, np.full(3, eps),
+                                         num / den)
+    assert [row.tolist() for row in verdicts] == [[True] * 3] * 4 + [
+        [False] * 3]
+
+
+def test_closed_verdicts_take_no_route_argument():
+    assert list(inspect.signature(entangle._closed_verdicts).parameters) == [
+        "k1", "w", "den", "eps", "phi"]
