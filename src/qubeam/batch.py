@@ -144,9 +144,9 @@ def _grid_arrays(config):
 
 
 def _first_rejections(config):
-    """The grid index of the first point of each error class that
-    make_params raises on config's grid, in grid order."""
-    _, _, omega, kappa2 = _grid_arrays(config)
+    """The (omega, delta_kappa) of the first point of each error class
+    that make_params raises on config's grid, in grid order."""
+    omegas, dks, omega, kappa2 = _grid_arrays(config)
     ok = _params_verdicts(float(config.kappa1), kappa2, omega,
                           float(config.eps))
     # per point, the first row of its first failing row's class, or -1
@@ -154,7 +154,8 @@ def _first_rejections(config):
     rank = np.select([np.logical_not(row) for row in ok],
                      [classes.index(error) for error in classes], -1)
     ranks, first = np.unique(rank, return_index=True)
-    return sorted(first[ranks >= 0].tolist())
+    return [(omegas[i // len(dks)], dks[i % len(dks)])
+            for i in sorted(first[ranks >= 0].tolist())]
 
 
 def _batch_gaps(params: ModelParams, config):

@@ -224,8 +224,7 @@ def exact_roots(params: ModelParams, tol: float = DEFAULT_REL_TOL) -> ModeRoots:
     """
     _check_tol(tol)
     if not (params.eps > 0.0):
-        raise NonPositive("exact solver requires eps > 0; the eps = 0 "
-                          "equation has no bracketed root")
+        raise NonPositive(f"exact solver requires eps > 0, got {params.eps!r}")
     k1, k2 = params.kappa1, params.kappa2
     solved = []     # in INDEX_ORDER, each root checked before the next
     for k, kappa_k, kappa_o in ((1, k1, k2), (2, k2, k1)):

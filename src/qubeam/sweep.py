@@ -46,8 +46,10 @@ class SweepConfig:
     def __post_init__(self):
         for field in fields(self):
             if field.type is float:
-                object.__setattr__(self, field.name,
-                                   _inf_if_huge(getattr(self, field.name)))
+                value = _inf_if_huge(getattr(self, field.name))
+                if field.name.startswith("omega") and isinstance(value, float):
+                    value += 0.0        # -0.0 reads as 0.0, as in make_params
+                object.__setattr__(self, field.name, value)
         _validate(self)
 
     def omega_grid(self):
@@ -144,13 +146,10 @@ def _validate(config: SweepConfig):
             problems.append(f"{name} must be an integer, got {steps!r}")
         elif steps < 2:
             problems.append(f"{name} must be >= 2, got {steps}")
+    grid = not problems         # the grid needs numbers and its step counts
     if numbers:
-        if not config.dk_min > 0:
-            problems.append(f"dk_min must be > 0, got {config.dk_min}")
         if config.dk_max < config.dk_min:
             problems.append("dk_max must be >= dk_min")
-        if config.omega_min < 0:
-            problems.append(f"omega_min must be >= 0, got {config.omega_min}")
         if config.omega_max < config.omega_min:
             problems.append("omega_max must be >= omega_min")
         try:
@@ -162,22 +161,18 @@ def _validate(config: SweepConfig):
                         f"{config.method!r}")
     if not isinstance(config.pol, PolarizationConfig):
         problems.append(f"pol must be a PolarizationConfig, got {config.pol!r}")
-    if problems:
-        raise ValidationError("; ".join(problems))
-    # Every grid point must be a valid model point. The grid is checked as
-    # arrays; make_params runs only at the first point of each error class,
-    # in grid order, to quote its message.
-    from .batch import _first_rejections
-    omegas, dks = config.omega_grid(), config.dk_grid()
-    for i in _first_rejections(config):
-        line, column = divmod(i, len(dks))
-        point_omega, point_dk = omegas[line], dks[column]
-        try:
-            make_params(config.kappa1, config.kappa1 + point_dk, point_omega,
-                        config.eps)
-        except ValidationError as exc:
-            problems.append(f"grid point omega={point_omega}, "
-                            f"delta_kappa={point_dk}: {exc}")
+    if grid:
+        # Every grid point must be a valid model point. The grid is checked
+        # as arrays; make_params runs only at the first point of each error
+        # class, in grid order, to quote its message.
+        from .batch import _first_rejections
+        for omega, dk in _first_rejections(config):
+            try:
+                make_params(config.kappa1, config.kappa1 + dk, omega,
+                            config.eps)
+            except ValidationError as exc:
+                problems.append(f"grid point omega={omega}, "
+                                f"delta_kappa={dk}: {exc}")
     if problems:
         raise ValidationError("; ".join(problems))
 

@@ -125,6 +125,25 @@ def test_sweep_writes_csv_and_matrix(tmp_path, capsys):
     assert len(data) == 7
 
 
+def test_a_negative_zero_omega_bound_reads_as_zero(tmp_path):
+    # A -0.0 bound is stored as 0.0, so its echo line reads "0", as the
+    # grid and make_params read it.
+    grid = ["--pol", "du", "--dk-min", "400", "--dk-max", "600",
+            "--dk-steps", "2", "--omega-steps", "2"]
+    bounds = {"min": ["--omega-min", "0", "--omega-max", "0.4"],
+              "min_neg": ["--omega-min", "-0.0", "--omega-max", "0.4"],
+              "max": ["--omega-min", "0", "--omega-max", "0"],
+              "max_neg": ["--omega-min", "0", "--omega-max", "-0.0"]}
+    csv = {}
+    for name, flags in bounds.items():
+        out = tmp_path / f"{name}.csv"
+        assert main(["sweep", *grid, *flags, "--out", str(out)]) == 0
+        csv[name] = out.read_bytes()
+    assert b"# omega_min=0\n" in csv["min"]
+    assert b"# omega_max=0\n" in csv["max"]
+    assert csv["min_neg"] == csv["min"] and csv["max_neg"] == csv["max"]
+
+
 def test_repeated_calls_write_what_fresh_processes_write(tmp_path, capsys):
     # main() reuses one parser per process; no call may see another's
     # arguments.

@@ -171,6 +171,13 @@ def test_zero_coupling_exact_solve_rejected():
         exact_roots(ModelParams(2500.0, 3000.0, 0.5, 0.0))
 
 
+@pytest.mark.parametrize("eps", [-math.inf, -1.0, -0.0, 0.0, math.nan])
+def test_exact_solver_names_the_coupling_it_rejects(eps):
+    with pytest.raises(NonPositive) as err:
+        exact_roots(ModelParams(1.0, 2.0, 0.5, eps))
+    assert str(err.value) == f"exact solver requires eps > 0, got {eps!r}"
+
+
 @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
 def test_a_tol_that_is_not_positive_is_rejected(fig_params, tol):
     # nan or inf would turn the convergence check off, and -1 fail every root

@@ -158,11 +158,26 @@ def test_overrides_win_and_a_flag_not_given_keeps_the_file_key(tmp_path):
 
 
 def test_validation_collects_every_problem():
+    # One message lists the sweep's own problems and the grid points that
+    # make_params rejects; a grid that cannot be built is not checked.
+    with pytest.raises(ValidationError) as err:
+        parse_config(None, {"dk_max": 5.0, "omega_min": -0.5, "tol": 0.0})
+    assert str(err.value) == (
+        "dk_max must be >= dk_min; tol must be positive and finite, got 0.0; "
+        "grid point omega=-0.5, delta_kappa=10.0: omega must be nonnegative "
+        "and finite, got -0.5")
     with pytest.raises(ValidationError) as err:
         parse_config(None, {"dk_steps": 1, "omega_min": -0.5, "tol": 0.0})
-    msg = str(err.value)
-    assert "dk_steps" in msg and "omega_min" in msg and "tol" in msg
-    assert msg.count(";") >= 2
+    assert str(err.value) == ("dk_steps must be >= 2, got 1; tol must be "
+                              "positive and finite, got 0.0")
+
+
+def test_a_bad_tol_does_not_hide_the_grid_points():
+    with pytest.raises(ValidationError) as err:
+        parse_config(None, {"tol": 0.0, "eps": -1.0})
+    assert str(err.value) == (
+        "tol must be positive and finite, got 0.0; grid point omega=0.0, "
+        "delta_kappa=10.0: eps must be positive and finite, got -1.0")
 
 
 def test_validation_rejects_resonant_grid_points():
@@ -187,6 +202,16 @@ GRID_ERRORS = {
     "omega_inf": ({"omega_max": math.inf},
                   "grid point omega=nan, delta_kappa=10.0: omega must be "
                   "nonnegative and finite, got nan"),
+    "omega_min": ({"omega_min": -0.5},
+                  "grid point omega=-0.5, delta_kappa=10.0: omega must be "
+                  "nonnegative and finite, got -0.5"),
+    "dk_min": ({"dk_min": 0},
+               "grid point omega=0.0, delta_kappa=0.0: kappa1 = kappa2 = "
+               "2500.0; the first-order root corrections divide by the "
+               "frequency split"),
+    "dk_min_nan": ({"dk_min": math.nan},
+                   "grid point omega=0.0, delta_kappa=nan: kappa2 must be "
+                   "positive and finite, got nan"),
     "two_classes": ({"dk_min": 1e-13, "omega_max": 2499.0},
                     "grid point omega=0.0, delta_kappa=1e-13: kappa1 = "
                     "kappa2 = 2500.0; the first-order root corrections divide "
@@ -365,7 +390,8 @@ _EDGES = st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf,
 @given(kappa1=st.one_of(st.floats(-10.0, 1e4), _EDGES),
        eps=st.one_of(st.floats(-1.0, 10.0), _EDGES),
        dk_min=st.one_of(st.floats(1e-15, 1e4), st.sampled_from(
-           [5e-324, 1e-13, 1e-300, 1e308, math.inf])),
+           [5e-324, 1e-13, 1e-300, 1e308, math.inf, 0.0, -0.0, -1.0,
+            math.nan, -math.inf])),
        dk_span=st.one_of(st.floats(0.0, 1e4), _EDGES),
        omega_min=st.one_of(st.floats(0.0, 1e4), _EDGES),
        omega_span=st.one_of(st.floats(0.0, 1e4), _EDGES),
@@ -374,9 +400,8 @@ _EDGES = st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf,
 def test_grid_validation_matches_make_params_at_every_point(
         kappa1, eps, dk_min, dk_span, omega_min, omega_span, steps):
     dk_max, omega_max = dk_min + dk_span, omega_min + omega_span
-    if not (dk_min > 0 and not dk_max < dk_min
-            and not omega_min < 0 and not omega_max < omega_min):
-        return          # rejected before the grid is looked at
+    if dk_max < dk_min or omega_max < omega_min:
+        return          # the message names the order problem too
     try:
         SweepConfig(kappa1=kappa1, eps=eps, dk_min=dk_min, dk_max=dk_max,
                     dk_steps=steps, omega_min=omega_min, omega_max=omega_max,
