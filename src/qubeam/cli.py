@@ -10,12 +10,12 @@ import functools
 import math
 import sys
 
-from .bogoliubov import INDEX_ORDER, _column, build_block, identity_defect
+from .bogoliubov import INDEX_ORDER, build_block, identity_defect
 from .dispersion import DEFAULT_REL_TOL, exact_roots, perturbative_roots
 from .entangle import full_report
 from .errors import ParseError, QubeamError, ValidationError
 from .params import _check_tol, make_params
-from .qstate import PolarizationConfig, _normalized_state
+from .qstate import PolarizationConfig, _normalized_state, _state_columns
 from .sweep import (_FILE_KEYS, _fmt, failure_tally, parse_config, run_sweep,
                     write_csv)
 from .verify import verify_point
@@ -147,8 +147,8 @@ def _cmd_state(args):
     roots = (exact_roots(params, args.tol) if args.method == "exact"
              else perturbative_roots(params))
     pol = PolarizationConfig.from_code(args.pol)
-    vec, _, norm_gap = _normalized_state(
-        [_column(roots, params, k, lam) for k, lam in INDEX_ORDER], pol)
+    vec, _, norm_gap = _normalized_state(_state_columns(roots, params, pol),
+                                         pol)
     lines = [f"config: {pol.code}  (lambda1={pol.lambda1}, "
              f"lambda2={pol.lambda2})"]
     for i, v in enumerate(vec, start=1):

@@ -19,7 +19,6 @@ from 1 only at O(eps^2).
 import math
 from typing import NamedTuple
 
-from .bogoliubov import _checked, _state_factors
 from .dispersion import DEFAULT_REL_TOL, exact_roots, perturbative_roots
 from .errors import (
     DomainError,
@@ -30,7 +29,7 @@ from .errors import (
     _raise_first,
 )
 from .params import ModelParams
-from .qstate import PolarizationConfig, _state_gaps
+from .qstate import PolarizationConfig, _state_columns, _state_gaps
 
 _LN4 = math.log(4.0)
 # Measures clamp arguments this far outside their domain to the boundary;
@@ -102,12 +101,14 @@ def _phi_terms(k1, k2, w):
     return num, den
 
 
-# The closed forms' rules, every caller's: Phi's own, then the asymptotic
-# form's. omega = 0 gives Phi = 0, where the exact E_I is 0; the last row
-# guards the form's log(eps).
+# The closed forms' rules, every caller's: Phi's own (an overflowed den
+# would give a false Phi = 0, the exact E_I's value at omega = 0), then the
+# asymptotic form's; the last row guards the form's log(eps).
 _CLOSED_RULES = (
     (ResonancePole, "omega = {w} on the resonance pole at kappa1 = {k1}"),
     (SingularDenominator, "Phi denominator {den!r} is not positive at "
+     "kappa1 = {k1}, kappa2 = {k2}"),
+    (SingularDenominator, "Phi denominator {den!r} is not finite at "
      "kappa1 = {k1}, kappa2 = {k2}"),
     (RangeViolation, "eps*Phi = {eps_phi!r} is not below 1; outside the "
      "admissible range"),
@@ -118,8 +119,8 @@ _CLOSED_RULES = (
 
 def _closed_verdicts(k1, w, den, eps, phi):
     """Each _CLOSED_RULES row's accept verdict, for floats or arrays."""
-    return (abs(w - k1) > 1e-12 * k1, den > 0.0, eps * phi < 1.0,
-            phi >= 0.0, eps > 0.0)
+    return (abs(w - k1) > 1e-12 * k1, den > 0.0, den < math.inf,
+            eps * phi < 1.0, phi >= 0.0, eps > 0.0)
 
 
 def phi_closed(params: ModelParams):
@@ -222,9 +223,7 @@ def full_report(params: ModelParams, config: PolarizationConfig,
         roots = (exact_roots(params, tol) if method == "exact"
                  else perturbative_roots(params))
         stage = "block"
-        columns = _checked(roots, params)
-        for i in (config.lambda1 - 1, config.lambda2 + 1):  # _state_gaps reads
-            columns[i] = _state_factors(*columns[i])
+        columns = _state_columns(roots, params, config)
         stage = "amplitudes"
         _, _, y_gap, norm_gap = _state_gaps(columns, config)
         stage = "measures"

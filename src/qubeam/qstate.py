@@ -18,7 +18,7 @@ collapsed floats.
 from dataclasses import dataclass
 import math
 
-from .bogoliubov import BogoliubovBlock, _column, _phase
+from .bogoliubov import BogoliubovBlock, _checked, _phase, _state_factors
 from .dispersion import ModeRoots
 from .errors import UnsupportedConfig, ZeroNorm, _raise_first
 from .params import ModelParams
@@ -132,6 +132,14 @@ def _state_gaps(columns, config: PolarizationConfig):
     return gaps
 
 
+def _state_columns(roots, params, config):
+    """_checked's four columns, the two _state_gaps reads as _state_factors."""
+    columns = _checked(roots, params)
+    for i in (config.lambda1 - 1, config.lambda2 + 1):
+        columns[i] = _state_factors(*columns[i])
+    return columns
+
+
 def _normalized(vec, norm_sq):
     # vec / sqrt(norm_sq) as NumPy divides a complex by a real: times the
     # reciprocal, and times inf at a zero norm (x/0 is inf, or nan at x = 0)
@@ -166,8 +174,8 @@ def closed_form_ab(roots: ModeRoots, params: ModelParams,
     kappa2^2); pairing b's numerator with the crossed poles would leave
     4(a^2 + b^2) far from 1.
 
-    Both products come from the per-column factors of bogoliubov._column
-    at the given roots, so a root on its pole raises PoleEvaluation and a
+    Both products come from _state_factors of the two columns _checked at
+    the given roots, so a root on its pole raises PoleEvaluation and a
     negative radicand NegativeRadicand. Feed first-order roots to get the
     literal leading-order values, independent of the exact pipeline.
     """
@@ -175,6 +183,6 @@ def closed_form_ab(roots: ModeRoots, params: ModelParams,
         raise UnsupportedConfig(
             f"no closed form for config {config.code}; "
             "use the pipeline amplitudes")
-    c1 = _column(roots, params, 1, config.lambda1)
-    c2 = _column(roots, params, 2, config.lambda2)
-    return c1.m_cross * c2.m_cross, c1.m_self * c2.m_self
+    c1, c2 = [_state_factors(*column) for column in _checked(
+        roots, params, ((1, config.lambda1), (2, config.lambda2)))]
+    return c1[3] * c2[3], c1[2] * c2[2]     # m_cross and m_self products

@@ -2,15 +2,17 @@
 its leading-order closed forms, on eps-halving ladders where the second-order
 defect must shrink ~4x per halving."""
 from dataclasses import dataclass
+import functools
 import math
 
-from .bogoliubov import INDEX_ORDER, _column
+from .bogoliubov import INDEX_ORDER
 from .dispersion import DEFAULT_REL_TOL, exact_roots, perturbative_roots
-from .entangle import _info_from_gap, asymptotic_info, full_report, phi_closed
+from .entangle import (_asymptotic_from_phi, _info_from_gap, full_report,
+                       phi_closed)
 from .errors import QubeamError
 from .params import ModelParams, _check_tol
 from .qstate import (PolarizationConfig, _normalized, _normalized_state,
-                     _pattern_vector, closed_form_ab)
+                     _pattern_vector, _state_columns, closed_form_ab)
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ def _check_root_ladder(params, pol, tol, ladder):
     """First-order roots against the solved dispersion relation; exact_roots
     raises NonConvergence where a residual misses tol."""
     defects = {kl: [] for kl in INDEX_ORDER}
-    for lp in ladder:
+    for lp, _ in ladder:
         ex = exact_roots(lp, tol)
         pert = perturbative_roots(lp)
         for k, lam in INDEX_ORDER:
@@ -67,11 +69,10 @@ def _check_root_ladder(params, pol, tol, ladder):
 
 def _check_state_pattern(params, pol, tol, ladder):
     """Pipeline amplitudes against the explicit (a, b) pattern, both
-    normalized. The state is _normalized_state of the four columns, as
-    amplitudes(build_block(roots, params), pol) forms it."""
+    normalized. The state is _normalized_state of full_report's columns,
+    as amplitudes(build_block(roots, params), pol) forms it."""
     roots = exact_roots(params, tol)
-    amps, _, _ = _normalized_state(
-        [_column(roots, params, k, lam) for k, lam in INDEX_ORDER], pol)
+    amps, _, _ = _normalized_state(_state_columns(roots, params, pol), pol)
     a, b = closed_form_ab(perturbative_roots(params), params, pol)
     pattern = _pattern_vector(b, a, pol)
     pattern = _normalized(pattern, sum([abs(z) * abs(z) for z in pattern]))
@@ -86,13 +87,10 @@ def _check_state_pattern(params, pol, tol, ladder):
 def _closed_ladder(measure, scale):
     """Ladder check of a pipeline measure against scale * eps * Phi."""
     def check(params, pol, tol, ladder):
-        defs = []
-        for lp in ladder:
-            rep = full_report(lp, pol, method="exact", tol=tol)
-            phi, _ = phi_closed(lp)
-            defs.append(abs(getattr(rep, measure) - scale * lp.eps * phi))
-        phi0, _ = phi_closed(params)
-        bound = 50.0 * (params.eps * params.eps) * phi0
+        reps = [report() for _, report in ladder]
+        defs = [abs(getattr(rep, measure) - scale * lp.eps * rep.Phi)
+                for (lp, _), rep in zip(ladder, reps)]
+        bound = 50.0 * (params.eps * params.eps) * reps[0].Phi
         ratios = [_ratio(defs[0], defs[1]), _ratio(defs[1], defs[2])]
         ok = defs[0] <= bound * scale and _quartered(ratios)
         return (ok, f"defects {['%.3e' % d for d in defs]}, "
@@ -110,14 +108,14 @@ def _check_info_asymptotic(params, pol, tol, ladder):
     if not exact_at_gap > 0.0:
         return (False, f"exact measure {exact_at_gap:.3e} at shared gap "
                 f"{params.eps * phi:.3e} is not positive; no ratio")
-    ratio = asymptotic_info(params) / exact_at_gap
+    ratio = _asymptotic_from_phi(phi, params.eps) / exact_at_gap
     return (abs(ratio - 1.0) <= 1e-10,
             f"asymptotic/exact ratio deviates by {abs(ratio - 1.0):.3e} "
             f"at shared gap {params.eps * phi:.3e}")
 
 
 def _check_zero_entanglement(params, pol, tol, ladder):
-    rep = full_report(params, pol, method="exact", tol=tol)
+    rep = ladder[0][1]()        # the report at params
     bound = 50.0 * (params.eps * params.eps)
     return (rep.E_I <= bound and rep.E_S <= bound,
             f"E_I={rep.E_I:.3e}, E_S={rep.E_S:.3e} (bound {bound:.3e})")
@@ -151,7 +149,10 @@ def verify_point(params: ModelParams, pol: PolarizationConfig,
     not a positive, finite number raises ValidationError before any check.
     """
     _check_tol(tol)
-    ladder = [params._replace(eps=params.eps * f) for f in _LADDER]
+    points = [params._replace(eps=params.eps * f) for f in _LADDER]
+    # (point, report) per rung; a report that succeeds is evaluated once
+    ladder = [(lp, functools.cache(functools.partial(
+        full_report, lp, pol, method="exact", tol=tol))) for lp in points]
     checks = []
     for name, codes, other_pol, zero_field, check in _CHECKS:
         if pol.code not in codes:

@@ -205,10 +205,14 @@ def test_sweep_config_out_path_is_rejected(tmp_path, capsys):
 def test_root_on_the_other_photons_pole_is_a_computation_error(tmp_path,
                                                                 capsys):
     # At kappa1 10, kappa2 60, omega 0, eps 1000 both first-order k = 1
-    # offsets are 50.0, so the root sits exactly on kappa2.
-    assert main(["measures", "--kappa1", "10", "--kappa2", "60", "--omega",
-                 "0", "--eps", "1000", "--method", "pert", "--pol", "uu"]) == 2
-    assert "other photon's pole" in capsys.readouterr().err
+    # offsets are 50.0, so the root sits exactly on kappa2. The report, the
+    # state and the block check that column alike.
+    point = ["--kappa1", "10", "--kappa2", "60", "--omega", "0", "--eps",
+             "1000", "--method", "pert"]
+    for argv in (["measures", "--pol", "uu"], ["state", "--pol", "uu"],
+                 ["block"]):
+        assert main(argv + point) == 2
+        assert "other photon's pole" in capsys.readouterr().err
     out = tmp_path / "s.csv"
     assert main(["sweep", "--kappa1", "10", "--eps", "1000", "--dk-min", "1",
                  "--dk-max", "50", "--dk-steps", "4", "--omega-max", "0.5",

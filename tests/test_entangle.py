@@ -34,6 +34,7 @@ from qubeam.entangle import (
     asymptotic_info,
 )
 from qubeam.errors import (
+    AllRowsFailed,
     BracketFailure,
     DomainError,
     NonPositive,
@@ -41,10 +42,12 @@ from qubeam.errors import (
     QubeamError,
     RangeViolation,
     ResonancePole,
+    SingularDenominator,
     ValidationError,
 )
 from qubeam.params import ModelParams
 from qubeam.qstate import PolarizationConfig, _state_gaps
+from qubeam.sweep import SweepConfig, run_sweep
 
 import mp_reference
 from mp_reference import info_from_gap, rel_err
@@ -229,6 +232,31 @@ def test_phi_closed_failure_modes():
         phi_closed(ModelParams(2500.0, 3000.0, 2500.0 * (1.0 - 1e-13), 0.1))
     with pytest.raises(RangeViolation):
         phi_closed(ModelParams(2500.0, 3000.0, 2500.0 * (1.0 - 1e-8), 0.1))
+    # Phi's denominator overflows from kappa1 ~ 1e52, where num/inf would
+    # read Phi = 0; every closed-form route rejects it. At kappa1 1e4 the
+    # same scaled point reads E_I_asymptotic 8.94e-10, E_S_closed 9.74e-11.
+    du = PolarizationConfig.from_code("du")
+    low, high = (make_params(k1, 1.5 * k1, 0.1 * k1, 1e-9 * k1 * k1)
+                 for k1 in (1e4, 1e52))
+    for method in ("exact", "perturbative"):
+        rep = full_report(low, du, method)
+        assert rep.E_I_asymptotic == pytest.approx(8.94e-10, rel=1e-3)
+        assert rep.E_S_closed == pytest.approx(9.74e-11, rel=1e-3)
+        with pytest.raises(SingularDenominator) as err:
+            full_report(high, du, method)
+        assert (err.value.stage, str(err.value)) == (
+            "measures", "stage measures: Phi denominator inf is not finite "
+            "at kappa1 = 1e+52, kappa2 = 1.5e+52")
+    for closed_form in (phi_closed, asymptotic_info):
+        with pytest.raises(SingularDenominator):
+            closed_form(high)
+    # The batch leaves every point to full_report, so all rows fail alike.
+    with pytest.raises(AllRowsFailed) as err:
+        run_sweep(SweepConfig(kappa1=1e52, eps=1e95, dk_min=4e51,
+                              dk_max=6e51, dk_steps=2, omega_min=1e51,
+                              omega_max=2e51, omega_steps=2))
+    assert str(err.value) == ("all 4 grid points failed; first status: "
+                              "error:SingularDenominator")
 
 
 def test_asymptotic_info_forms_agree(fig_params):
@@ -340,7 +368,7 @@ def test_report_stage_reraises_the_same_object(fig_params, monkeypatch):
     def broken(roots, params):
         raise inner
 
-    monkeypatch.setattr(entangle, "_checked", broken)
+    monkeypatch.setattr(qubeam.qstate, "_checked", broken)
     with pytest.raises(PoleEvaluation) as err:
         full_report(fig_params, PolarizationConfig.from_code("du"))
     assert err.value is inner and err.value.detail is inner.detail
@@ -437,8 +465,11 @@ def test_report_equals_the_block_route_bit_for_bit():
 
 # SHA-256 of the outcomes below, recorded before the point path's
 # per-request overhead was cut; any change to a bit or an error shows here.
+# Re-recorded when a Phi denominator that is not finite became an error:
+# 355 du reports at 179 of the 2^200-scaled points moved from ok (with
+# E_I_asymptotic = E_S_closed = 0) to SingularDenominator at stage measures.
 POINT_PATH_DIGEST = (
-    "1931676566f7d0713667f525438555a71cf4ed77c869de104ddcf9336c98029e")
+    "8d1e77300db2aed78ada1b42d36d62dcd82268aabe345b0d1a7f02eef4dc8854")
 
 
 def test_point_path_outcomes_are_pinned():

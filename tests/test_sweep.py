@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qubeam.batch as batch_mod
+import qubeam.entangle as entangle_mod
 from qubeam.bogoliubov import INDEX_ORDER, _column
 import qubeam.sweep as sweep_mod
 import qubeam.verify as verify_mod
@@ -797,6 +798,33 @@ def test_verify_point_reference(fig_params):
     assert by_name["zero_entanglement"].status == "skip"
     for name in CHECK_NAMES[:-1]:
         assert by_name[name].status == "pass", by_name[name].detail
+
+
+def test_verify_point_evaluates_each_ladder_report_once(fig_params,
+                                                       monkeypatch):
+    # For du at the reference point each of the three eps-ladder reports is
+    # evaluated once and read by both closed-form ladders, which take Phi
+    # from it. exact_roots runs 3 times in the root ladder, once in
+    # state_pattern and once per report; phi_closed once per report and
+    # once in info_asymptotic.
+    calls = collections.Counter()
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (verify_mod, entangle_mod):
+        spy(module, "phi_closed")
+        spy(module, "exact_roots")
+    spy(verify_mod, "full_report")
+    rep = verify_point(fig_params, PolarizationConfig.from_code("du"))
+    assert rep.counts == (5, 0, 1)
+    assert calls["full_report"] == 3 and calls["exact_roots"] == 7
+    assert calls["phi_closed"] <= 4
 
 
 def test_verify_point_parallel(fig_params):
