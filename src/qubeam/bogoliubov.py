@@ -19,7 +19,6 @@ matrix entries, so chi and the analogous xi are carried explicitly.
 """
 from dataclasses import dataclass
 import math
-from typing import NamedTuple
 
 from .dispersion import INDEX_ORDER, ModeRoots
 from .errors import NegativeRadicand, PoleEvaluation, SingularDenominator
@@ -32,34 +31,12 @@ def _phase(lam_row, lam_col):
     return -1.0j
 
 
-class ColumnFactors(NamedTuple):
-    """Exact per-column quantities for column (k, lam) of the block; a
-    block's columns are identified by their position in INDEX_ORDER.
-
-    Its first four fields are _state_factors' tuple. chi is the relative
-    deviation of the normalization radicand from its self-pole part,
-    radicand = (2/a_self^2)(1 + chi); xi = d^2/(4 r kappa) measures that of
-    the u self-entry from 1/sqrt(2): m_self^2 = (1 + xi) / (2 (1 + chi)).
-    m_* and w_* are the signed magnitudes of the u and v entries (phases
-    excluded); m_cross carries the sign of r - kappa_other. a_self is the
-    factored pole difference r^2 - kappa_k^2 of the own mode at root r.
-    """
-
-    chi: float
-    xi: float
-    m_self: float
-    m_cross: float
-    a_self: float
-    q: float
-    w_self: float
-    w_cross: float
-
-
 def _deviations(kappa_k, d, r, a_cross, params: ModelParams, lam):
-    """(a_self, chi, xi) of a column at offset d, root r, cross pole a_cross.
-
-    Powers are products, which round alike for floats and numpy arrays, so
-    both column paths share this arithmetic. Floats need a_cross != 0.
+    """(a_self, chi, xi) of a column at offset d, root r, cross pole a_cross:
+    a_self = r^2 - kappa_k^2, the radicand is (2/a_self^2)(1 + chi) and
+    m_self^2 = (1 + xi) / (2 (1 + chi)). Powers are products, which round
+    alike for floats and numpy arrays, so the point path and the batch
+    share this arithmetic. Floats need a_cross != 0.
     """
     a_self = d * (d + 2.0 * kappa_k)
     field_sign = -1.0 if lam == 1 else 1.0      # (-1)^lambda
@@ -111,39 +88,35 @@ def _state_factors(kappa_k, kappa_o, d, r, a_self, chi, xi, sqrt=math.sqrt):
             a_self / (2.0 * sqrt(r * kappa_o) * (kappa_k - kappa_o + d) * scale))
 
 
-def _column(roots: ModeRoots, params: ModelParams, k, lam) -> ColumnFactors:
-    (checked,) = _checked(roots, params, ((k, lam),))
-    kappa_k, kappa_o, d, r, a_self, chi, xi = checked
-    scale = math.sqrt(2.0 * (1.0 + chi))
-    return ColumnFactors(
-        *_state_factors(*checked), a_self, abs(a_self) / scale,
-        d / (2.0 * math.sqrt(r * kappa_k) * scale),
-        a_self / (2.0 * math.sqrt(r * kappa_o) * (r + kappa_o) * scale))
-
-
 @dataclass(frozen=True)
 class BogoliubovBlock:
     u: "numpy.ndarray"          # complex 4x4
     v: "numpy.ndarray"          # complex 4x4
     q: "numpy.ndarray"          # real 2x2
-    columns: tuple              # four ColumnFactors in INDEX_ORDER
 
 
 def build_block(roots: ModeRoots, params: ModelParams) -> BogoliubovBlock:
-    """Assemble the photon-sector u, v matrices and normalizations."""
+    """Assemble the photon-sector u, v matrices and normalizations; every
+    column is _checked first, in INDEX_ORDER, as full_report checks them.
+    m_* and w_* are signed magnitudes of u, v entries, phases excluded."""
     import numpy as np
-    cols = tuple(_column(roots, params, k, lam) for (k, lam) in INDEX_ORDER)
     u = np.zeros((4, 4), dtype=complex)
     v = np.zeros((4, 4), dtype=complex)
     q = np.empty((2, 2))
-    for j, ((k, lam), col) in enumerate(zip(INDEX_ORDER, cols)):
-        q[k - 1][lam - 1] = col.q
+    for j, ((k, lam), checked) in enumerate(zip(INDEX_ORDER,
+                                                _checked(roots, params))):
+        kappa_k, kappa_o, d, r, a_self, chi, _ = checked
+        _, _, m_self, m_cross = _state_factors(*checked)
+        scale = math.sqrt(2.0 * (1.0 + chi))
+        q[k - 1][lam - 1] = abs(a_self) / scale
+        w_self = d / (2.0 * math.sqrt(r * kappa_k) * scale)
+        w_cross = a_self / (2.0 * math.sqrt(r * kappa_o) * (r + kappa_o)
+                            * scale)
         for i, (s, lam_row) in enumerate(INDEX_ORDER):
-            m, w = ((col.m_self, col.w_self) if s == k
-                    else (col.m_cross, col.w_cross))
+            m, w = (m_self, w_self) if s == k else (m_cross, w_cross)
             ph = _phase(lam_row, lam)
             u[i][j], v[i][j] = ph * m, ph * w
-    return BogoliubovBlock(u=u, v=v, q=q, columns=cols)
+    return BogoliubovBlock(u=u, v=v, q=q)
 
 
 def identity_defect(block: BogoliubovBlock):

@@ -5,9 +5,10 @@ the other:
 
 * the pipeline route: roots -> checks of all four columns -> factors of
   the two the state reads -> gaps -> measures, for any configuration;
-* closed forms: the field-and-frequency factor Phi with y = 1 - eps*Phi and
-  E_S = 2*eps*Phi for the (down, up) configuration, and the asymptotic
-  information measure, all exact only at leading order in eps.
+* closed forms: phi_closed's field-and-frequency factor Phi with
+  y = 1 - eps*Phi and E_S = 2*eps*Phi for the (down, up) configuration, and
+  the asymptotic information measure taken from that Phi, which full_report
+  attaches through _closed_forms; all exact only at leading order in eps.
 
 Convention: the reported y, E_I, E_S are evaluated on the pre-normalization
 (raw) state. The truncation's norm deficit carries the leading-order
@@ -152,16 +153,6 @@ def _asymptotic_terms(phi, eps, log_half_phi, log_eps):
     return (phi / _LN4) * (eps * (1.0 - log_half_phi) - eps * log_eps)
 
 
-def asymptotic_info(params: ModelParams) -> float:
-    """Small-eps information measure for (down, up), in bits.
-
-    (Phi / (2 ln 2)) [eps (1 - ln(Phi/2)) - eps ln eps], and 0 at Phi = 0
-    (omega = 0), the exact value. phi_closed's rules apply: a negative Phi
-    or an eps <= 0 raises DomainError.
-    """
-    return _asymptotic_from_phi(phi_closed(params)[0], params.eps)
-
-
 # _measures' rules; the spectral gap's run before _info_from_gap, which
 # raises ValueError for a gap above 2.
 _MEASURE_RULES = (
@@ -209,7 +200,7 @@ def full_report(params: ModelParams, config: PolarizationConfig,
     """Run the whole pipeline for one parameter point.
 
     Each column is checked as build_block checks it, read or not; the two
-    read give the gaps amplitudes(build_block(roots, params), config) holds.
+    read give the gaps of the state that `qubeam state` prints.
     method selects the root solver ("exact" or "perturbative"). Closed-form
     comparators are attached for configs (2,1) and (1,1); the other two have
     no leading-order reference and get None there. Upstream errors propagate

@@ -18,7 +18,7 @@ collapsed floats.
 from dataclasses import dataclass
 import math
 
-from .bogoliubov import BogoliubovBlock, _checked, _phase, _state_factors
+from .bogoliubov import _checked, _phase, _state_factors
 from .dispersion import ModeRoots
 from .errors import UnsupportedConfig, ZeroNorm, _raise_first
 from .params import ModelParams
@@ -54,23 +54,6 @@ class PolarizationConfig:
     @property
     def parallel(self) -> bool:
         return self.lambda1 == self.lambda2
-
-
-@dataclass(frozen=True)
-class TwoQubitAmplitudes:
-    """Normalized amplitude 4-vector plus the exact truncation diagnostics.
-
-    vec is unit-normalized. raw_norm_sq is the pre-normalization norm
-    squared, stored as 1 - norm_gap with norm_gap computed deviation-first.
-    y_gap is 1 minus the spectral gap of the pre-normalization reduced
-    density matrix.
-    """
-
-    vec: "numpy.ndarray"
-    config: PolarizationConfig
-    raw_norm_sq: float
-    norm_gap: float
-    y_gap: float
 
 
 def _pattern_vector(b_self, a_cross, config):
@@ -153,14 +136,6 @@ def _normalized_state(columns, config: PolarizationConfig):
     b_self, a_cross, y_gap, norm_gap = _state_gaps(columns, config)
     return (_normalized(_pattern_vector(b_self, a_cross, config),
                         1.0 - norm_gap), y_gap, norm_gap)
-
-
-def amplitudes(block: BogoliubovBlock, config: PolarizationConfig) -> TwoQubitAmplitudes:
-    """Two-qubit amplitudes for one quasiphoton polarization configuration."""
-    import numpy as np
-    vec, y_gap, norm_gap = _normalized_state(block.columns, config)
-    return TwoQubitAmplitudes(vec=np.array(vec), config=config, y_gap=y_gap,
-                              raw_norm_sq=1.0 - norm_gap, norm_gap=norm_gap)
 
 
 def closed_form_ab(roots: ModeRoots, params: ModelParams,

@@ -7,8 +7,8 @@ import math
 
 from .bogoliubov import INDEX_ORDER
 from .dispersion import DEFAULT_REL_TOL, exact_roots, perturbative_roots
-from .entangle import (_asymptotic_from_phi, _info_from_gap, full_report,
-                       phi_closed)
+from .entangle import (_asymptotic_from_phi, _info_from_gap, _log_half,
+                       full_report, phi_closed)
 from .errors import QubeamError
 from .params import ModelParams, _check_tol
 from .qstate import (PolarizationConfig, _normalized, _normalized_state,
@@ -70,7 +70,7 @@ def _check_root_ladder(params, pol, tol, ladder):
 def _check_state_pattern(params, pol, tol, ladder):
     """Pipeline amplitudes against the explicit (a, b) pattern, both
     normalized. The state is _normalized_state of full_report's columns,
-    as amplitudes(build_block(roots, params), pol) forms it."""
+    the one `qubeam state` prints."""
     roots = exact_roots(params, tol)
     amps, _, _ = _normalized_state(_state_columns(roots, params, pol), pol)
     a, b = closed_form_ab(perturbative_roots(params), params, pol)
@@ -103,15 +103,19 @@ def _check_info_asymptotic(params, pol, tol, ladder):
     # leading expansion of the exact information measure at g = eps*Phi,
     # so feeding it the pipeline gap instead would report the O(eps^2)
     # difference between the two gaps, not the quality of the expansion.
+    # That relative difference is the series' next term, g/(4 (1 - ln(g/2))):
+    # the bound is twice it, plus 8 ulps of rounding.
     phi, _ = phi_closed(params)
-    exact_at_gap = _info_from_gap(params.eps * phi)
+    gap = params.eps * phi
+    exact_at_gap = _info_from_gap(gap)
     if not exact_at_gap > 0.0:
         return (False, f"exact measure {exact_at_gap:.3e} at shared gap "
-                f"{params.eps * phi:.3e} is not positive; no ratio")
+                f"{gap:.3e} is not positive; no ratio")
     ratio = _asymptotic_from_phi(phi, params.eps) / exact_at_gap
-    return (abs(ratio - 1.0) <= 1e-10,
+    bound = 2.0 * (gap / (4.0 * (1.0 - _log_half(gap)))) + 8.0 * math.ulp(1.0)
+    return (abs(ratio - 1.0) <= bound,
             f"asymptotic/exact ratio deviates by {abs(ratio - 1.0):.3e} "
-            f"at shared gap {params.eps * phi:.3e}")
+            f"at shared gap {gap:.3e}")
 
 
 def _check_zero_entanglement(params, pol, tol, ladder):

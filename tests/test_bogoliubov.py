@@ -19,7 +19,8 @@ from qubeam import (
 from qubeam.bogoliubov import (
     INDEX_ORDER,
     BogoliubovBlock,
-    _column,
+    _checked,
+    _state_factors,
 )
 from qubeam.dispersion import ModeRoots
 from qubeam.errors import NegativeRadicand, PoleEvaluation
@@ -37,15 +38,22 @@ XI_12 = 1.600640e-17
 XI_21 = 7.713478e-18
 
 
+def _columns(roots, params):
+    """{(k, lam): (a_self, chi, xi, m_self, m_cross)} of the checked columns."""
+    return {kl: (c[4], *_state_factors(*c))
+            for kl, c in zip(INDEX_ORDER, _checked(roots, params))}
+
+
 def test_column_deviations_match_frozen_values(fig_params, fig_roots):
-    c12 = _column(fig_roots, fig_params, 1, 2)
-    c21 = _column(fig_roots, fig_params, 2, 1)
-    assert c12.chi == pytest.approx(CHI_12, rel=1e-5)
-    assert c21.chi == pytest.approx(CHI_21, rel=1e-5)
-    assert c12.xi == pytest.approx(XI_12, rel=1e-5)
-    assert c21.xi == pytest.approx(XI_21, rel=1e-5)
+    columns = _columns(fig_roots, fig_params)
+    _, chi12, xi12, _, _ = columns[1, 2]
+    _, chi21, xi21, _, _ = columns[2, 1]
+    assert chi12 == pytest.approx(CHI_12, rel=1e-5)
+    assert chi21 == pytest.approx(CHI_21, rel=1e-5)
+    assert xi12 == pytest.approx(XI_12, rel=1e-5)
+    assert xi21 == pytest.approx(XI_21, rel=1e-5)
     # lambda = 1 columns see the field with the opposite sign
-    assert c21.chi < 0.0 < c12.chi
+    assert chi21 < 0.0 < chi12
 
 
 def test_q_agrees_with_direct_radicand(fig_params, fig_roots, fig_block):
@@ -59,11 +67,12 @@ def test_q_agrees_with_direct_radicand(fig_params, fig_roots, fig_block):
         assert rel_err(fig_block.q[k - 1][lam - 1], q) <= 1e-15
 
 
-def test_q_deviation_from_pole_limit_is_minus_half_chi(fig_params, fig_roots):
-    for k, lam in INDEX_ORDER:
-        col = _column(fig_roots, fig_params, k, lam)
-        dev = col.q * math.sqrt(2.0) / abs(col.a_self) - 1.0
-        assert dev == pytest.approx(-col.chi / 2.0, rel=1e-3)
+def test_q_deviation_from_pole_limit_is_minus_half_chi(fig_params, fig_roots,
+                                                      fig_block):
+    for (k, lam), (a_self, chi, _, _, _) in _columns(fig_roots,
+                                                     fig_params).items():
+        dev = fig_block.q[k - 1][lam - 1] * math.sqrt(2.0) / abs(a_self) - 1.0
+        assert dev == pytest.approx(-chi / 2.0, rel=1e-3)
         assert abs(dev) <= 1e-10
 
 
@@ -71,8 +80,10 @@ def test_q_deviation_scales_linearly_in_coupling():
     devs = []
     for factor in (1.0, 0.5, 0.25):
         p = make_params(2500.0, 3000.0, 0.5, 0.1 * factor)
-        col = _column(exact_roots(p), p, 1, 2)
-        devs.append(abs(col.q * math.sqrt(2.0) / col.a_self - 1.0))
+        roots = exact_roots(p)
+        a_self = _columns(roots, p)[1, 2][0]
+        q = build_block(roots, p).q[0][1]
+        devs.append(abs(q * math.sqrt(2.0) / a_self - 1.0))
     for hi, lo in zip(devs, devs[1:]):
         assert 1.7 <= hi / lo <= 2.3
 
@@ -94,16 +105,15 @@ def test_v_to_u_entry_ratio(fig_params, fig_roots, fig_block):
 def test_self_entries_approach_equal_mixing(fig_params, fig_roots):
     # |u_self| = sqrt((1 + xi)/(2 (1 + chi))): deviation from 1/sqrt(2)
     # is (xi - chi)/2, first order in eps through chi
-    for k, lam in INDEX_ORDER:
-        col = _column(fig_roots, fig_params, k, lam)
-        dev = col.m_self * math.sqrt(2.0) - 1.0
+    for _, chi, xi, m_self, _ in _columns(fig_roots, fig_params).values():
+        dev = m_self * math.sqrt(2.0) - 1.0
         assert abs(dev) <= 1e-10
-        assert dev == pytest.approx((col.xi - col.chi) / 2.0, rel=1e-3)
+        assert dev == pytest.approx((xi - chi) / 2.0, rel=1e-3)
     ladders = []
     for factor in (1.0, 0.5, 0.25):
         p = make_params(2500.0, 3000.0, 0.5, 0.1 * factor)
-        col = _column(exact_roots(p), p, 2, 1)
-        ladders.append(abs(col.m_self * math.sqrt(2.0) - 1.0))
+        m_self = _columns(exact_roots(p), p)[2, 1][3]
+        ladders.append(abs(m_self * math.sqrt(2.0) - 1.0))
     for hi, lo in zip(ladders, ladders[1:]):
         assert 1.7 <= hi / lo <= 2.3
 
@@ -112,9 +122,9 @@ def test_mixing_entries_shrink_linearly_in_coupling():
     maxima_v, maxima_cross = [], []
     for factor in (1.0, 0.5, 0.25):
         p = make_params(2500.0, 3000.0, 0.5, 0.1 * factor)
-        block = build_block(exact_roots(p), p)
-        maxima_v.append(float(np.abs(block.v).max()))
-        cross = [abs(col.m_cross) for col in block.columns]
+        roots = exact_roots(p)
+        maxima_v.append(float(np.abs(build_block(roots, p).v).max()))
+        cross = [abs(col[4]) for col in _columns(roots, p).values()]
         maxima_cross.append(max(cross))
     for series in (maxima_v, maxima_cross):
         assert series[0] < 1e-4
@@ -122,17 +132,18 @@ def test_mixing_entries_shrink_linearly_in_coupling():
             assert 1.9 <= hi / lo <= 2.1
 
 
-def test_phase_structure_is_exact(fig_block):
+def test_phase_structure_is_exact(fig_params, fig_roots, fig_block):
     for m in (fig_block.u, fig_block.v):
         assert np.all(m[[0, 2], :].imag == 0.0)   # rows with lambda = 1
         assert np.all(m[[1, 3], :].real == 0.0)   # rows with lambda = 2
         assert np.all(m[[1, 3], :].imag != 0.0)
     # lambda' = 2 columns flip the sign on lambda = 1 rows relative to the
     # magnitudes, lambda' = 1 columns keep it
-    for j, ((k, lam), col) in enumerate(zip(INDEX_ORDER, fig_block.columns)):
+    columns = _columns(fig_roots, fig_params)
+    for j, (k, lam) in enumerate(INDEX_ORDER):
         sign = 1.0 if lam == 1 else -1.0
         i_self = 2 * (k - 1)
-        assert fig_block.u[i_self][j].real == sign * col.m_self
+        assert fig_block.u[i_self][j].real == sign * columns[k, lam][3]
 
 
 def test_identity_defects_frozen_and_linear(fig_block):
@@ -152,10 +163,10 @@ def test_identity_defects_frozen_and_linear(fig_block):
             assert 1.7 <= hi / lo <= 2.3
 
 
-def test_identity_defect_zero_for_trivial_block(fig_block):
+def test_identity_defect_zero_for_trivial_block():
     block = BogoliubovBlock(u=np.eye(4, dtype=complex),
                             v=np.zeros((4, 4), dtype=complex),
-                            q=np.ones((2, 2)), columns=fig_block.columns)
+                            q=np.ones((2, 2)))
     assert identity_defect(block) == (0.0, 0.0)
 
 
@@ -179,7 +190,7 @@ def test_root_on_pole_is_rejected(fig_params):
     # a root on the other photon's pole: r[1][1] = kappa2 exactly
     roots = ModeRoots(kappas=(10.0, 60.0), offsets=((50.0, 50.0), (1.0, 1.0)))
     with pytest.raises(PoleEvaluation) as err:
-        _column(roots, make_params(10.0, 60.0, 0.0, 1000.0), 1, 1)
+        build_block(roots, make_params(10.0, 60.0, 0.0, 1000.0))
     assert "other photon's pole" in str(err.value)
 
 
@@ -199,10 +210,9 @@ def test_m_cross_keeps_its_digits_for_near_degenerate_modes():
             eps = f * 0.01 * (kappa1 - omega) ** 2 * split
             p = make_params(kappa1, kappa1 * (1.0 + split), omega, eps)
             roots = perturbative_roots(p)
-            for k, lam in INDEX_ORDER:
+            for (k, lam), col in _columns(roots, p).items():
                 kk, ko = roots.kappas[k - 1], roots.kappas[2 - k]
                 _, _, want = mp_column(kk, ko, roots.offset(k, lam), p.omega,
                                        p.eps, lam)
-                worst = max(worst, rel_err(_column(roots, p, k, lam).m_cross,
-                                           want))
+                worst = max(worst, rel_err(col[4], want))
     assert worst <= 1e-15

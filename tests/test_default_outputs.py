@@ -8,7 +8,7 @@ full 64x64 grids guard the output bytes. The point commands' pins cover
 the paths that do not go through the batch, at the reference point:
 `full_report`, `verify_point`, and the `roots`, `block` and `state`
 commands, which print `ModeRoots`, the result of `build_block` and the
-normalized state that `amplitudes` also holds. `verify` is also pinned at
+normalized state of `qstate._normalized_state`. `verify` is also pinned at
 zero field and at a coupling past any root, where its checks skip or fail.
 """
 import hashlib
@@ -143,7 +143,9 @@ def test_point_command_outputs_are_unchanged(argv, capsys):
 
 # SHA-256 of the stdout of `qubeam verify --pol P` and its exit code, at the
 # zero-field point (--omega 0) and at a coupling far past any root
-# (--eps 1e9), where every check that runs fails.
+# (--eps 1e9), where every check that runs fails but du's info_asymptotic,
+# which needs no root (re-recorded when its bound became twice the series'
+# next term plus 8 ulps: that check moved from FAIL to PASS).
 VERIFY_DIGESTS = {
     ("--omega", "0", "uu"): (
         0, "51fdb78144bb9611b65fe428b20d42dc22a87625344b374e0fb011ffc712404c"),
@@ -158,7 +160,7 @@ VERIFY_DIGESTS = {
     ("--eps", "1e9", "ud"): (
         2, "cff2e30717946e741540868784ae7cebd5e2ca06b12ec1c0c88f2259a6bf77cf"),
     ("--eps", "1e9", "du"): (
-        2, "f4887c39c03f9af70574e886be6ffe9b3086c32d5b90cd7e3567d04f622510f1"),
+        2, "20763bef25760a729aa4d04224b778468288245151af2438d6092c3696d3caca"),
     ("--eps", "1e9", "dd"): (
         2, "a14275d0a97f35fe1d7f1c72d45e7ca6a61413ff9a111c981f387b5e5402ac0e"),
 }

@@ -13,7 +13,6 @@ import pytest
 
 import qubeam
 from qubeam import (
-    amplitudes,
     build_block,
     entangle,
     exact_roots,
@@ -23,7 +22,7 @@ from qubeam import (
     phi_closed,
 )
 from qubeam.batch import _asymptotic_from_phis, _info_from_gaps
-from qubeam.bogoliubov import INDEX_ORDER, _column
+from qubeam.bogoliubov import INDEX_ORDER
 from qubeam.dispersion import ModeRoots
 from qubeam.entangle import (
     _SERIES_CUT,
@@ -31,7 +30,6 @@ from qubeam.entangle import (
     _asymptotic_from_phi,
     _info_from_gap,
     _schmidt_from_gaps,
-    asymptotic_info,
 )
 from qubeam.errors import (
     AllRowsFailed,
@@ -46,7 +44,12 @@ from qubeam.errors import (
     ValidationError,
 )
 from qubeam.params import ModelParams
-from qubeam.qstate import PolarizationConfig, _state_gaps
+from qubeam.qstate import (
+    PolarizationConfig,
+    _normalized_state,
+    _state_columns,
+    _state_gaps,
+)
 from qubeam.sweep import SweepConfig, run_sweep
 
 import mp_reference
@@ -61,11 +64,13 @@ ES_FIG = 1.3552872417060722e-12
 EI_ASYM_FIG = 1.4470067505667856e-11
 
 
-def test_reduced_density_identities_at_reference_point(fig_block):
+def test_reduced_density_identities_at_reference_point(fig_params, fig_roots):
     # rho = M M+ of the normalized amplitudes, with M = vec as a 2x2 matrix
     for code in ("uu", "ud", "du", "dd"):
-        m = amplitudes(fig_block,
-                       PolarizationConfig.from_code(code)).vec.reshape(2, 2)
+        cfg = PolarizationConfig.from_code(code)
+        vec, _, _ = _normalized_state(
+            _state_columns(fig_roots, fig_params, cfg), cfg)
+        m = np.array(vec).reshape(2, 2)
         rho = m @ m.conj().T
         assert abs(np.trace(rho) - 1.0) <= 1e-14
         assert rho[0, 1] == np.conj(rho[1, 0])
@@ -247,9 +252,8 @@ def test_phi_closed_failure_modes():
         assert (err.value.stage, str(err.value)) == (
             "measures", "stage measures: Phi denominator inf is not finite "
             "at kappa1 = 1e+52, kappa2 = 1.5e+52")
-    for closed_form in (phi_closed, asymptotic_info):
-        with pytest.raises(SingularDenominator):
-            closed_form(high)
+    with pytest.raises(SingularDenominator):
+        phi_closed(high)
     # The batch leaves every point to full_report, so all rows fail alike.
     with pytest.raises(AllRowsFailed) as err:
         run_sweep(SweepConfig(kappa1=1e52, eps=1e95, dk_min=4e51,
@@ -259,16 +263,17 @@ def test_phi_closed_failure_modes():
                               "error:SingularDenominator")
 
 
-def test_asymptotic_info_forms_agree(fig_params):
-    val = asymptotic_info(fig_params)
+def test_asymptotic_form_agrees_with_its_formula(fig_params):
     phi, _ = phi_closed(fig_params)
+    val = _asymptotic_from_phi(phi, fig_params.eps)
     g = fig_params.eps * phi
     assert val == pytest.approx(g * (1.0 - math.log(g / 2.0)) / math.log(4.0),
                                 rel=1e-13)
     assert val == pytest.approx(EI_ASYM_FIG, rel=1e-9)
     # omega = 0 gives Phi = 0, where both routes give the exact E_I = 0
     zero_field = make_params(2500.0, 3000.0, 0.0, 0.1)
-    assert asymptotic_info(zero_field) == full_report(
+    assert _asymptotic_from_phi(phi_closed(zero_field)[0],
+                                zero_field.eps) == full_report(
         zero_field, PolarizationConfig.from_code("du")).E_I_asymptotic == 0.0
 
 
@@ -381,7 +386,8 @@ def test_report_stage_reraises_the_same_object(fig_params, monkeypatch):
 def test_every_column_is_checked_whether_the_state_reads_it_or_not(
         fig_params, fig_roots, monkeypatch, k, lam):
     # A root on its pole marks an invalid regime even in a column that the
-    # config's state does not read, so the report fails at the block stage.
+    # config's state does not read, so the report fails at the block stage,
+    # and build_block fails with the same text.
     offsets = [list(row) for row in fig_roots.offsets]
     offsets[k - 1][lam - 1] = 0.0
     on_pole = ModeRoots(fig_roots.kappas, tuple(map(tuple, offsets)))
@@ -396,25 +402,29 @@ def test_every_column_is_checked_whether_the_state_reads_it_or_not(
             assert str(err.value) == (
                 f"stage block: root r[{k}][{lam}] sits exactly on its pole; "
                 "the transformation is singular there")
+    with pytest.raises(PoleEvaluation) as block_err:
+        build_block(on_pole, fig_params)
+    assert "stage block: " + str(block_err.value) == str(err.value)
 
 
 def _report_through_the_block(params, config, method):
-    """full_report's fields or error from the block and amplitude vector:
+    """full_report's fields or error from the block and the normalized state:
     (y_gap, norm_gap, raw_norm_sq, E_I, E_S), or (type, message, stage)."""
     stage = "roots"
     try:
         roots = (exact_roots(params) if method == "exact"
                  else perturbative_roots(params))
         stage = "block"
-        block = build_block(roots, params)
+        build_block(roots, params)
         stage = "amplitudes"
-        amps = amplitudes(block, config)
+        _, y_gap, norm_gap = _normalized_state(
+            _state_columns(roots, params, config), config)
         stage = "measures"
-        e_i, e_s = entangle._measures(amps.y_gap, amps.norm_gap)
+        e_i, e_s = entangle._measures(y_gap, norm_gap)
         entangle._closed_forms(params, config)
     except QubeamError as exc:
         return type(exc), f"stage {stage}: {exc}", stage
-    return amps.y_gap, amps.norm_gap, amps.raw_norm_sq, e_i, e_s
+    return y_gap, norm_gap, 1.0 - norm_gap, e_i, e_s
 
 
 def _envelope_points(seed, n):
@@ -506,7 +516,7 @@ def _stages_without_closed_forms(params, config, method):
         roots = (exact_roots(params) if method == "exact"
                  else perturbative_roots(params))
         stage = "block"
-        columns = [_column(roots, params, k, lam) for k, lam in INDEX_ORDER]
+        columns = _state_columns(roots, params, config)
         stage = "amplitudes"
         _, _, y_gap, norm_gap = _state_gaps(columns, config)
         stage = "measures"
@@ -561,7 +571,6 @@ def test_closed_forms_compute_phi_once(fig_params, monkeypatch):
         return phi_closed(params)
 
     monkeypatch.setattr(entangle, "phi_closed", counted)
-    monkeypatch.setattr(entangle, "asymptotic_info", None)
     rep = full_report(fig_params, PolarizationConfig.from_code("du"))
     assert calls == [fig_params]
     assert rep.E_I_asymptotic == pytest.approx(EI_ASYM_FIG, rel=1e-9)

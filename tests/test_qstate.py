@@ -1,5 +1,4 @@
 """Two-photon amplitude vector: structure, closed forms, normalization."""
-import dataclasses
 import math
 
 import numpy as np
@@ -8,19 +7,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubeam import (
-    amplitudes,
-    build_block,
     closed_form_ab,
     exact_roots,
     make_params,
     perturbative_roots,
 )
-from qubeam.bogoliubov import INDEX_ORDER, ColumnFactors
+from qubeam.bogoliubov import INDEX_ORDER, _checked, _state_factors
 from qubeam.entangle import phi_closed
 from qubeam.errors import UnsupportedConfig, ZeroNorm
-from qubeam.qstate import PolarizationConfig, _gaps, _pattern_vector, _state_gaps
+from qubeam.qstate import (
+    PolarizationConfig,
+    _gaps,
+    _normalized_state,
+    _pattern_vector,
+    _state_columns,
+    _state_gaps,
+)
 
 FIG = (2500.0, 3000.0, 0.5, 0.1)
+
+
+def _state(roots, params, code):
+    """(vec, y_gap, norm_gap) of the normalized state `qubeam state` prints;
+    its raw norm squared is 1 - norm_gap."""
+    cfg = PolarizationConfig.from_code(code)
+    vec, y_gap, norm_gap = _normalized_state(
+        _state_columns(roots, params, cfg), cfg)
+    return np.array(vec), y_gap, norm_gap
 
 
 def test_polarization_codes_round_trip():
@@ -38,9 +51,8 @@ def test_polarization_codes_round_trip():
         PolarizationConfig(3, 1)
 
 
-def test_mixed_pair_vector_structure(fig_block):
-    amps = amplitudes(fig_block, PolarizationConfig.from_code("du"))
-    v = amps.vec
+def test_mixed_pair_vector_structure(fig_params, fig_roots):
+    v, _, _ = _state(fig_roots, fig_params, "du")
     # the symmetric real / antisymmetric imaginary pattern is exact
     assert v[0] == v[3]
     assert v[1] == -v[2]
@@ -51,29 +63,28 @@ def test_mixed_pair_vector_structure(fig_block):
     assert float(np.sum(np.abs(v) ** 2)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_parallel_pair_vector_structure(fig_block):
-    amps = amplitudes(fig_block, PolarizationConfig.from_code("uu"))
-    v = amps.vec
+def test_parallel_pair_vector_structure(fig_params, fig_roots):
+    v, _, _ = _state(fig_roots, fig_params, "uu")
     assert v[1] == v[2] == -1j * v[0]
     assert v[3] == -v[0]
-    M = amps.vec.reshape(2, 2)
+    M = v.reshape(2, 2)
     det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
     assert det == 0.0    # rank one, exactly: the pair is a product state
 
 
-def test_frozen_norm_gaps(fig_block):
-    du = amplitudes(fig_block, PolarizationConfig.from_code("du"))
-    uu = amplitudes(fig_block, PolarizationConfig.from_code("uu"))
-    assert du.norm_gap == pytest.approx(6.7764362085e-13, rel=1e-5)
-    assert du.y_gap == du.norm_gap
-    assert uu.norm_gap == pytest.approx(-2.5196918095e-12, rel=1e-5)
+def test_frozen_norm_gaps(fig_params, fig_roots):
+    _, du_y_gap, du_norm_gap = _state(fig_roots, fig_params, "du")
+    _, _, uu_norm_gap = _state(fig_roots, fig_params, "uu")
+    assert du_norm_gap == pytest.approx(6.7764362085e-13, rel=1e-5)
+    assert du_y_gap == du_norm_gap
+    assert uu_norm_gap == pytest.approx(-2.5196918095e-12, rel=1e-5)
 
 
-def test_opposite_mixed_pair_has_negative_gap(fig_params, fig_block):
-    amps = amplitudes(fig_block, PolarizationConfig.from_code("ud"))
+def test_opposite_mixed_pair_has_negative_gap(fig_params, fig_roots):
+    _, y_gap, _ = _state(fig_roots, fig_params, "ud")
     phi, _ = phi_closed(fig_params)
-    assert amps.y_gap < 0.0
-    assert 0.9 <= amps.y_gap / (-fig_params.eps * phi) <= 1.1
+    assert y_gap < 0.0
+    assert 0.9 <= y_gap / (-fig_params.eps * phi) <= 1.1
 
 
 def test_closed_form_restricted_to_supported_configs(fig_params):
@@ -106,40 +117,40 @@ def test_zero_field_closed_form(fig_params):
     assert abs(a) < 1e-10 and abs(b - 0.5) < 1e-10
 
 
-def test_pattern_vector_matches_pipeline(fig_params, fig_block):
+def test_pattern_vector_matches_pipeline(fig_params, fig_roots):
     pert = perturbative_roots(fig_params)
     for code in ("du", "uu"):
         cfg = PolarizationConfig.from_code(code)
         a, b = closed_form_ab(pert, fig_params, cfg)
         pat = _pattern_vector(b, a, cfg)
         pat = pat / np.linalg.norm(pat)
-        amps = amplitudes(fig_block, cfg)
-        assert float(np.abs(pat - amps.vec).max()) <= 50.0 * fig_params.eps ** 2
+        vec, _, _ = _state(fig_roots, fig_params, code)
+        assert float(np.abs(pat - vec).max()) <= 50.0 * fig_params.eps ** 2
 
 
-def test_raw_norm_matches_closed_form(fig_params, fig_block):
+def test_raw_norm_matches_closed_form(fig_params, fig_roots):
     pert = perturbative_roots(fig_params)
     for code in ("du", "uu"):
         cfg = PolarizationConfig.from_code(code)
         a, b = closed_form_ab(pert, fig_params, cfg)
-        amps = amplitudes(fig_block, cfg)
-        assert abs(4.0 * (a * a + b * b) - amps.raw_norm_sq) <= 1e-13
+        _, _, norm_gap = _state(fig_roots, fig_params, code)
+        assert abs(4.0 * (a * a + b * b) - (1.0 - norm_gap)) <= 1e-13
 
 
 def test_gap_scales_linearly_in_coupling():
     gaps = {"du": [], "uu": []}
     for factor in (1.0, 0.5, 0.25):
         p = make_params(2500.0, 3000.0, 0.5, 0.1 * factor)
-        block = build_block(exact_roots(p), p)
+        roots = exact_roots(p)
         for code in gaps:
-            amps = amplitudes(block, PolarizationConfig.from_code(code))
-            gaps[code].append(abs(amps.y_gap))
+            gaps[code].append(abs(_state(roots, p, code)[1]))
     for series in gaps.values():
         for hi, lo in zip(series, series[1:]):
             assert 1.7 <= hi / lo <= 2.3
 
 
-def test_matrix_fallback_agrees_with_column_path(fig_block):
+def test_matrix_fallback_agrees_with_column_path(fig_params, fig_roots,
+                                                fig_block):
     # Reference: the defining products of u entries,
     # upsilon(lam, lam') = u[1lam,1lam1] u[2lam',2lam2] + u[2lam',1lam1] u[1lam,2lam2],
     # with the gaps formed by plain subtraction.
@@ -159,19 +170,19 @@ def test_matrix_fallback_agrees_with_column_path(fig_block):
         rho = m @ m.conj().T
         y_raw = float(np.sqrt((rho[0, 0].real - rho[1, 1].real) ** 2
                               + 4.0 * abs(rho[0, 1]) ** 2))
-        amps = amplitudes(fig_block, cfg)
-        assert float(np.abs(amps.vec - direct / np.sqrt(raw_norm_sq)).max()) \
+        vec, y_gap, _ = _state(fig_roots, fig_params, code)
+        assert float(np.abs(vec - direct / np.sqrt(raw_norm_sq)).max()) \
             <= 1e-12
         # the direct products still resolve the gap to a few ulp of 1
-        assert abs(amps.y_gap - (1.0 - y_raw)) <= 1e-15
+        assert abs(y_gap - (1.0 - y_raw)) <= 1e-15
 
 
-def test_zero_block_rejected(fig_block):
-    cols = tuple(c._replace(m_self=0.0, m_cross=0.0)
-                 for c in fig_block.columns)
-    zero = dataclasses.replace(fig_block, columns=cols)
+def test_zero_block_rejected(fig_params, fig_roots):
+    # the reference point's columns with m_self = m_cross = 0
+    zero = [_state_factors(*c)[:2] + (0.0, 0.0)
+            for c in _checked(fig_roots, fig_params)]
     with pytest.raises(ZeroNorm):
-        amplitudes(zero, PolarizationConfig.from_code("du"))
+        _normalized_state(zero, PolarizationConfig.from_code("du"))
 
 
 _EDGES = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, math.inf, -math.inf, math.nan,
@@ -184,7 +195,7 @@ def test_zero_norm_check_agrees_with_the_amplitude_vector():
     # table's values. The reference is the check on the vector itself.
     def column(k, b, a):
         m_self, m_cross = (b, a) if k == 1 else (1.0, 1.0)
-        return ColumnFactors(0.0, 0.0, m_self, m_cross, 0.0, 0.0, 0.0, 0.0)
+        return 0.0, 0.0, m_self, m_cross
 
     vanishing = 0
     for code in ("uu", "ud", "du", "dd"):
@@ -220,13 +231,14 @@ def test_zero_norm_check_agrees_with_the_amplitude_vector():
 def test_state_always_normalized(kappa1, split, omega_frac, code):
     p = make_params(kappa1, kappa1 * (1.0 + split), omega_frac * kappa1,
                     1e-3 * kappa1 ** 2)
-    block = build_block(exact_roots(p), p)
-    amps = amplitudes(block, PolarizationConfig.from_code(code))
-    assert float(np.sum(np.abs(amps.vec) ** 2)) == pytest.approx(1.0, abs=1e-12)
+    cfg = PolarizationConfig.from_code(code)
+    columns = _state_columns(exact_roots(p), p, cfg)
+    vec = np.array(_normalized_state(columns, cfg)[0])
+    assert float(np.sum(np.abs(vec) ** 2)) == pytest.approx(1.0, abs=1e-12)
     # the vector is NumPy's division of the raw one, bit for bit
-    b_self, a_cross, _, norm_gap = _state_gaps(block.columns, amps.config)
-    raw = np.array(_pattern_vector(b_self, a_cross, amps.config))
-    assert amps.vec.tobytes() == (raw / np.sqrt(1.0 - norm_gap)).tobytes()
-    if amps.config.parallel:
-        M = amps.vec.reshape(2, 2)
+    b_self, a_cross, _, norm_gap = _state_gaps(columns, cfg)
+    raw = np.array(_pattern_vector(b_self, a_cross, cfg))
+    assert vec.tobytes() == (raw / np.sqrt(1.0 - norm_gap)).tobytes()
+    if cfg.parallel:
+        M = vec.reshape(2, 2)
         assert M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0] == 0.0

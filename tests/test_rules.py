@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qubeam import entangle, params, qstate
-from qubeam.bogoliubov import INDEX_ORDER, ColumnFactors
+from qubeam.bogoliubov import INDEX_ORDER
 from qubeam.entangle import DOMAIN_TOL, _phi_terms
 from qubeam.errors import QubeamError
 from qubeam.params import RESONANCE_MARGIN, ModelParams
@@ -31,8 +31,8 @@ _KAPPA2S = [2.0, 0.5, math.inf, math.nan]
 def _columns(xi, b_self, a_cross):
     # Columns (1, lam) carry xi, b_self and a_cross, columns (2, lam) the
     # identity, so the state's norm_gap is -xi -+ its a_cross terms.
-    one = ColumnFactors(0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-    mine = ColumnFactors(0.0, xi, b_self, a_cross, 0.0, 0.0, 0.0, 0.0)
+    one = (0.0, 0.0, 1.0, 1.0)
+    mine = (0.0, xi, b_self, a_cross)
     return [mine if k == 1 else one for k, _ in INDEX_ORDER]
 
 
@@ -72,8 +72,9 @@ def _asymptotic_changed(k1, k2, w, eps):
 # (since 5f92945 a nan norm_gap fails ZeroNorm's positive-norm rule and a
 # nan distance to the resonance pole fails ResonancePole; since 9a9bc43
 # both closed forms read one rule set: a negative Phi raises "Phi >= 0"'s
-# DomainError, phi_closed applies the eps row, and asymptotic_info gives 0
-# at Phi = 0).
+# DomainError, phi_closed applies the eps row, and the asymptotic form gives
+# 0 at Phi = 0). The second closed path is the asymptotic form taken from
+# phi_closed's Phi, as _closed_forms takes it.
 STAGES = {
     "params": (params, "_params_verdicts", "_PARAMS_RULES",
                [_EDGES + [_LIMIT]] * 4, [()],
@@ -92,7 +93,8 @@ STAGES = {
                  [_EDGES, _KAPPA2S, _OMEGAS, _COUPLINGS],
                  _phi_closed_changed),
                 # positive couplings, the ones make_params accepts
-                (lambda *p: entangle.asymptotic_info(ModelParams(*p)),
+                (lambda *p: entangle._asymptotic_from_phi(
+                    entangle.phi_closed(ModelParams(*p))[0], p[3]),
                  [_EDGES, _KAPPA2S, _OMEGAS, [c for c in _COUPLINGS if c > 0]],
                  _asymptotic_changed)]),
 }
@@ -169,16 +171,14 @@ def test_rule_tables_serve_arrays_floats_and_the_point_path(stage,
 @pytest.mark.parametrize("eps", [-1.0, -1e-3])
 def test_asymptotic_form_rejects_a_coupling_that_is_not_positive(eps):
     # log(eps) needs eps > 0: the last _CLOSED_RULES row raises its
-    # DomainError first, on phi_closed, asymptotic_info and full_report's
-    # du route, where math.log used to raise ValueError; the batch reads
-    # the same verdict.
+    # DomainError first, on phi_closed and full_report's du route, where
+    # math.log used to raise ValueError; the batch reads the same verdict.
     message = f"asymptotic form needs eps > 0, got {eps!r}"
     for point in [(1.0, 2.0, 0.5), (2500.0, 2510.0, 0.25)]:
         params = ModelParams(*point, eps)
-        for closed_form in (entangle.phi_closed, entangle.asymptotic_info):
-            with pytest.raises(entangle.DomainError) as err:
-                closed_form(params)
-            assert str(err.value) == message
+        with pytest.raises(entangle.DomainError) as err:
+            entangle.phi_closed(params)
+        assert str(err.value) == message
     with pytest.raises(entangle.DomainError) as err:
         entangle.full_report(params, PolarizationConfig.from_code("du"),
                              method="perturbative")
@@ -194,17 +194,17 @@ def test_asymptotic_form_rejects_a_coupling_that_is_not_positive(eps):
 @pytest.mark.parametrize("eps", [-math.inf, -1.0, -1e-3, -0.0, 0.0])
 def test_every_closed_form_route_rejects_a_coupling_that_is_not_positive(
         eps):
-    # One rule set: phi_closed, asymptotic_info and full_report's du closed
-    # forms raise the eps row's DomainError alike. full_report reaches
-    # them through _closed_forms with either method, but at these
-    # couplings its roots or block stage mostly rejects first, so the
-    # route is called directly. The batch's verdicts reject every point.
+    # One rule set: phi_closed and full_report's du closed forms raise the
+    # eps row's DomainError alike. full_report reaches them through
+    # _closed_forms with either method, but at these couplings its roots or
+    # block stage mostly rejects first, so the route is called directly.
+    # The batch's verdicts reject every point.
     message = f"asymptotic form needs eps > 0, got {eps!r}"
     du = PolarizationConfig.from_code("du")
     points = [(1.0, 2.0, 0.5), (2500.0, 2510.0, 0.25), (2500.0, 3000.0, 0.5)]
     for point in points:
         params = ModelParams(*point, eps)
-        for route in (entangle.phi_closed, entangle.asymptotic_info,
+        for route in (entangle.phi_closed,
                       lambda p: entangle._closed_forms(p, du)):
             with pytest.raises(entangle.DomainError) as err:
                 route(params)

@@ -50,6 +50,21 @@ def test_convergence_ladder_prints_rungs_and_ratios(capsys):
     assert all(3.5 <= r <= 4.5 for r in ratios[:3])
 
 
+def test_verify_envelope_tallies_every_check_and_config(capsys):
+    script = _load("verify_envelope")
+    assert script.main(["11", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# 3 envelope points, seed 11"
+    assert lines[1].split()[:5] == ["check", "pol", "pass", "fail", "skip"]
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines[2:]}
+    assert len(rows) == len(lines) - 2 == 6 * 4
+    for (name, code), (passed, failed, skipped, *first) in rows.items():
+        assert int(passed) + int(failed) + int(skipped) == 3
+        assert bool(first) == (int(failed) > 0), (name, code)
+    assert rows["info_asymptotic", "du"][:3] == ["3", "0", "0"]
+    assert rows["info_asymptotic", "uu"][:3] == ["0", "0", "3"]
+
+
 def test_diff_outputs_reports_fields_ulps_and_statuses(tmp_path, capsys):
     script = _load("diff_outputs")
     config = SweepConfig(dk_min=400.0, dk_max=600.0, dk_steps=3,

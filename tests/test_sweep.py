@@ -13,12 +13,9 @@ from hypothesis import strategies as st
 
 import qubeam.batch as batch_mod
 import qubeam.entangle as entangle_mod
-from qubeam.bogoliubov import INDEX_ORDER, _column
 import qubeam.sweep as sweep_mod
 import qubeam.verify as verify_mod
 from qubeam import (
-    amplitudes,
-    build_block,
     closed_form_ab,
     exact_roots,
     full_report,
@@ -755,13 +752,13 @@ def test_batch_gaps_match_amplitudes_or_are_unsettled(points):
                 try:
                     roots = (exact_roots(p, cfg.tol) if method == "exact"
                              else perturbative_roots(p))
-                    amps = amplitudes(build_block(roots, p), pol)
+                    _, *gaps = qstate_mod._normalized_state(
+                        qstate_mod._state_columns(roots, p, pol), pol)
                 except QubeamError:
                     assert not settled[i]
                     continue
                 if settled[i]:
-                    assert (y_gap[i], norm_gap[i]) == (amps.y_gap,
-                                                       amps.norm_gap)
+                    assert (y_gap[i], norm_gap[i]) == tuple(gaps)
 
 
 CHECK_NAMES = ["root_ladder", "state_pattern", "y_closed_ladder",
@@ -769,12 +766,14 @@ CHECK_NAMES = ["root_ladder", "state_pattern", "y_closed_ladder",
 
 # (passed, failed, skipped) per polarization config at four points: the
 # reference point, zero field, a coupling far past any root, and eps 1e-9.
+# Past any root, du's info_asymptotic passes: it compares two forms at one
+# gap, 6.75e-3, which differ by 2.525e-4, within twice the series' next term.
 VERIFY_COUNTS = {
     "reference": {"uu": (3, 0, 3), "ud": (1, 0, 5), "du": (5, 0, 1),
                   "dd": (2, 0, 4)},
     "zero_field": {"uu": (3, 0, 3), "ud": (1, 0, 5), "du": (2, 0, 4),
                    "dd": (2, 0, 4)},
-    "broken": {"uu": (0, 3, 3), "ud": (0, 1, 5), "du": (0, 5, 1),
+    "broken": {"uu": (0, 3, 3), "ud": (0, 1, 5), "du": (1, 4, 1),
                "dd": (0, 2, 4)},
     "tiny": {"uu": (1, 2, 3), "ud": (0, 1, 5), "du": (3, 2, 1),
              "dd": (1, 1, 4)},
@@ -842,6 +841,33 @@ def test_verify_point_zero_field():
     assert all(rep.ok for rep in reports.values())
 
 
+def test_info_asymptotic_is_bounded_by_the_series_next_term(fig_params,
+                                                            monkeypatch):
+    # The check compares the asymptotic form with the exact measure at one
+    # gap g = eps*Phi, so they differ by the series' next term,
+    # g / (4 (1 - ln(g/2))). A fixed 1e-10 failed every envelope point with
+    # g above ~8.2e-9, such as this one (g = 2.65e-6). The bound, twice the
+    # term plus 8 ulps, still catches a relative error of 1e-13 in the
+    # asymptotic form at the reference point, where the term is 5.7e-15.
+    du = PolarizationConfig.from_code("du")
+
+    def info_asymptotic(params):
+        (check,) = [c for c in verify_point(params, du).checks
+                    if c.name == "info_asymptotic"]
+        return check
+
+    params = make_params(227.5823934546539, 267.04885630515747,
+                         105.16702838412192, 0.1893920255595636)
+    assert params.eps * entangle_mod.phi_closed(params)[0] > 8.2e-9
+    assert info_asymptotic(params).status == "pass"
+    assert info_asymptotic(fig_params).status == "pass"
+    original = verify_mod._asymptotic_from_phi
+    monkeypatch.setattr(verify_mod, "_asymptotic_from_phi",
+                        lambda phi, eps: original(phi, eps) * (1.0 + 1e-13))
+    check = info_asymptotic(fig_params)
+    assert check.status == "fail", check.detail
+
+
 def test_verify_point_detects_breakage(capsys):
     # A coupling far past any root, and one so small that exact and
     # first-order values agree to the bit on some ladder rungs.
@@ -876,12 +902,11 @@ def test_verify_point_reports_a_zero_defect_on_a_ladder():
 
 
 def _state_pattern_with_numpy(params, pol, pattern_vector):
-    """The state_pattern check as written over the 4x4 block and NumPy
-    arrays: (ok, detail), or the text of the QubeamError it raises."""
+    """The state_pattern check as written over NumPy arrays: (ok, detail),
+    or the text of the QubeamError it raises."""
     try:
-        block = build_block(exact_roots(params), params)
-        b_self, a_cross, _, norm_gap = qstate_mod._state_gaps(block.columns,
-                                                              pol)
+        columns = qstate_mod._state_columns(exact_roots(params), params, pol)
+        b_self, a_cross, _, norm_gap = qstate_mod._state_gaps(columns, pol)
         a, b = closed_form_ab(perturbative_roots(params), params, pol)
     except QubeamError as exc:
         return False, str(exc)
@@ -932,8 +957,7 @@ def test_state_pattern_check_matches_the_numpy_expression():
 def test_a_nan_state_entry_fails_state_pattern_as_with_numpy(position,
                                                             monkeypatch):
     params, pol = make_params(*FIG), PolarizationConfig(2, 1)
-    columns = [_column(exact_roots(params), params, k, lam)
-               for k, lam in INDEX_ORDER]
+    columns = qstate_mod._state_columns(exact_roots(params), params, pol)
     state = qstate_mod._state_gaps(columns, pol)[:2]
     assert state != closed_form_ab(perturbative_roots(params), params, pol)[::-1]
     original = qstate_mod._pattern_vector
