@@ -11,7 +11,7 @@ import numpy as np
 
 from .bogoliubov import INDEX_ORDER, _deviations, _state_factors
 from .dispersion import (_ITER_MAX, _branch_sign, _dispersion,
-                         _first_order_terms, _residual_offset)
+                         _first_order_terms)
 from .entangle import (_SERIES_CUT, _asymptotic_from_phi, _asymptotic_terms,
                        _closed_verdicts, _info_direct, _info_from_gap,
                        _info_series, _measure_verdicts, _phi_terms,
@@ -37,23 +37,18 @@ def _first_order_offsets(params, k, lam):
 def _solve_offsets(params, k, lam, tol):
     """exact_roots' solve and tolerance check for root (k, lam) over a batch.
 
-    Every entry takes _solve_offset's decisions: the guess/8..8*guess
-    probe, Newton inside the bracket, bisection when a step would leave it,
-    and the same three stop rules; only the points still iterating are
-    computed. Returns (offsets, ok). ok is False where the probe finds no
-    bracket (the scalar form then scans), where the residual misses
-    tol*kappa_k, and where a value is not finite or a slope is zero; those
-    points are left to exact_roots.
+    Every entry takes _solve_offset's decisions: the pole bracket, Newton
+    inside it, bisection when a step would leave it, and the same three
+    stop rules; only the points still iterating are computed. Returns
+    (offsets, ok). ok is False where the residual misses tol*kappa_k, and
+    where a value is not finite or a slope is zero; those points are left
+    to exact_roots.
     """
     kappa_k, kappa_o = _pair(params, k)
     eps, sw = params.eps, _branch_sign(lam) * params.omega
     guess, ok = _first_order_offsets(params, k, lam)
-    cap = 0.5 * np.minimum(kappa_k, np.abs(kappa_o - kappa_k))
-    lo, hi = guess / 8.0, 8.0 * guess
-    g_lo = _residual_offset(lo, kappa_k, kappa_o, eps, sw)
-    g_hi = _residual_offset(hi, kappa_k, kappa_o, eps, sw)
-    ok &= ((0.0 < guess) & (guess < cap / 8.0) & (g_lo > 0.0) & (0.0 > g_hi)
-           & np.isfinite(g_lo) & np.isfinite(g_hi))
+    lo = np.zeros_like(guess)
+    hi = np.where(kappa_k < kappa_o, kappa_o - kappa_k, kappa_k)
     d = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
     g_cur, slope = _dispersion(d, kappa_k, kappa_o, eps, sw)
     ok &= np.isfinite(g_cur)
@@ -147,8 +142,9 @@ def _first_rejections(config):
     """The (omega, delta_kappa) of the first point of each error class
     that make_params raises on config's grid, in grid order."""
     omegas, dks, omega, kappa2 = _grid_arrays(config)
-    ok = _params_verdicts(float(config.kappa1), kappa2, omega,
-                          float(config.eps))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
+        ok = _params_verdicts(float(config.kappa1), kappa2, omega,
+                              float(config.eps))
     # per point, the first row of its first failing row's class, or -1
     classes = [error for error, _ in _PARAMS_RULES]
     rank = np.select([np.logical_not(row) for row in ok],

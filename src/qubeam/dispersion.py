@@ -16,24 +16,17 @@ root corrections we must resolve).
 import math
 from typing import NamedTuple
 
-from .errors import (
-    BracketFailure,
-    NonConvergence,
-    NonPositive,
-    SingularDenominator,
-)
+from .errors import NonConvergence, NonPositive, SingularDenominator
 from .params import ModelParams, _check_tol
 
 DEFAULT_REL_TOL = 1e-12
-# Relative half-width of the band around each pole that the bracket scan
-# starts above.
-POLE_GUARD_REL = 1e-13
 # First-order denominator must exceed this fraction of kappa_k^3.
 DENOMINATOR_FLOOR_REL = 1e-9
 
-# Iteration cap of the safeguarded Newton loop. Bisection alone halves the
-# bracket to one ulp well within it; Newton from the first-order offset
-# stops after a handful of steps.
+# Iteration cap of the safeguarded Newton loop. Newton from the first-order
+# offset stops after a handful of steps, and that is what ends the loop:
+# bisection alone from a pole bracket can need more than 120 halvings when
+# the root's offset is far below the bracket's width.
 _ITER_MAX = 120
 
 # Order of the four (k, lambda) roots and of the 4x4 block's rows/columns.
@@ -81,18 +74,11 @@ class ModeRoots(NamedTuple("ModeRoots", [
         return self.offset(k, lam) + self.kappas[k - 1]   # offset checks k
 
 
-def _residual_offset(d, kappa, kappa_other, eps, sw):
-    # residual at r = kappa + d with the pole differences kept factored;
-    # sw = (-1)^(lambda-1) * omega, an exact product formed once per root
-    r = kappa + d
-    self_pole = d * (d + 2.0 * kappa)
-    cross_pole = (kappa - kappa_other + d) * (kappa + kappa_other + d)
-    return eps / self_pole + eps / cross_pole - 1.0 - sw / r
-
-
 def _dispersion(d, kappa, kappa_other, eps, sw):
-    # (residual, slope) from one set of poles, rtsafe's funcd; a float slope
-    # whose squares underflow is 0.0, failing only a step that uses it
+    # (residual, slope) at r = kappa + d from one set of poles, rtsafe's
+    # funcd, with the pole differences kept factored; sw = (-1)^(lambda-1)
+    # * omega, an exact product formed once per root. A float slope whose
+    # squares underflow is 0.0, failing only a step that uses it.
     r = kappa + d
     self_pole = d * (d + 2.0 * kappa)
     cross_pole = (kappa - kappa_other + d) * (kappa + kappa_other + d)
@@ -139,41 +125,18 @@ def perturbative_roots(params: ModelParams) -> ModeRoots:
 def _solve_offset(kappa_k, kappa_other, params, lam, guess):
     """One root offset by bracket-safeguarded Newton iteration.
 
-    Brackets the root with _residual_offset (a probe around guess, the
-    first-order offset, else a geometric scan up from the pole guard band),
-    then runs Newton from guess, one _dispersion call per step, bisecting
-    whenever a step would leave the bracket. Stops when a step no longer
-    moves d, when the residual is exactly zero, or when a Newton step raises
-    |residual|, keeping the better iterate. Returns (d, residual at d).
+    The poles bracket the root: the residual falls from +inf just above
+    kappa_k, to -inf at the other photon's pole for the lower mode, and
+    below 0 at d = kappa_k for the upper one inside make_params' coupling
+    bound. Runs Newton from guess, the first-order offset, one _dispersion
+    call per step, bisecting whenever a step would leave the bracket. Stops
+    when a step no longer moves d, when the residual is exactly zero, or
+    when a Newton step raises |residual|, keeping the better iterate.
+    Returns (d, residual at d).
     """
     eps, sw = params.eps, _branch_sign(lam) * params.omega
-
-    # Largest admissible offset: half the distance to the nearest other pole
-    # (the other photon frequency, or the origin).
-    cap = 0.5 * min(kappa_k, abs(kappa_other - kappa_k))
-
-    lo = hi = None
-    if 0.0 < guess < cap / 8.0:
-        lo_try, hi_try = guess / 8.0, 8.0 * guess
-        if (_residual_offset(lo_try, kappa_k, kappa_other, eps, sw) > 0.0
-                > _residual_offset(hi_try, kappa_k, kappa_other, eps, sw)):
-            lo, hi = lo_try, hi_try
-    if lo is None:
-        # Geometric scan upward from the pole guard band.
-        scan_lo = max(POLE_GUARD_REL * kappa_k, 1e-3 * abs(guess))
-        d_prev = d_cur = scan_lo
-        g_prev = _residual_offset(scan_lo, kappa_k, kappa_other, eps, sw)
-        while g_prev > 0.0 and d_cur < cap:
-            d_cur = min(2.0 * d_cur, cap)
-            g_cur = _residual_offset(d_cur, kappa_k, kappa_other, eps, sw)
-            if g_cur <= 0.0:
-                lo, hi = d_prev, d_cur
-                break
-            d_prev, g_prev = d_cur, g_cur
-        if lo is None:
-            raise BracketFailure(
-                f"no sign change in ({kappa_k + scan_lo!r}, {kappa_k + cap!r}) "
-                f"for mode at kappa={kappa_k}, lambda={lam}")
+    lo, hi = 0.0, (kappa_other - kappa_k if kappa_k < kappa_other
+                   else kappa_k)
 
     # Newton from the first-order offset, safeguarded by the bracket
     # (Numerical Recipes' rtsafe). Every residual shrinks the bracket by its

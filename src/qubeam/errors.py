@@ -31,6 +31,10 @@ class NonPositive(ValidationError):
     """A parameter that must be positive (or nonnegative) is not."""
 
 
+class StrongCoupling(ValidationError):
+    """eps above the coupling bound, where a root can leave its pole bracket."""
+
+
 class ParseError(QubeamError):
     """Malformed configuration file; message carries line/key context."""
 
@@ -47,10 +51,6 @@ class PoleEvaluation(ComputationError):
 
 class SingularDenominator(ComputationError):
     """First-order root formula denominator below the safety floor."""
-
-
-class BracketFailure(ComputationError):
-    """No sign change found for a root; message reports the scanned interval."""
 
 
 class NonConvergence(ComputationError):

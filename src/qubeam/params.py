@@ -15,12 +15,16 @@ from .errors import (
     DegenerateFrequencies,
     NearResonance,
     NonPositive,
+    StrongCoupling,
     ValidationError,
     _raise_first,
 )
 
 # Fraction of kappa1 that omega must stay below: omega < kappa1*(1 - margin).
 RESONANCE_MARGIN = 0.01
+# eps must stay within this fraction of (kappa1 - omega)^2 min(1, dk/kappa1),
+# dk = kappa2 - kappa1: there every root lies in its pole bracket.
+COUPLING_LIMIT = 0.01
 
 
 # make_params' rules in the order it checks them. No silent swap of an
@@ -36,17 +40,22 @@ _PARAMS_RULES = (
      "got kappa1={kappa1}, kappa2={kappa2}"),
     (NearResonance, "omega={omega} within the resonance margin of "
      "kappa1={kappa1} (limit {limit})"),
+    (StrongCoupling, "eps={eps} above the coupling bound 0.01 (kappa1 - "
+     "omega)^2 min(1, (kappa2 - kappa1)/kappa1) at kappa1={kappa1}, "
+     "kappa2={kappa2}, omega={omega}"),
 )
 
 
 def _params_verdicts(kappa1, kappa2, omega, eps):
     """Each _PARAMS_RULES row's accept verdict, for floats or arrays."""
+    bound = COUPLING_LIMIT * (kappa1 - omega) * (kappa1 - omega)
     return ((0.0 < kappa1) & (kappa1 < math.inf),
             (0.0 < kappa2) & (kappa2 < math.inf),
             (0.0 < eps) & (eps < math.inf),
             (0.0 <= omega) & (omega < math.inf),
             kappa1 != kappa2, kappa1 <= kappa2,
-            omega < kappa1 * (1.0 - RESONANCE_MARGIN))
+            omega < kappa1 * (1.0 - RESONANCE_MARGIN),
+            (eps <= bound) & (eps * kappa1 <= bound * (kappa2 - kappa1)))
 
 
 class ModelParams(NamedTuple):
@@ -54,8 +63,9 @@ class ModelParams(NamedTuple):
     per point).
 
     Invariants (enforced by make_params, not by the constructor):
-    0 < kappa1 < kappa2, omega >= 0, eps > 0, and the non-resonance guard
-    omega < kappa1 * (1 - RESONANCE_MARGIN).
+    0 < kappa1 < kappa2, omega >= 0, eps > 0, the non-resonance guard
+    omega < kappa1 * (1 - RESONANCE_MARGIN), and the coupling bound
+    eps <= COUPLING_LIMIT (kappa1 - omega)^2 min(1, (kappa2 - kappa1)/kappa1).
     """
 
     kappa1: float
@@ -67,9 +77,10 @@ class ModelParams(NamedTuple):
 def make_params(kappa1, kappa2, omega, eps) -> ModelParams:
     """Validate raw numbers into ModelParams.
 
-    Raises NonPositive, DegenerateFrequencies, NearResonance, or a plain
-    ValidationError (not a number, or wrong frequency ordering). Idempotent:
-    feeding the fields of a valid ModelParams back in returns an equal one.
+    Raises NonPositive, DegenerateFrequencies, NearResonance,
+    StrongCoupling, or a plain ValidationError (not a number, or wrong
+    frequency ordering). Idempotent: feeding the fields of a valid
+    ModelParams back in returns an equal one.
     """
     try:
         kappa1, kappa2 = float(kappa1), float(kappa2)

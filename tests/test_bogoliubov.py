@@ -190,7 +190,7 @@ def test_root_on_pole_is_rejected(fig_params):
     # a root on the other photon's pole: r[1][1] = kappa2 exactly
     roots = ModeRoots(kappas=(10.0, 60.0), offsets=((50.0, 50.0), (1.0, 1.0)))
     with pytest.raises(PoleEvaluation) as err:
-        build_block(roots, make_params(10.0, 60.0, 0.0, 1000.0))
+        build_block(roots, ModelParams(10.0, 60.0, 0.0, 1000.0))
     assert "other photon's pole" in str(err.value)
 
 

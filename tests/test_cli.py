@@ -7,7 +7,15 @@ import sys
 
 import pytest
 
+from qubeam import (PolarizationConfig, build_block, full_report,
+                    perturbative_roots)
 from qubeam.cli import main
+from qubeam.errors import ComputationError, PoleEvaluation
+from qubeam.params import ModelParams
+from qubeam.qstate import _state_columns
+
+# The start of make_params' StrongCoupling message as the CLI prints it.
+STRONG = "error: eps={} above the coupling bound 0.01 (kappa1 - omega)^2 "
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = README.parent / "src"
@@ -206,24 +214,32 @@ def test_root_on_the_other_photons_pole_is_a_computation_error(tmp_path,
                                                                 capsys):
     # At kappa1 10, kappa2 60, omega 0, eps 1000 both first-order k = 1
     # offsets are 50.0, so the root sits exactly on kappa2. The report, the
-    # state and the block check that column alike.
+    # state and the block check that column alike. The coupling is 1000
+    # times the bound, so only a hand-built ModelParams gets there: the
+    # commands reject the input before any stage runs.
+    params = ModelParams(10.0, 60.0, 0.0, 1000.0)
+    pol, roots = PolarizationConfig.from_code("uu"), perturbative_roots(params)
+    for route in (lambda: full_report(params, pol, "perturbative"),
+                  lambda: _state_columns(roots, params, pol),
+                  lambda: build_block(roots, params)):
+        with pytest.raises(PoleEvaluation) as err:
+            route()
+        assert "other photon's pole" in str(err.value)
     point = ["--kappa1", "10", "--kappa2", "60", "--omega", "0", "--eps",
              "1000", "--method", "pert"]
     for argv in (["measures", "--pol", "uu"], ["state", "--pol", "uu"],
                  ["block"]):
-        assert main(argv + point) == 2
-        assert "other photon's pole" in capsys.readouterr().err
+        assert main(argv + point) == 1
+        assert capsys.readouterr().err.startswith(STRONG.format(1000.0))
     out = tmp_path / "s.csv"
     assert main(["sweep", "--kappa1", "10", "--eps", "1000", "--dk-min", "1",
                  "--dk-max", "50", "--dk-steps", "4", "--omega-max", "0.5",
                  "--omega-steps", "3", "--method", "pert", "--pol", "uu",
-                 "--out", str(out)]) == 0
-    # the failed rows' statuses are tallied in first-seen order
-    assert capsys.readouterr().err == (
-        f"wrote {out}: 12 rows, 9 failed "
-        "(error:DomainError 8, error:PoleEvaluation 1)\n")
-    data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-    assert "0,50,60,,,,,,,error:PoleEvaluation" in data
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: grid point omega=0.0, delta_kappa=1.0: "
+        + STRONG.format(1000.0).removeprefix("error: "))
+    assert not out.exists()
 
 
 def test_overflowing_scale_is_a_computation_error(capsys):
@@ -265,7 +281,7 @@ def test_tiny_scale_is_a_computation_error(tmp_path, capsys):
                  "--pol", "du"]) == 2
     assert capsys.readouterr().err.startswith(
         "error: stage block: normalization denominator of r[1][1] ")
-    assert main(["sweep", "--kappa1", "1e-66", "--dk-min", "1e-67",
+    assert main(["sweep", "--kappa1", "1e-66", "--dk-min", "1e-66",
                  "--dk-max", "2e-66", "--omega-max", "1e-67", "--eps",
                  "1e-135", "--method", "pert", "--dk-steps", "2",
                  "--omega-steps", "2", "--out", str(out)]) == 2
@@ -276,20 +292,25 @@ def test_tiny_scale_is_a_computation_error(tmp_path, capsys):
 
 def test_spectral_gap_above_one_is_a_computation_error(tmp_path, capsys):
     # At this scale the raw gap reaches 1.5e62, where the information
-    # measure's log1p(-gap/2) has no value.
+    # measure's log1p(-gap/2) has no value. The coupling is 1e50 times the
+    # bound, so only a hand-built ModelParams gets there: the commands
+    # reject the input before any stage runs.
+    with pytest.raises(ComputationError) as err:
+        full_report(ModelParams(1e-60, 1.00000001e-60, 0.0, 1e-80),
+                    PolarizationConfig.from_code("du"), "perturbative")
+    assert str(err.value).startswith(
+        "stage measures: raw spectral gap 1.5426605224886307e+62 above 1")
     point = ["--kappa1", "1e-60", "--eps", "1e-80", "--method", "pert",
              "--pol", "du"]
     assert main(["measures", "--kappa2", "1.00000001e-60", "--omega", "0"]
-                + point) == 2
-    assert capsys.readouterr().err.startswith(
-        "error: stage measures: raw spectral gap 1.5426605224886307e+62 "
-        "above 1")
+                + point) == 1
+    assert capsys.readouterr().err.startswith(STRONG.format(1e-80))
     out = tmp_path / "s.csv"
     assert main(["sweep", "--dk-min", "1e-68", "--dk-max", "2e-68",
                  "--dk-steps", "2", "--omega-max", "1e-70", "--omega-steps",
-                 "2", "--out", str(out)] + point) == 2
-    assert capsys.readouterr().err == ("error: all 4 grid points failed; "
-                                       "first status: error:DomainError\n")
+                 "2", "--out", str(out)] + point) == 1
+    assert "above the coupling bound" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_readme_examples_match_the_program(capsys):
@@ -356,8 +377,13 @@ def test_exit_code_validation(capsys):
 
 
 def test_exit_code_computation(capsys):
-    assert main(["roots", "--eps", "1e9"]) == 2
-    assert "error:" in capsys.readouterr().err
+    # inside the coupling bound, but too small a scale for the exact
+    # solver's tol*kappa residual check
+    assert main(["measures", "--kappa1", "2.5e-5", "--kappa2", "3e-5",
+                 "--omega", "5e-9", "--eps", "1e-17", "--pol", "du"]) == 2
+    assert capsys.readouterr().err == (
+        "error: stage roots: residual 4.8626467435974874e-17 above "
+        "1e-12*kappa for k=1, lambda=1\n")
 
 
 def test_exit_code_config_problems(tmp_path, capsys):

@@ -9,7 +9,7 @@ the paths that do not go through the batch, at the reference point:
 `full_report`, `verify_point`, and the `roots`, `block` and `state`
 commands, which print `ModeRoots`, the result of `build_block` and the
 normalized state of `qstate._normalized_state`. `verify` is also pinned at
-zero field and at a coupling past any root, where its checks skip or fail.
+zero field, and at a coupling past the bound, which it rejects (exit 1).
 """
 import hashlib
 from pathlib import Path
@@ -142,10 +142,10 @@ def test_point_command_outputs_are_unchanged(argv, capsys):
 
 
 # SHA-256 of the stdout of `qubeam verify --pol P` and its exit code, at the
-# zero-field point (--omega 0) and at a coupling far past any root
-# (--eps 1e9), where every check that runs fails but du's info_asymptotic,
-# which needs no root (re-recorded when its bound became twice the series'
-# next term plus 8 ulps: that check moved from FAIL to PASS).
+# zero-field point (--omega 0) and at a coupling far past the bound
+# (--eps 1e9), which make_params rejects with StrongCoupling before any
+# check runs: exit 1 and no stdout (re-recorded when the bound became a
+# rule; verify ran there and failed every check that needs a root).
 VERIFY_DIGESTS = {
     ("--omega", "0", "uu"): (
         0, "51fdb78144bb9611b65fe428b20d42dc22a87625344b374e0fb011ffc712404c"),
@@ -156,13 +156,13 @@ VERIFY_DIGESTS = {
     ("--omega", "0", "dd"): (
         0, "e36101afc65a57b6f4d87a3e09071a4d613647f56a4effc67c298fdbf54fea1b"),
     ("--eps", "1e9", "uu"): (
-        2, "361c267465aca4c5268c36294f122fa4d10554a371e93835ebef2c128784d458"),
+        1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("--eps", "1e9", "ud"): (
-        2, "cff2e30717946e741540868784ae7cebd5e2ca06b12ec1c0c88f2259a6bf77cf"),
+        1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("--eps", "1e9", "du"): (
-        2, "20763bef25760a729aa4d04224b778468288245151af2438d6092c3696d3caca"),
+        1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("--eps", "1e9", "dd"): (
-        2, "a14275d0a97f35fe1d7f1c72d45e7ca6a61413ff9a111c981f387b5e5402ac0e"),
+        1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
 
@@ -172,7 +172,12 @@ def test_verify_outputs_are_unchanged_off_the_reference_point(case, capsys):
     flag, value, pol = case
     code, digest = VERIFY_DIGESTS[case]
     assert main(["verify", "--pol", pol, flag, value]) == code
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
+    if code == 1:
+        assert err == (
+            "error: eps=1000000000.0 above the coupling bound 0.01 (kappa1 - "
+            "omega)^2 min(1, (kappa2 - kappa1)/kappa1) at kappa1=2500.0, "
+            "kappa2=3000.0, omega=0.5\n")
     assert hashlib.sha256(out.encode()).hexdigest() == digest, (
         f"`qubeam verify --pol {pol} {flag} {value}` printed different "
         f"bytes:\n{out}")

@@ -33,8 +33,8 @@ from qubeam.entangle import (
 )
 from qubeam.errors import (
     AllRowsFailed,
-    BracketFailure,
     DomainError,
+    NonConvergence,
     NonPositive,
     PoleEvaluation,
     QubeamError,
@@ -348,13 +348,13 @@ def test_report_stage_labels_and_method(fig_params):
 
 
 @pytest.mark.parametrize("point,code,method,kind,message", [
-    ((2500.0, 2900.0, 0.0, 1e9), "du", "exact", BracketFailure,
-     "stage roots: no sign change in (2700.0, 2700.0) for mode at "
-     "kappa=2500.0, lambda=1"),
+    ((2.5e-5, 3e-5, 5e-9, 1e-17), "du", "exact", NonConvergence,
+     "stage roots: residual 4.8626467435974874e-17 above 1e-12*kappa for "
+     "k=1, lambda=1"),
     ((10.0, 11.0, 0.25, 1e-3), "uu", "exact", DomainError,
      "stage measures: raw spectral gap -2.0010587158091604e-07 below domain "
      "tolerance or not a number; state outside the truncation regime"),
-], ids=["bracket", "domain"])
+], ids=["roots", "domain"])
 def test_report_stage_is_set_on_the_raised_error(point, code, method, kind,
                                                  message):
     # Messages recorded before the stage became an attribute.
@@ -451,7 +451,7 @@ def test_report_equals_the_block_route_bit_for_bit():
               (1e-60, 1.00000001e-60, 0.0, 1e-80)] + _envelope_points(8, 60)
     outcomes = set()
     for point in points:
-        params = make_params(*point)
+        params = ModelParams(*point)    # some lie outside make_params' set
         for code in ("uu", "ud", "du", "dd"):
             config = PolarizationConfig.from_code(code)
             for method in ("exact", "perturbative"):
@@ -468,7 +468,7 @@ def test_report_equals_the_block_route_bit_for_bit():
                     assert rep.y == 1.0 - rep.y_gap
                 # repr tells -0.0 from 0.0 and prints every digit
                 assert repr(got) == repr(want), (params, code, method)
-    assert {"ok", ("roots", "BracketFailure"), ("block", "PoleEvaluation"),
+    assert {"ok", ("roots", "NonConvergence"), ("block", "PoleEvaluation"),
             ("block", "SingularDenominator"),
             ("measures", "DomainError")} <= outcomes
 
@@ -478,8 +478,11 @@ def test_report_equals_the_block_route_bit_for_bit():
 # Re-recorded when a Phi denominator that is not finite became an error:
 # 355 du reports at 179 of the 2^200-scaled points moved from ok (with
 # E_I_asymptotic = E_S_closed = 0) to SingularDenominator at stage measures.
+# Re-recorded when make_params gained the coupling bound: the 219 points
+# (73 at each scale) past it moved all 8 reports to StrongCoupling, 1,752
+# reports of which 986 were ok; no other report moved.
 POINT_PATH_DIGEST = (
-    "8d1e77300db2aed78ada1b42d36d62dcd82268aabe345b0d1a7f02eef4dc8854")
+    "d22b5db81839ab05c8737c8f64b83557301262896b83c03847c41e4c89f7948c")
 
 
 def test_point_path_outcomes_are_pinned():
@@ -492,12 +495,11 @@ def test_point_path_outcomes_are_pinned():
               for s in (1.0, 2.0 ** -200, 2.0 ** 200)]
     digest = hashlib.sha256()
     for point in points:
-        params = make_params(*point)
         for code in ("uu", "ud", "du", "dd"):
             config = PolarizationConfig.from_code(code)
             for method in ("exact", "perturbative"):
                 try:
-                    rep = full_report(params, config, method)
+                    rep = full_report(make_params(*point), config, method)
                 except QubeamError as exc:
                     got = type(exc).__name__, str(exc), exc.stage
                 else:

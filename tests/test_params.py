@@ -3,13 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubeam import make_params
+from qubeam import make_params, parse_config
+from qubeam.cli import main
 from qubeam.errors import (
     DegenerateFrequencies,
     NearResonance,
     NonPositive,
+    StrongCoupling,
     ValidationError,
 )
+
+from conftest import in_set
 
 FIG = (2500.0, 3000.0, 0.5, 0.1)
 
@@ -121,10 +125,12 @@ def test_omega_zero_is_valid():
     ((3000.0, 3000.0, -1.0, 0.1), NonPositive, "omega must"),
     ((3000.0, 3000.0, 5000.0, 0.1), DegenerateFrequencies, "kappa1 = kappa2"),
     ((3000.0, 2500.0, 5000.0, 0.1), ValidationError, "photon frequencies"),
+    ((2500.0, 3000.0, 2499.0, 1e9), NearResonance, "omega=2499.0"),
 ])
 def test_the_first_failing_check_raises(point, error, start):
     # checks run kappa1, kappa2, eps, omega, equal and ordered frequencies,
-    # then the resonance margin; each point also fails a later check
+    # the resonance margin, then the coupling bound; each point also fails
+    # a later check
     with pytest.raises(ValidationError) as err:
         make_params(*point)
     assert type(err.value) is error
@@ -135,11 +141,12 @@ def test_the_first_failing_check_raises(point, error, start):
     kappa1=st.floats(min_value=1e-3, max_value=1e6),
     ratio=st.floats(min_value=1.0 + 1e-9, max_value=100.0),
     omega_frac=st.floats(min_value=0.0, max_value=0.98),
-    eps=st.floats(min_value=1e-30, max_value=1e30),
+    eps_rel=st.floats(min_value=1e-30, max_value=1.0),
 )
 @settings(deadline=None, derandomize=True)
-def test_valid_inputs_always_accepted(kappa1, ratio, omega_frac, eps):
-    p = make_params(kappa1, kappa1 * ratio, omega_frac * kappa1 * 0.99, eps)
+def test_valid_inputs_always_accepted(kappa1, ratio, omega_frac, eps_rel):
+    p = make_params(*in_set(kappa1, kappa1 * ratio,
+                            omega_frac * kappa1 * 0.99, eps_rel))
     assert 0.0 < p.kappa1 < p.kappa2
     assert make_params(p.kappa1, p.kappa2, p.omega, p.eps) == p
 
@@ -153,3 +160,44 @@ def test_resonant_omega_always_rejected(kappa1, over):
     omega = kappa1 * (1.0 - 0.01) * (1.0 + over)
     with pytest.raises(NearResonance):
         make_params(kappa1, kappa1 * 2.0, omega, 0.1)
+
+
+STRONG = ("eps=1000000000.0 above the coupling bound 0.01 (kappa1 - omega)^2 "
+          "min(1, (kappa2 - kappa1)/kappa1) at kappa1=2500.0, kappa2={}, "
+          "omega={}")
+
+
+@pytest.mark.parametrize("point", [(1.0, 3.0, 0.0, 0.01),
+                                   (1.0, 1.5, 0.0, 0.005),
+                                   (1.0, 1.5, 0.5, 0.00125)],
+                         ids=["dk_above_kappa1", "dk_below", "field"])
+def test_the_coupling_bound_is_inclusive(point):
+    # eps <= 0.01 (kappa1 - omega)^2 min(1, (kappa2 - kappa1)/kappa1): each
+    # point sits on the bound, and a coupling 1e-12 above it is rejected
+    assert make_params(*point) == point
+    with pytest.raises(StrongCoupling):
+        make_params(*point[:3], point[3] * (1.0 + 1e-12))
+
+
+def test_strong_coupling_is_rejected_on_every_route(tmp_path, capsys):
+    # Past the coupling bound a root can leave its pole bracket, so
+    # make_params, SweepConfig's grid check (one message listing every
+    # problem) and every command reject the input before any stage runs.
+    with pytest.raises(StrongCoupling) as err:
+        make_params(2500.0, 3000.0, 0.5, 1e9)
+    assert str(err.value) == STRONG.format(3000.0, 0.5)
+    with pytest.raises(ValidationError) as err:
+        parse_config(None, {"eps": 1e9, "tol": 0.0})
+    assert str(err.value) == ("tol must be positive and finite, got 0.0; "
+                              "grid point omega=0.0, delta_kappa=10.0: "
+                              + STRONG.format(2510.0, 0.0))
+    for command in ("roots", "block", "measures", "state", "verify"):
+        assert main([command, "--eps", "1e9"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {STRONG.format(3000.0, 0.5)}\n")
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--eps", "1e9", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: grid point omega=0.0, delta_kappa=10.0: "
+        f"{STRONG.format(2510.0, 0.0)}\n")
+    assert not out.exists()

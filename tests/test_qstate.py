@@ -24,6 +24,8 @@ from qubeam.qstate import (
     _state_gaps,
 )
 
+from conftest import in_set
+
 FIG = (2500.0, 3000.0, 0.5, 0.1)
 
 
@@ -229,8 +231,9 @@ def test_zero_norm_check_agrees_with_the_amplitude_vector():
 )
 @settings(deadline=None, derandomize=True, max_examples=40)
 def test_state_always_normalized(kappa1, split, omega_frac, code):
-    p = make_params(kappa1, kappa1 * (1.0 + split), omega_frac * kappa1,
-                    1e-3 * kappa1 ** 2)
+    # eps at the coupling bound, the strongest coupling of the set
+    p = make_params(*in_set(kappa1, kappa1 * (1.0 + split),
+                            omega_frac * kappa1))
     cfg = PolarizationConfig.from_code(code)
     columns = _state_columns(exact_roots(p), p, cfg)
     vec = np.array(_normalized_state(columns, cfg)[0])

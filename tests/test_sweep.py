@@ -51,21 +51,25 @@ SMALL = dict(dk_min=400.0, dk_max=600.0, dk_steps=3,
              omega_min=0.0, omega_max=0.4, omega_steps=2)
 
 # Grids the batch settles whole (SMALL), hands partly to full_report (MIXED:
-# DomainError on most uu/ud points; POLE: with pert, a root on the other
-# photon's pole and DomainErrors; TIGHT: exact residuals above tol), and
-# hands whole to it (BROKEN: no root brackets, or no gap in the domain;
-# TINY: eps so small that the first-order offsets round to 0; GAP: with
-# pert, ud/du raw spectral gaps just above 1, whose E_S is in the domain;
-# SUBNORMAL: du's Phi is the smallest subnormal, whose half rounds to 0).
+# DomainError on most uu/ud points; POLE: MIXED out to dk = 50 with eps at
+# the coupling bound, DomainErrors in every config; TIGHT: exact residuals
+# above tol; GAP: kappa1 = 1e-60 with eps at the coupling bound, where half
+# the exact residuals miss tol*kappa and du's Phi denominator underflows),
+# and hands whole to it (BROKEN: GAP at a tenth of that coupling, where
+# every exact residual misses; TINY: eps so small that the first-order
+# offsets round to 0; SUBNORMAL: du's Phi is the smallest subnormal, whose
+# half rounds to 0). POLE, GAP and BROKEN keep the names of the grids they
+# replaced, whose couplings lay past the bound: a pert root on the other
+# photon's pole, raw spectral gaps just above 1, and no root in reach.
 MIXED = dict(kappa1=10.0, eps=1e-3, dk_min=1.0, dk_max=5.0, dk_steps=4,
              omega_min=0.0, omega_max=0.5, omega_steps=3)
-POLE = dict(MIXED, eps=1000.0, dk_max=50.0)
+POLE = dict(MIXED, eps=0.09, dk_max=50.0)
 TIGHT = dict(MIXED, tol=1e-17)
-BROKEN = dict(SMALL, eps=1e9)
 TINY = dict(MIXED, kappa1=1.0, eps=5e-324, dk_min=0.05, dk_max=0.2,
             omega_max=0.005)
-GAP = dict(kappa1=1e-60, eps=1e-125, dk_min=1e-68, dk_max=2e-68, dk_steps=2,
+GAP = dict(kappa1=1e-60, eps=1e-130, dk_min=1e-68, dk_max=2e-68, dk_steps=2,
            omega_min=0.0, omega_max=1e-70, omega_steps=2)
+BROKEN = dict(GAP, eps=1e-131)
 SUBNORMAL = dict(kappa1=1.0, eps=1e-3, dk_min=1.0, dk_max=2.0, dk_steps=2,
                  omega_min=0.0, omega_max=1e-323, omega_steps=2)
 
@@ -193,9 +197,19 @@ GRID_ERRORS = {
     "eps": ({"eps": math.nan},
             "grid point omega=0.0, delta_kappa=10.0: eps must be positive "
             "and finite, got nan"),
+    # omega = 2459.3 is the first grid point past the coupling bound
     "omega": ({"omega_max": 2499.0},
-              "grid point omega=2499.0, delta_kappa=10.0: omega=2499.0 within "
-              "the resonance margin of kappa1=2500.0 (limit 2475.0)"),
+              "grid point omega=2459.333333333333, delta_kappa=10.0: eps=0.1 "
+              "above the coupling bound 0.01 (kappa1 - omega)^2 min(1, "
+              "(kappa2 - kappa1)/kappa1) at kappa1=2500.0, kappa2=2510.0, "
+              "omega=2459.333333333333; grid point omega=2499.0, "
+              "delta_kappa=10.0: omega=2499.0 within the resonance margin of "
+              "kappa1=2500.0 (limit 2475.0)"),
+    # (kappa1 - omega)^2 overflows, and no NumPy warning escapes
+    "omega_huge": ({"omega_max": 1e308},
+                   "grid point omega=1.5873015873015875e+306, "
+                   "delta_kappa=10.0: omega=1.5873015873015875e+306 within "
+                   "the resonance margin of kappa1=2500.0 (limit 2475.0)"),
     # 0 * inf: the first omega is nan, the others inf
     "omega_inf": ({"omega_max": math.inf},
                   "grid point omega=nan, delta_kappa=10.0: omega must be "
@@ -453,10 +467,11 @@ def test_sweep_survives_single_point_failure():
 
 
 def test_sweep_all_failures_raise():
-    cfg = parse_config(None, dict(SMALL, eps=1e9))  # no roots anywhere
+    cfg = parse_config(None, BROKEN)    # no exact residual within tol
     with pytest.raises(AllRowsFailed) as err:
         run_sweep(cfg)
-    assert "BracketFailure" in str(err.value)
+    assert str(err.value) == ("all 4 grid points failed; first status: "
+                              "error:NonConvergence")
 
 
 def test_csv_output_is_deterministic(tmp_path):
@@ -554,7 +569,9 @@ GRIDS = {"mixed": MIXED, "pole": POLE, "gap": GAP}
 
 # SHA-256 of the CSV and both surfaces that write_csv writes for the grids
 # with failed rows (error rows, empty cells, nan surface cells), for every
-# config of theirs whose sweep does not raise AllRowsFailed.
+# config of theirs whose sweep does not raise AllRowsFailed. The POLE and
+# GAP entries were re-recorded when those grids moved inside the coupling
+# bound; GAP's pert sweeps now fail no row.
 FAILED_ROW_DIGESTS = {
     ("mixed", "uu", "exact"): (
         "4b4a000e394ab38fb482260ebb114bfad8f45f6e71428f58a22d58db739dab91",
@@ -588,30 +605,62 @@ FAILED_ROW_DIGESTS = {
         "624a56bdb93ce66db2ae09cc640697566763338037f17b4379b634d09c7db90c",
         "faf545186e9bb30e8e16b57ff64883ab5a05c786048c127acca9c8d325d06f97",
         "71692b567aaf416bcb1979ba559db6f49414a4ebbe7c77c0b1fda247fcfe340d"),
+    ("pole", "uu", "exact"): (
+        "b3ab70fafbece1ed5bbbf565223f23cbd804d5876f837eb5e24c1f1a177ad8ab",
+        "a8b9d0794d197b8382b593a2fa0565dacc4d977330760d76df2dbed374b1fd40",
+        "7e4d5c463775c08c02429ea9317129d9a38f3aa046849ecf1b0e49c18ee72154"),
     ("pole", "uu", "pert"): (
-        "1beb5dc55f05312bbcc57f99c03bc3b18c161e2a63dc69978002861a21dc6649",
-        "267295a715d3908e43ea51b51820ad687093324536c8ebbb2b9c883b1a925284",
-        "5fea73ac7e7de9ad3e22542689558f00d5e9e763fad1229d83045455236f710b"),
+        "38ecf0492337e3beb53dae3e4c19c35dbadfc1bf04e53edbdcd219a779dfa41b",
+        "5a84a661485ad9d51d4a2cf48158ebd0b1b78e7d1e44a3a3bbd71e156d1d9f4e",
+        "75c7fa3313a7337262678da4c3a97cf63d90669ef7a7d0c16193cc10b0e22f79"),
+    ("pole", "ud", "exact"): (
+        "413de6228ac6ec4ce1d8ffa909c513c293f3225f824745c23c1dd59aca1c1ffc",
+        "135b8150465e75cdae163f4410597ea565e1cad555909aee278831a71a4fa31b",
+        "78b2ad4ec3ccbd575ca148394f201ece4754cea4d5cb99fe197c20cd1df4e963"),
     ("pole", "ud", "pert"): (
-        "cfbdd8b48d78cf18965dad2134f2206b5912a89ffe576bf020a2d5228a6460b5",
-        "ca20e107d7f733239f625614660cbdb27942bf781645b51790118f055b13233b",
-        "27cc21b59293cf19bd2a16e049bdca8662cbaa2540f353112d6fdf42e4a84e75"),
+        "b7c682b21cb324eb757c28397e8500525813fccace45ee4eaeedb38c95549fff",
+        "9a43cc2f434dd60ea952fc409f7bd657d823adc401164d4ea76b9c814779ce64",
+        "70e20eb00c14386637256c36229fbd039c26d3c56ef0031acd7a99c821b798bd"),
+    ("pole", "du", "exact"): (
+        "eaad8954363fe8b2a9c2de40664f0fe04eb8059fb9e928d3777de23be0b130e1",
+        "c89ed83ae699b8e0e7353bdd550f8dd59e6e8e8f0dbf1032354e23cb19bfa2db",
+        "9c73fabb27ff27f0fbaa9548f7a234969bdf41700981e7911cdb3b8ed63d2ac7"),
     ("pole", "du", "pert"): (
-        "2e77b8612c279da12e365cd50aa2e1fa2b55e1b2162f053e043d68db495d5171",
-        "2b9a9511bc7227c6a3779a97e658f437944de6602f9aebfd863bd790579fb2e7",
-        "2f09ebbd82d5f41cc41abf05a2073fc5aa3c9111d5110663db00977cbc362234"),
+        "b7d70f6f35f7d819fd8d6f043f1d179558114322b11503949648a410914b1a32",
+        "cab99f5687aed6ce96e6d28a839abb61343ae8a848205976b5111b1e25c2a6c7",
+        "4adc09040da0fe86794bb969a78c87e848afc45715c9144813432900f16e5c2d"),
+    ("pole", "dd", "exact"): (
+        "1b1c32b6258f92e1a321623021ace141aae106b559facb9d5616a9d4e2ecaaf2",
+        "c14fa5993027a2f25f60f8abc021e01a8cf3df2740a2e0e174768f5d0879ba22",
+        "5a8e34d729bcd908e685293947d7e569ae9d960fca7917e15601d21468a1fb90"),
     ("pole", "dd", "pert"): (
-        "203ca12ea4bc74d44eff71b87c163dfc170c380c5d9d26f6c5528d938e56b431",
-        "3598744af29994c678bad3559f4f9c2a5e630c347977f79b1280ba3a4483be42",
-        "94e713e83a8250bc10fdff6ec0f9cb06b08462e400c804c8ebea0c471f3178bd"),
+        "c20d2ce760512540935e64b37a9dea6a07cfb0ba5bdee10bb0a439f71f907fa3",
+        "79123788b72cbb5875be439635b044a4e1bff570cd7bb1f62e6ab485a65812bb",
+        "239a742dfd0400cb5fcab9c0cbc1daeb32e0c6e3be005f2888763546be631483"),
+    ("gap", "uu", "exact"): (
+        "53cf5b541fff592d80f50c2fd857aef56f300f8518ec8a7428583674a93a4c49",
+        "bf5243338430bef0d40a0d46b3617c14017d171f80a0554271a5161bebda5f06",
+        "4ced86953ea85e5c29b76372ff82387be179dfcae6827c09187be61155f57d1c"),
     ("gap", "uu", "pert"): (
-        "8b06710fb47c375aa9a7806dfd36c9603810f9b20819970c99d31109a93a1e21",
-        "7d2a605ddcc02670bc01cc1109f8d1896c481be329163b3e4229d63319d26557",
-        "b2297e124776aea12043cf88131f054023d1942b6f07eeddecd82d553e8c88ef"),
+        "f6fbdd3cba096edcfa89f17a3c126df7da3013f518d8cda7fd507f5756fb1aec",
+        "295a9c9fcb053450f85d3e0ece22ecad78e9301ed671a5c03385f01b37796bd7",
+        "c70d81916040311f08fb6d084e7115a7690ee1fc2ca111bbc663abd309443694"),
+    ("gap", "ud", "exact"): (
+        "e3b14e9356ef075c1d5e5f35b32d0dcb33634cb639f1c677534019b98a667d41",
+        "452e189424300e80483489851bf173d444728da00afa63d35ad5799dc2eead48",
+        "e15d48f3e8746aa4afff7a10b9f21510c21443fd9d7194ca93242762c8c113f2"),
+    ("gap", "ud", "pert"): (
+        "d16698842c7a620e9a607bcfc909d5c761aa16f609b84d88c5834c2dc98555fe",
+        "d0054c2aa2b3ba763ed3d7bee8d1c200c81e50bafcff9f1e50938b90f4b74d62",
+        "c55868a699f280abcf96e5086425212e3ad54ddbd38dd3b841be5d381cbf903d"),
+    ("gap", "dd", "exact"): (
+        "26ad76cb54958744ccf04cf6bf1a7b2d13f9faf3e678ba641b6cae3f96d3a160",
+        "bf5243338430bef0d40a0d46b3617c14017d171f80a0554271a5161bebda5f06",
+        "4ced86953ea85e5c29b76372ff82387be179dfcae6827c09187be61155f57d1c"),
     ("gap", "dd", "pert"): (
-        "f579715d75e53cf93b5166c630d04c7dcf3f77e6b49d59b9139faecf762ba831",
-        "7cfdcaca00b806a9ebb953b0ce4398f68e51a53d5e3850a8016283c6ea06a47a",
-        "ec0ee9a5c9183bddf06bf57fbe6078a98dee9fc37b9bba43698f3c7f7d09142b"),
+        "f9555a36ee375b5762cde301fa009b8b8171cf0b2e4bbaf2ad74a9080d02e4c3",
+        "6b807f2c3536095a3001e4f96fa29638871bb1ab3c13ffb128787cda295d2f59",
+        "6d5092af8b15f2dc287257074856a67f9e7f61a9408ba9abd781b1f8d62da67e"),
 }
 
 
@@ -627,15 +676,20 @@ def test_sweeps_with_failed_rows_write_unchanged_bytes(case, tmp_path):
 
 
 def test_closed_form_failures_go_through_full_report():
-    # Near resonance eps*Phi reaches 1 where the roots and gaps are fine,
-    # so the rows at omega = 9.8 carry phi_closed's RangeViolation.
+    # Phi's denominator 2 k1 k2 (w-k1)^2 (w+k2)^2 overflows at the largest
+    # kappa2 unless omega is large enough, where the roots and gaps are
+    # fine, so those du rows carry the closed forms' SingularDenominator.
+    # (Inside the coupling bound eps*Phi stays below 0.03, so no sweep row
+    # reaches RangeViolation.)
     for method in ("exact", "pert"):
-        cfg = parse_config(None, dict(MIXED, eps=0.1, omega_min=9.0,
-                                      omega_max=9.8, method=method))
+        cfg = parse_config(None, dict(kappa1=1e51, eps=1e95, dk_min=1e50,
+                                      dk_max=5e51, dk_steps=4, omega_min=0.0,
+                                      omega_max=5e50, omega_steps=3,
+                                      method=method))
         want = [sweep_mod._evaluate_point(cfg, omega, dk)
                 for omega in cfg.omega_grid() for dk in cfg.dk_grid()]
-        assert [row[-1] for row in want] == ["ok"] * 8 + [
-            "error:RangeViolation"] * 4
+        assert [row[-1] for row in want] == 2 * (["ok"] * 3 + [
+            "error:SingularDenominator"]) + ["ok"] * 4
         assert repr(list(zip(*run_sweep(cfg)))) == repr(want)
 
 
@@ -723,7 +777,7 @@ def test_raw_norm_is_correctly_rounded(capsys):
 
 
 # The point_mix envelope with its coupling bound exceeded up to 1e4-fold,
-# where probes fail to bracket and stages raise.
+# which only a hand-built ModelParams reaches, and where stages raise.
 _POINT = st.builds(
     lambda k_exp, dk_exp, omega_frac, eps_exp: (
         10.0 ** k_exp, 10.0 ** k_exp * (1.0 + 10.0 ** dk_exp),
@@ -748,7 +802,7 @@ def test_batch_gaps_match_amplitudes_or_are_unsettled(points):
             cfg = SweepConfig(pol=pol, method=method)
             y_gap, norm_gap, settled = batch_mod._batch_gaps(batch, cfg)
             for i, point in enumerate(points):
-                p = make_params(*point)
+                p = ModelParams(*point)
                 try:
                     roots = (exact_roots(p, cfg.tol) if method == "exact"
                              else perturbative_roots(p))
@@ -765,8 +819,9 @@ CHECK_NAMES = ["root_ladder", "state_pattern", "y_closed_ladder",
                "schmidt_closed_ladder", "info_asymptotic", "zero_entanglement"]
 
 # (passed, failed, skipped) per polarization config at four points: the
-# reference point, zero field, a coupling far past any root, and eps 1e-9.
-# Past any root, du's info_asymptotic passes: it compares two forms at one
+# reference point, zero field, a coupling far past the bound (a hand-built
+# ModelParams), and eps 1e-9.
+# Past the bound, du's info_asymptotic passes: it compares two forms at one
 # gap, 6.75e-3, which differ by 2.525e-4, within twice the series' next term.
 VERIFY_COUNTS = {
     "reference": {"uu": (3, 0, 3), "ud": (1, 0, 5), "du": (5, 0, 1),
@@ -869,16 +924,24 @@ def test_info_asymptotic_is_bounded_by_the_series_next_term(fig_params,
 
 
 def test_verify_point_detects_breakage(capsys):
-    # A coupling far past any root, and one so small that exact and
-    # first-order values agree to the bit on some ladder rungs.
+    # A coupling far past the bound, which make_params and so the CLI
+    # reject, and one so small that exact and first-order values agree to
+    # the bit on some ladder rungs.
     for eps, case in (("1e9", "broken"), ("1e-9", "tiny")):
         reports = _verify_all_configs(
-            make_params(2500.0, 3000.0, 0.5, float(eps)), VERIFY_COUNTS[case])
+            ModelParams(2500.0, 3000.0, 0.5, float(eps)), VERIFY_COUNTS[case])
         assert not any(rep.ok for rep in reports.values())
         for code, (passed, failed, skipped) in VERIFY_COUNTS[case].items():
-            assert main(["verify", "--eps", eps, "--pol", code]) == 2
-            assert capsys.readouterr().out.endswith(
-                f"{passed} passed, {failed} failed, {skipped} skipped\n")
+            status = main(["verify", "--eps", eps, "--pol", code])
+            out, err = capsys.readouterr()
+            if case == "broken":
+                assert (status, out) == (1, "")
+                assert err.startswith("error: eps=1000000000.0 above the "
+                                      "coupling bound")
+            else:
+                assert status == 2
+                assert out.endswith(f"{passed} passed, {failed} failed, "
+                                    f"{skipped} skipped\n")
 
 
 def test_verify_point_reports_a_zero_defect_on_a_ladder():
@@ -932,16 +995,16 @@ def _state_pattern(params, pol):
 
 def test_state_pattern_check_matches_the_numpy_expression():
     # Seeded envelope points at scales 1 and 2^+-40 (eps by the square),
-    # plus a tiny coupling, a coupling past any root, a root on the other
+    # plus a tiny coupling, a coupling past the bound, a root on the other
     # photon's pole and underflowing normalizations, for both configs the
     # check runs on: the verdict and the detail text agree exactly.
     points = [(2500.0, 3000.0, 0.5, 1e-12), (2500.0, 3000.0, 0.5, 1e9),
               (10.0, 60.0, 0.0, 1000.0), (1e-66, 2e-66, 1e-67, 1e-135),
               (1e-60, 1.00000001e-60, 0.0, 1e-80)] + _envelope_points(18, 120)
     outcomes = collections.Counter()
-    for point in points:
+    for point in points:    # some lie outside make_params' set
         for t in (1.0, 2.0 ** -40, 2.0 ** 40):
-            params = make_params(point[0] * t, point[1] * t, point[2] * t,
+            params = ModelParams(point[0] * t, point[1] * t, point[2] * t,
                                  point[3] * t * t)
             for code in ("du", "uu"):
                 pol = PolarizationConfig.from_code(code)
