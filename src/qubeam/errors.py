@@ -32,7 +32,7 @@ class NonPositive(ValidationError):
 
 
 class StrongCoupling(ValidationError):
-    """eps above the coupling bound, where a root can leave its pole bracket."""
+    """eps above the coupling bound (COUPLING_LIMIT), for every method."""
 
 
 class ParseError(QubeamError):

@@ -47,26 +47,30 @@ _PARAMS_RULES = (
 
 
 def _params_verdicts(kappa1, kappa2, omega, eps):
-    """Each _PARAMS_RULES row's accept verdict, for floats or arrays."""
-    bound = COUPLING_LIMIT * (kappa1 - omega) * (kappa1 - omega)
+    """Each _PARAMS_RULES row's accept verdict, for floats or arrays. The
+    coupling row's products are in units of 2^e, kappa1 = m 2^e, 1/2 <= m
+    < 1: an exact scaling, in which none overflows or underflows near the
+    bound. Floats take math's frexp: no numpy, and no overflow warning."""
+    if isinstance(kappa1, float):
+        unit = math.ldexp(1.0, min(-math.frexp(kappa1)[1], 1021))
+    else:
+        import numpy as np
+        unit = np.ldexp(1.0, np.minimum(-np.frexp(kappa1)[1], 1021))
+    k1, gap = kappa1 * unit, (kappa1 - omega) * unit
+    bound, e = COUPLING_LIMIT * gap * gap, eps * unit * unit
     return ((0.0 < kappa1) & (kappa1 < math.inf),
             (0.0 < kappa2) & (kappa2 < math.inf),
             (0.0 < eps) & (eps < math.inf),
             (0.0 <= omega) & (omega < math.inf),
             kappa1 != kappa2, kappa1 <= kappa2,
             omega < kappa1 * (1.0 - RESONANCE_MARGIN),
-            (eps <= bound) & (eps * kappa1 <= bound * (kappa2 - kappa1)))
+            (e <= bound) & (e * k1 <= bound * (kappa2 * unit - k1)))
 
 
 class ModelParams(NamedTuple):
     """Validated inputs for one model point (or a batch, one array entry
-    per point).
-
-    Invariants (enforced by make_params, not by the constructor):
-    0 < kappa1 < kappa2, omega >= 0, eps > 0, the non-resonance guard
-    omega < kappa1 * (1 - RESONANCE_MARGIN), and the coupling bound
-    eps <= COUPLING_LIMIT (kappa1 - omega)^2 min(1, (kappa2 - kappa1)/kappa1).
-    """
+    per point): make_params enforces the rows of _PARAMS_RULES, the
+    constructor does not."""
 
     kappa1: float
     kappa2: float
@@ -77,10 +81,9 @@ class ModelParams(NamedTuple):
 def make_params(kappa1, kappa2, omega, eps) -> ModelParams:
     """Validate raw numbers into ModelParams.
 
-    Raises NonPositive, DegenerateFrequencies, NearResonance,
-    StrongCoupling, or a plain ValidationError (not a number, or wrong
-    frequency ordering). Idempotent: feeding the fields of a valid
-    ModelParams back in returns an equal one.
+    Raises the first failing _PARAMS_RULES row's error, or a plain
+    ValidationError for a value that is not a number. Idempotent: feeding
+    the fields of a valid ModelParams back in returns an equal one.
     """
     try:
         kappa1, kappa2 = float(kappa1), float(kappa2)

@@ -242,6 +242,26 @@ def test_root_on_the_other_photons_pole_is_a_computation_error(tmp_path,
     assert not out.exists()
 
 
+def test_sweep_tallies_failed_statuses_in_first_seen_order(tmp_path, capsys):
+    # At tol 1e-17 half of the exact residuals miss tol*kappa, and a third
+    # of uu's raw spectral gaps fall below the domain tolerance: the tally
+    # lists NonConvergence, seen first, then DomainError, as README shows
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--kappa1", "10", "--eps", "1e-3", "--dk-min", "1",
+                 "--dk-max", "5", "--dk-steps", "4", "--omega-max", "0.5",
+                 "--omega-steps", "3", "--tol", "1e-17", "--pol", "uu",
+                 "--out", str(out)]) == 0
+    tally = "12 rows, 10 failed (error:NonConvergence 6, error:DomainError 4)"
+    assert capsys.readouterr().err == f"wrote {out}: {tally}\n"
+    assert f"`wrote F: {tally}`" in " ".join(README.read_text().split())
+    data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert data[1:3] == ["0,1,11,0.99999999092991676,1.3223697030945453e-07,"
+                         "1.8140166345581838e-08,0,0,0.99999999546495832,ok",
+                         "0,2.333333333333333,12.333333333333332,,,,,,,"
+                         "error:NonConvergence"]
+    assert "0.25,1,11,,,,,,,error:DomainError" in data
+
+
 def test_overflowing_scale_is_a_computation_error(capsys):
     # kappa1 1e120 is a valid input; (kappa1*kappa2)^2 overflows in the
     # first-order denominator.

@@ -179,6 +179,27 @@ def test_the_coupling_bound_is_inclusive(point):
         make_params(*point[:3], point[3] * (1.0 + 1e-12))
 
 
+@pytest.mark.parametrize("kappa1", [1e156, 1e-110],
+                         ids=["square_overflows", "products_underflow"])
+def test_the_coupling_bound_holds_at_extreme_scales(kappa1):
+    # (kappa1 - omega)^2 overflows at kappa1 = 1e156, and at 1e-110 both
+    # eps*kappa1 and bound*dk underflow to 0; the bound there is
+    # 0.01 kappa1^2 * 1e-10, and the verdict reads it in units of kappa1
+    kappa2 = kappa1 * (1.0 + 1e-10)
+    bound = 0.01 * kappa1 * (kappa1 * 1e-10)
+    grid = dict(kappa1=kappa1, dk_min=kappa1 * 1e-10, dk_max=kappa1 * 2e-10,
+                dk_steps=2, omega_min=0.0, omega_max=kappa1 * 1e-3,
+                omega_steps=2)
+    assert make_params(kappa1, kappa2, 0.0, 0.5 * bound).eps == 0.5 * bound
+    assert parse_config(None, dict(grid, eps=0.5 * bound)).eps == 0.5 * bound
+    for eps in (2.0 * bound, 1e5 * bound):
+        with pytest.raises(StrongCoupling):
+            make_params(kappa1, kappa2, 0.0, eps)
+        with pytest.raises(ValidationError) as err:
+            parse_config(None, dict(grid, eps=eps))
+        assert "above the coupling bound" in str(err.value)
+
+
 def test_strong_coupling_is_rejected_on_every_route(tmp_path, capsys):
     # Past the coupling bound a root can leave its pole bracket, so
     # make_params, SweepConfig's grid check (one message listing every

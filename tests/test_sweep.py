@@ -466,6 +466,17 @@ def test_sweep_survives_single_point_failure():
         assert row["raw_norm"] == pytest.approx(1.0, abs=1e-3)
 
 
+def test_failure_tally_keeps_first_seen_order():
+    # first-seen order, not count order: a status seen once and first
+    # leads one seen twice
+    status = ["ok", "error:ZeroNorm", "error:DomainError", "ok",
+              "error:DomainError"]
+    table = sweep_mod.SweepTable(*[[None] * 5] * 9, status)
+    assert sweep_mod.failure_tally(table) == (
+        "3 failed (error:ZeroNorm 1, error:DomainError 2)")
+    assert sweep_mod.failure_tally(table._replace(status=["ok"])) == "0 failed"
+
+
 def test_sweep_all_failures_raise():
     cfg = parse_config(None, BROKEN)    # no exact residual within tol
     with pytest.raises(AllRowsFailed) as err:
