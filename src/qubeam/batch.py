@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .bogoliubov import INDEX_ORDER, _deviations, _state_factors
-from .dispersion import (_ITER_MAX, _branch_sign, _dispersion,
+from .dispersion import (_ITER_MAX, RESIDUAL_TOL, _branch_sign, _dispersion,
                          _first_order_terms)
 from .entangle import (_SERIES_CUT, _asymptotic_from_phi, _asymptotic_terms,
                        _closed_verdicts, _info_direct, _info_from_gap,
@@ -34,13 +34,13 @@ def _first_order_offsets(params, k, lam):
     return d, (abs(dens[lam - 1]) > floor) & np.isfinite(d)
 
 
-def _solve_offsets(params, k, lam, tol):
-    """exact_roots' solve and tolerance check for root (k, lam) over a batch.
+def _solve_offsets(params, k, lam):
+    """exact_roots' solve and residual check for root (k, lam) over a batch.
 
     Every entry takes _solve_offset's decisions: the pole bracket, Newton
     inside it, bisection when a step would leave it, and the same three
     stop rules; only the points still iterating are computed. Returns
-    (offsets, ok). ok is False where the residual misses tol*kappa_k, and
+    (offsets, ok). ok is False where the residual misses RESIDUAL_TOL, and
     where a value is not finite or a slope is zero; those points are left
     to exact_roots.
     """
@@ -78,7 +78,7 @@ def _solve_offsets(params, k, lam, tol):
         kk_a, ko_a, eps_a, sw_a = kk_a[go], ko_a[go], eps_a[go], sw_a[go]
         d_a, g_a, s_a, lo, hi = d_new[go], g_new[go], s_new[go], lo[go], hi[go]
     d[act], g_cur[act] = d_a, g_a
-    ok &= ~(np.abs(g_cur) > tol * kappa_k)
+    ok &= np.abs(g_cur) <= RESIDUAL_TOL
     return d, ok
 
 
@@ -157,18 +157,18 @@ def _first_rejections(config):
 def _batch_gaps(params: ModelParams, config):
     """(y_gap, norm_gap, settled) arrays for a batch of points.
 
-    config gives the polarization, the method and the tolerance. Roots,
-    the four columns and the gaps are the scalar pipeline's arithmetic in
-    the same order, so each point gets its scalar value. settled is False
-    wherever a stage would raise or a value is not finite; those points go
-    through full_report.
+    config gives the polarization and the method. Roots, the four columns
+    and the gaps are the scalar pipeline's arithmetic in the same order, so
+    each point gets its scalar value. settled is False wherever a stage
+    would raise or a value is not finite; those points go through
+    full_report.
     """
     settled = np.ones(len(params.omega), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         columns = {}
         for k, lam in INDEX_ORDER:      # all four: full_report checks each
             if config.method == "exact":
-                d, ok = _solve_offsets(params, k, lam, config.tol)
+                d, ok = _solve_offsets(params, k, lam)
             else:
                 d, ok = _first_order_offsets(params, k, lam)
             settled &= ok & (_pair(params, k)[0] + d > 0.0)

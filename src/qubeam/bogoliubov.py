@@ -47,12 +47,12 @@ def _deviations(kappa_k, d, r, a_cross, params: ModelParams, lam):
     return a_self, chi, xi
 
 
-def _checked(roots: ModeRoots, params: ModelParams, columns=INDEX_ORDER):
+def _checked(roots: ModeRoots, params: ModelParams):
     """Checked (kappa_k, kappa_o, d, r, a_self, chi, xi) of each column
-    (k, lam) in columns, in turn; a failing one raises before the next."""
+    (k, lam) in INDEX_ORDER, in turn; a failing one raises before the next."""
     kappas, offsets, _ = roots
     checked = []
-    for k, lam in columns:
+    for k, lam in INDEX_ORDER:
         kappa_k, kappa_o = kappas[k - 1], kappas[2 - k]
         d = offsets[k - 1][lam - 1]
         if d == 0.0:

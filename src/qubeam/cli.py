@@ -11,10 +11,10 @@ import math
 import sys
 
 from .bogoliubov import INDEX_ORDER, build_block, identity_defect
-from .dispersion import DEFAULT_REL_TOL, exact_roots, perturbative_roots
+from .dispersion import exact_roots, perturbative_roots
 from .entangle import full_report
 from .errors import ParseError, QubeamError, ValidationError
-from .params import _check_tol, make_params
+from .params import make_params
 from .qstate import PolarizationConfig, _normalized_state, _state_columns
 from .sweep import (_FILE_KEYS, _fmt, failure_tally, parse_config, run_sweep,
                     write_csv)
@@ -36,8 +36,6 @@ def _add_point_flags(sub, pol=False, method=False):
     sub.add_argument("--kappa2", type=float, default=3000.0)
     sub.add_argument("--omega", type=float, default=0.5)
     sub.add_argument("--eps", type=float, default=0.1)
-    sub.add_argument("--tol", type=float, default=DEFAULT_REL_TOL,
-                     help="relative residual tolerance of the exact solver")
     if pol:
         sub.add_argument("--pol", choices=_CHOICES["pol"], default="du",
                          help="polarization pair, photon 1 first")
@@ -97,13 +95,12 @@ def _emit(lines, out_path):
 
 
 def _point_params(args):
-    _check_tol(args.tol)        # rejected before the point
     return make_params(args.kappa1, args.kappa2, args.omega, args.eps)
 
 
 def _cmd_roots(args):
     params = _point_params(args)
-    ex = exact_roots(params, args.tol)
+    ex = exact_roots(params)
     pert = perturbative_roots(params)
     rows = [(k, lam, ex.root(k, lam), pert.root(k, lam),
              ex.residuals[k - 1][lam - 1],
@@ -125,7 +122,7 @@ def _cmd_roots(args):
 
 def _cmd_block(args):
     params = _point_params(args)
-    roots = (exact_roots(params, args.tol) if args.method == "exact"
+    roots = (exact_roots(params) if args.method == "exact"
              else perturbative_roots(params))
     block = build_block(roots, params)
     lines = ["matrix,row_s,row_lambda,col_k,col_lambda,re,im"]
@@ -144,7 +141,7 @@ def _cmd_block(args):
 
 def _cmd_state(args):
     params = _point_params(args)
-    roots = (exact_roots(params, args.tol) if args.method == "exact"
+    roots = (exact_roots(params) if args.method == "exact"
              else perturbative_roots(params))
     pol = PolarizationConfig.from_code(args.pol)
     vec, _, norm_gap = _normalized_state(_state_columns(roots, params, pol),
@@ -161,8 +158,7 @@ def _cmd_state(args):
 def _cmd_measures(args):
     params = _point_params(args)
     rep = full_report(params, PolarizationConfig.from_code(args.pol),
-                      method="exact" if args.method == "exact" else "perturbative",
-                      tol=args.tol)
+                      "perturbative" if args.method == "pert" else "exact")
     pairs = [
         ("config", rep.config.code), ("method", rep.method),
         ("y", _fmt(rep.y)), ("E_I", _fmt(rep.E_I)), ("E_S", _fmt(rep.E_S)),
@@ -195,8 +191,7 @@ def _cmd_sweep(args):
 
 def _cmd_verify(args):
     params = _point_params(args)
-    report = verify_point(params, PolarizationConfig.from_code(args.pol),
-                          tol=args.tol)
+    report = verify_point(params, PolarizationConfig.from_code(args.pol))
     for check in report.checks:
         print(f"{check.status.upper():>5}  {check.name}: {check.detail}")
     passed, failed, skipped = report.counts

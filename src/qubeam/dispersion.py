@@ -17,9 +17,10 @@ import math
 from typing import NamedTuple
 
 from .errors import NonConvergence, NonPositive, SingularDenominator
-from .params import ModelParams, _check_tol
+from .params import ModelParams
 
-DEFAULT_REL_TOL = 1e-12
+# Bound on |g| at each exact root; g, left minus right side above, has no unit.
+RESIDUAL_TOL = 1e-12
 # First-order denominator must exceed this fraction of kappa_k^3.
 DENOMINATOR_FLOOR_REL = 1e-9
 
@@ -177,15 +178,15 @@ def _solve_offset(kappa_k, kappa_other, params, lam, guess):
     return d, g_cur
 
 
-def exact_roots(params: ModelParams, tol: float = DEFAULT_REL_TOL) -> ModeRoots:
+def exact_roots(params: ModelParams) -> ModeRoots:
     """Solve the dispersion relation for all four (k, lambda) roots.
 
-    tol is relative: the returned roots satisfy |residual| <= tol * kappa_k,
-    re-checked after the solve. Rejects a tol that is not a positive, finite
-    number (nan or inf would turn that check off), and eps = 0, where the
-    roots merge into the poles (use perturbative_roots for the limit).
+    The returned roots satisfy |residual| <= RESIDUAL_TOL, re-checked after
+    the solve; the residual is dimensionless, so scaling every frequency by
+    2^e (eps by 2^2e) scales the offsets by 2^e and keeps the residuals.
+    Rejects eps = 0, where the roots merge into the poles (use
+    perturbative_roots for the limit).
     """
-    _check_tol(tol)
     if not (params.eps > 0.0):
         raise NonPositive(f"exact solver requires eps > 0, got {params.eps!r}")
     k1, k2 = params.kappa1, params.kappa2
@@ -195,8 +196,8 @@ def exact_roots(params: ModelParams, tol: float = DEFAULT_REL_TOL) -> ModeRoots:
         for lam in (1, 2):
             guess = _first_order_offset(num, dens[lam - 1], floor, kappa_k, lam)
             d, g = _solve_offset(kappa_k, kappa_o, params, lam, guess)
-            if abs(g) > tol * kappa_k:
-                raise NonConvergence(f"residual {g!r} above {tol!r}*kappa "
+            if not abs(g) <= RESIDUAL_TOL:
+                raise NonConvergence(f"residual {g!r} above {RESIDUAL_TOL!r} "
                                      f"for k={k}, lambda={lam}")
             solved.append((d, g))
     (d11, g11), (d12, g12), (d21, g21), (d22, g22) = solved

@@ -20,7 +20,7 @@ from 1 only at O(eps^2).
 import math
 from typing import NamedTuple
 
-from .dispersion import DEFAULT_REL_TOL, exact_roots, perturbative_roots
+from .dispersion import exact_roots, perturbative_roots
 from .errors import (
     DomainError,
     QubeamError,
@@ -195,8 +195,7 @@ def _closed_forms(params: ModelParams, config: PolarizationConfig):
 
 
 def full_report(params: ModelParams, config: PolarizationConfig,
-                method: str = "exact",
-                tol: float = DEFAULT_REL_TOL) -> EntanglementReport:
+                method: str = "exact") -> EntanglementReport:
     """Run the whole pipeline for one parameter point.
 
     Each column is checked as build_block checks it, read or not; the two
@@ -211,7 +210,7 @@ def full_report(params: ModelParams, config: PolarizationConfig,
         raise ValueError(f"method must be 'exact' or 'perturbative', got {method!r}")
     stage = "roots"
     try:
-        roots = (exact_roots(params, tol) if method == "exact"
+        roots = (exact_roots(params) if method == "exact"
                  else perturbative_roots(params))
         stage = "block"
         columns = _state_columns(roots, params, config)

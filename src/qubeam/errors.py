@@ -46,7 +46,7 @@ class ComputationError(QubeamError):
 
 
 class PoleEvaluation(ComputationError):
-    """Residual requested at (or within the guard band of) a pole r = kappa_s."""
+    """A root on a pole r = kappa_s, where the transformation is singular."""
 
 
 class SingularDenominator(ComputationError):
@@ -54,7 +54,7 @@ class SingularDenominator(ComputationError):
 
 
 class NonConvergence(ComputationError):
-    """Root refinement failed to reach the requested tolerance."""
+    """A solved root's dimensionless residual is above RESIDUAL_TOL."""
 
 
 class NegativeRadicand(ComputationError):

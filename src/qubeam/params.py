@@ -8,7 +8,6 @@ and the source figures quote a bare number. README gives omega and eps in
 terms of the field and the electron density.
 """
 import math
-import numbers
 from typing import NamedTuple
 
 from .errors import (
@@ -112,12 +111,3 @@ def _inf_if_huge(value, name=None):
                 f"{name} must be a number, got {value!r}") from None
     return value
 
-
-def _check_tol(tol):
-    """Reject an exact-solver tolerance that is not a positive, finite
-    number: nan or inf would turn the residual check off, and a tol <= 0
-    fail every root."""
-    if not isinstance(tol, numbers.Real):
-        raise ValidationError(f"tol must be a number, got {tol!r}")
-    if not 0.0 < tol < math.inf:
-        raise ValidationError(f"tol must be positive and finite, got {tol}")

@@ -149,15 +149,15 @@ def closed_form_ab(roots: ModeRoots, params: ModelParams,
     kappa2^2); pairing b's numerator with the crossed poles would leave
     4(a^2 + b^2) far from 1.
 
-    Both products come from _state_factors of the two columns _checked at
-    the given roots, so a root on its pole raises PoleEvaluation and a
-    negative radicand NegativeRadicand. Feed first-order roots to get the
+    Both products come from _state_columns at the given roots, the column
+    step full_report takes, so a root on its pole raises PoleEvaluation and
+    a negative radicand NegativeRadicand. Feed first-order roots to get the
     literal leading-order values, independent of the exact pipeline.
     """
     if (config.lambda1, config.lambda2) not in ((2, 1), (1, 1)):
         raise UnsupportedConfig(
             f"no closed form for config {config.code}; "
             "use the pipeline amplitudes")
-    c1, c2 = [_state_factors(*column) for column in _checked(
-        roots, params, ((1, config.lambda1), (2, config.lambda2)))]
+    columns = _state_columns(roots, params, config)
+    c1, c2 = columns[config.lambda1 - 1], columns[config.lambda2 + 1]
     return c1[3] * c2[3], c1[2] * c2[2]     # m_cross and m_self products

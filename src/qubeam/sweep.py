@@ -15,10 +15,10 @@ import math
 import operator
 from typing import NamedTuple
 
-from .dispersion import DEFAULT_REL_TOL
+from .dispersion import RESIDUAL_TOL
 from .entangle import full_report
 from .errors import AllRowsFailed, ParseError, QubeamError, ValidationError
-from .params import _check_tol, _inf_if_huge, make_params
+from .params import _inf_if_huge, make_params
 from .qstate import PolarizationConfig
 
 _METHOD_ALIASES = {"exact": "exact", "pert": "perturbative",
@@ -41,7 +41,6 @@ class SweepConfig:
     eps: float = 0.1
     pol: PolarizationConfig = PolarizationConfig(2, 1)
     method: str = "exact"
-    tol: float = DEFAULT_REL_TOL
 
     def __post_init__(self):
         for field in fields(self):
@@ -152,10 +151,6 @@ def _validate(config: SweepConfig):
             problems.append("dk_max must be >= dk_min")
         if config.omega_max < config.omega_min:
             problems.append("omega_max must be >= omega_min")
-        try:
-            _check_tol(config.tol)
-        except ValidationError as exc:
-            problems.append(str(exc))
     if config.method not in ("exact", "perturbative"):
         problems.append(f"method must be exact or perturbative, got "
                         f"{config.method!r}")
@@ -181,8 +176,7 @@ def _evaluate_point(config, omega, dk):
     kappa2 = config.kappa1 + dk
     try:
         params = make_params(config.kappa1, kappa2, omega, config.eps)
-        rep = full_report(params, config.pol, method=config.method,
-                          tol=config.tol)
+        rep = full_report(params, config.pol, method=config.method)
     except QubeamError as exc:
         return (omega, dk, kappa2, None, None, None, None, None, None,
                 f"error:{type(exc).__name__}")
@@ -227,7 +221,8 @@ def _fmt(value):
 
 
 def config_echo_lines(config: SweepConfig):
-    """The CSV's comment lines: the version, then each field of config."""
+    """The CSV's comment lines: the version, each field of config, then
+    the exact solver's residual bound the rows were computed under."""
     from . import __version__
     lines = [f"# qubeam {__version__}"]
     for field in fields(config):
@@ -237,6 +232,7 @@ def config_echo_lines(config: SweepConfig):
         elif field.type is PolarizationConfig:
             value = value.code
         lines.append(f"# {field.name}={value}")
+    lines.append(f"# tol={RESIDUAL_TOL:.17g}")
     return lines
 
 

@@ -6,11 +6,11 @@ import functools
 import math
 
 from .bogoliubov import INDEX_ORDER
-from .dispersion import DEFAULT_REL_TOL, exact_roots, perturbative_roots
+from .dispersion import exact_roots, perturbative_roots
 from .entangle import (_asymptotic_from_phi, _info_from_gap, _log_half,
                        full_report, phi_closed)
 from .errors import QubeamError
-from .params import ModelParams, _check_tol
+from .params import ModelParams
 from .qstate import (PolarizationConfig, _normalized, _normalized_state,
                      _pattern_vector, _state_columns, closed_form_ab)
 
@@ -51,12 +51,12 @@ def _quartered(ratios):
     return all(3.5 <= r <= 4.5 for r in ratios)
 
 
-def _check_root_ladder(params, pol, tol, ladder):
+def _check_root_ladder(params, pol, ladder):
     """First-order roots against the solved dispersion relation; exact_roots
-    raises NonConvergence where a residual misses tol."""
+    raises NonConvergence where a residual misses RESIDUAL_TOL."""
     defects = {kl: [] for kl in INDEX_ORDER}
     for lp, _ in ladder:
-        ex = exact_roots(lp, tol)
+        ex = exact_roots(lp)
         pert = perturbative_roots(lp)
         for k, lam in INDEX_ORDER:
             defects[k, lam].append(abs(ex.offset(k, lam) - pert.offset(k, lam)))
@@ -67,11 +67,11 @@ def _check_root_ladder(params, pol, tol, ladder):
             "residuals within tol: True")
 
 
-def _check_state_pattern(params, pol, tol, ladder):
+def _check_state_pattern(params, pol, ladder):
     """Pipeline amplitudes against the explicit (a, b) pattern, both
     normalized. The state is _normalized_state of full_report's columns,
     the one `qubeam state` prints."""
-    roots = exact_roots(params, tol)
+    roots = exact_roots(params)
     amps, _, _ = _normalized_state(_state_columns(roots, params, pol), pol)
     a, b = closed_form_ab(perturbative_roots(params), params, pol)
     pattern = _pattern_vector(b, a, pol)
@@ -86,7 +86,7 @@ def _check_state_pattern(params, pol, tol, ladder):
 
 def _closed_ladder(measure, scale):
     """Ladder check of a pipeline measure against scale * eps * Phi."""
-    def check(params, pol, tol, ladder):
+    def check(params, pol, ladder):
         reps = [report() for _, report in ladder]
         defs = [abs(getattr(rep, measure) - scale * lp.eps * rep.Phi)
                 for (lp, _), rep in zip(ladder, reps)]
@@ -98,7 +98,7 @@ def _closed_ladder(measure, scale):
     return check
 
 
-def _check_info_asymptotic(params, pol, tol, ladder):
+def _check_info_asymptotic(params, pol, ladder):
     # Same gap argument on both sides: the asymptotic formula is the
     # leading expansion of the exact information measure at g = eps*Phi,
     # so feeding it the pipeline gap instead would report the O(eps^2)
@@ -118,7 +118,7 @@ def _check_info_asymptotic(params, pol, tol, ladder):
             f"at shared gap {gap:.3e}")
 
 
-def _check_zero_entanglement(params, pol, tol, ladder):
+def _check_zero_entanglement(params, pol, ladder):
     rep = ladder[0][1]()        # the report at params
     bound = 50.0 * (params.eps * params.eps)
     return (rep.E_I <= bound and rep.E_S <= bound,
@@ -143,20 +143,18 @@ _CHECKS = (
 )
 
 
-def verify_point(params: ModelParams, pol: PolarizationConfig,
-                 tol: float = DEFAULT_REL_TOL) -> VerificationReport:
+def verify_point(params: ModelParams,
+                 pol: PolarizationConfig) -> VerificationReport:
     """Run the internal consistency oracles at one parameter point.
 
     Ladder checks evaluate at eps, eps/2, eps/4 and require the
     second-order defects to shrink by ~4x per halving. A check that raises
-    a QubeamError fails with the error text as its detail. A tol that is
-    not a positive, finite number raises ValidationError before any check.
+    a QubeamError fails with the error text as its detail.
     """
-    _check_tol(tol)
     points = [params._replace(eps=params.eps * f) for f in _LADDER]
     # (point, report) per rung; a report that succeeds is evaluated once
     ladder = [(lp, functools.cache(functools.partial(
-        full_report, lp, pol, method="exact", tol=tol))) for lp in points]
+        full_report, lp, pol, method="exact"))) for lp in points]
     checks = []
     for name, codes, other_pol, zero_field, check in _CHECKS:
         if pol.code not in codes:
@@ -165,7 +163,7 @@ def verify_point(params: ModelParams, pol: PolarizationConfig,
             status, detail = "skip", zero_field
         else:
             try:
-                ok, detail = check(params, pol, tol, ladder)
+                ok, detail = check(params, pol, ladder)
             except QubeamError as exc:
                 ok, detail = False, str(exc)
             status = "pass" if ok else "fail"

@@ -7,10 +7,10 @@ import sys
 
 import pytest
 
-from qubeam import (PolarizationConfig, build_block, full_report,
-                    perturbative_roots)
+from qubeam import (PolarizationConfig, SweepConfig, build_block,
+                    full_report, parse_config, perturbative_roots)
 from qubeam.cli import main
-from qubeam.errors import ComputationError, PoleEvaluation
+from qubeam.errors import ComputationError, ParseError, PoleEvaluation
 from qubeam.params import ModelParams
 from qubeam.qstate import _state_columns
 
@@ -243,23 +243,25 @@ def test_root_on_the_other_photons_pole_is_a_computation_error(tmp_path,
 
 
 def test_sweep_tallies_failed_statuses_in_first_seen_order(tmp_path, capsys):
-    # At tol 1e-17 half of the exact residuals miss tol*kappa, and a third
-    # of uu's raw spectral gaps fall below the domain tolerance: the tally
-    # lists NonConvergence, seen first, then DomainError, as README shows
+    # At kappa1 = 2.5e-55 (about 2^-181) du's raw spectral gap at omega = 0
+    # falls below the domain tolerance, and with a field Phi's denominator,
+    # of order kappa^6, underflows to 0 at the smallest split: the tally
+    # lists DomainError, seen first, then SingularDenominator, as README
+    # shows
     out = tmp_path / "s.csv"
-    assert main(["sweep", "--kappa1", "10", "--eps", "1e-3", "--dk-min", "1",
-                 "--dk-max", "5", "--dk-steps", "4", "--omega-max", "0.5",
-                 "--omega-steps", "3", "--tol", "1e-17", "--pol", "uu",
+    assert main(["sweep", "--kappa1", "2.5e-55", "--eps", "1e-112",
+                 "--dk-min", "5e-55", "--dk-max", "2.5e-53", "--dk-steps", "4",
+                 "--omega-max", "1e-55", "--omega-steps", "3", "--pol", "du",
                  "--out", str(out)]) == 0
-    tally = "12 rows, 10 failed (error:NonConvergence 6, error:DomainError 4)"
+    tally = ("12 rows, 6 failed (error:DomainError 4, "
+             "error:SingularDenominator 2)")
     assert capsys.readouterr().err == f"wrote {out}: {tally}\n"
     assert f"`wrote F: {tally}`" in " ".join(README.read_text().split())
     data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-    assert data[1:3] == ["0,1,11,0.99999999092991676,1.3223697030945453e-07,"
-                         "1.8140166345581838e-08,0,0,0.99999999546495832,ok",
-                         "0,2.333333333333333,12.333333333333332,,,,,,,"
-                         "error:NonConvergence"]
-    assert "0.25,1,11,,,,,,,error:DomainError" in data
+    assert data[1] == ("0,5.0000000000000002e-55,7.5000000000000002e-55,,,,"
+                       ",,,error:DomainError")
+    assert data[5] == ("5e-56,5.0000000000000002e-55,7.5000000000000002e-55,"
+                       ",,,,,,error:SingularDenominator")
 
 
 def test_overflowing_scale_is_a_computation_error(capsys):
@@ -333,14 +335,18 @@ def test_spectral_gap_above_one_is_a_computation_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_readme_examples_match_the_program(capsys):
-    examples = re.findall(r"```\n\$ qubeam ([^\n]*)\n(.*?)```",
-                          README.read_text(), re.S)
+def test_readme_examples_match_the_program(tmp_path, capsys):
+    text = README.read_text()
+    examples = re.findall(r"```\n\$ qubeam ([^\n]*)\n(.*?)```", text, re.S)
     assert [command for command, _ in examples] == ["roots",
                                                     "measures --machine"]
     for command, shown in examples:
         assert main(command.split()) == 0
         assert capsys.readouterr().out == shown, command
+    # the example config file lists every key at its default
+    conf = tmp_path / "example.conf"
+    conf.write_text(re.search(r"```\n(kappa1 = .*?)```", text, re.S)[1])
+    assert parse_config(str(conf)) == SweepConfig()
 
 
 def test_verify_passes_at_reference_point(capsys):
@@ -397,13 +403,14 @@ def test_exit_code_validation(capsys):
 
 
 def test_exit_code_computation(capsys):
-    # inside the coupling bound, but too small a scale for the exact
-    # solver's tol*kappa residual check
-    assert main(["measures", "--kappa1", "2.5e-5", "--kappa2", "3e-5",
-                 "--omega", "5e-9", "--eps", "1e-17", "--pol", "du"]) == 2
+    # inside the set, but the split dk = 1e-10 kappa1 leaves the first-order
+    # denominator, about 4 kappa1^2 dk, below its floor 1e-9 kappa1^3
+    assert main(["measures", "--kappa1", "1", "--kappa2", "1.0000000001",
+                 "--omega", "0", "--eps", "1e-13", "--pol", "du"]) == 2
     assert capsys.readouterr().err == (
-        "error: stage roots: residual 4.8626467435974874e-17 above "
-        "1e-12*kappa for k=1, lambda=1\n")
+        "error: stage roots: first-order denominator -4.000000330961484e-10 "
+        "not above its floor 1e-09, or offset not finite, for mode at "
+        "kappa=1.0, lambda=1\n")
 
 
 def test_exit_code_config_problems(tmp_path, capsys):
@@ -418,18 +425,22 @@ def test_exit_code_config_problems(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8")
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
-@pytest.mark.parametrize("command", [
-    ["roots"], ["block"], ["state"], ["measures"], ["verify"]])
-def test_point_commands_reject_a_tol_that_is_not_positive(command, tol,
-                                                           capsys):
-    # nan or inf would switch the exact solver's convergence check off and
-    # -1 would fail every root; all are input errors, as in qubeam sweep.
-    assert main(command + ["--tol", tol]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == ("error: tol must be positive and finite, got "
-                   f"{float(tol)}\n")
+def test_the_residual_bound_is_not_an_option(tmp_path, capsys):
+    # The exact solver's residual bound is dispersion.RESIDUAL_TOL: no
+    # command takes --tol and no config file a tol key (a sweep CSV still
+    # records the bound in its "# tol=" line).
+    for command in ("roots", "block", "state", "measures", "sweep", "verify"):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--tol", "1e-12"])
+        assert exit_.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(
+            "error: unrecognized arguments: --tol 1e-12\n"), command
+    conf = tmp_path / "tol.conf"
+    conf.write_text("tol = 1e-12\n")
+    with pytest.raises(ParseError) as err:
+        parse_config(str(conf))
+    assert str(err.value) == f"{conf}:1: unknown key 'tol'"
 
 
 def test_exit_code_unwritable_output(capsys):

@@ -208,9 +208,8 @@ def test_strong_coupling_is_rejected_on_every_route(tmp_path, capsys):
         make_params(2500.0, 3000.0, 0.5, 1e9)
     assert str(err.value) == STRONG.format(3000.0, 0.5)
     with pytest.raises(ValidationError) as err:
-        parse_config(None, {"eps": 1e9, "tol": 0.0})
-    assert str(err.value) == ("tol must be positive and finite, got 0.0; "
-                              "grid point omega=0.0, delta_kappa=10.0: "
+        parse_config(None, {"eps": 1e9})
+    assert str(err.value) == ("grid point omega=0.0, delta_kappa=10.0: "
                               + STRONG.format(2510.0, 0.0))
     for command in ("roots", "block", "measures", "state", "verify"):
         assert main([command, "--eps", "1e9"]) == 1

@@ -18,7 +18,6 @@ import qubeam.verify as verify_mod
 from qubeam import (
     closed_form_ab,
     exact_roots,
-    full_report,
     make_params,
     parse_config,
     perturbative_roots,
@@ -33,7 +32,6 @@ from qubeam.errors import (
 from qubeam.cli import main
 from qubeam.params import ModelParams
 import qubeam.qstate as qstate_mod
-from qubeam.dispersion import DEFAULT_REL_TOL
 from qubeam.qstate import PolarizationConfig
 from qubeam.sweep import (
     CSV_HEADER,
@@ -52,24 +50,28 @@ SMALL = dict(dk_min=400.0, dk_max=600.0, dk_steps=3,
 
 # Grids the batch settles whole (SMALL), hands partly to full_report (MIXED:
 # DomainError on most uu/ud points; POLE: MIXED out to dk = 50 with eps at
-# the coupling bound, DomainErrors in every config; TIGHT: exact residuals
-# above tol; GAP: kappa1 = 1e-60 with eps at the coupling bound, where half
-# the exact residuals miss tol*kappa and du's Phi denominator underflows),
-# and hands whole to it (BROKEN: GAP at a tenth of that coupling, where
-# every exact residual misses; TINY: eps so small that the first-order
-# offsets round to 0; SUBNORMAL: du's Phi is the smallest subnormal, whose
-# half rounds to 0). POLE, GAP and BROKEN keep the names of the grids they
-# replaced, whose couplings lay past the bound: a pert root on the other
-# photon's pole, raw spectral gaps just above 1, and no root in reach.
+# the coupling bound, DomainErrors in every config; TIGHT: MIXED scaled by
+# 2^-200, eps by 2^-400, near the bottom of the float range: MIXED's
+# DomainErrors, and du's Phi denominator underflows to 0 at every point;
+# GAP: kappa1 = 1e-60 with eps at the coupling bound, where du's Phi
+# denominator underflows), and hands whole to it (BROKEN: GAP with a split
+# of 1e-11 kappa1, below the first-order denominator's floor; TINY: eps so
+# small that the first-order offsets round to 0; SUBNORMAL: du's Phi is the
+# smallest subnormal, whose half rounds to 0). POLE, GAP and BROKEN keep
+# the names of the grids they replaced, whose couplings lay past the bound:
+# a pert root on the other photon's pole, raw spectral gaps just above 1,
+# and no root in reach.
 MIXED = dict(kappa1=10.0, eps=1e-3, dk_min=1.0, dk_max=5.0, dk_steps=4,
              omega_min=0.0, omega_max=0.5, omega_steps=3)
 POLE = dict(MIXED, eps=0.09, dk_max=50.0)
-TIGHT = dict(MIXED, tol=1e-17)
+TIGHT = dict(MIXED, kappa1=10.0 * 2.0 ** -200, eps=1e-3 * 2.0 ** -400,
+             dk_min=2.0 ** -200, dk_max=5.0 * 2.0 ** -200,
+             omega_max=0.5 * 2.0 ** -200)
 TINY = dict(MIXED, kappa1=1.0, eps=5e-324, dk_min=0.05, dk_max=0.2,
             omega_max=0.005)
 GAP = dict(kappa1=1e-60, eps=1e-130, dk_min=1e-68, dk_max=2e-68, dk_steps=2,
            omega_min=0.0, omega_max=1e-70, omega_steps=2)
-BROKEN = dict(GAP, eps=1e-131)
+BROKEN = dict(GAP, dk_min=1e-71, dk_max=2e-71, eps=1e-134)
 SUBNORMAL = dict(kappa1=1.0, eps=1e-3, dk_min=1.0, dk_max=2.0, dk_steps=2,
                  omega_min=0.0, omega_max=1e-323, omega_steps=2)
 
@@ -83,7 +85,6 @@ def test_defaults():
     assert cfg.eps == 0.1
     assert cfg.pol.code == "du"
     assert cfg.method == "exact"
-    assert cfg.tol == 1e-12
 
 
 def test_grids_hit_the_endpoints():
@@ -163,23 +164,13 @@ def test_validation_collects_every_problem():
     # One message lists the sweep's own problems and the grid points that
     # make_params rejects; a grid that cannot be built is not checked.
     with pytest.raises(ValidationError) as err:
-        parse_config(None, {"dk_max": 5.0, "omega_min": -0.5, "tol": 0.0})
+        parse_config(None, {"dk_max": 5.0, "omega_min": -0.5})
     assert str(err.value) == (
-        "dk_max must be >= dk_min; tol must be positive and finite, got 0.0; "
-        "grid point omega=-0.5, delta_kappa=10.0: omega must be nonnegative "
-        "and finite, got -0.5")
+        "dk_max must be >= dk_min; grid point omega=-0.5, delta_kappa=10.0: "
+        "omega must be nonnegative and finite, got -0.5")
     with pytest.raises(ValidationError) as err:
-        parse_config(None, {"dk_steps": 1, "omega_min": -0.5, "tol": 0.0})
-    assert str(err.value) == ("dk_steps must be >= 2, got 1; tol must be "
-                              "positive and finite, got 0.0")
-
-
-def test_a_bad_tol_does_not_hide_the_grid_points():
-    with pytest.raises(ValidationError) as err:
-        parse_config(None, {"tol": 0.0, "eps": -1.0})
-    assert str(err.value) == (
-        "tol must be positive and finite, got 0.0; grid point omega=0.0, "
-        "delta_kappa=10.0: eps must be positive and finite, got -1.0")
+        parse_config(None, {"dk_steps": 1, "omega_min": -0.5})
+    assert str(err.value) == "dk_steps must be >= 2, got 1"
 
 
 def test_validation_rejects_resonant_grid_points():
@@ -249,8 +240,7 @@ ROUTES = {
     "parse_config": lambda overrides: parse_config(None, overrides),
 }
 
-FLOAT_KEYS = ["kappa1", "dk_min", "dk_max", "omega_min", "omega_max", "eps",
-              "tol"]
+FLOAT_KEYS = ["kappa1", "dk_min", "dk_max", "omega_min", "omega_max", "eps"]
 
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["pos", "neg"])
@@ -285,8 +275,7 @@ def test_zero_field_line_is_the_same_for_mirrored_configs(method):
 # Configs no route builds: each raises parse_config's ValidationError.
 INVALID = {
     "dk_steps_1": {"dk_steps": 1}, "dk_steps_0": {"dk_steps": 0},
-    "omega_steps_0": {"omega_steps": 0}, "tol_nan": {"tol": math.nan},
-    "tol_neg": {"tol": -1.0}, "kappa1_neg": {"kappa1": -1.0},
+    "omega_steps_0": {"omega_steps": 0}, "kappa1_neg": {"kappa1": -1.0},
     "omega_max_2499": {"omega_max": 2499.0},
     "dk_steps_2.5": {"dk_steps": 2.5}, "omega_steps_2.5": {"omega_steps": 2.5},
     **{f"{key}_huge": {key: 10**400} for key in FLOAT_KEYS},
@@ -331,31 +320,6 @@ def test_a_pol_that_is_neither_text_nor_a_config_is_rejected(value):
                 build({field: value})
             assert str(err.value) == f"{message}, got {value!r}", route
     assert parse_config(None, {"pol": PolarizationConfig(1, 2)}).pol.code == "ud"
-
-
-@pytest.mark.parametrize("tol,message", [
-    (math.nan, "tol must be positive and finite, got nan"),
-    (0.0, "tol must be positive and finite, got 0.0"),
-    ("1e-12", "tol must be a number, got '1e-12'"),
-    (None, "tol must be a number, got None"),
-])
-def test_a_bad_tol_is_rejected_up_front_on_every_route(tol, message):
-    params, pol = make_params(*FIG), PolarizationConfig(2, 1)
-    with pytest.raises(ValidationError) as err:
-        exact_roots(params, tol)
-    assert str(err.value) == message
-    with pytest.raises(ValidationError) as err:
-        full_report(params, pol, tol=tol)
-    assert (str(err.value), err.value.stage) == (f"stage roots: {message}",
-                                                 "roots")
-    # verify_point's checks turn a QubeamError into a failed check, so a
-    # raise means no check ran.
-    with pytest.raises(ValidationError) as err:
-        verify_point(params, pol, tol=tol)
-    assert str(err.value) == message
-    with pytest.raises(ValidationError) as err:
-        parse_config(None, {"tol": tol})
-    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("value", [None, "abc", 1j])
@@ -478,11 +442,11 @@ def test_failure_tally_keeps_first_seen_order():
 
 
 def test_sweep_all_failures_raise():
-    cfg = parse_config(None, BROKEN)    # no exact residual within tol
+    cfg = parse_config(None, BROKEN)    # every split below the floor
     with pytest.raises(AllRowsFailed) as err:
         run_sweep(cfg)
     assert str(err.value) == ("all 4 grid points failed; first status: "
-                              "error:NonConvergence")
+                              "error:SingularDenominator")
 
 
 def test_csv_output_is_deterministic(tmp_path):
@@ -582,7 +546,8 @@ GRIDS = {"mixed": MIXED, "pole": POLE, "gap": GAP}
 # with failed rows (error rows, empty cells, nan surface cells), for every
 # config of theirs whose sweep does not raise AllRowsFailed. The POLE and
 # GAP entries were re-recorded when those grids moved inside the coupling
-# bound; GAP's pert sweeps now fail no row.
+# bound, and GAP's exact uu, ud and dd entries again when the residual
+# bound lost its unit; GAP's sweeps but du's now fail no row.
 FAILED_ROW_DIGESTS = {
     ("mixed", "uu", "exact"): (
         "4b4a000e394ab38fb482260ebb114bfad8f45f6e71428f58a22d58db739dab91",
@@ -649,25 +614,25 @@ FAILED_ROW_DIGESTS = {
         "79123788b72cbb5875be439635b044a4e1bff570cd7bb1f62e6ab485a65812bb",
         "239a742dfd0400cb5fcab9c0cbc1daeb32e0c6e3be005f2888763546be631483"),
     ("gap", "uu", "exact"): (
-        "53cf5b541fff592d80f50c2fd857aef56f300f8518ec8a7428583674a93a4c49",
-        "bf5243338430bef0d40a0d46b3617c14017d171f80a0554271a5161bebda5f06",
-        "4ced86953ea85e5c29b76372ff82387be179dfcae6827c09187be61155f57d1c"),
+        "3a056b47f91d45d25a53fd31a56c2184a31984ac27fb51591d6149da946732d5",
+        "291b506f12533b08423bd5a3adef3ee6a4e5759c057d045f2e65223b69751651",
+        "76c98904a320cd777a36db1e5691e74d58596fcfa2b176a8267c16d82ec14bfb"),
     ("gap", "uu", "pert"): (
         "f6fbdd3cba096edcfa89f17a3c126df7da3013f518d8cda7fd507f5756fb1aec",
         "295a9c9fcb053450f85d3e0ece22ecad78e9301ed671a5c03385f01b37796bd7",
         "c70d81916040311f08fb6d084e7115a7690ee1fc2ca111bbc663abd309443694"),
     ("gap", "ud", "exact"): (
-        "e3b14e9356ef075c1d5e5f35b32d0dcb33634cb639f1c677534019b98a667d41",
-        "452e189424300e80483489851bf173d444728da00afa63d35ad5799dc2eead48",
-        "e15d48f3e8746aa4afff7a10b9f21510c21443fd9d7194ca93242762c8c113f2"),
+        "8b2e5e843bc846ed84c6ea96ab973dc1d3a777024a98b6c1b7a74b2a645c3328",
+        "9fac631bcea4fc0b4f37af26b8d370ec01dd6b395d0e202e15721a738c2f000e",
+        "67772909f7555cf490691853507533553d31510d363fa83750153385edd4e79f"),
     ("gap", "ud", "pert"): (
         "d16698842c7a620e9a607bcfc909d5c761aa16f609b84d88c5834c2dc98555fe",
         "d0054c2aa2b3ba763ed3d7bee8d1c200c81e50bafcff9f1e50938b90f4b74d62",
         "c55868a699f280abcf96e5086425212e3ad54ddbd38dd3b841be5d381cbf903d"),
     ("gap", "dd", "exact"): (
-        "26ad76cb54958744ccf04cf6bf1a7b2d13f9faf3e678ba641b6cae3f96d3a160",
-        "bf5243338430bef0d40a0d46b3617c14017d171f80a0554271a5161bebda5f06",
-        "4ced86953ea85e5c29b76372ff82387be179dfcae6827c09187be61155f57d1c"),
+        "8e39a20974760fe895e8b99bbe5326635a757ee3935093c0f5a84cb2462a204d",
+        "644d134abc4bb0aac99d581697a860031a1e09fd4ac3f59127aaf6fde20d1396",
+        "534d19491f0e75e23a50c989d1c1eda5319427447a0d87f533d07356c7174330"),
     ("gap", "dd", "pert"): (
         "f9555a36ee375b5762cde301fa009b8b8171cf0b2e4bbaf2ad74a9080d02e4c3",
         "6b807f2c3536095a3001e4f96fa29638871bb1ab3c13ffb128787cda295d2f59",
@@ -815,7 +780,7 @@ def test_batch_gaps_match_amplitudes_or_are_unsettled(points):
             for i, point in enumerate(points):
                 p = ModelParams(*point)
                 try:
-                    roots = (exact_roots(p, cfg.tol) if method == "exact"
+                    roots = (exact_roots(p) if method == "exact"
                              else perturbative_roots(p))
                     _, *gaps = qstate_mod._normalized_state(
                         qstate_mod._state_columns(roots, p, pol), pol)
@@ -998,8 +963,7 @@ def _state_pattern_with_numpy(params, pol, pattern_vector):
 
 def _state_pattern(params, pol):
     try:
-        return verify_mod._check_state_pattern(params, pol, DEFAULT_REL_TOL,
-                                               None)
+        return verify_mod._check_state_pattern(params, pol, None)
     except QubeamError as exc:
         return False, str(exc)
 
