@@ -10,8 +10,7 @@ import math
 import numpy as np
 
 from .bogoliubov import INDEX_ORDER, _deviations, _state_factors
-from .dispersion import (_ITER_MAX, RESIDUAL_TOL, _branch_sign, _dispersion,
-                         _first_order_terms)
+from .dispersion import _ITER_MAX, RESIDUAL_TOL, _dispersion
 from .entangle import (_SERIES_CUT, _asymptotic_from_phi, _asymptotic_terms,
                        _closed_verdicts, _info_direct, _info_from_gap,
                        _info_series, _measure_verdicts, _phi_terms,
@@ -29,9 +28,10 @@ def _pair(params, k):
 def _first_order_offsets(params, k, lam):
     """_first_order_offset for root (k, lam) over a batch of points:
     (offsets, ok), ok False where the scalar form raises."""
-    num, dens, floor = _first_order_terms(_pair(params, k)[0], params)
-    d = num / dens[lam - 1]
-    return d, (abs(dens[lam - 1]) > floor) & np.isfinite(d)
+    kappa_k, kappa_o = _pair(params, k)
+    d = params.eps / (2.0 * (kappa_k + (params.omega if lam == 1
+                                        else -params.omega)))
+    return d, (kappa_k != kappa_o) & np.isfinite(d)
 
 
 def _solve_offsets(params, k, lam):
@@ -45,7 +45,7 @@ def _solve_offsets(params, k, lam):
     to exact_roots.
     """
     kappa_k, kappa_o = _pair(params, k)
-    eps, sw = params.eps, _branch_sign(lam) * params.omega
+    eps, sw = params.eps, params.omega if lam == 1 else -params.omega
     guess, ok = _first_order_offsets(params, k, lam)
     lo = np.zeros_like(guess)
     hi = np.where(kappa_k < kappa_o, kappa_o - kappa_k, kappa_k)

@@ -21,8 +21,6 @@ from .params import ModelParams
 
 # Bound on |g| at each exact root; g, left minus right side above, has no unit.
 RESIDUAL_TOL = 1e-12
-# First-order denominator must exceed this fraction of kappa_k^3.
-DENOMINATOR_FLOOR_REL = 1e-9
 
 # Iteration cap of the safeguarded Newton loop. Newton from the first-order
 # offset stops after a handful of steps, and that is what ends the loop:
@@ -32,11 +30,6 @@ _ITER_MAX = 120
 
 # Order of the four (k, lambda) roots and of the 4x4 block's rows/columns.
 INDEX_ORDER = ((1, 1), (1, 2), (2, 1), (2, 2))
-
-
-def _branch_sign(lam):
-    # (-1)^(lambda-1): +1 on branch 1, -1 on branch 2
-    return 1.0 if lam == 1 else -1.0
 
 
 class ModeRoots(NamedTuple("ModeRoots", [
@@ -77,53 +70,47 @@ class ModeRoots(NamedTuple("ModeRoots", [
 
 def _dispersion(d, kappa, kappa_other, eps, sw):
     # (residual, slope) at r = kappa + d from one set of poles, rtsafe's
-    # funcd, with the pole differences kept factored; sw = (-1)^(lambda-1)
-    # * omega, an exact product formed once per root. A float slope whose
-    # squares underflow is 0.0, failing only a step that uses it.
+    # funcd, with the pole differences kept factored; sw = omega on branch
+    # 1, -omega on branch 2. A float slope whose squares underflow is 0.0,
+    # failing only a step that uses it.
     r = kappa + d
     self_pole = d * (d + 2.0 * kappa)
     cross_pole = (kappa - kappa_other + d) * (kappa + kappa_other + d)
     g = eps / self_pole + eps / cross_pole - 1.0 - sw / r
+    t = 2.0 * r * eps
     try:
-        return g, (-2.0 * r * eps / (self_pole * self_pole)
-                   - 2.0 * r * eps / (cross_pole * cross_pole)
-                   + sw / (r * r))
+        return g, sw / (r * r) - (t / (self_pole * self_pole)
+                                  + t / (cross_pole * cross_pole))
     except ZeroDivisionError:
         return g, 0.0
 
 
-def _first_order_terms(kappa_k, params):
-    # (numerator, (branch-1, branch-2) denominators, floor) of mode k's offsets
-    k1, k2 = params.kappa1, params.kappa2
-    s_sq = k1 * k1 + k2 * k2
-    split = 2.0 * kappa_k * kappa_k - s_sq
-    field = 2.0 * params.omega * split      # +-field, an exact sign flip
-    rest = kappa_k * (5.0 * kappa_k * kappa_k - 3.0 * s_sq)
-    pole = (k1 * k2) * (k1 * k2) / kappa_k
-    return (params.eps * split, ((field + rest) + pole, (-field + rest) + pole),
-            DENOMINATOR_FLOOR_REL * kappa_k * kappa_k * kappa_k)
-
-
-def _first_order_offset(num, den, floor, kappa_k, lam):
-    if not (abs(den) > floor and math.isfinite(d := num / den)):
+def _first_order_offset(kappa_k, kappa_other, eps, sw, lam):
+    # eps/(2 (kappa_k + sw)), the eps -> 0 offset of root (k, lam): near its
+    # pole the self term eps/(d (d + 2 kappa_k)) must balance 1 + sw/kappa_k.
+    # Degenerate modes (kappa1 == kappa2) put both poles under one root,
+    # which this form does not count, so they raise, as does a zero
+    # denominator or a non-finite offset.
+    den = 2.0 * (kappa_k + sw)
+    if not (kappa_k != kappa_other and den != 0.0
+            and math.isfinite(d := eps / den)):
         raise SingularDenominator(
-            f"first-order denominator {den!r} not above its floor "
-            f"{floor!r}, or offset not finite, for mode at kappa={kappa_k}, "
-            f"lambda={lam}")
+            f"first-order offset eps/{den!r} not finite, or modes degenerate, "
+            f"for mode at kappa={kappa_k}, lambda={lam}")
     return d
 
 
 def perturbative_roots(params: ModelParams) -> ModeRoots:
     """First-order root offsets, exact in the eps -> 0 limit."""
-    offsets = []
-    for kappa_k in (params.kappa1, params.kappa2):
-        num, (den_1, den_2), floor = _first_order_terms(kappa_k, params)
-        offsets.append((_first_order_offset(num, den_1, floor, kappa_k, 1),
-                        _first_order_offset(num, den_2, floor, kappa_k, 2)))
-    return ModeRoots((params.kappa1, params.kappa2), tuple(offsets))
+    k1, k2, w, eps = params
+    return ModeRoots((k1, k2), (
+        (_first_order_offset(k1, k2, eps, w, 1),
+         _first_order_offset(k1, k2, eps, -w, 2)),
+        (_first_order_offset(k2, k1, eps, w, 1),
+         _first_order_offset(k2, k1, eps, -w, 2))))
 
 
-def _solve_offset(kappa_k, kappa_other, params, lam, guess):
+def _solve_offset(kappa_k, kappa_other, eps, sw, lam, guess):
     """One root offset by bracket-safeguarded Newton iteration.
 
     The poles bracket the root: the residual falls from +inf just above
@@ -135,7 +122,6 @@ def _solve_offset(kappa_k, kappa_other, params, lam, guess):
     when a Newton step raises |residual|, keeping the better iterate.
     Returns (d, residual at d).
     """
-    eps, sw = params.eps, _branch_sign(lam) * params.omega
     lo, hi = 0.0, (kappa_other - kappa_k if kappa_k < kappa_other
                    else kappa_k)
 
@@ -187,15 +173,14 @@ def exact_roots(params: ModelParams) -> ModeRoots:
     Rejects eps = 0, where the roots merge into the poles (use
     perturbative_roots for the limit).
     """
-    if not (params.eps > 0.0):
-        raise NonPositive(f"exact solver requires eps > 0, got {params.eps!r}")
-    k1, k2 = params.kappa1, params.kappa2
+    k1, k2, w, eps = params
+    if not (eps > 0.0):
+        raise NonPositive(f"exact solver requires eps > 0, got {eps!r}")
     solved = []     # in INDEX_ORDER, each root checked before the next
     for k, kappa_k, kappa_o in ((1, k1, k2), (2, k2, k1)):
-        num, dens, floor = _first_order_terms(kappa_k, params)
-        for lam in (1, 2):
-            guess = _first_order_offset(num, dens[lam - 1], floor, kappa_k, lam)
-            d, g = _solve_offset(kappa_k, kappa_o, params, lam, guess)
+        for lam, sw in ((1, w), (2, -w)):
+            guess = _first_order_offset(kappa_k, kappa_o, eps, sw, lam)
+            d, g = _solve_offset(kappa_k, kappa_o, eps, sw, lam, guess)
             if not abs(g) <= RESIDUAL_TOL:
                 raise NonConvergence(f"residual {g!r} above {RESIDUAL_TOL!r} "
                                      f"for k={k}, lambda={lam}")

@@ -18,6 +18,7 @@ about these raw quantities; the renormalized state's spectral gap differs
 from 1 only at O(eps^2).
 """
 import math
+import sys
 from typing import NamedTuple
 
 from .dispersion import exact_roots, perturbative_roots
@@ -103,12 +104,13 @@ def _phi_terms(k1, k2, w):
 
 
 # The closed forms' rules, every caller's: Phi's own (an overflowed den
-# would give a false Phi = 0, the exact E_I's value at omega = 0), then the
+# would give a false Phi = 0, the exact E_I's value at omega = 0, and a
+# subnormal one keeps too few bits for any closed form), then the
 # asymptotic form's; the last row guards the form's log(eps).
 _CLOSED_RULES = (
     (ResonancePole, "omega = {w} on the resonance pole at kappa1 = {k1}"),
-    (SingularDenominator, "Phi denominator {den!r} is not positive at "
-     "kappa1 = {k1}, kappa2 = {k2}"),
+    (SingularDenominator, "Phi denominator {den!r} is not a positive normal "
+     "float at kappa1 = {k1}, kappa2 = {k2}"),
     (SingularDenominator, "Phi denominator {den!r} is not finite at "
      "kappa1 = {k1}, kappa2 = {k2}"),
     (RangeViolation, "eps*Phi = {eps_phi!r} is not below 1; outside the "
@@ -120,8 +122,8 @@ _CLOSED_RULES = (
 
 def _closed_verdicts(k1, w, den, eps, phi):
     """Each _CLOSED_RULES row's accept verdict, for floats or arrays."""
-    return (abs(w - k1) > 1e-12 * k1, den > 0.0, den < math.inf,
-            eps * phi < 1.0, phi >= 0.0, eps > 0.0)
+    return (abs(w - k1) > 1e-12 * k1, den >= sys.float_info.min,
+            den < math.inf, eps * phi < 1.0, phi >= 0.0, eps > 0.0)
 
 
 def phi_closed(params: ModelParams):

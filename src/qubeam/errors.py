@@ -50,7 +50,8 @@ class PoleEvaluation(ComputationError):
 
 
 class SingularDenominator(ComputationError):
-    """First-order root formula denominator below the safety floor."""
+    """A denominator that is zero, not finite or too small to use: the
+    first-order offset's, the Newton slope's, the normalization's or Phi's."""
 
 
 class NonConvergence(ComputationError):

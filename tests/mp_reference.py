@@ -14,7 +14,8 @@ import sys
 import mpmath
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from oracle import DIGITS, mp_measures, mp_offset  # noqa: E402,F401
+from oracle import (DIGITS, mp_first_order_offset, mp_measures,  # noqa: E402,F401
+                    mp_offset)
 
 
 def mp_column(kappa_k, kappa_o, d, omega, eps, lam):

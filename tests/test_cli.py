@@ -243,36 +243,53 @@ def test_root_on_the_other_photons_pole_is_a_computation_error(tmp_path,
 
 
 def test_sweep_tallies_failed_statuses_in_first_seen_order(tmp_path, capsys):
-    # At kappa1 = 2.5e-55 (about 2^-181) du's raw spectral gap at omega = 0
+    # At kappa1 = 1e-52 (about 2^-172) du's raw spectral gap at omega = 0
     # falls below the domain tolerance, and with a field Phi's denominator,
-    # of order kappa^6, underflows to 0 at the smallest split: the tally
-    # lists DomainError, seen first, then SingularDenominator, as README
-    # shows
+    # of order kappa^6, is subnormal at the smallest split: the tally lists
+    # DomainError, seen first, then SingularDenominator, as README shows.
+    # The other rows' denominators are normal, and their closed forms agree
+    # with the same grid's at kappa1 = 2.5 (the grid scaled by 2.5e52).
     out = tmp_path / "s.csv"
-    assert main(["sweep", "--kappa1", "2.5e-55", "--eps", "1e-112",
-                 "--dk-min", "5e-55", "--dk-max", "2.5e-53", "--dk-steps", "4",
-                 "--omega-max", "1e-55", "--omega-steps", "3", "--pol", "du",
+    assert main(["sweep", "--kappa1", "1e-52", "--eps", "1.6e-107",
+                 "--dk-min", "2e-52", "--dk-max", "1e-50", "--dk-steps", "4",
+                 "--omega-max", "4e-53", "--omega-steps", "3", "--pol", "du",
                  "--out", str(out)]) == 0
     tally = ("12 rows, 6 failed (error:DomainError 4, "
              "error:SingularDenominator 2)")
     assert capsys.readouterr().err == f"wrote {out}: {tally}\n"
     assert f"`wrote F: {tally}`" in " ".join(README.read_text().split())
     data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-    assert data[1] == ("0,5.0000000000000002e-55,7.5000000000000002e-55,,,,"
-                       ",,,error:DomainError")
-    assert data[5] == ("5e-56,5.0000000000000002e-55,7.5000000000000002e-55,"
-                       ",,,,,,error:SingularDenominator")
+    assert data[1] == "0,2e-52,3e-52,,,,,,,error:DomainError"
+    assert data[5] == ("2.0000000000000001e-53,2e-52,3e-52,,,,,,,"
+                       "error:SingularDenominator")
+    scaled = tmp_path / "scaled.csv"
+    assert main(["sweep", "--kappa1", "2.5", "--eps", "1e-2", "--dk-min", "5",
+                 "--dk-max", "250", "--dk-steps", "4", "--omega-max", "1",
+                 "--omega-steps", "3", "--pol", "du", "--out",
+                 str(scaled)]) == 0
+    capsys.readouterr()
+    rows = [l.split(",") for l in scaled.read_text().splitlines()
+            if not l.startswith("#")]
+    for line, want in zip(data[1:], rows[1:]):
+        got = line.split(",")
+        if got[-1] == "ok":
+            for i in (3, 4, 5, 6, 7):   # y, E_I, E_S and the closed forms
+                assert float(got[i]) == pytest.approx(float(want[i]),
+                                                      rel=1e-13)
 
 
 def test_overflowing_scale_is_a_computation_error(capsys):
-    # kappa1 1e120 is a valid input; (kappa1*kappa2)^2 overflows in the
-    # first-order denominator.
+    # kappa1 1e120 is a valid input, and its roots evaluate (root_ladder
+    # passes); chi's r^3 eps overflows in the block.
     point = ["--kappa1", "1e120", "--kappa2", "2e120", "--eps", "1e230",
              "--pol", "du"]
     assert main(["measures", "--omega", "0"] + point) == 2
-    assert "error: stage roots:" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: stage block: normalization "
+                                       "radicand nan <= 0 at k=1, lambda=1\n")
     assert main(["verify", "--omega", "1e119"] + point) == 2
-    assert "0 passed, 5 failed, 1 skipped" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert " PASS  root_ladder:" in out
+    assert "1 passed, 4 failed, 1 skipped" in out
 
 
 def test_tiny_scale_is_a_computation_error(tmp_path, capsys):
@@ -295,8 +312,8 @@ def test_tiny_scale_is_a_computation_error(tmp_path, capsys):
                  "--kappa2", repr(3000.0 * scale), "--omega",
                  repr(0.5 * scale), "--eps", repr(0.1 * scale * scale),
                  "--pol", "du", "--method", "pert"]) == 2
-    assert "error: stage measures: Phi denominator 0.0 is not positive" \
-        in capsys.readouterr().err
+    assert ("error: stage measures: Phi denominator 0.0 is not a positive "
+            "normal float") in capsys.readouterr().err
     # At kappa1 1e-66, r^3 eps in the normalization underflows to 0.
     assert main(["measures", "--kappa1", "1e-66", "--kappa2", "2e-66",
                  "--omega", "1e-67", "--eps", "1e-135", "--method", "pert",
@@ -313,19 +330,19 @@ def test_tiny_scale_is_a_computation_error(tmp_path, capsys):
 
 
 def test_spectral_gap_above_one_is_a_computation_error(tmp_path, capsys):
-    # At this scale the raw gap reaches 1.5e62, where the information
+    # At this scale the raw gap reaches 1.0e62, where the information
     # measure's log1p(-gap/2) has no value. The coupling is 1e50 times the
     # bound, so only a hand-built ModelParams gets there: the commands
     # reject the input before any stage runs.
     with pytest.raises(ComputationError) as err:
-        full_report(ModelParams(1e-60, 1.00000001e-60, 0.0, 1e-80),
+        full_report(ModelParams(1e-60, 1.0000000099999999e-60, 0.0, 1e-80),
                     PolarizationConfig.from_code("du"), "perturbative")
     assert str(err.value).startswith(
-        "stage measures: raw spectral gap 1.5426605224886307e+62 above 1")
+        "stage measures: raw spectral gap 1.0284403483257538e+62 above 1")
     point = ["--kappa1", "1e-60", "--eps", "1e-80", "--method", "pert",
              "--pol", "du"]
-    assert main(["measures", "--kappa2", "1.00000001e-60", "--omega", "0"]
-                + point) == 1
+    assert main(["measures", "--kappa2", "1.0000000099999999e-60", "--omega",
+                 "0"] + point) == 1
     assert capsys.readouterr().err.startswith(STRONG.format(1e-80))
     out = tmp_path / "s.csv"
     assert main(["sweep", "--dk-min", "1e-68", "--dk-max", "2e-68",
@@ -403,14 +420,30 @@ def test_exit_code_validation(capsys):
 
 
 def test_exit_code_computation(capsys):
-    # inside the set, but the split dk = 1e-10 kappa1 leaves the first-order
-    # denominator, about 4 kappa1^2 dk, below its floor 1e-9 kappa1^3
-    assert main(["measures", "--kappa1", "1", "--kappa2", "1.0000000001",
-                 "--omega", "0", "--eps", "1e-13", "--pol", "du"]) == 2
+    # inside the set, but at kappa1 = 1e-52 du's raw spectral gap at
+    # omega = 0 falls below the domain tolerance
+    assert main(["measures", "--kappa1", "1e-52", "--kappa2", "3e-52",
+                 "--omega", "0", "--eps", "1.6e-107", "--pol", "du"]) == 2
     assert capsys.readouterr().err == (
-        "error: stage roots: first-order denominator -4.000000330961484e-10 "
-        "not above its floor 1e-09, or offset not finite, for mode at "
-        "kappa=1.0, lambda=1\n")
+        "error: stage measures: raw spectral gap -8.16562863585249e-08 below "
+        "domain tolerance or not a number; state outside the truncation "
+        "regime\n")
+
+
+@pytest.mark.parametrize("method", ["exact", "pert"])
+def test_a_split_far_below_kappa1_evaluates(method, tmp_path, capsys):
+    # dk/kappa1 = 1e-10 and 1e-12..1e-10: inside the set, which has no lower
+    # bound on the split, so every point evaluates
+    assert main(["measures", "--kappa1", "1", "--kappa2", "1.0000000001",
+                 "--omega", "0", "--eps", "1e-13", "--pol", "du",
+                 "--method", method]) == 0
+    capsys.readouterr()
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--kappa1", "1", "--eps", "1e-15", "--dk-min",
+                 "1e-12", "--dk-max", "1e-10", "--dk-steps", "8",
+                 "--omega-steps", "8", "--method", method, "--out",
+                 str(out)]) == 0
+    assert capsys.readouterr().err == f"wrote {out}: 64 rows, 0 failed\n"
 
 
 def test_exit_code_config_problems(tmp_path, capsys):

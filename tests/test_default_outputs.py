@@ -22,37 +22,37 @@ from qubeam.cli import main
 # `qubeam sweep --pol P --method M --out F --matrix BASE` writes.
 DIGESTS = {
     ("uu", "exact"): (
-        "db94d0da59651105d8423eaeda88bfb2ef693cd23de39e83ddc2037058356e1a",
-        "75dc70876d1640d7118918cdd2dd6714ac4a95b8105d1f0d84b859abfdac8232",
-        "720771d1e352548b8931cb2105f1ca5ae1309d104e33ae7fc043dc91d1b4164e"),
+        "3381f7314537f9b7ad244a441e02a884a755b93e6350cadd5235fe05d0fd8750",
+        "9f31a7f7ec065b79f95b1ba0a04d90df02bee07386bdb16fb9a3a8d112900c93",
+        "fa20921f32c300b43f486b7e6089271536d50bdd2a4a8a57315fd8684794d11b"),
     ("uu", "pert"): (
-        "befd9e484ab1cc99463d3fe527550f99b44fa9f004c68acf05f64d30332c5f66",
-        "51d2889a023048170c603f25d078201d25752307654cea7360eaaf8bcf79af52",
-        "fad2ea6b8dc8c7f8c6cbd77ea0e35a97b7e0d65fb1b539dbbcf6dcecd7d4ccbd"),
+        "79601e5c1deadb75f04309ea986dccfbe1f3b57333f2d4b04539dfd97414107e",
+        "c098ec5e1df3640526c3bb69a5d0ab5f5b6d0db85e1481c062512024edb66aaa",
+        "a7ffa83d477643a720102e5bc41a26a1623a43b1fde7931b55302524f8d8220c"),
     ("ud", "exact"): (
-        "64e7e6619198b8f5b6f0d178e555af91a71d73765d3c07e23611fbf463e24585",
-        "3bc7a0469733f8e18f713fa9aa54e226134fb2bcda893dd278eb573525fcd478",
-        "11e234ac73a2125fa847aab964ad6f116d07c54dddb0aee059d8e6c5c42f9689"),
+        "a934f4b0932fb5126747ac851c4c2aae4b4c8f1d347cd985e053499767386c64",
+        "3b5217ea0dd7f5afc94f71c8c7fd85476a829f88f6783f44f0ed1115cb0bb537",
+        "79df7319b54ecdc5384ed26416183b3eae673f69043a38c35889cab062837d00"),
     ("ud", "pert"): (
-        "46bb0626cd1309fe0e9956526af96aad18edfe3a3a48cf7661a517c24baf4a03",
-        "3edf6a1b4b73ac05a2c4b747106055ff2f20869cb9fea09b3b8b0f5700f85b32",
-        "4d962cf7409bf5ac87bb6df55648cd1498711d17801a278edce9aecebb7a84ab"),
+        "d8516232fc8d18f2a1b1b0e4e748fccd4702635e0eb587943ed9d413b2ccabb8",
+        "a70af60ff0821c654ffa48d81bb82e80455069923716d59cc778d7cea45ffdd0",
+        "1f3154f1aca286b277cc171b7a28a269061239d745bfcaf87d8477ed63c6928e"),
     ("du", "exact"): (
-        "6c6d836699b70be6968b78058719225a2cbdf872b3a17e7977e51592a3e609cd",
-        "d2743f741c290be33eebdc5ec73b14c6e6f7c54617709a49a8964fd402c10903",
-        "a487f868371481a5d3e66b5c14ba821c26e4b0a52950039cbc9e270bf1bfbed5"),
+        "cdc10ee245eb8451b16b7300484e7bfad0001171e994c785f34934473694f269",
+        "6806d3a89c5fe49fab031f609f5f1884a938c8ace53054a11a4236d73da2d332",
+        "3cecb5ce1a64aab84b768c7fd7178743c4fd9d7c4a76c966711962ccf2954a0b"),
     ("du", "pert"): (
-        "6e7d6dde6c802de91051682131c186486135f46d3d55c36079d315a4dd73aabf",
-        "d1cdb61494847c3bacca0c701382a44d80b18e812a943a22b7cdea5afb928cfd",
-        "5eb268838dc8c4549b1363e3c89ad2bf816af1a85a9fc4574a92de7c7320433f"),
+        "beb7c62329fe670e6bf40fa53183f40c818de89e0e5c2d45a5e1a764a2bfcb96",
+        "4a2a7bc7abaefb425148e6112eac65a2ac810fc757bbe1020bc2e3dc4e22325b",
+        "cc5db97902095b80c29318ee0db6c9868dff0fd4f9cd7a4156ee62a990e41510"),
     ("dd", "exact"): (
-        "cbe30e77351a2a11a2408e686477caa407731e1ac09a062828d0741d395bd4b1",
-        "6d19963a5fd45cc54cbd4fae33c20aacad9ef320325b13fba85d95fdbd683ed5",
-        "5a2be363172acf2e9b4cda5d225be9639dbd3e9fee03106617515d5f5f35d9a0"),
+        "7b3a4c637659b192459d61337f6acdb18a72b1ac2f01e21d415e3d70c5e7d720",
+        "eb778ab623aa49909c37de36ab7286096eb5d0075f8e37eece58c50e41ae3cbc",
+        "f824d951f3deb6a9c16e7d7e6194831c13b7ab201540a384cb0f9f94412321e5"),
     ("dd", "pert"): (
-        "9aeb9ae5beb05d937ecec15ac244c42211b60e9c11ad362ef7199ea6aef2cd8a",
-        "a1ae4290e63ff25f42f08e339d1159e5783cb58a1b5023cda901f20f4cde9d78",
-        "fc20e91e1fd95c414f6bef8c735da6665a6d35ec6db0956fc93fb2709f8945a4"),
+        "fd536e7d287151e998e3573f3991482d2ea6b3e36739b35b7b2262cf96314292",
+        "3cc201a98d05eff2d2d165bba3c1fc72c1b798e6edeffc2c77d7181d65a34928",
+        "c98bd84799bdee7cef913aa485b51f670c57ca53500b792a5f0dfb9334cbc891"),
 }
 
 
@@ -98,19 +98,19 @@ POINT_DIGESTS = {
     ("measures", "--machine", "--pol", "du", "--method", "exact"):
         "61c1569b24a861c166f6487ae4d5fefb0d8813e78ea5ee6a8953ee2a8944f6a0",
     ("measures", "--machine", "--pol", "du", "--method", "pert"):
-        "fe8f6c4d92afc42c3195103b963d290c94260467a4bb486406c863e635881694",
+        "908be0394dc0b64d8b770bde075e71aef0c47fe5824dc038ebb93b4ff7d2d5ab",
     ("measures", "--machine", "--pol", "dd", "--method", "exact"):
         "f19c031611cf33cec3a078209e2fad1621faba76a7849173c4f8a85986a3ccde",
     ("measures", "--machine", "--pol", "dd", "--method", "pert"):
-        "f01b081f53cac13ab0cda278d8f096681afe2a763ef4e5414a1e7a84a3ac940d",
+        "cd7b77b59c226fcaff0cc600ed7be88ca3cf3e3f5b80242c7e99cc6f256bde1d",
     ("roots",):
         "62fe1869be1afd59dc8915cb2e3e9b90b64ea272f2c039cbc9ee9308adab87e5",
     ("roots", "--csv"):
-        "87035c872cece8157c70904a8c83fec2466507058a33c457d8d90ffd08fb0c28",
+        "23c415cc0e49b574fc226c062fd02ccfe500b1dbe8b9429a62f52286f447a2b4",
     ("block", "--method", "exact"):
         "77441fb039be5e3706d58df4a4f2bce8e5c82be24fe186b06018f1d728712e1d",
     ("block", "--method", "pert"):
-        "ed03a10095e3793d8aef1b6a85b2613e26b9dd99d0f2c6f5c2696ca0ef80b06c",
+        "db7e7f31b1045c08024e08d52adcb3b73d67b77d2dbf98cf3f94872457a02e5e",
     ("state", "--pol", "uu", "--method", "exact"):
         "240ec81e3142c128adb62e8317ace0d2113c32457bda0056522a286f2d0d2213",
     ("state", "--pol", "uu", "--method", "pert"):

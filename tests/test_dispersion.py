@@ -8,6 +8,7 @@ import hashlib
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from qubeam.errors import (
 from qubeam.params import RESONANCE_MARGIN, ModelParams
 
 from conftest import in_set
-from mp_reference import mp_offset
+from mp_reference import DIGITS, mp_first_order_offset, mp_offset
 
 FIG = (2500.0, 3000.0, 0.5, 0.1)
 KLAM = [(k, lam) for k in (1, 2) for lam in (1, 2)]
@@ -94,7 +95,7 @@ def test_first_order_roots_leave_a_linear_residual(fig_params):
     by ulp(kappa)/2, which feeds a ~1e-8 error back through the self pole,
     the same order as the signal itself.
     """
-    from qubeam.dispersion import _branch_sign, _dispersion
+    from qubeam.dispersion import _dispersion
 
     ladders = {kl: [] for kl in KLAM}
     for factor in (1.0, 0.5, 0.25):
@@ -105,7 +106,7 @@ def test_first_order_roots_leave_a_linear_residual(fig_params):
             ko = (p.kappa2, p.kappa1)[k - 1]
             ladders[(k, lam)].append(_dispersion(
                 pert.offset(k, lam), kk, ko, p.eps,
-                _branch_sign(lam) * p.omega)[0])
+                p.omega if lam == 1 else -p.omega)[0])
     for series in ladders.values():
         assert abs(series[0]) < 1e-6
         for hi, lo in zip(series, series[1:]):
@@ -178,6 +179,79 @@ def test_first_order_denominator_floor():
     p = ModelParams(2500.0, 2500.0, 0.0, 0.1)
     with pytest.raises(SingularDenominator):
         perturbative_roots(p)
+
+
+def _split_sample():
+    """Points of make_params' set whose split dk/kappa1 runs from one ulp
+    of kappa1 to 10, at omega = 0, mid-range and on the last float below
+    the resonance margin, with eps at the coupling bound and 1e-6 of it."""
+    points = []
+    for kappa1 in (1e-3, 1.0, 2500.0, 1e6):
+        kappa2s = [math.nextafter(kappa1, math.inf)] + [
+            kappa1 * (1.0 + rel) for rel in (1e-15, 1e-12, 2.5e-10, 1e-9,
+                                             1e-6, 1e-3, 1.0, 10.0)]
+        for kappa2 in kappa2s:
+            for omega in (0.0, 0.37 * kappa1, math.nextafter(
+                    kappa1 * (1.0 - RESONANCE_MARGIN), 0.0)):
+                for eps_rel in (1.0, 1e-6):
+                    points.append(in_set(kappa1, kappa2, omega, eps_rel))
+    return points
+
+
+def _mp_first_order(point, k, lam):
+    """eps/(2 (kappa_k + (-1)^(lambda-1) omega)) to DIGITS digits."""
+    kappa1, kappa2, omega, eps = point
+    with mpmath.workdps(DIGITS):
+        return mpmath.mpf(eps) / (2 * (mpmath.mpf((kappa1, kappa2)[k - 1])
+                                       + (omega if lam == 1 else -omega)))
+
+
+def test_first_order_offsets_are_the_correctly_rounded_closed_form():
+    """Every first-order offset, scalar and batched, lies within 2 ulps of
+    the 50-digit eps/(2 (kappa_k + (-1)^(lambda-1) omega)), down to a
+    split of one ulp, where a form that cancels the split loses it all."""
+    from qubeam import batch as batch_mod
+
+    points = _split_sample()
+    batch = ModelParams(*(np.array(column) for column in zip(*points)))
+    batched = {kl: batch_mod._first_order_offsets(batch, *kl) for kl in KLAM}
+    for i, point in enumerate(points):
+        pert = perturbative_roots(make_params(*point))
+        for k, lam in KLAM:
+            got = pert.offset(k, lam)
+            ref = _mp_first_order(point, k, lam)
+            assert float(abs(got - ref)) <= 2 * math.ulp(got), (point, k, lam)
+            offsets, ok = batched[(k, lam)]
+            assert ok[i] and offsets[i] == got
+
+
+def test_the_oracles_first_order_cubic_is_the_closed_form():
+    """perfbench's mp_first_order_offset evaluates the cubic-denominator
+    form; at 50 digits it equals eps/(2 (kappa_k +- omega)), so the
+    benchmark's pert check and the solver's form are one quantity."""
+    worst = 0.0
+    for point in _split_sample():
+        for k, lam in KLAM:
+            closed = _mp_first_order(point, k, lam)
+            with mpmath.workdps(DIGITS):
+                worst = max(worst, float(abs(
+                    mp_first_order_offset(*point, k, lam) - closed) / closed))
+    # the cubic cancels the split (one ulp of kappa1 at the least), so its
+    # 50-digit rounding may show; this sample measures 0
+    assert worst <= 1e-30
+
+
+@pytest.mark.parametrize("method", ["exact", "perturbative"])
+def test_degenerate_modes_raise_at_stage_roots(method):
+    # kappa1 == kappa2 puts both poles under one root, which the
+    # first-order form does not count; only a hand-built ModelParams holds it
+    from qubeam import full_report
+    from qubeam.qstate import PolarizationConfig
+
+    with pytest.raises(SingularDenominator) as err:
+        full_report(ModelParams(2500.0, 2500.0, 0.5, 0.1),
+                    PolarizationConfig.from_code("du"), method)
+    assert err.value.stage == "roots"
 
 
 def test_mode_roots_reject_nonpositive_roots():
@@ -257,11 +331,10 @@ def _evaluations_per_root(p):
         mp.setattr(dispersion, "_dispersion", counted)
         for k, lam in KLAM:
             kk, ko = (p.kappa1, p.kappa2) if k == 1 else (p.kappa2, p.kappa1)
-            num, dens, floor = dispersion._first_order_terms(kk, p)
-            guess = dispersion._first_order_offset(num, dens[lam - 1], floor,
-                                                   kk, lam)
+            sw = p.omega if lam == 1 else -p.omega
+            guess = dispersion._first_order_offset(kk, ko, p.eps, sw, lam)
             calls.clear()
-            dispersion._solve_offset(kk, ko, p, lam, guess)
+            dispersion._solve_offset(kk, ko, p.eps, sw, lam, guess)
             assert calls
             per_root.append(2 * len(calls))
     return per_root
@@ -278,8 +351,8 @@ def test_an_underflowed_slope_fails_only_a_newton_step_that_uses_it():
 
     p = ModelParams(7.495809915797975e-81, 8.51430823159308e-81,
                     1.791634686408228e-81, 1.970308506118531e-162)
-    num, dens, floor = dispersion._first_order_terms(p.kappa1, p)
-    guess = dispersion._first_order_offset(num, dens[0], floor, p.kappa1, 1)
+    guess = dispersion._first_order_offset(p.kappa1, p.kappa2, p.eps,
+                                           p.omega, 1)
     real, evaluated = dispersion._dispersion, []
 
     def recorded(*args):
@@ -288,7 +361,8 @@ def test_an_underflowed_slope_fails_only_a_newton_step_that_uses_it():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dispersion, "_dispersion", recorded)
-        d, g = dispersion._solve_offset(p.kappa1, p.kappa2, p, 1, guess)
+        d, g = dispersion._solve_offset(p.kappa1, p.kappa2, p.eps, p.omega, 1,
+                                        guess)
     assert (d, g) == (guess, evaluated[0][0])
     assert [slope == 0.0 for _, slope in evaluated] == [False, True]
     assert abs(evaluated[1][0]) > abs(g)
@@ -322,10 +396,13 @@ def _set_sample(n, seed):
 
 
 # SHA-256 of every (point, exact_roots outcome) line over _set_sample(2000,
-# 13) at scales 1, 2^-200 and 2^200. The scale-1 lines were recorded with the
-# guess/8..8*guess probe and geometric scan that the pole brackets replaced.
-SET_ROOTS_DIGEST = ("940c0ade9a608061e071595dbcb39efc"
-                    "27436272f8f5aa77bcac4878c1515ae6")
+# 13) at scales 1, 2^-200 and 2^200. Re-recorded when the Newton guess took
+# the first-order offset's closed form: at each scale 1,081 of the 2,032
+# points moved 1,581 roots, 1,345 of them by at most 2 ulps and 191 of the
+# rest at omega > 0.9 kappa1; against the 50-digit roots the moved roots'
+# median error went from 0.86 to 0.87 ulps, and 797 came closer, 784 not.
+SET_ROOTS_DIGEST = ("c986744413ffa018047e7111d158010a"
+                    "6313f2813168fc1143f7321c8b9feaeb")
 
 
 def test_roots_inside_the_set_are_pinned():
@@ -416,11 +493,10 @@ def test_batched_offsets_match_the_scalar_solvers_or_are_flagged(points):
         for i, point in enumerate(points):
             p = ModelParams(*point)
             kk, ko = (p.kappa1, p.kappa2) if k == 1 else (p.kappa2, p.kappa1)
-            num, dens, floor = dispersion._first_order_terms(kk, p)
+            sw = p.omega if lam == 1 else -p.omega
             try:
-                guess = dispersion._first_order_offset(num, dens[lam - 1],
-                                                       floor, kk, lam)
-                d, g = dispersion._solve_offset(kk, ko, p, lam, guess)
+                guess = dispersion._first_order_offset(kk, ko, p.eps, sw, lam)
+                d, g = dispersion._solve_offset(kk, ko, p.eps, sw, lam, guess)
             except ComputationError:
                 d = None
             if d is None or not abs(g) <= RESIDUAL_TOL:
@@ -428,8 +504,7 @@ def test_batched_offsets_match_the_scalar_solvers_or_are_flagged(points):
             else:
                 assert exact_ok[i] and exact[i] == d
             try:
-                want = dispersion._first_order_offset(num, dens[lam - 1],
-                                                      floor, kk, lam)
+                want = dispersion._first_order_offset(kk, ko, p.eps, sw, lam)
             except ComputationError:
                 assert not first_ok[i]
                 continue

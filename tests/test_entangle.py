@@ -346,21 +346,20 @@ def test_report_stage_labels_and_method(fig_params):
     assert pert.E_I == pytest.approx(exact.E_I, rel=1e-2)
 
 
-@pytest.mark.parametrize("point,code,method,kind,message", [
-    ((1.0, 1.0000000001, 0.0, 1e-13), "du", "exact", SingularDenominator,
-     "stage roots: first-order denominator -4.000000330961484e-10 not above "
-     "its floor 1e-09, or offset not finite, for mode at kappa=1.0, "
-     "lambda=1"),
-    ((10.0, 11.0, 0.25, 1e-3), "uu", "exact", DomainError,
+@pytest.mark.parametrize("params,code,method,kind,message", [
+    # omega = kappa1, which only a hand-built ModelParams holds, zeroes the
+    # (1, 2) root's first-order denominator
+    (ModelParams(1.0, 2.0, 1.0, 1e-3), "du", "exact", SingularDenominator,
+     "stage roots: first-order offset eps/0.0 not finite, or modes "
+     "degenerate, for mode at kappa=1.0, lambda=2"),
+    (make_params(10.0, 11.0, 0.25, 1e-3), "uu", "exact", DomainError,
      "stage measures: raw spectral gap -2.0010587158091604e-07 below domain "
      "tolerance or not a number; state outside the truncation regime"),
 ], ids=["roots", "domain"])
-def test_report_stage_is_set_on_the_raised_error(point, code, method, kind,
+def test_report_stage_is_set_on_the_raised_error(params, code, method, kind,
                                                  message):
-    # Messages recorded before the stage became an attribute.
     with pytest.raises(kind) as err:
-        full_report(make_params(*point), PolarizationConfig.from_code(code),
-                    method)
+        full_report(params, PolarizationConfig.from_code(code), method)
     assert type(err.value) is kind
     assert str(err.value) == message
     assert err.value.stage == message.split(":")[0].removeprefix("stage ")
@@ -486,8 +485,14 @@ def test_report_equals_the_block_route_bit_for_bit():
 # NonConvergence, 224 to ok (126 dd, 82 ud, 16 uu; each equal to its
 # scale-1 report), 154 to DomainError (110 uu, 44 ud) and 126 du to
 # SingularDenominator at stage measures; no other report moved.
+# Re-recorded when the first-order offsets took their closed form
+# eps/(2 (kappa_k +- omega)) and Phi's subnormal denominators became an
+# error: no report changed between ok and an error. 868 ok reports moved
+# in their gaps and measures only (828 pert, up to 4,791 ulps; 40 exact, up
+# to 31), 384 DomainError messages moved with their gap, and the 254 du
+# SingularDenominator messages at stage measures took the row's new text.
 POINT_PATH_DIGEST = (
-    "11ea92cd62283165298ffa21a9d5120b52e647353c8b171be5d70a7d224e1ea8")
+    "5fb4295ab082789455741834d267d6001e15f6e1a7b6b1ec30a8ba0330750bc2")
 
 
 def test_point_path_outcomes_are_pinned():

@@ -112,7 +112,11 @@ STAGES = {
 # not finite: 720 of its 5028 cases moved from RangeViolation to that row's
 # SingularDenominator), over every case that did not change on purpose. The
 # params stage's was re-recorded, over the same outcomes, when its coupling
-# row moved 51 of its 14641 cases from ok to StrongCoupling.
+# row moved 51 of its 14641 cases from ok to StrongCoupling. The closed
+# stage's was re-recorded when its positive-denominator row began to reject
+# a subnormal one: 84 cases at kappa1 = 5e-324 (denominators 1e-323 to
+# 1.8e-322) moved from RangeViolation to that row's SingularDenominator, and
+# the row's other 3144 cases only to its new text.
 OUTCOME_DIGESTS = {
     "params":
         "d01bcfa3c322f57be8b2d0323edc997c93b956cca20661da18d7b2fb0b8951e8",
@@ -121,7 +125,7 @@ OUTCOME_DIGESTS = {
     "measures":
         "19f2c021165a202a418bffda9e63dd83a319d7996ba410aeede56ee01959bd45",
     "closed":
-        "9f42bbce28bf2f2d817835622c86901f2ecd53614aa76542dd267255aa0c75cb",
+        "5b9e1e4fc2b8fd052ef33bfe0a755574ec57c18fbdad601d9b11483c535038da",
 }
 
 
