@@ -16,7 +16,7 @@ from .errors import (
     ValidationError,
 )
 from .params import ModelParams, make_params
-from .qstate import PolarizationConfig, closed_form_ab
+from .qstate import PolarizationConfig
 from .sweep import SweepConfig, parse_config, run_sweep
 from .verify import verify_point
 
@@ -27,6 +27,6 @@ __all__ = [
     "EntanglementReport", "full_report", "phi_closed",
     "ComputationError", "ParseError", "QubeamError", "ValidationError",
     "ModelParams", "make_params",
-    "PolarizationConfig", "closed_form_ab",
+    "PolarizationConfig",
     "SweepConfig", "parse_config", "run_sweep", "verify_point",
 ]

@@ -3,7 +3,7 @@
 Subcommands: roots, block, state, measures, sweep, verify. Point flags
 default to the reference point (kappa1=2500, kappa2=3000, omega=0.5,
 eps=0.1, pol=du). Exit codes: 0 success, 1 validation or parse error,
-2 computation failure.
+2 computation, I/O or memory failure.
 """
 import argparse
 import functools
@@ -217,6 +217,9 @@ def main(argv=None):
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"memory error: {exc}", file=sys.stderr)
         return 2
 
 

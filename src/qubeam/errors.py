@@ -67,10 +67,6 @@ class ZeroNorm(ComputationError):
     """All four two-qubit amplitudes vanish; the block is unusable."""
 
 
-class UnsupportedConfig(QubeamError):
-    """No closed form exists for the requested polarization configuration."""
-
-
 class DomainError(ComputationError):
     """Measure argument outside its domain beyond tolerance."""
 

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 import math
 
 from .bogoliubov import _checked, _phase, _state_factors
-from .dispersion import ModeRoots
-from .errors import UnsupportedConfig, ZeroNorm, _raise_first
-from .params import ModelParams
+from .errors import ZeroNorm, _raise_first
 
 _CODE_TO_LAMBDA = {"u": 1, "d": 2}
 _LAMBDA_TO_CODE = {1: "u", 2: "d"}
@@ -137,27 +135,3 @@ def _normalized_state(columns, config: PolarizationConfig):
     return (_normalized(_pattern_vector(b_self, a_cross, config),
                         1.0 - norm_gap), y_gap, norm_gap)
 
-
-def closed_form_ab(roots: ModeRoots, params: ModelParams,
-                   config: PolarizationConfig):
-    """The (a, b) amplitude pair in its explicit form.
-
-    a is the crossed-mode product, b the own-mode product; the pipeline
-    amplitude vector equals the phase pattern over (b, a). Available for
-    configs (2,1) and (1,1) only. The own-mode factor of b must carry the
-    own-mode pole differences (r_{1,lam1}^2 - kappa1^2)(r_{2,lam2}^2 -
-    kappa2^2); pairing b's numerator with the crossed poles would leave
-    4(a^2 + b^2) far from 1.
-
-    Both products come from _state_columns at the given roots, the column
-    step full_report takes, so a root on its pole raises PoleEvaluation and
-    a negative radicand NegativeRadicand. Feed first-order roots to get the
-    literal leading-order values, independent of the exact pipeline.
-    """
-    if (config.lambda1, config.lambda2) not in ((2, 1), (1, 1)):
-        raise UnsupportedConfig(
-            f"no closed form for config {config.code}; "
-            "use the pipeline amplitudes")
-    columns = _state_columns(roots, params, config)
-    c1, c2 = columns[config.lambda1 - 1], columns[config.lambda2 + 1]
-    return c1[3] * c2[3], c1[2] * c2[2]     # m_cross and m_self products

@@ -12,7 +12,7 @@ from .entangle import (_asymptotic_from_phi, _info_from_gap, _log_half,
 from .errors import QubeamError
 from .params import ModelParams
 from .qstate import (PolarizationConfig, _normalized, _normalized_state,
-                     _pattern_vector, _state_columns, closed_form_ab)
+                     _pattern_vector, _state_columns, _state_gaps)
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,12 @@ def _check_root_ladder(params, pol, ladder):
 
 
 def _check_state_pattern(params, pol, ladder):
-    """Pipeline amplitudes against the explicit (a, b) pattern, both
-    normalized. The state is _normalized_state of full_report's columns,
-    the one `qubeam state` prints."""
+    """The exact-root state, the one `qubeam state` prints, against the
+    first-order-root state; both from _state_columns, normalized."""
     roots = exact_roots(params)
     amps, _, _ = _normalized_state(_state_columns(roots, params, pol), pol)
-    a, b = closed_form_ab(perturbative_roots(params), params, pol)
+    b, a, _, _ = _state_gaps(
+        _state_columns(perturbative_roots(params), params, pol), pol)
     pattern = _pattern_vector(b, a, pol)
     pattern = _normalized(pattern, sum([abs(z) * abs(z) for z in pattern]))
     # A nan entry is the defect, as with np.max, so the check fails.

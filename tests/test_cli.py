@@ -9,6 +9,7 @@ import pytest
 
 from qubeam import (PolarizationConfig, SweepConfig, build_block,
                     full_report, parse_config, perturbative_roots)
+import qubeam.batch as batch_mod
 from qubeam.cli import main
 from qubeam.errors import ComputationError, ParseError, PoleEvaluation
 from qubeam.params import ModelParams
@@ -479,6 +480,21 @@ def test_the_residual_bound_is_not_an_option(tmp_path, capsys):
 def test_exit_code_unwritable_output(capsys):
     assert main(["roots", "--out", "/nonexistent-dir/r.csv"]) == 2
     assert "io error:" in capsys.readouterr().err
+
+
+def test_a_sweep_out_of_memory_exits_two_without_a_traceback(
+        tmp_path, monkeypatch, capsys):
+    # A grid too large to hold fails in the grid step's allocation (NumPy's
+    # _ArrayMemoryError is a MemoryError); raised here, never allocated.
+    def no_memory(config):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(batch_mod, "_grid_arrays", no_memory)
+    assert main(["sweep", "--dk-steps", "1000000", "--omega-steps",
+                 "1000000", "--out", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr() == (
+        "", "memory error: Unable to allocate 7.28 TiB for an array\n")
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_argparse_errors_exit_one(capsys):

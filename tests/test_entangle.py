@@ -1,4 +1,5 @@
 """Entanglement measures: exact two-qubit identities, closed forms, report."""
+import ast
 import hashlib
 import math
 from pathlib import Path
@@ -192,6 +193,22 @@ def test_package_uses_no_numpy_transcendentals():
             for number, line in enumerate(path.read_text().splitlines(), 1)
             if banned.search(line)]
     assert hits == []
+
+
+def test_every_exception_class_is_a_base_or_named_elsewhere():
+    # A class in errors.py that no other class derives from and that no
+    # other module's code names (an import alone, a docstring or a comment
+    # does not count) is dead.
+    src = Path(qubeam.__file__).resolve().parent
+    classes = [node for node in ast.parse((src / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    bases = {base.id for node in classes for base in node.bases}
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for path in src.glob("*.py") if path.name != "errors.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert [node.name for node in classes
+            if node.name not in bases | named] == []
 
 
 def test_every_exported_name_resolves():

@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubeam import (
-    closed_form_ab,
     exact_roots,
     make_params,
     perturbative_roots,
 )
 from qubeam.bogoliubov import INDEX_ORDER, _checked, _state_factors
 from qubeam.entangle import phi_closed
-from qubeam.errors import UnsupportedConfig, ZeroNorm
+from qubeam.errors import ZeroNorm
 from qubeam.qstate import (
     PolarizationConfig,
     _gaps,
@@ -89,21 +88,16 @@ def test_opposite_mixed_pair_has_negative_gap(fig_params, fig_roots):
     assert 0.9 <= y_gap / (-fig_params.eps * phi) <= 1.1
 
 
-def test_closed_form_restricted_to_supported_configs(fig_params):
-    pert = perturbative_roots(fig_params)
-    for code in ("ud", "dd"):
-        with pytest.raises(UnsupportedConfig):
-            closed_form_ab(pert, fig_params, PolarizationConfig.from_code(code))
-
-
 def test_closed_form_reproduces_the_gap(fig_params):
     pert = perturbative_roots(fig_params)
     phi, y_closed = phi_closed(fig_params)
-    a, b = closed_form_ab(pert, fig_params, PolarizationConfig.from_code("du"))
+    cfg = PolarizationConfig.from_code("du")
+    b, a, _, _ = _state_gaps(_state_columns(pert, fig_params, cfg), cfg)
     assert abs(a) < 1e-5 < 0.4999 < b < 0.5
     assert abs(4.0 * abs(a * a - b * b) - y_closed) \
         <= 50.0 * fig_params.eps ** 2 * phi
-    a, b = closed_form_ab(pert, fig_params, PolarizationConfig.from_code("uu"))
+    cfg = PolarizationConfig.from_code("uu")
+    b, a, _, _ = _state_gaps(_state_columns(pert, fig_params, cfg), cfg)
     assert abs(4.0 * (a + b) ** 2 - 1.0) <= 50.0 * fig_params.eps ** 2
 
 
@@ -111,8 +105,9 @@ def test_zero_field_closed_form(fig_params):
     p = make_params(2500.0, 3000.0, 0.0, 0.1)
     phi, _ = phi_closed(p)
     assert phi == 0.0
-    a, b = closed_form_ab(perturbative_roots(p), p,
-                          PolarizationConfig.from_code("du"))
+    cfg = PolarizationConfig.from_code("du")
+    b, a, _, _ = _state_gaps(_state_columns(perturbative_roots(p), p, cfg),
+                             cfg)
     assert 4.0 * abs(a * a - b * b) == pytest.approx(1.0, abs=50 * p.eps ** 2)
     # the two amplitudes are nowhere near equal even without the field;
     # only their combination is constrained
@@ -123,7 +118,7 @@ def test_pattern_vector_matches_pipeline(fig_params, fig_roots):
     pert = perturbative_roots(fig_params)
     for code in ("du", "uu"):
         cfg = PolarizationConfig.from_code(code)
-        a, b = closed_form_ab(pert, fig_params, cfg)
+        b, a, _, _ = _state_gaps(_state_columns(pert, fig_params, cfg), cfg)
         pat = _pattern_vector(b, a, cfg)
         pat = pat / np.linalg.norm(pat)
         vec, _, _ = _state(fig_roots, fig_params, code)
@@ -134,7 +129,7 @@ def test_raw_norm_matches_closed_form(fig_params, fig_roots):
     pert = perturbative_roots(fig_params)
     for code in ("du", "uu"):
         cfg = PolarizationConfig.from_code(code)
-        a, b = closed_form_ab(pert, fig_params, cfg)
+        b, a, _, _ = _state_gaps(_state_columns(pert, fig_params, cfg), cfg)
         _, _, norm_gap = _state(fig_roots, fig_params, code)
         assert abs(4.0 * (a * a + b * b) - (1.0 - norm_gap)) <= 1e-13
 

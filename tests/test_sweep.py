@@ -16,7 +16,6 @@ import qubeam.entangle as entangle_mod
 import qubeam.sweep as sweep_mod
 import qubeam.verify as verify_mod
 from qubeam import (
-    closed_form_ab,
     exact_roots,
     make_params,
     parse_config,
@@ -30,7 +29,7 @@ from qubeam.errors import (
     ValidationError,
 )
 from qubeam.cli import main
-from qubeam.params import ModelParams
+from qubeam.params import ModelParams, _params_verdicts
 import qubeam.qstate as qstate_mod
 from qubeam.qstate import PolarizationConfig
 from qubeam.sweep import (
@@ -946,13 +945,41 @@ def test_verify_point_reports_a_zero_defect_on_a_ladder():
     assert {"root_ladder", "y_closed_ladder"} <= zero_ratios
 
 
+# sha256 of every verify_point check's "name|status|detail" line, in order,
+# over the points below and all four configs: 14,688 checks.
+VERIFY_SET_DIGEST = (
+    "751ab048459bb62324e6b14eaa2fa824bdca0a05454f4d5c9d095bfbe2f518a4")
+
+
+def test_verify_text_over_the_set_is_pinned():
+    # 300 envelope points at scales 1 and 2^+-40 (eps by the square), those
+    # in make_params' set: 612 points. Pins every check's detail off the
+    # reference point, state_pattern's defect included.
+    points = [point for point in
+              (tuple(x * f for x, f in zip(point, (s, s, s, s * s)))
+               for point in _envelope_points(23, 300)
+               for s in (1.0, 2.0 ** -40, 2.0 ** 40))
+              if all(_params_verdicts(*point))]
+    assert len(points) == 612
+    digest = hashlib.sha256()
+    for point in points:
+        params = make_params(*point)
+        for code in ("uu", "ud", "du", "dd"):
+            rep = verify_point(params, PolarizationConfig.from_code(code))
+            for check in rep.checks:
+                digest.update(f"{check.name}|{check.status}|{check.detail}\n"
+                              .encode())
+    assert digest.hexdigest() == VERIFY_SET_DIGEST
+
+
 def _state_pattern_with_numpy(params, pol, pattern_vector):
     """The state_pattern check as written over NumPy arrays: (ok, detail),
     or the text of the QubeamError it raises."""
     try:
         columns = qstate_mod._state_columns(exact_roots(params), params, pol)
         b_self, a_cross, _, norm_gap = qstate_mod._state_gaps(columns, pol)
-        a, b = closed_form_ab(perturbative_roots(params), params, pol)
+        b, a, _, _ = qstate_mod._state_gaps(qstate_mod._state_columns(
+            perturbative_roots(params), params, pol), pol)
     except QubeamError as exc:
         return False, str(exc)
     pattern = np.array(pattern_vector(b, a, pol))
@@ -1003,7 +1030,8 @@ def test_a_nan_state_entry_fails_state_pattern_as_with_numpy(position,
     params, pol = make_params(*FIG), PolarizationConfig(2, 1)
     columns = qstate_mod._state_columns(exact_roots(params), params, pol)
     state = qstate_mod._state_gaps(columns, pol)[:2]
-    assert state != closed_form_ab(perturbative_roots(params), params, pol)[::-1]
+    assert state != qstate_mod._state_gaps(qstate_mod._state_columns(
+        perturbative_roots(params), params, pol), pol)[:2]
     original = qstate_mod._pattern_vector
 
     def nan_in_state(b_self, a_cross, config):
