@@ -121,17 +121,12 @@ def _state_columns(roots, params, config):
     return columns
 
 
-def _normalized(vec, norm_sq):
-    # vec / sqrt(norm_sq) as NumPy divides a complex by a real: times the
-    # reciprocal, and times inf at a zero norm (x/0 is inf, or nan at x = 0)
-    scale = math.sqrt(norm_sq)
-    return [z * (1.0 / scale if scale else math.inf) for z in vec]
-
-
 def _normalized_state(columns, config: PolarizationConfig):
     """(vec, y_gap, norm_gap): config's unit 4-vector, four complex numbers,
-    and its gaps; columns in INDEX_ORDER. The raw norm is sqrt(1 - norm_gap)."""
+    and its gaps; columns in INDEX_ORDER. The raw norm is sqrt(1 - norm_gap),
+    positive by _state_gaps' rule; the vector is scaled by its reciprocal,
+    as NumPy divides a complex by a real."""
     b_self, a_cross, y_gap, norm_gap = _state_gaps(columns, config)
-    return (_normalized(_pattern_vector(b_self, a_cross, config),
-                        1.0 - norm_gap), y_gap, norm_gap)
-
+    inv_norm = 1.0 / math.sqrt(1.0 - norm_gap)
+    return ([z * inv_norm for z in _pattern_vector(b_self, a_cross, config)],
+            y_gap, norm_gap)

@@ -11,8 +11,7 @@ from .entangle import (_asymptotic_from_phi, _info_from_gap, _log_half,
                        full_report, phi_closed)
 from .errors import QubeamError
 from .params import ModelParams
-from .qstate import (PolarizationConfig, _normalized, _normalized_state,
-                     _pattern_vector, _state_columns, _state_gaps)
+from .qstate import PolarizationConfig, _state_columns, _state_gaps
 
 
 @dataclass(frozen=True)
@@ -63,25 +62,21 @@ def _check_root_ladder(params, pol, ladder):
     ratios = [_ratio(d[i], d[i + 1])
               for d in defects.values() for i in range(2)]
     return (_quartered(ratios),
-            f"defect ratios {['%.3f' % r for r in ratios]}, "
-            "residuals within tol: True")
+            f"defect ratios {['%.3f' % r for r in ratios]}")
 
 
 def _check_state_pattern(params, pol, ladder):
     """The exact-root state, the one `qubeam state` prints, against the
-    first-order-root state; both from _state_columns, normalized."""
-    roots = exact_roots(params)
-    amps, _, _ = _normalized_state(_state_columns(roots, params, pol), pol)
-    b, a, _, _ = _state_gaps(
-        _state_columns(perturbative_roots(params), params, pol), pol)
-    pattern = _pattern_vector(b, a, pol)
-    pattern = _normalized(pattern, sum([abs(z) * abs(z) for z in pattern]))
-    # A nan entry is the defect, as with np.max, so the check fails.
-    defect = max([abs(x - y) for x, y in zip(amps, pattern)],
-                 key=lambda d: (math.isnan(d), d))
-    bound = 50.0 * (params.eps * params.eps)
-    return (defect <= bound,
-            f"entrywise defect {defect:.3e} (bound {bound:.3e})")
+    first-order-root state through its two raw gaps, which fix (b, a)."""
+    defects = ([], [])      # y_gap's and norm_gap's, per rung
+    for lp, _ in ladder:
+        ex, pert = (_state_gaps(_state_columns(roots(lp), lp, pol), pol)[2:]
+                    for roots in (exact_roots, perturbative_roots))
+        for d, x, y in zip(defects, ex, pert):
+            d.append(abs(x - y))
+    ratios = [_ratio(d[i], d[i + 1]) for d in defects for i in range(2)]
+    return (_quartered(ratios),
+            f"gap defect ratios {['%.3f' % r for r in ratios]}")
 
 
 def _closed_ladder(measure, scale):
@@ -130,8 +125,8 @@ def _check_zero_entanglement(params, pol, ladder):
 # None if it runs there; the check, which returns (ok, detail).
 _CHECKS = (
     ("root_ladder", ("uu", "ud", "du", "dd"), None, None, _check_root_ladder),
-    ("state_pattern", ("du", "uu"), "no explicit pattern for {}", None,
-     _check_state_pattern),
+    ("state_pattern", ("uu", "ud", "du", "dd"), None,
+     "omega = 0 has no first-order gap", _check_state_pattern),
     ("y_closed_ladder", ("du",), "closed forms apply to pol du only",
      "omega = 0 has no ladder signal", _closed_ladder("y_gap", 1.0)),
     ("schmidt_closed_ladder", ("du",), "closed forms apply to pol du only",

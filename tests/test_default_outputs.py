@@ -80,13 +80,13 @@ def test_default_sweep_outputs_are_unchanged(pol, method, tmp_path, capsys):
 # `qubeam state --pol P --method M` at the reference point.
 POINT_DIGESTS = {
     ("verify", "--pol", "uu"):
-        "3729e63fcf94e7e9477ab22fc6499ad2b1314c2950ee8967bd96bcc83900baad",
+        "c5fcdd84e630f2718eee529491a35e48e395911b7ca1d2fa7f4ee336515f5036",
     ("verify", "--pol", "ud"):
-        "5b1980093c4f82521c871a39af16093a678ff971e468f87ee0bdb0a5f0e5e8fd",
+        "ca2d7975deae475600d6b2907156c0de4d6841326947ea60ee9729e9e86a5d6a",
     ("verify", "--pol", "du"):
-        "9aa58ed6613eb7628c9730e75f97a0cba1b0a61ec151cb0af01093609d30d6f5",
+        "8d4c944b113def49683702fefa5b4f7600c61571ce5eae9a54ad6e1d64cc8170",
     ("verify", "--pol", "dd"):
-        "2110fee13b5e2416fde0c1542d1299ff162388687ccb3b52b62a3a3072e24c93",
+        "bf3e0717927172d7854b88c3817aab70c42eab6123ed545430835d9c90e596f3",
     ("measures", "--machine", "--pol", "uu", "--method", "exact"):
         "9cc0c996370fe77291cd1efec9cfa49dc6ea03422c767e3ea20e9d90a001fdaa",
     ("measures", "--machine", "--pol", "uu", "--method", "pert"):
@@ -148,13 +148,13 @@ def test_point_command_outputs_are_unchanged(argv, capsys):
 # rule; verify ran there and failed every check that needs a root).
 VERIFY_DIGESTS = {
     ("--omega", "0", "uu"): (
-        0, "51fdb78144bb9611b65fe428b20d42dc22a87625344b374e0fb011ffc712404c"),
+        0, "f6c707f55b9f75db38f2fcc8bef1fdcfefb7aa492dbff929ef350bd1e514308e"),
     ("--omega", "0", "ud"): (
-        0, "5b1980093c4f82521c871a39af16093a678ff971e468f87ee0bdb0a5f0e5e8fd"),
+        0, "39b0aee6e548732835d246c182598768343af784c4fb29dc68a7551ddfda0e46"),
     ("--omega", "0", "du"): (
-        0, "fe671922cefe2a79fd7136c2a9b5392e5f86afc38cbe68e69a1d392ff4b83104"),
+        0, "95afd961b285f7b76d25b78759f19689af62e06ce4f6c443e88af711eef2ee7e"),
     ("--omega", "0", "dd"): (
-        0, "e36101afc65a57b6f4d87a3e09071a4d613647f56a4effc67c298fdbf54fea1b"),
+        0, "f6c707f55b9f75db38f2fcc8bef1fdcfefb7aa492dbff929ef350bd1e514308e"),
     ("--eps", "1e9", "uu"): (
         1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("--eps", "1e9", "ud"): (

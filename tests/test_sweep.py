@@ -5,6 +5,7 @@ import hashlib
 import math
 from pathlib import Path
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -41,6 +42,9 @@ from qubeam.sweep import (
 from qubeam.verify import verify_point
 
 from test_entangle import _envelope_points
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from inputs import leading_order_applies  # noqa: E402
 
 FIG = (2500.0, 3000.0, 0.5, 0.1)
 
@@ -805,14 +809,14 @@ CHECK_NAMES = ["root_ladder", "state_pattern", "y_closed_ladder",
 # Past the bound, du's info_asymptotic passes: it compares two forms at one
 # gap, 6.75e-3, which differ by 2.525e-4, within twice the series' next term.
 VERIFY_COUNTS = {
-    "reference": {"uu": (3, 0, 3), "ud": (1, 0, 5), "du": (5, 0, 1),
-                  "dd": (2, 0, 4)},
-    "zero_field": {"uu": (3, 0, 3), "ud": (1, 0, 5), "du": (2, 0, 4),
+    "reference": {"uu": (3, 0, 3), "ud": (2, 0, 4), "du": (5, 0, 1),
+                  "dd": (3, 0, 3)},
+    "zero_field": {"uu": (2, 0, 4), "ud": (1, 0, 5), "du": (1, 0, 5),
                    "dd": (2, 0, 4)},
-    "broken": {"uu": (0, 3, 3), "ud": (0, 1, 5), "du": (1, 4, 1),
-               "dd": (0, 2, 4)},
-    "tiny": {"uu": (1, 2, 3), "ud": (0, 1, 5), "du": (3, 2, 1),
-             "dd": (1, 1, 4)},
+    "broken": {"uu": (0, 3, 3), "ud": (0, 2, 4), "du": (1, 4, 1),
+               "dd": (0, 3, 3)},
+    "tiny": {"uu": (1, 2, 3), "ud": (0, 2, 4), "du": (3, 2, 1),
+             "dd": (1, 2, 3)},
 }
 
 
@@ -839,9 +843,9 @@ def test_verify_point_evaluates_each_ladder_report_once(fig_params,
                                                        monkeypatch):
     # For du at the reference point each of the three eps-ladder reports is
     # evaluated once and read by both closed-form ladders, which take Phi
-    # from it. exact_roots runs 3 times in the root ladder, once in
-    # state_pattern and once per report; phi_closed once per report and
-    # once in info_asymptotic.
+    # from it. exact_roots runs once per rung in the root ladder, in
+    # state_pattern and in the report; phi_closed once per report and once
+    # in info_asymptotic.
     calls = collections.Counter()
 
     def spy(module, name):
@@ -858,7 +862,7 @@ def test_verify_point_evaluates_each_ladder_report_once(fig_params,
     spy(verify_mod, "full_report")
     rep = verify_point(fig_params, PolarizationConfig.from_code("du"))
     assert rep.counts == (5, 0, 1)
-    assert calls["full_report"] == 3 and calls["exact_roots"] == 7
+    assert calls["full_report"] == 3 and calls["exact_roots"] == 9
     assert calls["phi_closed"] <= 4
 
 
@@ -948,13 +952,13 @@ def test_verify_point_reports_a_zero_defect_on_a_ladder():
 # sha256 of every verify_point check's "name|status|detail" line, in order,
 # over the points below and all four configs: 14,688 checks.
 VERIFY_SET_DIGEST = (
-    "751ab048459bb62324e6b14eaa2fa824bdca0a05454f4d5c9d095bfbe2f518a4")
+    "5e14391534b8af4ee2507845179a1b50f2f5a486a8d28764acea17163591384b")
 
 
 def test_verify_text_over_the_set_is_pinned():
     # 300 envelope points at scales 1 and 2^+-40 (eps by the square), those
     # in make_params' set: 612 points. Pins every check's detail off the
-    # reference point, state_pattern's defect included.
+    # reference point, state_pattern's gap defect ratios included.
     points = [point for point in
               (tuple(x * f for x, f in zip(point, (s, s, s, s * s)))
                for point in _envelope_points(23, 300)
@@ -972,79 +976,62 @@ def test_verify_text_over_the_set_is_pinned():
     assert digest.hexdigest() == VERIFY_SET_DIGEST
 
 
-def _state_pattern_with_numpy(params, pol, pattern_vector):
-    """The state_pattern check as written over NumPy arrays: (ok, detail),
-    or the text of the QubeamError it raises."""
-    try:
-        columns = qstate_mod._state_columns(exact_roots(params), params, pol)
-        b_self, a_cross, _, norm_gap = qstate_mod._state_gaps(columns, pol)
-        b, a, _, _ = qstate_mod._state_gaps(qstate_mod._state_columns(
-            perturbative_roots(params), params, pol), pol)
-    except QubeamError as exc:
-        return False, str(exc)
-    pattern = np.array(pattern_vector(b, a, pol))
-    with np.errstate(all="ignore"):
-        amps = (np.array(qstate_mod._pattern_vector(b_self, a_cross, pol))
-                / np.sqrt(1.0 - norm_gap))
-        size = np.abs(pattern)
-        pattern = pattern / np.sqrt(np.sum(size * size))
-        defect = float(np.max(np.abs(amps - pattern)))
-    bound = 50.0 * (params.eps * params.eps)
-    return (defect <= bound,
-            f"entrywise defect {defect:.3e} (bound {bound:.3e})")
+def _state_pattern(params, code):
+    (check,) = [c for c in verify_point(params, PolarizationConfig.from_code(
+        code)).checks if c.name == "state_pattern"]
+    return check
 
 
-def _state_pattern(params, pol):
-    try:
-        return verify_mod._check_state_pattern(params, pol, None)
-    except QubeamError as exc:
-        return False, str(exc)
+def test_state_pattern_quarters_at_leading_order_points_at_any_scale():
+    # Where eps*Phi dominates the second-order floor, both gaps' defects
+    # (exact against first-order roots) shrink 4x per halving of eps, in
+    # every config and at scales 1 and 2^+-40 (eps by the square). At
+    # omega = 0 the gap is second order and its defect shrinks 8x instead.
+    points = [point for point in _envelope_points(31, 300)
+              if all(_params_verdicts(*point)) and leading_order_applies(
+                  point[0], point[1] - point[0], point[2], point[3])]
+    assert len(points) == 116
+    for point in points:
+        for s in (1.0, 2.0 ** -40, 2.0 ** 40):
+            params = make_params(*(x * f for x, f in
+                                   zip(point, (s, s, s, s * s))))
+            for code in ("uu", "ud", "du", "dd"):
+                check = _state_pattern(params, code)
+                assert check.status == "pass", (point, s, code, check.detail)
+    for code in ("uu", "ud", "du", "dd"):
+        check = _state_pattern(make_params(2500.0, 3000.0, 0.0, 0.1), code)
+        assert (check.status, check.detail) == (
+            "skip", "omega = 0 has no first-order gap")
 
 
-def test_state_pattern_check_matches_the_numpy_expression():
-    # Seeded envelope points at scales 1 and 2^+-40 (eps by the square),
-    # plus a tiny coupling, a coupling past the bound, a root on the other
-    # photon's pole and underflowing normalizations, for both configs the
-    # check runs on: the verdict and the detail text agree exactly.
-    points = [(2500.0, 3000.0, 0.5, 1e-12), (2500.0, 3000.0, 0.5, 1e9),
-              (10.0, 60.0, 0.0, 1000.0), (1e-66, 2e-66, 1e-67, 1e-135),
-              (1e-60, 1.00000001e-60, 0.0, 1e-80)] + _envelope_points(18, 120)
-    outcomes = collections.Counter()
-    for point in points:    # some lie outside make_params' set
-        for t in (1.0, 2.0 ** -40, 2.0 ** 40):
-            params = ModelParams(point[0] * t, point[1] * t, point[2] * t,
-                                 point[3] * t * t)
-            for code in ("du", "uu"):
-                pol = PolarizationConfig.from_code(code)
-                want = _state_pattern_with_numpy(params, pol,
-                                                 qstate_mod._pattern_vector)
-                assert _state_pattern(params, pol) == want
-                outcomes["defect" in want[1], want[0]] += 1
-    # passes, failed bounds and raised stages all occur
-    assert set(outcomes) == {(True, True), (True, False), (False, False)}
+def test_state_pattern_fails_when_both_sides_use_first_order_roots(
+        fig_params, monkeypatch):
+    # Identical states leave a zero defect on every rung, whose ratio is inf.
+    monkeypatch.setattr(verify_mod, "exact_roots", perturbative_roots)
+    for code in ("uu", "ud", "du", "dd"):
+        check = _state_pattern(fig_params, code)
+        assert (check.status, check.detail) == (
+            "fail", "gap defect ratios ['inf', 'inf', 'inf', 'inf']"), code
 
 
-@pytest.mark.parametrize("position", range(4))
-def test_a_nan_state_entry_fails_state_pattern_as_with_numpy(position,
-                                                            monkeypatch):
-    params, pol = make_params(*FIG), PolarizationConfig(2, 1)
-    columns = qstate_mod._state_columns(exact_roots(params), params, pol)
-    state = qstate_mod._state_gaps(columns, pol)[:2]
-    assert state != qstate_mod._state_gaps(qstate_mod._state_columns(
-        perturbative_roots(params), params, pol), pol)[:2]
-    original = qstate_mod._pattern_vector
+@pytest.mark.parametrize("rung", range(3))
+def test_a_nan_exact_gap_fails_state_pattern(rung, fig_params, monkeypatch):
+    pol = PolarizationConfig.from_code("du")
+    lp = fig_params._replace(eps=fig_params.eps * verify_mod._LADDER[rung])
+    exact = qstate_mod._state_gaps(
+        qstate_mod._state_columns(exact_roots(lp), lp, pol), pol)
+    assert exact != qstate_mod._state_gaps(
+        qstate_mod._state_columns(perturbative_roots(lp), lp, pol), pol)
+    original = verify_mod._state_gaps
 
-    def nan_in_state(b_self, a_cross, config):
-        vec = list(original(b_self, a_cross, config))
-        if (b_self, a_cross) == state:
-            vec[position] = complex(math.nan, 0.0)
-        return tuple(vec)
+    def nan_y_gap(columns, config):
+        gaps = original(columns, config)
+        return (*gaps[:2], math.nan, gaps[3]) if gaps == exact else gaps
 
-    monkeypatch.setattr(qstate_mod, "_pattern_vector", nan_in_state)
-    monkeypatch.setattr(verify_mod, "_pattern_vector", nan_in_state)
-    want = _state_pattern_with_numpy(params, pol, original)
-    assert want == (False, "entrywise defect nan (bound 5.000e-01)")
-    assert _state_pattern(params, pol) == want
+    monkeypatch.setattr(verify_mod, "_state_gaps", nan_y_gap)
+    check = _state_pattern(fig_params, "du")
+    assert check.status == "fail"
+    assert "'nan'" in check.detail
 
 
 def test_config_echo_has_no_timestamps():
