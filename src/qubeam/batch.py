@@ -89,12 +89,15 @@ def _columns(d, params: ModelParams, k, lam):
     """
     kappa_k, kappa_o = _pair(params, k)
     r = kappa_k + d
+    r3_eps = r * r * r * params.eps
     a_cross = (kappa_k - kappa_o + d) * (kappa_k + kappa_o + d)
-    a_self, chi, xi = _deviations(kappa_k, d, r, a_cross, params, lam)
+    a_self, chi, xi = _deviations(kappa_k, d, r, r3_eps, a_cross,
+                                  params.omega, lam)
     factors = _state_factors(kappa_k, kappa_o, d, r, a_self, chi, xi, np.sqrt)
     # A zero cross factor (the other photon's pole) leaves chi and m_cross
-    # non-finite, so the finiteness test flags it.
-    ok = (d != 0.0) & (chi > -1.0)
+    # non-finite, which the finiteness test flags; r^3 eps needs its own.
+    ok = ((d != 0.0) & (chi > -1.0)
+          & (np.isfinite(r3_eps) | ~(params.omega > 0.0)))
     for x in factors:
         ok &= np.isfinite(x)
     return factors, ok

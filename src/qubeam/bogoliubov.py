@@ -31,17 +31,16 @@ def _phase(lam_row, lam_col):
     return -1.0j
 
 
-def _deviations(kappa_k, d, r, a_cross, params: ModelParams, lam):
-    """(a_self, chi, xi) of a column at offset d, root r, cross pole a_cross:
-    a_self = r^2 - kappa_k^2, the radicand is (2/a_self^2)(1 + chi) and
-    m_self^2 = (1 + xi) / (2 (1 + chi)). Powers are products, which round
-    alike for floats and numpy arrays, so the point path and the batch
-    share this arithmetic. Floats need a_cross != 0.
+def _deviations(kappa_k, d, r, r3_eps, a_cross, omega, lam):
+    """(a_self, chi, xi) of a column at offset d, root r, r3_eps = r^3 eps,
+    cross pole a_cross: a_self = r^2 - kappa_k^2, the radicand is
+    (2/a_self^2)(1 + chi) and m_self^2 = (1 + xi) / (2 (1 + chi)). Powers
+    are products, which round alike for floats and numpy arrays, so the
+    point path and the batch share them. Floats need r3_eps, a_cross != 0.
     """
     a_self = d * (d + 2.0 * kappa_k)
     field_sign = -1.0 if lam == 1 else 1.0      # (-1)^lambda
-    chi = (a_self * a_self / 2.0) * (field_sign * params.omega
-                                     / (r * r * r * params.eps)
+    chi = (a_self * a_self / 2.0) * (field_sign * omega / r3_eps
                                      + 2.0 / (a_cross * a_cross))
     xi = d * d / (4.0 * r * kappa_k)
     return a_self, chi, xi
@@ -65,18 +64,23 @@ def _checked(roots: ModeRoots, params: ModelParams):
                                  f"on the other photon's pole at {kappa_o!r}; "
                                  "the transformation is singular there")
         # chi divides by r^3 eps and a_cross^2, which underflow to 0 at tiny
-        # scales (a batch masks those points as not finite).
+        # scales; at large ones r^3 eps overflows and drops the field term.
         r = kappa_k + d
         a_cross = cross * (kappa_k + kappa_o + d)
-        if not (abs(r * r * r * params.eps) > 0.0 and a_cross * a_cross > 0.0):
+        r3_eps = r * r * r * params.eps
+        if not (abs(r3_eps) > 0.0 and a_cross * a_cross > 0.0):
             raise SingularDenominator(
                 f"normalization denominator of r[{k}][{lam}] = {r!r} "
                 "underflows to 0 or is not a number")
-        a_self, chi, xi = _deviations(kappa_k, d, r, a_cross, params, lam)
+        a_self, chi, xi = _deviations(kappa_k, d, r, r3_eps, a_cross,
+                                      params.omega, lam)
         if not chi > -1.0:
             radicand = 2.0 * (1.0 + chi) / (a_self * a_self)
             raise NegativeRadicand(f"normalization radicand {radicand!r} <= 0 "
                                    f"at k={k}, lambda={lam}")
+        if not abs(r3_eps) < math.inf and params.omega > 0.0:
+            raise SingularDenominator(f"normalization denominator r^3 eps of "
+                                      f"r[{k}][{lam}] = {r!r} overflows")
         checked.append((kappa_k, kappa_o, d, r, a_self, chi, xi))
     return checked
 

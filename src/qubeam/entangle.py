@@ -200,20 +200,25 @@ def full_report(params: ModelParams, config: PolarizationConfig,
                 method: str = "exact") -> EntanglementReport:
     """Run the whole pipeline for one parameter point.
 
-    Each column is checked as build_block checks it, read or not; the two
-    read give the gaps of the state that `qubeam state` prints.
-    method selects the root solver ("exact" or "perturbative"). Closed-form
-    comparators are attached for configs (2,1) and (1,1); the other two have
-    no leading-order reference and get None there. Upstream errors propagate
-    as the same objects, with the failing stage in their stage attribute
-    and prepended to the message.
+    method selects the root solver ("exact" or "perturbative"); _report runs
+    the stages, and verify_point calls it with its own cached solver. Each
+    column is checked as build_block checks it, read or not; the two read
+    give the gaps of the state that `qubeam state` prints. Closed forms are
+    attached for configs (2,1) and (1,1), None for the other two (no
+    leading-order reference). Upstream errors propagate as the same
+    objects, the failing stage in .stage and prepended to the message.
     """
     if method not in ("exact", "perturbative"):
         raise ValueError(f"method must be 'exact' or 'perturbative', got {method!r}")
+    return _report(params, config, method, exact_roots if method == "exact"
+                   else perturbative_roots)
+
+
+def _report(params, config, method, solve):
+    """full_report's stages, with solve(params) as the root solver."""
     stage = "roots"
     try:
-        roots = (exact_roots(params) if method == "exact"
-                 else perturbative_roots(params))
+        roots = solve(params)
         stage = "block"
         columns = _state_columns(roots, params, config)
         stage = "amplitudes"

@@ -8,7 +8,7 @@ import math
 from .bogoliubov import INDEX_ORDER
 from .dispersion import exact_roots, perturbative_roots
 from .entangle import (_asymptotic_from_phi, _info_from_gap, _log_half,
-                       full_report, phi_closed)
+                       _report, phi_closed)
 from .errors import QubeamError
 from .params import ModelParams
 from .qstate import PolarizationConfig, _state_columns, _state_gaps
@@ -50,38 +50,25 @@ def _quartered(ratios):
     return all(3.5 <= r <= 4.5 for r in ratios)
 
 
-def _check_root_ladder(params, pol, ladder):
-    """First-order roots against the solved dispersion relation; exact_roots
-    raises NonConvergence where a residual misses RESIDUAL_TOL."""
-    defects = {kl: [] for kl in INDEX_ORDER}
-    for lp, _ in ladder:
-        ex = exact_roots(lp)
-        pert = perturbative_roots(lp)
-        for k, lam in INDEX_ORDER:
-            defects[k, lam].append(abs(ex.offset(k, lam) - pert.offset(k, lam)))
-    ratios = [_ratio(d[i], d[i + 1])
-              for d in defects.values() for i in range(2)]
-    return (_quartered(ratios),
-            f"defect ratios {['%.3f' % r for r in ratios]}")
-
-
-def _check_state_pattern(params, pol, ladder):
-    """The exact-root state, the one `qubeam state` prints, against the
-    first-order-root state through its two raw gaps, which fix (b, a)."""
-    defects = ([], [])      # y_gap's and norm_gap's, per rung
-    for lp, _ in ladder:
-        ex, pert = (_state_gaps(_state_columns(roots(lp), lp, pol), pol)[2:]
-                    for roots in (exact_roots, perturbative_roots))
-        for d, x, y in zip(defects, ex, pert):
-            d.append(abs(x - y))
-    ratios = [_ratio(d[i], d[i + 1]) for d in defects for i in range(2)]
-    return (_quartered(ratios),
-            f"gap defect ratios {['%.3f' % r for r in ratios]}")
+def _first_order_ladder(values, label):
+    """Ladder check of the numbers values(roots, lp, pol) gives per rung, from
+    the exact roots against the first-order roots; exact_roots raises
+    NonConvergence where a residual misses RESIDUAL_TOL."""
+    def check(params, pol, ladder, solvers):
+        defects = []        # per rung, one per value
+        for lp, _ in ladder:
+            ex, pert = (values(solve(lp), lp, pol) for solve in solvers)
+            defects.append([abs(x - y) for x, y in zip(ex, pert)])
+        ratios = [_ratio(d[i], d[i + 1])
+                  for d in zip(*defects) for i in range(2)]
+        return (_quartered(ratios),
+                f"{label} ratios {['%.3f' % r for r in ratios]}")
+    return check
 
 
 def _closed_ladder(measure, scale):
     """Ladder check of a pipeline measure against scale * eps * Phi."""
-    def check(params, pol, ladder):
+    def check(params, pol, ladder, _solvers):
         reps = [report() for _, report in ladder]
         defs = [abs(getattr(rep, measure) - scale * lp.eps * rep.Phi)
                 for (lp, _), rep in zip(ladder, reps)]
@@ -93,7 +80,7 @@ def _closed_ladder(measure, scale):
     return check
 
 
-def _check_info_asymptotic(params, pol, ladder):
+def _check_info_asymptotic(params, pol, ladder, _solvers):
     # Same gap argument on both sides: the asymptotic formula is the
     # leading expansion of the exact information measure at g = eps*Phi,
     # so feeding it the pipeline gap instead would report the O(eps^2)
@@ -113,7 +100,7 @@ def _check_info_asymptotic(params, pol, ladder):
             f"at shared gap {gap:.3e}")
 
 
-def _check_zero_entanglement(params, pol, ladder):
+def _check_zero_entanglement(params, pol, ladder, _solvers):
     rep = ladder[0][1]()        # the report at params
     bound = 50.0 * (params.eps * params.eps)
     return (rep.E_I <= bound and rep.E_S <= bound,
@@ -122,11 +109,18 @@ def _check_zero_entanglement(params, pol, ladder):
 
 # One row per check, in report order: name; the pol codes it runs on and the
 # skip text for any other ({} is the code); the skip text at omega = 0, or
-# None if it runs there; the check, which returns (ok, detail).
+# None if it runs there; the check, which returns (ok, detail). root_ladder
+# holds the first-order roots to the solved dispersion relation;
+# state_pattern the state they give, through its two raw gaps, which fix
+# (b, a), to the exact-root state, the one `qubeam state` prints.
 _CHECKS = (
-    ("root_ladder", ("uu", "ud", "du", "dd"), None, None, _check_root_ladder),
+    ("root_ladder", ("uu", "ud", "du", "dd"), None, None, _first_order_ladder(
+        lambda roots, lp, pol: [roots.offset(*kl) for kl in INDEX_ORDER],
+        "defect")),
     ("state_pattern", ("uu", "ud", "du", "dd"), None,
-     "omega = 0 has no first-order gap", _check_state_pattern),
+     "omega = 0 has no first-order gap", _first_order_ladder(
+         lambda roots, lp, pol: _state_gaps(_state_columns(roots, lp, pol),
+                                            pol)[2:], "gap defect")),
     ("y_closed_ladder", ("du",), "closed forms apply to pol du only",
      "omega = 0 has no ladder signal", _closed_ladder("y_gap", 1.0)),
     ("schmidt_closed_ladder", ("du",), "closed forms apply to pol du only",
@@ -144,12 +138,16 @@ def verify_point(params: ModelParams,
 
     Ladder checks evaluate at eps, eps/2, eps/4 and require the
     second-order defects to shrink by ~4x per halving. A check that raises
-    a QubeamError fails with the error text as its detail.
+    a QubeamError fails with the error text as its detail. Each rung's
+    exact and first-order roots, and its exact report, are evaluated once
+    per call, whichever checks read them; one that raised is evaluated
+    again by the next check that reads it.
     """
-    points = [params._replace(eps=params.eps * f) for f in _LADDER]
-    # (point, report) per rung; a report that succeeds is evaluated once
-    ladder = [(lp, functools.cache(functools.partial(
-        full_report, lp, pol, method="exact"))) for lp in points]
+    # Call-scoped caches of this module's solvers, looked up at call time
+    solvers = functools.cache(exact_roots), functools.cache(perturbative_roots)
+    ladder = [(lp, functools.cache(functools.partial(   # (point, report)
+        _report, lp, pol, "exact", solvers[0])))
+        for lp in (params._replace(eps=params.eps * f) for f in _LADDER)]
     checks = []
     for name, codes, other_pol, zero_field, check in _CHECKS:
         if pol.code not in codes:
@@ -158,7 +156,7 @@ def verify_point(params: ModelParams,
             status, detail = "skip", zero_field
         else:
             try:
-                ok, detail = check(params, pol, ladder)
+                ok, detail = check(params, pol, ladder, solvers)
             except QubeamError as exc:
                 ok, detail = False, str(exc)
             status = "pass" if ok else "fail"

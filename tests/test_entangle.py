@@ -279,6 +279,29 @@ def test_phi_closed_failure_modes():
                               "error:SingularDenominator")
 
 
+def test_an_overflowing_field_term_is_an_error_not_an_ok_report():
+    # From kappa1 ~ 1e62 chi's r^3 eps overflows, and omega / inf would drop
+    # its field term: here dd read E_I 9.16e-17 against its 1.42e-9, and uu
+    # and ud came back ok as well.
+    point = make_params(1e64, 1.5e64, 1e63, 1e119)
+    for code in ("uu", "ud", "du", "dd"):
+        for method in ("exact", "perturbative"):
+            with pytest.raises(SingularDenominator) as err:
+                full_report(point, PolarizationConfig.from_code(code), method)
+            assert (err.value.stage, str(err.value)) == (
+                "block", "stage block: normalization denominator r^3 eps of "
+                "r[1][1] = 1.0000000004545454e+64 overflows"), (code, method)
+    # At omega = 0 there is no field term to lose. The batch settles only
+    # those rows and leaves the others to full_report's error.
+    for code in ("uu", "ud", "dd"):
+        for method in ("exact", "perturbative"):
+            status = run_sweep(SweepConfig(
+                kappa1=1e64, eps=1e119, dk_min=4e63, dk_max=6e63, dk_steps=2,
+                omega_min=0.0, omega_max=1e63, omega_steps=2,
+                pol=PolarizationConfig.from_code(code), method=method))[-1]
+            assert status == ["ok", "ok"] + ["error:SingularDenominator"] * 2
+
+
 def test_asymptotic_form_agrees_with_its_formula(fig_params):
     phi, _ = phi_closed(fig_params)
     val = _asymptotic_from_phi(phi, fig_params.eps)
@@ -508,8 +531,13 @@ def test_report_equals_the_block_route_bit_for_bit():
 # in their gaps and measures only (828 pert, up to 4,791 ulps; 40 exact, up
 # to 31), 384 DomainError messages moved with their gap, and the 254 du
 # SingularDenominator messages at stage measures took the row's new text.
+# Re-recorded when an overflowing r^3 eps at omega > 0 became an error: at
+# 63 of the 2^200-scaled points all 8 reports moved to SingularDenominator
+# at stage block, 334 from ok (uu, ud, dd), 110 du from SingularDenominator
+# at stage measures and 60 from DomainError at stage measures; no other
+# report moved.
 POINT_PATH_DIGEST = (
-    "5fb4295ab082789455741834d267d6001e15f6e1a7b6b1ec30a8ba0330750bc2")
+    "cee21f537680c5050f086349b479a8c27627b21ab88e4b891b85ac3fcd4356cf")
 
 
 def test_point_path_outcomes_are_pinned():

@@ -25,6 +25,7 @@ from qubeam import (
 )
 from qubeam.errors import (
     AllRowsFailed,
+    NonConvergence,
     ParseError,
     QubeamError,
     ValidationError,
@@ -839,13 +840,13 @@ def test_verify_point_reference(fig_params):
         assert by_name[name].status == "pass", by_name[name].detail
 
 
-def test_verify_point_evaluates_each_ladder_report_once(fig_params,
-                                                       monkeypatch):
-    # For du at the reference point each of the three eps-ladder reports is
-    # evaluated once and read by both closed-form ladders, which take Phi
-    # from it. exact_roots runs once per rung in the root ladder, in
-    # state_pattern and in the report; phi_closed once per report and once
-    # in info_asymptotic.
+def test_verify_point_solves_each_rung_once_per_method(fig_params,
+                                                      monkeypatch):
+    # Every check that reads a rung's roots, and the rung's exact report,
+    # share one exact and one first-order solve per rung, in every config
+    # and at omega = 0 too, where only root_ladder reads them. For du the
+    # closed-form ladders take Phi from the reports: phi_closed runs once
+    # per report and once in info_asymptotic.
     calls = collections.Counter()
 
     def spy(module, name):
@@ -857,13 +858,41 @@ def test_verify_point_evaluates_each_ladder_report_once(fig_params,
         monkeypatch.setattr(module, name, counted)
 
     for module in (verify_mod, entangle_mod):
-        spy(module, "phi_closed")
-        spy(module, "exact_roots")
-    spy(verify_mod, "full_report")
-    rep = verify_point(fig_params, PolarizationConfig.from_code("du"))
-    assert rep.counts == (5, 0, 1)
-    assert calls["full_report"] == 3 and calls["exact_roots"] == 9
-    assert calls["phi_closed"] <= 4
+        for name in ("phi_closed", "exact_roots", "perturbative_roots"):
+            spy(module, name)
+    spy(verify_mod, "_report")
+    for params in (fig_params, fig_params._replace(omega=0.0)):
+        for code in ("uu", "ud", "du", "dd"):
+            calls.clear()
+            rep = verify_point(params, PolarizationConfig.from_code(code))
+            assert rep.ok, (params, code)
+            assert calls["exact_roots"] == 3, (params, code)
+            assert calls["perturbative_roots"] == 3, (params, code)
+            assert calls["phi_closed"] <= 4, (params, code)
+            assert calls["_report"] <= 3, (params, code)
+
+
+def test_a_raising_solve_fails_each_check_that_reads_its_rung(fig_params,
+                                                              monkeypatch):
+    # A solve that raises is not kept: each check that reads the rung solves
+    # it again and gets a fresh error, so the stage prefix the report adds
+    # is not doubled.
+    lp = fig_params._replace(eps=fig_params.eps * verify_mod._LADDER[2])
+
+    def failing(params):
+        if params == lp:
+            raise NonConvergence("no root at rung 2")
+        return exact_roots(params)
+
+    monkeypatch.setattr(verify_mod, "exact_roots", failing)
+    details = {c.name: (c.status, c.detail) for c in verify_point(
+        fig_params, PolarizationConfig.from_code("du")).checks}
+    for name in ("root_ladder", "state_pattern"):
+        assert details[name] == ("fail", "no root at rung 2"), name
+    for name in ("y_closed_ladder", "schmidt_closed_ladder"):
+        assert details[name] == (
+            "fail", "stage roots: no root at rung 2"), name
+    assert details["info_asymptotic"][0] == "pass"
 
 
 def test_verify_point_parallel(fig_params):
